@@ -40,7 +40,6 @@ from .bounds import lemma1_bounds, lemma2_check
 from .codec import (
     Bitstream,
     build_factorized_codebooks,
-    build_joint_huffman,
     complexity_report,
     decode,
     encode,
@@ -233,12 +232,11 @@ def cmd_codec_report(cfg: RunConfig) -> int:
     lines.append(_csv_line("factorized_codes_built", rep.factorized_codes_built))
     lines.append(_csv_line("factorized_entries_touched", rep.factorized_entries_touched))
     lines.append(_csv_line("joint_entropy_bits", joint_entropy_factorized(net)))
-    fcb = build_factorized_codebooks(net)
-    lines.append(_csv_line("factorized_expected_length_bits", expected_length(fcb, net)))
-    if rep.joint_build_seconds is not None:
-        jt = enumerate_joint(net, limit=cfg.size_guard)
+    lines.append(_csv_line("factorized_expected_length_bits",
+                           expected_length(rep.factorized_codebook, net)))
+    if rep.joint_code is not None:
         lines.append(_csv_line("joint_expected_length_bits",
-                               expected_length(build_joint_huffman(jt, limit=cfg.size_guard), jt)))
+                               expected_length(rep.joint_code, rep.joint_table)))
     if rep.joint_note:
         lines.append(_csv_line("joint_note", rep.joint_note))
     _emit(lines)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -293,23 +293,29 @@ class ComplexityReport:
     factorized_build_seconds: float
     joint_build_seconds: float | None
     joint_note: str
+    # the built objects, so callers can use them without building them again
+    factorized_codebook: FactorizedCodebook = field(repr=False, compare=False)
+    joint_table: JointTable | None = field(repr=False, compare=False)
+    joint_code: PrefixCode | None = field(repr=False, compare=False)
 
 
 def complexity_report(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> ComplexityReport:
-    """Build both codebooks (joint only when under the guard) and account the work."""
+    """Build both codebooks (joint only when under the guard), account the work,
+    and hand the built codebooks back with the report."""
     k = max(net.cards)
     big_l = net.max_in_degree()
     t0 = time.perf_counter()
     fcb = build_factorized_codebooks(net)
     t_fac = time.perf_counter() - t0
     n_joint = net.joint_states()
+    jt = jcode = t_joint = None
+    note = ""
     if n_joint <= limit:
         t0 = time.perf_counter()
-        build_joint_huffman(enumerate_joint(net, limit=limit), limit=limit)
-        t_joint: float | None = time.perf_counter() - t0
-        note = ""
+        jt = enumerate_joint(net, limit=limit)
+        jcode = build_joint_huffman(jt, limit=limit)
+        t_joint = time.perf_counter() - t0
     else:
-        t_joint = None
         note = f"skipped: joint alphabet {n_joint} exceeds size guard {limit}"
     return ComplexityReport(
         n_variables=net.m,
@@ -323,4 +329,7 @@ def complexity_report(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> Complex
         factorized_build_seconds=t_fac,
         joint_build_seconds=t_joint,
         joint_note=note,
+        factorized_codebook=fcb,
+        joint_table=jt,
+        joint_code=jcode,
     )

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import BayesNet, JointTable, marginal_table
-from .errors import InvalidStateError
+from .bn import DEFAULT_SIZE_GUARD, BayesNet, JointTable, marginal_table
+from .errors import InvalidStateError, SizeGuardError
 
 _CLAMP_TOL = 1e-9
 
@@ -71,9 +71,6 @@ def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
     Equals the total correlation sum_i I(X_i; Parent(X_i)); nonnegative up to
     float noise.  Guarded by the joint-state-space cap like the dense routes.
     """
-    from .bn import DEFAULT_SIZE_GUARD
-    from .errors import SizeGuardError
-
     cap = DEFAULT_SIZE_GUARD if limit is None else limit
     if net.joint_states() > cap:
         raise SizeGuardError(f"joint state space {net.joint_states()} exceeds guard {cap}")
@@ -116,19 +113,3 @@ def conditional_mutual_information(
     if clamp and val < 0:
         return 0.0
     return val
-
-
-def pairwise_block_cmi(net: BayesNet, blocks, side, limit: int | None = None) -> float:
-    """Max I(block_a; block_b | side) over block pairs; small means the
-    partition really decomposes the source."""
-    from .bn import DEFAULT_SIZE_GUARD
-
-    cap = DEFAULT_SIZE_GUARD if limit is None else limit
-    worst = 0.0
-    for idx, ba in enumerate(blocks):
-        for bb in blocks[idx + 1 :]:
-            scope = list(ba) + list(bb) + list(side)
-            jt = marginal_table(net, scope, limit=cap)
-            val = conditional_mutual_information(jt, list(ba), list(bb), list(side), clamp=False)
-            worst = max(worst, val)
-    return worst

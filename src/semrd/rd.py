@@ -1,25 +1,38 @@
 """Rate-distortion solvers for discrete sources, alone or with side information.
 
-All rates are in bits.  The workhorse is an alternating-minimization loop at a
-fixed slope s <= 0: the test channel is tilted as
+All rates are in bits.  Every solve here is the same problem: R(D) of a
+discrete source over a product reconstruction alphabet, with one distortion
+constraint per variable and optionally a side variable known at both ends.
+``_MultiSolver`` is the only engine.  The single-variable entry points
+(``ba_point``, ``ba_target``) are its one-constraint case without a side
+axis, and the conditional ones (``ba_conditional``, ``ba_conditional_target``)
+are its one-constraint case with one; each source (each side state's source,
+with a side axis) is normalized by its sum before solving.
 
-    Q(xhat | x)  proportional to  q(xhat) * 2^(s * d(x, xhat)),
+The workhorse is an alternating-minimization loop at a fixed slope vector
+s <= 0: the test channel is tilted as
+
+    Q(xhat | x)  proportional to  q(xhat) * 2^(sum_i s_i * d_i(x_i, xhat_i)),
 
 and the reconstruction marginal q is refreshed from Q until the classic
-upper/lower bound bracket on the parametric objective closes below a
-tolerance (measured in nats; see ``_ba_slope_core``).  Slopes are the
-Lagrange multipliers of the distortion constraints, so target-distortion
-solves run a bracketing secant on the slope; with side information the same
-slope is applied to every conditional source, which is exactly the optimal
-distortion allocation across side states.  Multiple per-variable constraints
-get one slope each over the product reconstruction alphabet, adjusted by
-coordinate sweeps (coordinate ascent on the concave Lagrange dual).
+upper/lower bound bracket on the parametric objective closes below
+``GAP_TOL_NATS`` (see ``_ba_slope_core``).  Slopes are the Lagrange
+multipliers of the distortion constraints, so a target-distortion solve runs
+a bracketing secant on each slope; with side information the same slopes
+apply to every side state, which is exactly the optimal distortion allocation
+across side states.  Several constraints are met by coordinate sweeps
+(coordinate ascent on the concave Lagrange dual).
 
 A target point is accepted when its distortion is under the target within
 ``dist_tol`` *and* the complementary-slackness defect (-s) * (target - D) is
 below a small rate budget — the defect bounds how far the dual value can sit
 from the true constrained minimum, and it is the right test at zero-rate
 corners and on linear curve segments where D(s) jumps across the target.
+
+The gap tolerance and iteration caps are the module constants below; the
+entry points take only ``dist_tol`` and, on the multi-constraint ones,
+``limit`` (the product test-channel size guard, also applied to the
+one-constraint case at its default).
 
 Conventions: a 2-d conditional source is passed as ``joint[x, y]`` (side
 variable last); a multi-variable source has one axis per variable with an
@@ -120,7 +133,7 @@ def min_distortion(p, d) -> float:
     return float(p @ np.asarray(d, float).min(axis=1))
 
 
-def _ba_slope_core(px, expo, tol_nats, max_iters, q0=None):
+def _ba_slope_core(px, expo, max_iters, q0=None):
     """Alternating minimization at a fixed exponent matrix ``expo`` (log2 scale).
 
     ``expo[x, xhat] = sum_i s_i * d_i``; rows are shifted by their maximum so
@@ -130,8 +143,8 @@ def _ba_slope_core(px, expo, tol_nats, max_iters, q0=None):
 
         F(q) + 1 - max_xhat c(xhat)  <=  min F  <=  F(q) - sum qc ln c,
 
-    and the loop stops once the bracket width drops below ``tol_nats``.  The
-    bracket holds at any interior q, so plain update pairs are interleaved
+    and the loop stops once the bracket width drops below ``GAP_TOL_NATS``.
+    The bracket holds at any interior q, so plain update pairs are interleaved
     with extrapolated (Steffensen-type) steps that collapse the slow modes
     appearing at shallow slopes; an extrapolated q is kept only when it does
     not increase the convex potential -sum p ln(Aq).  Returns the source
@@ -165,13 +178,13 @@ def _ba_slope_core(px, expo, tol_nats, max_iters, q0=None):
     while it < max_iters:
         q1, gap = step(q)
         it += 1
-        if gap < tol_nats:
+        if gap < GAP_TOL_NATS:
             q = q1
             converged = True
             break
         q2, gap = step(q1)
         it += 1
-        if gap < tol_nats:
+        if gap < GAP_TOL_NATS:
             q = q2
             converged = True
             break
@@ -215,27 +228,20 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
 
 
 def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.0,
-                hi_point=None, max_evals: int = _MAX_EVALS,
                 slack_tol: float = SLACK_TOL):
     """Drive the achieved distortion to the target by moving the slope.
 
-    ``ev(s) -> (rate, dist, payload, iters, conv)`` with distortion
-    nondecreasing in s.  ``hi_point`` optionally supplies the s = 0 endpoint
-    as (rate, dist, payload) — used when evaluating at exactly 0 would be
-    degenerate.  Bracketing secant (Illinois); timeshares across the bracket
-    when the distortion jumps over the target, which convexity makes exact.
-    Returns (rate, dist, payload, slope, total_iters, converged).
+    ``ev(s) -> (rate, dist, dvec, iters, conv)`` with distortion
+    nondecreasing in s; ``dvec`` is the full distortion vector.  Bracketing
+    secant (Illinois); timeshares across the bracket when the distortion
+    jumps over the target, which convexity makes exact.
+    Returns (rate, dist, dvec, slope, total_iters, converged).
     """
     total = 0
-    if hi_point is None:
-        r_hi, d_hi, pay_hi, it, c_hi = ev(0.0)
-        total += it
-        if _accept(0.0, d_hi, target, dist_tol, slack_tol):
-            return r_hi, d_hi, pay_hi, 0.0, total, c_hi
-    else:
-        r_hi, d_hi, pay_hi, c_hi = (*hi_point, True)
-        if _accept(0.0, d_hi, target, dist_tol, slack_tol):
-            return r_hi, d_hi, pay_hi, 0.0, total, True
+    r_hi, d_hi, pay_hi, it, c_hi = ev(0.0)
+    total += it
+    if _accept(0.0, d_hi, target, dist_tol, slack_tol):
+        return r_hi, d_hi, pay_hi, 0.0, total, c_hi
     hi = 0.0
     s = min(s0, -1e-12)
     evals = 0
@@ -248,11 +254,11 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
         if dist <= target:
             break
         hi, r_hi, d_hi, pay_hi, c_hi = s, rate, dist, pay, conv
-        if -s > 1e18 or evals >= max_evals:
+        if -s > 1e18 or evals >= _MAX_EVALS:
             return rate, dist, pay, s, total, False  # cannot reach down to target
         s *= 2.0
     lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
-    if hi == 0.0 and hi_point is None:
+    if hi == 0.0:
         # The probe solve concentrated the reconstruction marginal; the
         # constraint may now be slack at slope 0 exactly, where convergence is
         # clean — preferable to chasing a vanishing slope it can't resolve.
@@ -264,7 +270,7 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
         r_hi, d_hi, pay_hi, c_hi = r0, d0, p0, c0
     f_lo, f_hi = d_lo - target, d_hi - target
     side = 0
-    while evals < max_evals and hi - lo > 1e-13 * max(1.0, -lo):
+    while evals < _MAX_EVALS and hi - lo > 1e-13 * max(1.0, -lo):
         if f_hi > f_lo:
             mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if not lo < mid < hi:
@@ -290,169 +296,27 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
             side = -1
     if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
         lam = (target - d_lo) / (d_hi - d_lo)
-        pay = None
-        if pay_lo is not None and pay_hi is not None:
-            pay = tuple((1 - lam) * a + lam * b for a, b in zip(pay_lo, pay_hi))
         ok = hi - lo <= 1e-13 * max(1.0, -lo)
-        return (1 - lam) * r_lo + lam * r_hi, target, pay, lo, total, bool(ok and c_lo and c_hi)
+        return ((1 - lam) * r_lo + lam * r_hi, target, (1 - lam) * pay_lo + lam * pay_hi,
+                lo, total, bool(ok and c_lo and c_hi))
     return r_lo, d_lo, pay_lo, lo, total, c_lo
 
 
-def _single_eval(p, d, tol_nats, max_iters):
-    """Evaluator closure for one unconditional source; warm-starts q across calls."""
-    p = np.asarray(p, float).reshape(-1)
-    d = np.asarray(d, float)
-    state = {"q": None}
-
-    def ev(s: float, iters: int | None = None):
-        sup, ps, channel, q, it, conv = _ba_slope_core(
-            p, s * d, tol_nats, iters or max_iters, state["q"]
-        )
-        state["q"] = q
-        rate = _rate_bits(ps, channel, ps @ channel)
-        dist = float(ps @ (channel * d[sup]).sum(axis=1))
-        return rate, dist, None, it, conv
-
-    return ev
-
-
-def ba_point(p, d, slope: float, *, tol: float = GAP_TOL_NATS,
-             max_iters: int = MAX_ITERS) -> RdPoint:
-    """One curve point at a fixed slope for a plain source.
-
-    ``slope == 0`` returns the zero-rate corner (best constant guess), the
-    limit the iteration approaches but never reaches.
-    """
-    p = _check_dist(np.asarray(p, float).reshape(-1))
-    d = np.asarray(d, float)
-    if slope > 0:
-        raise InvalidStateError(f"slope must be <= 0, got {slope}")
-    if slope == 0:
-        return RdPoint(0.0, (trivial_distortion(p, d),), (0.0,), 0, True)
-    rate, dist, _, it, conv = _single_eval(p, d, tol, max_iters)(slope)
-    return RdPoint(float(rate), (float(dist),), (float(slope),), it, conv)
-
-
-def ba_target(p, d, target: float, *, dist_tol: float = DIST_TOL,
-              tol: float = GAP_TOL_NATS, max_iters: int = MAX_ITERS) -> RdPoint:
-    """R(D) at a target distortion for a plain source."""
-    p = _check_dist(np.asarray(p, float).reshape(-1))
-    d = np.asarray(d, float)
-    if target < 0:
-        raise InvalidStateError(f"target distortion must be >= 0, got {target}")
-    floor = min_distortion(p, d)
-    if target < floor - 1e-12:
-        raise InvalidStateError(f"target {target} below minimum achievable distortion {floor:.12g}")
-    triv = trivial_distortion(p, d)
-    ev = _single_eval(p, d, tol, max_iters)
-    rate, dist, _, s, it, conv = _slope_root(ev, target, dist_tol, hi_point=(0.0, triv, None))
-    if not conv and s < 0:
-        # shallow-slope solves close their gap slowly; retry in place with a
-        # bigger budget before reporting the point unconverged
-        r2, d2, _, it2, c2 = ev(s, 16 * max_iters)
-        it += it2
-        if c2 and _accept(s, d2, target, dist_tol):
-            rate, dist, conv = r2, d2, True
-    return RdPoint(float(rate), (float(dist),), (float(s),), it, conv)
-
-
-def _conditional_eval(joint, d, tol_nats, max_iters):
-    """Evaluator for a source with two-sided side information: same slope per
-    side state, aggregate rate and distortion."""
-    joint = np.asarray(joint, float)
-    d = np.asarray(d, float)
-    py = joint.sum(axis=0)
-    ys = np.flatnonzero(py > 0)
-    conds = [joint[:, y] / py[y] for y in ys]
-    state = {"qs": [None] * len(ys)}
-
-    def ev(s: float, iters: int | None = None):
-        rate = dist = 0.0
-        worst_it = 0
-        all_conv = True
-        for k, y in enumerate(ys):
-            sup, ps, channel, q, it, conv = _ba_slope_core(
-                conds[k], s * d, tol_nats, iters or max_iters, state["qs"][k]
-            )
-            state["qs"][k] = q
-            rate += py[y] * _rate_bits(ps, channel, ps @ channel)
-            dist += py[y] * float(ps @ (channel * d[sup]).sum(axis=1))
-            worst_it = max(worst_it, it)
-            all_conv = all_conv and conv
-        return rate, dist, None, worst_it, all_conv
-
-    return ev
-
-
-def _conditional_triv_floor(joint, d) -> tuple[float, float]:
-    joint = np.asarray(joint, float)
-    d = np.asarray(d, float)
-    py = joint.sum(axis=0)
-    triv = floor = 0.0
-    for y in np.flatnonzero(py > 0):
-        pc = joint[:, y] / py[y]
-        triv += py[y] * float((pc @ d).min())
-        floor += py[y] * float(pc @ d.min(axis=1))
-    return float(triv), float(floor)
-
-
-def ba_conditional(joint, d, slope: float, *, tol: float = GAP_TOL_NATS,
-                   max_iters: int = MAX_ITERS) -> RdPoint:
-    """One curve point at a fixed slope when the side variable is known at
-    both encoder and decoder.  ``joint[x, y]``; rate is sum_y p(y) R_y."""
-    joint = np.asarray(joint, float)
-    if joint.ndim != 2:
-        raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
-    _check_dist(joint.reshape(-1))
-    if slope > 0:
-        raise InvalidStateError(f"slope must be <= 0, got {slope}")
-    if slope == 0:
-        triv, _ = _conditional_triv_floor(joint, d)
-        return RdPoint(0.0, (triv,), (0.0,), 0, True)
-    rate, dist, _, it, conv = _conditional_eval(joint, d, tol, max_iters)(slope)
-    return RdPoint(float(rate), (float(dist),), (float(slope),), it, conv)
-
-
-def ba_conditional_target(joint, d, target: float, *, dist_tol: float = DIST_TOL,
-                          tol: float = GAP_TOL_NATS, max_iters: int = MAX_ITERS) -> RdPoint:
-    """Conditional R(D) at a target aggregate distortion."""
-    joint = np.asarray(joint, float)
-    if joint.ndim != 2:
-        raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
-    _check_dist(joint.reshape(-1))
-    if target < 0:
-        raise InvalidStateError(f"target distortion must be >= 0, got {target}")
-    triv, floor = _conditional_triv_floor(joint, d)
-    if target < floor - 1e-12:
-        raise InvalidStateError(f"target {target} below minimum achievable distortion {floor:.12g}")
-    ev = _conditional_eval(joint, d, tol, max_iters)
-    rate, dist, _, s, it, conv = _slope_root(ev, target, dist_tol, hi_point=(0.0, triv, None))
-    if not conv and s < 0:
-        r2, d2, _, it2, c2 = ev(s, 16 * max_iters)
-        it += it2
-        if c2 and _accept(s, d2, target, dist_tol):
-            rate, dist, conv = r2, d2, True
-    return RdPoint(float(rate), (float(dist),), (float(s),), it, conv)
-
-
-# ---------------------------------------------------------------------------
-# several distortion constraints at once (product reconstruction alphabet)
-# ---------------------------------------------------------------------------
-
-
 class _MultiSolver:
-    """Shared machinery for m per-variable constraints, optionally given a
-    side variable (axis 0 of the joint array)."""
+    """The rate-distortion engine: m per-variable constraints over the product
+    reconstruction alphabet, optionally given a side variable (axis 0 of the
+    joint array).  Everything that does not depend on the slopes is worked out
+    once here; ``eval`` warm-starts each side state from its previous q."""
 
-    def __init__(self, joint, dists, side, tol_nats, max_iters, limit):
+    def __init__(self, joint, dists, side: bool = False, limit: int = DEFAULT_SIZE_GUARD):
         joint = np.asarray(joint, float)
         if side:
             if joint.ndim < 2:
                 raise InvalidStateError("side=True needs a leading side axis")
-            self.ny = joint.shape[0]
+            ny = joint.shape[0]
             cards = joint.shape[1:]
         else:
-            self.ny = 1
+            ny = 1
             cards = joint.shape
             joint = joint[None, ...]
         self.m = len(cards)
@@ -461,53 +325,51 @@ class _MultiSolver:
         _check_dist(joint.reshape(-1))
         dists = [np.asarray(d, float) for d in dists]
         for k, d in zip(cards, dists):
-            if d.shape[0] != k:
-                raise InvalidStateError(f"distortion rows {d.shape[0]} != cardinality {k}")
-        nx = int(np.prod(cards))
-        nh = int(np.prod([d.shape[1] for d in dists]))
+            if d.ndim != 2 or d.shape[0] != k:
+                raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows, one per state")
+        nx = math.prod(cards)
+        nh = math.prod(d.shape[1] for d in dists)
         if nx * nh > limit:
             raise SizeGuardError(f"product test-channel table {nx}x{nh} exceeds guard {limit}")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
         self.lifted = [d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)]
-        flat = joint.reshape(self.ny, nx)
-        self.py = flat.sum(axis=1)
-        self.ys = np.flatnonzero(self.py > 0)
-        self.conds = [flat[y] / self.py[y] for y in self.ys]
-        self.tol_nats = tol_nats
-        self.max_iters = max_iters
-        self.warm = [None] * len(self.ys)
+        flat = joint.reshape(ny, nx)
+        py = flat.sum(axis=1)
+        ys = np.flatnonzero(py > 0)
+        self.weights = py[ys]
+        self.conds = [flat[y] / py[y] for y in ys]
+        self.warm = [None] * len(ys)
         # per-coordinate zero-rate corner and feasibility floor, aggregated over y
         self.trivs = np.zeros(self.m)
         self.floors = np.zeros(self.m)
-        for w, pc in zip(self.py[self.ys], self.conds):
+        for w, pc in zip(self.weights, self.conds):
+            arr = pc.reshape(cards)
             for i, d in enumerate(dists):
-                marg = self._coord_marginal(pc, cards, i)
+                other = tuple(a for a in range(self.m) if a != i)
+                marg = arr.sum(axis=other) if other else arr
                 self.trivs[i] += w * float((marg @ d).min())
                 self.floors[i] += w * float(marg @ d.min(axis=1))
 
-    @staticmethod
-    def _coord_marginal(flat_p, cards, i):
-        arr = flat_p.reshape(cards)
-        other = tuple(a for a in range(len(cards)) if a != i)
-        return arr.sum(axis=other) if other else arr
-
     def eval(self, slopes, iters: int | None = None) -> tuple[float, np.ndarray, int, bool]:
-        """Solve at a fixed slope vector; returns (rate, D vector, iters, converged)."""
-        slopes = np.asarray(slopes, float)
-        if np.all(slopes == 0):
+        """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
+
+        All-zero slopes give the zero-rate corner exactly, with 0 iterations.
+        """
+        if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
-        expo = sum(s * lift for s, lift in zip(slopes, self.lifted))
+        expo = slopes[0] * self.lifted[0]
+        for i in range(1, self.m):
+            expo = expo + slopes[i] * self.lifted[i]
         rate = 0.0
         dvec = np.zeros(self.m)
         worst_it = 0
         all_conv = True
-        for k, pc in enumerate(self.conds):
+        for k, (w, pc) in enumerate(zip(self.weights, self.conds)):
             sup, ps, channel, q, it, conv = _ba_slope_core(
-                pc, expo, self.tol_nats, iters or self.max_iters, self.warm[k]
+                pc, expo, iters or MAX_ITERS, self.warm[k]
             )
             self.warm[k] = q
-            w = self.py[self.ys[k]]
             rate += w * _rate_bits(ps, channel, ps @ channel)
             for i, lift in enumerate(self.lifted):
                 dvec[i] += w * float(ps @ (channel * lift[sup]).sum(axis=1))
@@ -516,24 +378,90 @@ class _MultiSolver:
         return rate, dvec, worst_it, all_conv
 
 
+def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL):
+    """Move slope i so its own distortion meets the target, others fixed.
+
+    Returns (slope, rate, own distortion, D vector, iters, converged).
+    """
+
+    def ev(s):
+        slopes[i] = s
+        rate, dvec, it, conv = solver.eval(slopes)
+        return rate, dvec[i], dvec, it, conv
+
+    s0 = slopes[i] if slopes[i] < 0 else -1.0
+    rate, dist_i, dvec, s, it, conv = _slope_root(ev, target, dist_tol, s0=s0,
+                                                  slack_tol=slack_tol)
+    return s, rate, dist_i, dvec, it, conv
+
+
+def _side_first(joint) -> np.ndarray:
+    """A 2-d conditional source ``joint[x, y]`` with its side axis moved first."""
+    joint = np.asarray(joint, float)
+    if joint.ndim != 2:
+        raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
+    return joint.T
+
+
+def _single_target(solver: _MultiSolver, target: float, dist_tol: float) -> RdPoint:
+    """R(D) at a target for a one-constraint solver: a slope search from the
+    zero-rate corner, retried in place with a bigger budget if unconverged."""
+    if target < 0:
+        raise InvalidStateError(f"target distortion must be >= 0, got {target}")
+    floor = float(solver.floors[0])
+    if target < floor - 1e-12:
+        raise InvalidStateError(f"target {target} below minimum achievable distortion {floor:.12g}")
+    s, rate, dist, _, it, conv = _coord_adjust(solver, np.zeros(1), 0, target, dist_tol)
+    if not conv and s < 0:
+        # shallow-slope solves close their gap slowly; retry in place with a
+        # bigger budget before reporting the point unconverged
+        r2, d2, it2, c2 = solver.eval((s,), iters=16 * MAX_ITERS)
+        it += it2
+        if c2 and _accept(s, d2[0], target, dist_tol):
+            rate, dist, conv = r2, d2[0], True
+    return RdPoint(float(rate), (float(dist),), (float(s),), it, conv)
+
+
+def ba_point(p, d, slope: float) -> RdPoint:
+    """One curve point at a fixed slope for a plain source.
+
+    ``slope == 0`` returns the zero-rate corner (best constant guess), the
+    limit the iteration approaches but never reaches.
+    """
+    return ba_joint_multi(np.asarray(p, float).reshape(-1), [d], [slope])
+
+
+def ba_target(p, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
+    """R(D) at a target distortion for a plain source."""
+    return _single_target(_MultiSolver(np.asarray(p, float).reshape(-1), [d]), target, dist_tol)
+
+
+def ba_conditional(joint, d, slope: float) -> RdPoint:
+    """One curve point at a fixed slope when the side variable is known at
+    both encoder and decoder.  ``joint[x, y]``; rate is sum_y p(y) R_y."""
+    return ba_joint_multi(_side_first(joint), [d], [slope], side=True)
+
+
+def ba_conditional_target(joint, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
+    """Conditional R(D) at a target aggregate distortion."""
+    return _single_target(_MultiSolver(_side_first(joint), [d], side=True), target, dist_tol)
+
+
 def ba_joint_multi(joint, dists, slopes, *, side: bool = False,
-                   tol: float = GAP_TOL_NATS, max_iters: int = MAX_ITERS,
                    limit: int = DEFAULT_SIZE_GUARD) -> RdPoint:
     """One point on the multi-constraint surface at a fixed slope vector."""
     slopes = tuple(float(s) for s in slopes)
     if any(s > 0 for s in slopes):
         raise InvalidStateError(f"slopes must be <= 0, got {slopes}")
-    solver = _MultiSolver(joint, dists, side, tol, max_iters, limit)
+    solver = _MultiSolver(joint, dists, side, limit)
     if len(slopes) != solver.m:
         raise InvalidStateError(f"{len(slopes)} slopes for {solver.m} variables")
     rate, dvec, it, conv = solver.eval(slopes)
-    return RdPoint(float(rate), tuple(float(x) for x in dvec), tuple(float(s) for s in slopes), it, conv)
+    return RdPoint(float(rate), tuple(float(x) for x in dvec), slopes, it, conv)
 
 
 def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
-                          dist_tol: float = DIST_TOL, tol: float = GAP_TOL_NATS,
-                          max_iters: int = MAX_ITERS, limit: int = DEFAULT_SIZE_GUARD,
-                          max_sweeps: int = 12,
+                          dist_tol: float = DIST_TOL, limit: int = DEFAULT_SIZE_GUARD,
                           init_slopes: Sequence[float] | None = None) -> RdPoint:
     """Joint rate at per-variable distortion targets.
 
@@ -548,7 +476,7 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
     targets = np.asarray(targets, float)
     if np.any(targets < 0):
         raise InvalidStateError(f"targets must be >= 0, got {targets.tolist()}")
-    solver = _MultiSolver(joint, dists, side, tol, max_iters, limit)
+    solver = _MultiSolver(joint, dists, side, limit)
     if targets.shape != (solver.m,):
         raise InvalidStateError(f"{targets.size} targets for {solver.m} variables")
     for i in range(solver.m):
@@ -571,18 +499,18 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
     # precise sweeps bind each constraint to dist_tol from slopes that are
     # already close.
     phases = (
-        (max_sweeps, max(dist_tol, 1e-4), max(SLACK_TOL, 1e-4), None),
-        (3, dist_tol, SLACK_TOL, None),
+        (12, max(dist_tol, 1e-4), max(SLACK_TOL, 1e-4)),
+        (3, dist_tol, SLACK_TOL),
     )
-    for sweeps, dtol, stol, budget in phases:
+    for sweeps, dtol, stol in phases:
         for _ in range(sweeps):
             prev = slopes.copy()
             moved = False
             for i in range(solver.m):
                 if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
                     continue
-                slopes[i], rate, dvec, it, conv = _coord_adjust(
-                    solver, slopes, i, float(targets[i]), dtol, stol, budget
+                slopes[i], rate, _, dvec, it, conv = _coord_adjust(
+                    solver, slopes, i, float(targets[i]), dtol, stol
                 )
                 total_it += it
                 moved = True
@@ -595,7 +523,7 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
             if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
                 break
     pre_ok = all(_accept(slopes[i], dvec[i], targets[i], dist_tol) for i in range(solver.m))
-    r2, d2, it, c2 = solver.eval(slopes, iters=4 * max_iters)
+    r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
     total_it += it
     ok2 = all(_accept(slopes[i], d2[i], targets[i], dist_tol) for i in range(solver.m))
     if ok2 or not pre_ok:
@@ -605,26 +533,6 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
         ok = pre_ok  # timeshared point: no single slope meets the targets
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
                    total_it, bool(ok and conv))
-
-
-def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL, iters=None):
-    """Move slope i so its own distortion meets the target, others fixed."""
-    state = {}
-
-    def ev(s):
-        slopes[i] = s
-        rate, dvec, it, conv = solver.eval(slopes, iters=iters)
-        state["point"] = (rate, dvec, conv)
-        return rate, dvec[i], tuple(dvec), it, conv
-
-    s0 = slopes[i] if slopes[i] < 0 else -1.0
-    rate, dist_i, pay, s, it, conv = _slope_root(ev, target, dist_tol, s0=s0,
-                                                 slack_tol=slack_tol)
-    if pay is not None and "point" in state and not np.array_equal(np.asarray(pay), state["point"][1]):
-        dvec = np.asarray(pay)  # timeshared point
-    else:
-        dvec = state["point"][1] if "point" in state else np.asarray(pay)
-    return s, rate, dvec, it, conv
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +572,16 @@ def gaussian_conditional_rd(sigma: float, r: float, target: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curve_from_points(points: Sequence[RdPoint]) -> RdCurve:
-    pts = tuple(sorted(points, key=lambda pt: pt.distortion))
+def _curve(at_slope, at_target, source, d, slopes, targets) -> RdCurve:
+    """Solve every grid point, sort by distortion, and flag monotonicity and
+    convexity of the result."""
+    if (slopes is None) == (targets is None):
+        raise InvalidStateError("provide exactly one of slopes= or targets=")
+    if slopes is not None:
+        pts = [at_slope(source, d, s) for s in slopes]
+    else:
+        pts = [at_target(source, d, t) for t in targets]
+    pts = tuple(sorted(pts, key=lambda pt: pt.distortion))
     monotone = all(
         pts[k + 1].rate <= pts[k].rate + 1e-9 for k in range(len(pts) - 1)
     )
@@ -687,24 +603,12 @@ def default_slope_grid(n: int = 25, lo: float = -12.0, hi: float = -0.2) -> tupl
 
 
 def rd_curve(p, d, *, slopes: Sequence[float] | None = None,
-             targets: Sequence[float] | None = None, **kw) -> RdCurve:
+             targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a plain source over a slope grid or a target-distortion list."""
-    if (slopes is None) == (targets is None):
-        raise InvalidStateError("provide exactly one of slopes= or targets=")
-    if slopes is not None:
-        pts = [ba_point(p, d, s, **kw) for s in slopes]
-    else:
-        pts = [ba_target(p, d, t, **kw) for t in targets]
-    return _curve_from_points(pts)
+    return _curve(ba_point, ba_target, p, d, slopes, targets)
 
 
 def rd_curve_conditional(joint, d, *, slopes: Sequence[float] | None = None,
-                         targets: Sequence[float] | None = None, **kw) -> RdCurve:
+                         targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a conditional source (side known both ends) the same way."""
-    if (slopes is None) == (targets is None):
-        raise InvalidStateError("provide exactly one of slopes= or targets=")
-    if slopes is not None:
-        pts = [ba_conditional(joint, d, s, **kw) for s in slopes]
-    else:
-        pts = [ba_conditional_target(joint, d, t, **kw) for t in targets]
-    return _curve_from_points(pts)
+    return _curve(ba_conditional, ba_conditional_target, joint, d, slopes, targets)

@@ -243,6 +243,17 @@ def test_multi_argument_validation():
         ba_joint_multi(pj, [HAM2, HAM2], (0.5, -1.0))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: ba_point([0.5, 0.5], hamming_distortion(3), -1.0),
+    lambda: ba_target([0.2, 0.3, 0.5], HAM2, 0.1),
+    lambda: ba_conditional(np.full((2, 2), 0.25), hamming_distortion(3), -1.0),
+    lambda: ba_conditional_target(np.full((3, 2), 1 / 6), HAM2, 0.1),
+], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target"])
+def test_distortion_rows_must_match_cardinality(solve):
+    with pytest.raises(InvalidStateError):
+        solve()
+
+
 def test_multi_fixed_slopes_point():
     pj = np.full((2, 2), 0.25)
     pt = ba_joint_multi(pj, [HAM2, HAM2], (-2.0, -1.0))
