@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import InvalidStateError, SchemaError, SizeGuardError
@@ -214,8 +213,9 @@ def make_net(
     return BayesNet(vs, ordered, _topo_order(ordered, len(vs)))
 
 
-def _topo_order(cpts: Sequence[Cpt], m: int) -> tuple[int, ...]:
-    """Kahn topological sort; falls back to id order on a cycle."""
+def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
+    """Ids in Kahn order, smallest ready id first; the ids it leaves out are on
+    a cycle or downstream of one."""
     children: dict[int, list[int]] = {i: [] for i in range(m)}
     indeg = [0] * m
     for c in cpts:
@@ -233,9 +233,13 @@ def _topo_order(cpts: Sequence[Cpt], m: int) -> tuple[int, ...]:
             if indeg[w] == 0:
                 ready.append(w)
         ready.sort()
-    if len(out) != m:
-        return tuple(range(m))
-    return tuple(out)
+    return out
+
+
+def _topo_order(cpts: Sequence[Cpt], m: int) -> tuple[int, ...]:
+    """Kahn topological sort; falls back to id order on a cycle."""
+    out = _kahn(cpts, m)
+    return tuple(out) if len(out) == m else tuple(range(m))
 
 
 def validate(net: BayesNet) -> ValidationReport:
@@ -292,12 +296,17 @@ def validate(net: BayesNet) -> ValidationReport:
                         f"order places parent {net.variables[p].name!r} after child "
                         f"{net.variables[c.child].name!r}"
                     )
-    g = nx.DiGraph()
-    g.add_nodes_from(range(m))
-    g.add_edges_from((p, c.child) for c in net.cpts for p in c.parents if 0 <= p < m)
-    if not nx.is_directed_acyclic_graph(g):
-        cyc = nx.find_cycle(g)
-        rep.violations.append("cycle: " + " -> ".join(str(e[0]) for e in cyc) + f" -> {cyc[-1][1]}")
+    left = set(range(m)).difference(_kahn(net.cpts, m))
+    if left:
+        # every unplaced vertex has an unplaced parent: climb until one repeats
+        up = {c.child: p for c in net.cpts for p in c.parents if p in left}
+        seen: dict[int, int] = {}
+        v = min(left)
+        while v not in seen:
+            seen[v] = len(seen)
+            v = up[v]
+        cyc = [u for u in seen if seen[u] >= seen[v]][::-1]  # parent -> child order
+        rep.violations.append("cycle: " + " -> ".join(map(str, cyc + cyc[:1])))
     return rep
 
 
@@ -420,29 +429,34 @@ def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def moralized_graph(net: BayesNet) -> nx.Graph:
-    """Undirected moral graph: skeleton plus edges between co-parents."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(net.m))
-    g.add_edges_from((p, c.child) for c in net.cpts for p in c.parents)
-    return nx.moral_graph(g)
-
-
 def conditional_partition(net: BayesNet, side: Sequence[int]) -> Partition:
     """Finest grouping of the remaining variables that is conditionally
     independent given ``side``.
 
-    Deletes the side set from the moral graph and takes connected components.
-    Because moralization of the full graph is a supergraph of the moralization
-    of any ancestral subgraph, separation here implies d-separation, so blocks
-    really are conditionally independent.  Blocks are sorted by smallest
-    member id; members ascend within a block.
+    Takes connected components of the moral graph minus the side set: each
+    CPT family is a moral clique, so joining the non-side members of every
+    family gives them.  Moralization of the full graph is a supergraph of the
+    moralization of any ancestral subgraph, so separation here implies
+    d-separation and blocks really are conditionally independent.  Blocks are
+    sorted by smallest member id; members ascend within a block.
     """
-    side_ids = sorted({net.id_of(s) for s in side})
-    g = moralized_graph(net)
-    g.remove_nodes_from(side_ids)
-    blocks = sorted(tuple(sorted(comp)) for comp in nx.connected_components(g))
-    return Partition(tuple(side_ids), tuple(blocks))
+    side_ids = {net.id_of(s) for s in side}
+    root = list(range(net.m))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for c in net.cpts:
+        family = [v for v in (c.child, *c.parents) if v not in side_ids]
+        for v in family[1:]:
+            root[find(v)] = find(family[0])
+    blocks: dict[int, list[int]] = {}
+    for v in range(net.m):
+        if v not in side_ids:
+            blocks.setdefault(find(v), []).append(v)
+    return Partition(tuple(sorted(side_ids)), tuple(sorted(tuple(b) for b in blocks.values())))
 
 
 def resolve_size_guard(value: int | None) -> int:

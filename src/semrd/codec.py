@@ -230,6 +230,14 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
     bits = np.unpackbits(np.frombuffer(stream.payload, dtype=np.uint8))
+    # every sample spends at least the shortest codeword of each variable, so a
+    # header count the payload cannot hold is refused before allocating for it
+    min_bits = sum(min(len(w) for code in per_var for w in code.codewords.values())
+                   for per_var in fcb.codes)
+    if stream.n * min_bits > bits.size:
+        raise CorruptStreamError(
+            f"header claims {stream.n} samples of >= {min_bits} bits; payload has {bits.size} bits"
+        )
     trees = [[code.decode_tree() for code in per_var] for per_var in fcb.codes]
     out = np.zeros((stream.n, net.m), dtype=np.int64)
     pos = 0

@@ -237,9 +237,8 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
     jumps over the target, which convexity makes exact.
     Returns (rate, dist, dvec, slope, total_iters, converged).
     """
-    total = 0
-    r_hi, d_hi, pay_hi, it, c_hi = ev(0.0)
-    total += it
+    r_hi, d_hi, pay_hi, it0, c_hi = ev(0.0)
+    total = it0
     if _accept(0.0, d_hi, target, dist_tol, slack_tol):
         return r_hi, d_hi, pay_hi, 0.0, total, c_hi
     hi = 0.0
@@ -258,10 +257,12 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
             return rate, dist, pay, s, total, False  # cannot reach down to target
         s *= 2.0
     lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
-    if hi == 0.0:
+    if hi == 0.0 and it0 > 0:
         # The probe solve concentrated the reconstruction marginal; the
         # constraint may now be slack at slope 0 exactly, where convergence is
         # clean — preferable to chasing a vanishing slope it can't resolve.
+        # A first call with no iterations was the all-zero corner, which no
+        # warm start changes, so repeating it would only use up an evaluation.
         r0, d0, p0, it, c0 = ev(0.0)
         total += it
         evals += 1

@@ -1,6 +1,9 @@
 """Network construction, validation, indexing, marginals, sampling, and I/O."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import semrd
 from semrd import (
     SchemaError,
     SizeGuardError,
+    conditional_mutual_information,
     conditional_partition,
     enumerate_joint,
     joint_probability,
@@ -65,6 +69,24 @@ def test_validate_reports_cycle():
     report = validate(net)
     assert not report.ok
     assert any("cycle" in v for v in report.violations)
+    # a 3-cycle A -> B -> C -> A with a tail C -> D below it and a root T
+    # above it; the walk starts from D, the smallest id off the topological order
+    half = [[0.5, 0.5]]
+    net = make_net(
+        [("D", 2), ("A", 2), ("B", 2), ("C", 2), ("T", 2)],
+        [("D", ["C"], half * 2), ("A", ["C", "T"], half * 4), ("B", ["A"], half * 2),
+         ("C", ["B"], half * 2), ("T", [], half)],
+    )
+    cycles = [v for v in validate(net).violations if v.startswith("cycle")]
+    assert cycles == ["cycle: 1 -> 2 -> 3 -> 1"]
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(semrd.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import semrd; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert "semrd.bn" in out.stdout
+    assert "'networkx'" not in out.stdout
 
 
 def test_make_net_rejects_unknown_parent():
@@ -170,6 +192,33 @@ def test_conditional_partition_chain(chain_net):
     given_x1 = conditional_partition(chain_net, [chain_net.id_of("X1")])
     # Y and X2 stay coupled when only X1 is revealed
     assert given_x1.blocks == ((chain_net.id_of("Y"), chain_net.id_of("X2")),)
+
+
+@pytest.mark.parametrize("side, blocks", [
+    (["scene"], ((1, 3), (2,))),
+    (["sky"], ((0, 2), (3,))),
+    (["grass"], ((0, 1, 3),)),
+    (["light"], ((0, 1, 2),)),
+    (["sky", "grass"], ((0,), (3,))),
+])
+def test_conditional_partition_scene(scene_net, side, blocks):
+    part = conditional_partition(scene_net, side)
+    assert part.side == tuple(sorted(scene_net.id_of(v) for v in side))
+    assert part.blocks == blocks
+
+
+def test_conditional_partition_blocks_are_independent_given_side():
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        net = random_net(seed, int(rng.integers(2, 7)), max_card=3, max_parents=3)
+        side = [int(v) for v in np.flatnonzero(rng.random(net.m) < 0.3)]
+        part = conditional_partition(net, side)
+        members = [v for b in part.blocks for v in b]
+        assert sorted(members) == [v for v in range(net.m) if v not in side]
+        table = enumerate_joint(net)
+        for k, a in enumerate(part.blocks):
+            for b in part.blocks[k + 1:]:
+                assert conditional_mutual_information(table, a, b, side, clamp=False) <= 1e-9
 
 
 def test_sample_deterministic_and_in_range(fork_net):

@@ -101,6 +101,15 @@ def test_decode_wrong_net_fails(tmp_path):
     assert "codebook" in err.lower() or "digest" in err.lower()
 
 
+def test_decode_rejects_header_count_beyond_payload(tmp_path):
+    stream = tmp_path / "huge.bnhc"
+    stream.write_bytes(semrd.Bitstream(2**36, semrd.load_bundled("fork").digest(), b"\x00").to_bytes())
+    rc, out, err = invoke(["decode", "fork", str(stream)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("semrd: ")
+
+
 def test_codec_report_stdout_is_deterministic():
     rc, a, err_a = invoke(["codec-report", "fork"])
     rc2, b, _ = invoke(["codec-report", "fork"])

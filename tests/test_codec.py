@@ -168,8 +168,11 @@ def test_decode_rejects_truncated_payload(fork_net):
     fcb = build_factorized_codebooks(fork_net)
     stream = encode(fcb, sample(fork_net, 200, seed=5))
     cut = semrd.Bitstream(stream.n, stream.digest, stream.payload[:-1])
-    with pytest.raises(CorruptStreamError):
-        decode(fcb, cut)
+    # a 30-byte stream whose header claims 2^36 samples
+    huge = semrd.Bitstream(2**36, stream.digest, stream.payload[:1])
+    for bad in (cut, huge):
+        with pytest.raises(CorruptStreamError):
+            decode(fcb, bad)
 
 
 def test_from_bytes_rejects_bad_magic():
