@@ -219,6 +219,8 @@ def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
     children: dict[int, list[int]] = {i: [] for i in range(m)}
     indeg = [0] * m
     for c in cpts:
+        if not 0 <= c.child < m:
+            continue
         for p in c.parents:
             if 0 <= p < m:
                 children[p].append(c.child)
@@ -290,6 +292,8 @@ def validate(net: BayesNet) -> ValidationReport:
     else:
         pos = {v: k for k, v in enumerate(net.order)}
         for c in net.cpts:
+            if not 0 <= c.child < m:
+                continue  # reported with the cpt positions above
             for p in c.parents:
                 if 0 <= p < m and p != c.child and pos[p] > pos[c.child]:
                     rep.violations.append(

@@ -57,6 +57,8 @@ from .info import (
 from .nets import BUNDLED, bundled_path
 from .rd import (
     DistortionSpec,
+    _fixed_slope_points,
+    _MultiSolver,
     ba_joint_multi,
     ba_joint_multi_target,
     binary_conditional_rd,
@@ -289,8 +291,11 @@ def _rd_common(cfg: RunConfig, conditional: bool) -> int:
             raise argparse.ArgumentTypeError(f"{len(slopes)} slopes for {len(vars_)} variables")
         add_point(ba_joint_multi(arr, dists, slopes, side=True, limit=cfg.size_guard))
     else:
-        for s in default_slope_grid(cfg.args.sweep):
-            add_point(ba_joint_multi(arr, dists, [s] * len(vars_), side=True, limit=cfg.size_guard))
+        # one solver for the whole grid: each slope warm-starts from the last
+        solver = _MultiSolver(arr, dists, side=True, limit=cfg.size_guard)
+        grid = [[s] * len(vars_) for s in default_slope_grid(cfg.args.sweep)]
+        for pt in _fixed_slope_points(solver, grid):
+            add_point(pt)
     _emit(lines, cfg.args.output)
     return 0
 

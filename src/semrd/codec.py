@@ -238,6 +238,13 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         raise CorruptStreamError(
             f"header claims {stream.n} samples of >= {min_bits} bits; payload has {bits.size} bits"
         )
+    # a net whose every variable can code to zero bits admits any count, so
+    # the output table itself is held to the size guard
+    if min_bits == 0 and stream.n * net.m > DEFAULT_SIZE_GUARD:
+        raise SizeGuardError(
+            f"header claims {stream.n} zero-bit samples: {stream.n}x{net.m} table "
+            f"exceeds guard {DEFAULT_SIZE_GUARD}"
+        )
     trees = [[code.decode_tree() for code in per_var] for per_var in fcb.codes]
     out = np.zeros((stream.n, net.m), dtype=np.int64)
     pos = 0

@@ -228,46 +228,70 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
 
 
 def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.0,
-                slack_tol: float = SLACK_TOL):
+                start=None, slack_tol: float = SLACK_TOL):
     """Drive the achieved distortion to the target by moving the slope.
 
     ``ev(s) -> (rate, dist, dvec, iters, conv)`` with distortion
-    nondecreasing in s; ``dvec`` is the full distortion vector.  Bracketing
-    secant (Illinois); timeshares across the bracket when the distortion
-    jumps over the target, which convexity makes exact.
-    Returns (rate, dist, dvec, slope, total_iters, converged).
+    nondecreasing in s; ``dvec`` is the full distortion vector.
+
+    Without ``start`` the search opens at slope 0 and, if that is over the
+    target, doubles away from 0 starting at ``s0``.  ``start`` is a point
+    ``(slope, rate, dist, dvec, conv)`` that ``ev`` has already solved exactly
+    (not a timeshared mix); the search opens there instead, doubling away from
+    0 while the distortion is over the target and halving toward 0 (at most
+    three times, then 0 itself) while it is under, so slope 0 is solved only
+    when the walk reaches it and the start point is not solved again on the
+    way.  The bracket is closed by an Illinois secant; when the distortion
+    jumps over the target the result timeshares across the bracket, which
+    convexity makes exact.
+
+    Returns (rate, dist, dvec, slope, total_iters, converged, exact), where
+    ``exact`` is False only for a timeshared mix, which no single solve at the
+    returned slope reproduces.
     """
-    r_hi, d_hi, pay_hi, it0, c_hi = ev(0.0)
-    total = it0
-    if _accept(0.0, d_hi, target, dist_tol, slack_tol):
-        return r_hi, d_hi, pay_hi, 0.0, total, c_hi
-    hi = 0.0
-    s = min(s0, -1e-12)
-    evals = 0
+    total = evals = 0
+    if start is None:
+        s = 0.0
+        rate, dist, pay, total, conv = ev(0.0)
+        # A first call with no iterations was the all-zero corner, which no
+        # warm start changes, so repeating it would only use up an evaluation.
+        stale_zero = total > 0
+    else:
+        s, rate, dist, pay, conv = start
+        stale_zero = s == 0.0
+    hi = lo = None
+    halvings = 0
     while True:
+        if _accept(s, dist, target, dist_tol, slack_tol):
+            return rate, dist, pay, s, total, conv, True
+        if dist > target:
+            hi, r_hi, d_hi, pay_hi, c_hi = s, rate, dist, pay, conv
+            if lo is not None:
+                break
+            if -s > 1e18 or evals >= _MAX_EVALS:
+                return rate, dist, pay, s, total, False, True  # cannot reach down to target
+            s = 2.0 * s if s < 0.0 else min(s0, -1e-12)
+        else:
+            lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
+            if hi is not None:
+                break
+            # under the target at a warm slope: walk toward 0 by halving and
+            # solve slope 0 itself only once the walk gets there
+            halvings += 1
+            s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
         rate, dist, pay, it, conv = ev(s)
         total += it
         evals += 1
-        if _accept(s, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, s, total, conv
-        if dist <= target:
-            break
-        hi, r_hi, d_hi, pay_hi, c_hi = s, rate, dist, pay, conv
-        if -s > 1e18 or evals >= _MAX_EVALS:
-            return rate, dist, pay, s, total, False  # cannot reach down to target
-        s *= 2.0
-    lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
-    if hi == 0.0 and it0 > 0:
-        # The probe solve concentrated the reconstruction marginal; the
-        # constraint may now be slack at slope 0 exactly, where convergence is
-        # clean — preferable to chasing a vanishing slope it can't resolve.
-        # A first call with no iterations was the all-zero corner, which no
-        # warm start changes, so repeating it would only use up an evaluation.
+    if hi == 0.0 and stale_zero:
+        # The slope-0 point came before the probe solves concentrated the
+        # reconstruction marginal; the constraint may now be slack at slope 0
+        # exactly, where convergence is clean — preferable to chasing a
+        # vanishing slope it can't resolve.
         r0, d0, p0, it, c0 = ev(0.0)
         total += it
         evals += 1
         if _accept(0.0, d0, target, dist_tol, slack_tol):
-            return r0, d0, p0, 0.0, total, c0
+            return r0, d0, p0, 0.0, total, c0, True
         r_hi, d_hi, pay_hi, c_hi = r0, d0, p0, c0
     f_lo, f_hi = d_lo - target, d_hi - target
     side = 0
@@ -282,7 +306,7 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
         total += it
         evals += 1
         if _accept(mid, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, mid, total, conv
+            return rate, dist, pay, mid, total, conv, True
         if dist > target:
             hi, r_hi, d_hi, pay_hi, c_hi = mid, rate, dist, pay, conv
             f_hi = dist - target
@@ -299,8 +323,8 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
         lam = (target - d_lo) / (d_hi - d_lo)
         ok = hi - lo <= 1e-13 * max(1.0, -lo)
         return ((1 - lam) * r_lo + lam * r_hi, target, (1 - lam) * pay_lo + lam * pay_hi,
-                lo, total, bool(ok and c_lo and c_hi))
-    return r_lo, d_lo, pay_lo, lo, total, c_lo
+                lo, total, bool(ok and c_lo and c_hi), False)
+    return r_lo, d_lo, pay_lo, lo, total, c_lo, True
 
 
 class _MultiSolver:
@@ -379,10 +403,13 @@ class _MultiSolver:
         return rate, dvec, worst_it, all_conv
 
 
-def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL):
+def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL, held=None):
     """Move slope i so its own distortion meets the target, others fixed.
 
-    Returns (slope, rate, own distortion, D vector, iters, converged).
+    ``held`` is ``(rate, D vector, converged)`` from an exact solve at the
+    current ``slopes``; the search then starts there instead of at slope 0.
+    Returns (slope, rate, own distortion, D vector, iters, converged, exact),
+    where ``exact`` is False when the point is a timeshared mix.
     """
 
     def ev(s):
@@ -391,9 +418,10 @@ def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL):
         return rate, dvec[i], dvec, it, conv
 
     s0 = slopes[i] if slopes[i] < 0 else -1.0
-    rate, dist_i, dvec, s, it, conv = _slope_root(ev, target, dist_tol, s0=s0,
-                                                  slack_tol=slack_tol)
-    return s, rate, dist_i, dvec, it, conv
+    start = None if held is None else (slopes[i], held[0], held[1][i], held[1], held[2])
+    rate, dist_i, dvec, s, it, conv, exact = _slope_root(ev, target, dist_tol, s0=s0,
+                                                         start=start, slack_tol=slack_tol)
+    return s, rate, dist_i, dvec, it, conv, exact
 
 
 def _side_first(joint) -> np.ndarray:
@@ -412,7 +440,7 @@ def _single_target(solver: _MultiSolver, target: float, dist_tol: float) -> RdPo
     floor = float(solver.floors[0])
     if target < floor - 1e-12:
         raise InvalidStateError(f"target {target} below minimum achievable distortion {floor:.12g}")
-    s, rate, dist, _, it, conv = _coord_adjust(solver, np.zeros(1), 0, target, dist_tol)
+    s, rate, dist, _, it, conv, _ = _coord_adjust(solver, np.zeros(1), 0, target, dist_tol)
     if not conv and s < 0:
         # shallow-slope solves close their gap slowly; retry in place with a
         # bigger budget before reporting the point unconverged
@@ -423,42 +451,64 @@ def _single_target(solver: _MultiSolver, target: float, dist_tol: float) -> RdPo
     return RdPoint(float(rate), (float(dist),), (float(s),), it, conv)
 
 
+def _plain_solver(p, d) -> _MultiSolver:
+    return _MultiSolver(np.asarray(p, float).reshape(-1), [d])
+
+
+def _conditional_solver(joint, d) -> _MultiSolver:
+    return _MultiSolver(_side_first(joint), [d], side=True)
+
+
+def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:
+    """Points at each slope vector of ``grid``, solved in order on the one
+    solver, so each solve is warm-started from the one before it."""
+    points = []
+    for slopes in grid:
+        slopes = tuple(float(s) for s in slopes)
+        if any(s > 0 for s in slopes):
+            raise InvalidStateError(f"slopes must be <= 0, got {slopes}")
+        if len(slopes) != solver.m:
+            raise InvalidStateError(f"{len(slopes)} slopes for {solver.m} variables")
+        rate, dvec, it, conv = solver.eval(slopes)
+        # The zero-rate corner (rate 0, distortions ``trivs``) is feasible at
+        # every slope.  Where it is optimal, a warm-started solve can stop up
+        # to the gap tolerance above it, so keep whichever of the two has the
+        # lower objective R - s.D.
+        if rate - float(np.dot(slopes, dvec)) > -float(np.dot(slopes, solver.trivs)):
+            rate, dvec = 0.0, solver.trivs
+        points.append(RdPoint(float(rate), tuple(float(x) for x in dvec), slopes, it, conv))
+    return points
+
+
 def ba_point(p, d, slope: float) -> RdPoint:
     """One curve point at a fixed slope for a plain source.
 
     ``slope == 0`` returns the zero-rate corner (best constant guess), the
     limit the iteration approaches but never reaches.
     """
-    return ba_joint_multi(np.asarray(p, float).reshape(-1), [d], [slope])
+    return _fixed_slope_points(_plain_solver(p, d), [(slope,)])[0]
 
 
 def ba_target(p, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
     """R(D) at a target distortion for a plain source."""
-    return _single_target(_MultiSolver(np.asarray(p, float).reshape(-1), [d]), target, dist_tol)
+    return _single_target(_plain_solver(p, d), target, dist_tol)
 
 
 def ba_conditional(joint, d, slope: float) -> RdPoint:
     """One curve point at a fixed slope when the side variable is known at
     both encoder and decoder.  ``joint[x, y]``; rate is sum_y p(y) R_y."""
-    return ba_joint_multi(_side_first(joint), [d], [slope], side=True)
+    return _fixed_slope_points(_conditional_solver(joint, d), [(slope,)])[0]
 
 
 def ba_conditional_target(joint, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
     """Conditional R(D) at a target aggregate distortion."""
-    return _single_target(_MultiSolver(_side_first(joint), [d], side=True), target, dist_tol)
+    return _single_target(_conditional_solver(joint, d), target, dist_tol)
 
 
 def ba_joint_multi(joint, dists, slopes, *, side: bool = False,
                    limit: int = DEFAULT_SIZE_GUARD) -> RdPoint:
     """One point on the multi-constraint surface at a fixed slope vector."""
-    slopes = tuple(float(s) for s in slopes)
-    if any(s > 0 for s in slopes):
-        raise InvalidStateError(f"slopes must be <= 0, got {slopes}")
-    solver = _MultiSolver(joint, dists, side, limit)
-    if len(slopes) != solver.m:
-        raise InvalidStateError(f"{len(slopes)} slopes for {solver.m} variables")
-    rate, dvec, it, conv = solver.eval(slopes)
-    return RdPoint(float(rate), tuple(float(x) for x in dvec), slopes, it, conv)
+    return _fixed_slope_points(_MultiSolver(joint, dists, side, limit), [slopes])[0]
 
 
 def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
@@ -469,10 +519,15 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
     Coordinate sweeps adjust one slope at a time to meet its own target (or
     park it at 0 when the constraint goes slack), holding the others — this is
     coordinate ascent on the concave Lagrange dual, warm-started between
-    evaluations.  Sweeping stops once all constraints check out or the slope
-    vector goes quasi-static; a final solve at the settled slopes with a
-    larger iteration budget then defines the reported point.  ``init_slopes``
-    can seed the sweep, e.g. with slopes from per-variable solves.
+    evaluations.  Each adjustment starts its slope search from the point the
+    sweep already holds for the current slope vector when that point is an
+    exact solve there (anything but a timeshared mix), so the held point is
+    not solved again and slope 0 is solved only when the search walks to it.
+    Sweeping stops once all constraints check out or the slope vector goes
+    quasi-static.  A held exact, converged point is then reported as is;
+    otherwise a final solve at the settled slopes with a larger iteration
+    budget defines the reported point.  ``init_slopes`` can seed the sweep,
+    e.g. with slopes from per-variable solves.
     """
     targets = np.asarray(targets, float)
     if np.any(targets < 0):
@@ -492,9 +547,8 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
     else:
         slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else -1.0
                            for i in range(solver.m)])
-    total_it = 0
-    rate, dvec, it, conv = solver.eval(slopes)
-    total_it += it
+    rate, dvec, total_it, conv = solver.eval(slopes)
+    exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
     # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
     # burning iterations deep inside jittery brackets), then a couple of
     # precise sweeps bind each constraint to dist_tol from slopes that are
@@ -510,8 +564,9 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
             for i in range(solver.m):
                 if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
                     continue
-                slopes[i], rate, _, dvec, it, conv = _coord_adjust(
-                    solver, slopes, i, float(targets[i]), dtol, stol
+                slopes[i], rate, _, dvec, it, conv, exact = _coord_adjust(
+                    solver, slopes, i, float(targets[i]), dtol, stol,
+                    held=(rate, dvec, conv) if exact else None,
                 )
                 total_it += it
                 moved = True
@@ -523,15 +578,16 @@ def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
             # quasi-static the sweep has settled as far as it can
             if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
                 break
-    pre_ok = all(_accept(slopes[i], dvec[i], targets[i], dist_tol) for i in range(solver.m))
-    r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
-    total_it += it
-    ok2 = all(_accept(slopes[i], d2[i], targets[i], dist_tol) for i in range(solver.m))
-    if ok2 or not pre_ok:
-        # the high-budget solve at the settled slopes defines the point
-        rate, dvec, conv, ok = r2, d2, c2, ok2
-    else:
-        ok = pre_ok  # timeshared point: no single slope meets the targets
+    ok = all(_accept(slopes[i], dvec[i], targets[i], dist_tol) for i in range(solver.m))
+    if not (exact and conv):
+        r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
+        total_it += it
+        ok2 = all(_accept(slopes[i], d2[i], targets[i], dist_tol) for i in range(solver.m))
+        if ok2 or not ok:
+            # the high-budget solve at the settled slopes defines the point,
+            # unless only the held one meets the targets (a timeshared point:
+            # no single slope does)
+            rate, dvec, conv, ok = r2, d2, c2, ok2
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
                    total_it, bool(ok and conv))
 
@@ -573,15 +629,16 @@ def gaussian_conditional_rd(sigma: float, r: float, target: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curve(at_slope, at_target, source, d, slopes, targets) -> RdCurve:
+def _curve(make_solver, source, d, slopes, targets) -> RdCurve:
     """Solve every grid point, sort by distortion, and flag monotonicity and
-    convexity of the result."""
+    convexity of the result.  A slope grid is solved in the given order on one
+    warm-started solver; each target gets a fresh one."""
     if (slopes is None) == (targets is None):
         raise InvalidStateError("provide exactly one of slopes= or targets=")
     if slopes is not None:
-        pts = [at_slope(source, d, s) for s in slopes]
+        pts = _fixed_slope_points(make_solver(source, d), [(s,) for s in slopes])
     else:
-        pts = [at_target(source, d, t) for t in targets]
+        pts = [_single_target(make_solver(source, d), t, DIST_TOL) for t in targets]
     pts = tuple(sorted(pts, key=lambda pt: pt.distortion))
     monotone = all(
         pts[k + 1].rate <= pts[k].rate + 1e-9 for k in range(len(pts) - 1)
@@ -606,10 +663,10 @@ def default_slope_grid(n: int = 25, lo: float = -12.0, hi: float = -0.2) -> tupl
 def rd_curve(p, d, *, slopes: Sequence[float] | None = None,
              targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a plain source over a slope grid or a target-distortion list."""
-    return _curve(ba_point, ba_target, p, d, slopes, targets)
+    return _curve(_plain_solver, p, d, slopes, targets)
 
 
 def rd_curve_conditional(joint, d, *, slopes: Sequence[float] | None = None,
                          targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a conditional source (side known both ends) the same way."""
-    return _curve(ba_conditional, ba_conditional_target, joint, d, slopes, targets)
+    return _curve(_conditional_solver, joint, d, slopes, targets)

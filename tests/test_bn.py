@@ -25,7 +25,7 @@ from semrd import (
     save_net,
     validate,
 )
-from semrd.bn import ancestral_closure, config_index, resolve_size_guard
+from semrd.bn import BayesNet, Cpt, Variable, ancestral_closure, config_index, resolve_size_guard
 
 
 def test_fork_structure(fork_net):
@@ -79,6 +79,15 @@ def test_validate_reports_cycle():
     )
     cycles = [v for v in validate(net).violations if v.startswith("cycle")]
     assert cycles == ["cycle: 1 -> 2 -> 3 -> 1"]
+
+
+@pytest.mark.parametrize("child", [5, -1])
+def test_validate_reports_out_of_range_cpt_child(child):
+    # make_net cannot build this; a hand-built net must still get a report
+    half, two = np.full((1, 2), 0.5), np.full((2, 2), 0.5)
+    net = BayesNet((Variable(0, "A", 2), Variable(1, "B", 2)),
+                   (Cpt(0, (), half), Cpt(child, (0,), two)), (0, 1))
+    assert validate(net).violations == [f"cpt at position 1 is for variable {child}"]
 
 
 def test_import_does_not_load_networkx():

@@ -10,6 +10,7 @@ import semrd
 from semrd import (
     CorruptStreamError,
     InvalidStateError,
+    SizeGuardError,
     UncodableSampleError,
     WrongCodebookError,
     build_factorized_codebooks,
@@ -190,6 +191,9 @@ def test_deterministic_net_encodes_to_zero_bits():
     stream = encode(fcb, [[0, 0]] * 50)
     assert stream.payload == b""
     np.testing.assert_array_equal(decode(fcb, stream), np.zeros((50, 2), dtype=int))
+    # with no bits per sample the payload cannot bound the header count
+    with pytest.raises(SizeGuardError):
+        decode(fcb, semrd.Bitstream(2**40, stream.digest, b""))
 
 
 def test_complexity_report_fork(fork_net):
