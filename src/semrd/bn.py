@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -281,6 +282,8 @@ def validate(net: BayesNet) -> ValidationReport:
                 f"{name!r}: table shape {c.table.shape} != ({n_cfg}, {net.variables[i].cardinality})"
             )
             continue
+        if not np.all(np.isfinite(c.table)):
+            rep.violations.append(f"{name!r}: non-finite probability entries")
         if np.any(c.table < 0):
             rep.violations.append(f"{name!r}: negative probability entries")
         sums = c.table.sum(axis=1)
@@ -488,6 +491,12 @@ def resolve_size_guard(value: int | None) -> int:
 # load, anything worse is rejected.
 
 
+def _list(value, where: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
 def net_from_dict(doc: dict) -> BayesNet:
     if not isinstance(doc, dict):
         raise SchemaError("network document must be a JSON object")
@@ -496,39 +505,47 @@ def net_from_dict(doc: dict) -> BayesNet:
             raise SchemaError(f"missing top-level key {key!r}")
     names: list[str] = []
     cards: list[int] = []
-    for k, v in enumerate(doc["variables"]):
+    for k, v in enumerate(_list(doc["variables"], "variables")):
         if not isinstance(v, dict) or "name" not in v or "cardinality" not in v:
             raise SchemaError(f"variables[{k}] must have 'name' and 'cardinality'")
         names.append(str(v["name"]))
-        cards.append(int(v["cardinality"]))
+        card = v["cardinality"]
+        if isinstance(card, float) and card.is_integer():
+            card = int(card)
+        if not isinstance(card, int):
+            raise SchemaError(f"variables[{k}].cardinality must be an integer, got {card!r}")
+        cards.append(int(card))
     if len(set(names)) != len(names):
         raise SchemaError("variable names must be unique")
     by_name = {n: i for i, n in enumerate(names)}
 
     def _resolve(name, where):
-        if name not in by_name:
+        if not isinstance(name, str) or name not in by_name:
             raise SchemaError(f"{where} references unknown variable {name!r}")
         return by_name[name]
 
     cpt_specs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    for k, c in enumerate(doc["cpts"]):
+    for k, c in enumerate(_list(doc["cpts"], "cpts")):
         if not isinstance(c, dict) or not {"child", "parents", "rows"} <= set(c):
             raise SchemaError(f"cpts[{k}] must have 'child', 'parents', 'rows'")
         cid = _resolve(c["child"], f"cpts[{k}]")
         if cid in cpt_specs:
             raise SchemaError(f"duplicate cpt for variable {names[cid]!r}")
-        pids = tuple(_resolve(p, f"cpts[{k}].parents") for p in c["parents"])
+        pids = tuple(_resolve(p, f"cpts[{k}].parents")
+                     for p in _list(c["parents"], f"cpts[{k}].parents"))
         try:
             table = np.asarray(c["rows"], dtype=float)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise SchemaError(f"cpts[{k}].rows is ragged or non-numeric: {e}") from None
         if table.ndim != 2:
             raise SchemaError(f"cpts[{k}].rows must be a matrix")
-        n_cfg = int(np.prod([cards[p] for p in pids], dtype=np.int64)) if pids else 1
+        n_cfg = math.prod(cards[p] for p in pids)
         if table.shape != (n_cfg, cards[cid]):
             raise SchemaError(
                 f"{names[cid]!r}: rows shape {table.shape} != ({n_cfg}, {cards[cid]})"
             )
+        if not np.all(np.isfinite(table)):
+            raise SchemaError(f"{names[cid]!r}: non-finite probabilities")
         if np.any(table < 0):
             raise SchemaError(f"{names[cid]!r}: negative probabilities")
         sums = table.sum(axis=1)
@@ -543,7 +560,7 @@ def net_from_dict(doc: dict) -> BayesNet:
         raise SchemaError(f"missing cpts entry for {missing[0]!r}")
 
     declared = set()
-    for k, e in enumerate(doc["edges"]):
+    for k, e in enumerate(_list(doc["edges"], "edges")):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edges[{k}] must be a [parent, child] pair")
         declared.add((_resolve(e[0], f"edges[{k}]"), _resolve(e[1], f"edges[{k}]")))
@@ -566,6 +583,8 @@ def load_net(path) -> BayesNet:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
     net = net_from_dict(doc)
     rep = validate(net)
     if not rep.ok:

@@ -25,7 +25,6 @@ import numpy as np
 from .bn import DEFAULT_SIZE_GUARD, BayesNet, Partition, conditional_partition, marginal_table
 from .errors import InvalidStateError
 from .rd import (
-    DIST_TOL,
     DistortionSpec,
     ba_conditional_target,
     ba_joint_multi_target,
@@ -45,7 +44,6 @@ class BoundReport:
     upper_terms: tuple[float, ...]
     slack_lower: float  # joint - lower, >= -tol when everything converged
     slack_upper: float  # upper - joint, >= -tol likewise
-    dist_tol: float
     converged: bool
 
 
@@ -59,7 +57,6 @@ class DecompositionReport:
     block_rates: tuple[float, ...]
     subset_sum: float
     delta: float  # joint_conditional - subset_sum, ~0 when blocks decompose
-    dist_tol: float
     converged: bool
 
 
@@ -75,7 +72,6 @@ def _side_first_array(net: BayesNet, side: Sequence[int], targets_vars: Sequence
 
 def lemma1_bounds(net: BayesNet, targets: Sequence[float],
                   dspec: DistortionSpec | None = None, *,
-                  dist_tol: float = DIST_TOL,
                   limit: int = DEFAULT_SIZE_GUARD) -> BoundReport:
     """Evaluate the sandwich at one per-variable target vector.
 
@@ -93,7 +89,7 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
     for i in range(net.m):
         d = dspec.for_var(i)
         marg = marginal_table(net, [i], limit=limit).probs
-        up = ba_target(marg, d, targets[i], dist_tol=dist_tol)
+        up = ba_target(marg, d, targets[i])
         upper_terms.append(up.rate)
         conv = conv and up.converged
         parents = net.parents(i)
@@ -104,13 +100,13 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
             jt = marginal_table(net, list(parents) + [i], limit=limit)
             n_cfg = int(np.prod([net.card(p) for p in parents]))
             joint_xy = jt.probs.reshape(n_cfg, net.card(i)).T  # (x, parent config)
-            lo = ba_conditional_target(joint_xy, d, targets[i], dist_tol=dist_tol)
+            lo = ba_conditional_target(joint_xy, d, targets[i])
             lower_terms.append(lo.rate)
             seed_slopes.append(lo.slope)
             conv = conv and lo.converged
     joint_arr = marginal_table(net, list(range(net.m)), limit=limit).probs.reshape(net.cards)
     jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)],
-                               targets, dist_tol=dist_tol, limit=limit,
+                               targets, limit=limit,
                                init_slopes=seed_slopes)
     conv = conv and jp.converged
     lower = float(sum(lower_terms))
@@ -124,14 +120,12 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
         upper_terms=tuple(upper_terms),
         slack_lower=jp.rate - lower,
         slack_upper=upper - jp.rate,
-        dist_tol=dist_tol,
         converged=conv,
     )
 
 
 def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[float],
                  dspec: DistortionSpec | None = None, *,
-                 dist_tol: float = DIST_TOL,
                  limit: int = DEFAULT_SIZE_GUARD) -> DecompositionReport:
     """Compare the joint conditional rate against the per-block sum.
 
@@ -152,14 +146,14 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
     arr = _side_first_array(net, part.side, rest, limit)
     jp = ba_joint_multi_target(arr, [dspec.for_var(v) for v in rest],
                                [by_var[v] for v in rest],
-                               side=True, dist_tol=dist_tol, limit=limit)
+                               side=True, limit=limit)
     conv = jp.converged
     block_rates: list[float] = []
     for block in part.blocks:
         barr = _side_first_array(net, part.side, list(block), limit)
         bp = ba_joint_multi_target(barr, [dspec.for_var(v) for v in block],
                                    [by_var[v] for v in block],
-                                   side=True, dist_tol=dist_tol, limit=limit)
+                                   side=True, limit=limit)
         block_rates.append(bp.rate)
         conv = conv and bp.converged
     subset_sum = float(sum(block_rates))
@@ -170,6 +164,5 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
         block_rates=tuple(block_rates),
         subset_sum=subset_sum,
         delta=jp.rate - subset_sum,
-        dist_tol=dist_tol,
         converged=conv,
     )

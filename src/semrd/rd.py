@@ -20,19 +20,21 @@ upper/lower bound bracket on the parametric objective closes below
 multipliers of the distortion constraints, so a target-distortion solve runs
 a bracketing secant on each slope; with side information the same slopes
 apply to every side state, which is exactly the optimal distortion allocation
-across side states.  Several constraints are met by coordinate sweeps
-(coordinate ascent on the concave Lagrange dual).
+across side states.  Every target solve, with one constraint or several, is
+the same search (``_target_search``): coordinate sweeps (coordinate ascent on
+the concave Lagrange dual), each slope search opening at the point the sweep
+holds.
 
 A target point is accepted when its distortion is under the target within
-``dist_tol`` *and* the complementary-slackness defect (-s) * (target - D) is
+``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
 below a small rate budget — the defect bounds how far the dual value can sit
 from the true constrained minimum, and it is the right test at zero-rate
 corners and on linear curve segments where D(s) jumps across the target.
 
-The gap tolerance and iteration caps are the module constants below; the
-entry points take only ``dist_tol`` and, on the multi-constraint ones,
-``limit`` (the product test-channel size guard, also applied to the
-one-constraint case at its default).
+The tolerances and iteration caps are the module constants below; only the
+multi-constraint entry points take options: ``limit`` (the product
+test-channel size guard, also applied to the one-constraint case at its
+default) and, for target solves, ``init_slopes``.
 
 Conventions: a 2-d conditional source is passed as ``joint[x, y]`` (side
 variable last); a multi-variable source has one axis per variable with an
@@ -227,38 +229,28 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
     return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
 
 
-def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.0,
-                start=None, slack_tol: float = SLACK_TOL):
+def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: float):
     """Drive the achieved distortion to the target by moving the slope.
 
     ``ev(s) -> (rate, dist, dvec, iters, conv)`` with distortion
-    nondecreasing in s; ``dvec`` is the full distortion vector.
-
-    Without ``start`` the search opens at slope 0 and, if that is over the
-    target, doubles away from 0 starting at ``s0``.  ``start`` is a point
-    ``(slope, rate, dist, dvec, conv)`` that ``ev`` has already solved exactly
-    (not a timeshared mix); the search opens there instead, doubling away from
-    0 while the distortion is over the target and halving toward 0 (at most
-    three times, then 0 itself) while it is under, so slope 0 is solved only
-    when the walk reaches it and the start point is not solved again on the
-    way.  The bracket is closed by an Illinois secant; when the distortion
-    jumps over the target the result timeshares across the bracket, which
-    convexity makes exact.
+    nondecreasing in s; ``dvec`` is the full distortion vector.  ``start`` is
+    a point ``(slope, rate, dist, dvec, conv)`` that ``ev`` has already solved
+    exactly (not a timeshared mix), and the search opens there: it doubles
+    away from 0 while the distortion is over the target (from slope 0 the
+    first step is -1) and halves toward 0 (at most three times, then 0
+    itself) while it is under, so slope 0 is solved only when the walk
+    reaches it and the start point is not solved again on the way.  The
+    bracket is closed by an Illinois secant; when the distortion jumps over
+    the target the result timeshares across the bracket, which convexity
+    makes exact.
 
     Returns (rate, dist, dvec, slope, total_iters, converged, exact), where
     ``exact`` is False only for a timeshared mix, which no single solve at the
     returned slope reproduces.
     """
     total = evals = 0
-    if start is None:
-        s = 0.0
-        rate, dist, pay, total, conv = ev(0.0)
-        # A first call with no iterations was the all-zero corner, which no
-        # warm start changes, so repeating it would only use up an evaluation.
-        stale_zero = total > 0
-    else:
-        s, rate, dist, pay, conv = start
-        stale_zero = s == 0.0
+    s, rate, dist, pay, conv = start
+    start_at_zero = s == 0.0
     hi = lo = None
     halvings = 0
     while True:
@@ -270,7 +262,7 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
                 break
             if -s > 1e18 or evals >= _MAX_EVALS:
                 return rate, dist, pay, s, total, False, True  # cannot reach down to target
-            s = 2.0 * s if s < 0.0 else min(s0, -1e-12)
+            s = 2.0 * s if s < 0.0 else -1.0
         else:
             lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
             if hi is not None:
@@ -282,8 +274,8 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, *, s0: float = -1.
         rate, dist, pay, it, conv = ev(s)
         total += it
         evals += 1
-    if hi == 0.0 and stale_zero:
-        # The slope-0 point came before the probe solves concentrated the
+    if hi == 0.0 and start_at_zero:
+        # The held slope-0 point came before the probe solves concentrated the
         # reconstruction marginal; the constraint may now be slack at slope 0
         # exactly, where convergence is clean — preferable to chasing a
         # vanishing slope it can't resolve.
@@ -403,13 +395,13 @@ class _MultiSolver:
         return rate, dvec, worst_it, all_conv
 
 
-def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL, held=None):
+def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held):
     """Move slope i so its own distortion meets the target, others fixed.
 
     ``held`` is ``(rate, D vector, converged)`` from an exact solve at the
-    current ``slopes``; the search then starts there instead of at slope 0.
-    Returns (slope, rate, own distortion, D vector, iters, converged, exact),
-    where ``exact`` is False when the point is a timeshared mix.
+    current ``slopes``, and the slope search opens there.  Returns (slope,
+    rate, own distortion, D vector, iters, converged, exact), where ``exact``
+    is False when the point is a timeshared mix.
     """
 
     def ev(s):
@@ -417,11 +409,84 @@ def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol=SLACK_TOL, held
         rate, dvec, it, conv = solver.eval(slopes)
         return rate, dvec[i], dvec, it, conv
 
-    s0 = slopes[i] if slopes[i] < 0 else -1.0
-    start = None if held is None else (slopes[i], held[0], held[1][i], held[1], held[2])
-    rate, dist_i, dvec, s, it, conv, exact = _slope_root(ev, target, dist_tol, s0=s0,
-                                                         start=start, slack_tol=slack_tol)
+    start = (slopes[i], held[0], held[1][i], held[1], held[2])
+    rate, dist_i, dvec, s, it, conv, exact = _slope_root(ev, target, dist_tol, start, slack_tol)
     return s, rate, dist_i, dvec, it, conv, exact
+
+
+def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
+    """Rate at per-variable distortion targets: the one target search.
+
+    Coordinate sweeps adjust one slope at a time to meet its own target (or
+    park it at 0 when the constraint goes slack), holding the others — this is
+    coordinate ascent on the concave Lagrange dual, warm-started between
+    evaluations.  Each adjustment opens its slope search at the point the
+    sweep holds for the current slope vector, so that point is not solved
+    again and slope 0 is solved only when the search walks to it; a held
+    timeshared mix is first re-solved at the slopes it sits at.  Sweeping
+    stops once all constraints check out or the slope vector goes
+    quasi-static.  A held exact, converged point is then reported as is;
+    otherwise a final solve at the settled slopes with a larger iteration
+    budget defines the reported point.
+    """
+    targets = np.asarray(targets, float)
+    if np.any(targets < 0):
+        raise InvalidStateError(f"targets must be >= 0, got {targets.tolist()}")
+    if targets.shape != (solver.m,):
+        raise InvalidStateError(f"{targets.size} targets for {solver.m} variables")
+    for i in range(solver.m):
+        if targets[i] < solver.floors[i] - 1e-12:
+            raise InvalidStateError(
+                f"target {targets[i]} for variable {i} below floor {solver.floors[i]:.12g}"
+            )
+    if np.all(targets >= solver.trivs - 1e-15):
+        return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
+    if init_slopes is not None:
+        slopes = np.minimum(np.asarray(init_slopes, float), 0.0)
+    else:
+        slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else -1.0
+                           for i in range(solver.m)])
+    rate, dvec, total_it, conv = solver.eval(slopes)
+    exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
+    # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
+    # burning iterations deep inside jittery brackets), then a couple of
+    # precise sweeps bind each constraint to DIST_TOL from slopes that are
+    # already close.
+    for sweeps, dtol, stol in ((12, 1e-4, 1e-4), (3, DIST_TOL, SLACK_TOL)):
+        for _ in range(sweeps):
+            prev = slopes.copy()
+            moved = False
+            for i in range(solver.m):
+                if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
+                    continue
+                if not exact:
+                    rate, dvec, it, conv = solver.eval(slopes)
+                    total_it += it
+                slopes[i], rate, _, dvec, it, conv, exact = _coord_adjust(
+                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv)
+                )
+                total_it += it
+                moved = True
+            ok = all(_accept(slopes[i], dvec[i], targets[i], dtol, stol)
+                     for i in range(solver.m))
+            if ok and not moved:
+                break
+            # capped inner solves jitter the distortions; once the slopes are
+            # quasi-static the sweep has settled as far as it can
+            if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
+                break
+    ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
+    if not (exact and conv):
+        r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
+        total_it += it
+        ok2 = all(_accept(slopes[i], d2[i], targets[i], DIST_TOL) for i in range(solver.m))
+        if ok2 or not ok:
+            # the high-budget solve at the settled slopes defines the point,
+            # unless only the held one meets the targets (a timeshared point:
+            # no single slope does)
+            rate, dvec, conv, ok = r2, d2, c2, ok2
+    return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
+                   total_it, bool(ok and conv))
 
 
 def _side_first(joint) -> np.ndarray:
@@ -430,25 +495,6 @@ def _side_first(joint) -> np.ndarray:
     if joint.ndim != 2:
         raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
     return joint.T
-
-
-def _single_target(solver: _MultiSolver, target: float, dist_tol: float) -> RdPoint:
-    """R(D) at a target for a one-constraint solver: a slope search from the
-    zero-rate corner, retried in place with a bigger budget if unconverged."""
-    if target < 0:
-        raise InvalidStateError(f"target distortion must be >= 0, got {target}")
-    floor = float(solver.floors[0])
-    if target < floor - 1e-12:
-        raise InvalidStateError(f"target {target} below minimum achievable distortion {floor:.12g}")
-    s, rate, dist, _, it, conv, _ = _coord_adjust(solver, np.zeros(1), 0, target, dist_tol)
-    if not conv and s < 0:
-        # shallow-slope solves close their gap slowly; retry in place with a
-        # bigger budget before reporting the point unconverged
-        r2, d2, it2, c2 = solver.eval((s,), iters=16 * MAX_ITERS)
-        it += it2
-        if c2 and _accept(s, d2[0], target, dist_tol):
-            rate, dist, conv = r2, d2[0], True
-    return RdPoint(float(rate), (float(dist),), (float(s),), it, conv)
 
 
 def _plain_solver(p, d) -> _MultiSolver:
@@ -489,9 +535,9 @@ def ba_point(p, d, slope: float) -> RdPoint:
     return _fixed_slope_points(_plain_solver(p, d), [(slope,)])[0]
 
 
-def ba_target(p, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
+def ba_target(p, d, target: float) -> RdPoint:
     """R(D) at a target distortion for a plain source."""
-    return _single_target(_plain_solver(p, d), target, dist_tol)
+    return _target_search(_plain_solver(p, d), [target])
 
 
 def ba_conditional(joint, d, slope: float) -> RdPoint:
@@ -500,9 +546,9 @@ def ba_conditional(joint, d, slope: float) -> RdPoint:
     return _fixed_slope_points(_conditional_solver(joint, d), [(slope,)])[0]
 
 
-def ba_conditional_target(joint, d, target: float, *, dist_tol: float = DIST_TOL) -> RdPoint:
+def ba_conditional_target(joint, d, target: float) -> RdPoint:
     """Conditional R(D) at a target aggregate distortion."""
-    return _single_target(_conditional_solver(joint, d), target, dist_tol)
+    return _target_search(_conditional_solver(joint, d), [target])
 
 
 def ba_joint_multi(joint, dists, slopes, *, side: bool = False,
@@ -512,84 +558,12 @@ def ba_joint_multi(joint, dists, slopes, *, side: bool = False,
 
 
 def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
-                          dist_tol: float = DIST_TOL, limit: int = DEFAULT_SIZE_GUARD,
+                          limit: int = DEFAULT_SIZE_GUARD,
                           init_slopes: Sequence[float] | None = None) -> RdPoint:
-    """Joint rate at per-variable distortion targets.
-
-    Coordinate sweeps adjust one slope at a time to meet its own target (or
-    park it at 0 when the constraint goes slack), holding the others — this is
-    coordinate ascent on the concave Lagrange dual, warm-started between
-    evaluations.  Each adjustment starts its slope search from the point the
-    sweep already holds for the current slope vector when that point is an
-    exact solve there (anything but a timeshared mix), so the held point is
-    not solved again and slope 0 is solved only when the search walks to it.
-    Sweeping stops once all constraints check out or the slope vector goes
-    quasi-static.  A held exact, converged point is then reported as is;
-    otherwise a final solve at the settled slopes with a larger iteration
-    budget defines the reported point.  ``init_slopes`` can seed the sweep,
-    e.g. with slopes from per-variable solves.
-    """
-    targets = np.asarray(targets, float)
-    if np.any(targets < 0):
-        raise InvalidStateError(f"targets must be >= 0, got {targets.tolist()}")
-    solver = _MultiSolver(joint, dists, side, limit)
-    if targets.shape != (solver.m,):
-        raise InvalidStateError(f"{targets.size} targets for {solver.m} variables")
-    for i in range(solver.m):
-        if targets[i] < solver.floors[i] - 1e-12:
-            raise InvalidStateError(
-                f"target {targets[i]} for variable {i} below floor {solver.floors[i]:.12g}"
-            )
-    if np.all(targets >= solver.trivs - 1e-15):
-        return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
-    if init_slopes is not None:
-        slopes = np.minimum(np.asarray(init_slopes, float), 0.0)
-    else:
-        slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else -1.0
-                           for i in range(solver.m)])
-    rate, dvec, total_it, conv = solver.eval(slopes)
-    exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
-    # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
-    # burning iterations deep inside jittery brackets), then a couple of
-    # precise sweeps bind each constraint to dist_tol from slopes that are
-    # already close.
-    phases = (
-        (12, max(dist_tol, 1e-4), max(SLACK_TOL, 1e-4)),
-        (3, dist_tol, SLACK_TOL),
-    )
-    for sweeps, dtol, stol in phases:
-        for _ in range(sweeps):
-            prev = slopes.copy()
-            moved = False
-            for i in range(solver.m):
-                if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
-                    continue
-                slopes[i], rate, _, dvec, it, conv, exact = _coord_adjust(
-                    solver, slopes, i, float(targets[i]), dtol, stol,
-                    held=(rate, dvec, conv) if exact else None,
-                )
-                total_it += it
-                moved = True
-            ok = all(_accept(slopes[i], dvec[i], targets[i], dtol, stol)
-                     for i in range(solver.m))
-            if ok and not moved:
-                break
-            # capped inner solves jitter the distortions; once the slopes are
-            # quasi-static the sweep has settled as far as it can
-            if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
-                break
-    ok = all(_accept(slopes[i], dvec[i], targets[i], dist_tol) for i in range(solver.m))
-    if not (exact and conv):
-        r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
-        total_it += it
-        ok2 = all(_accept(slopes[i], d2[i], targets[i], dist_tol) for i in range(solver.m))
-        if ok2 or not ok:
-            # the high-budget solve at the settled slopes defines the point,
-            # unless only the held one meets the targets (a timeshared point:
-            # no single slope does)
-            rate, dvec, conv, ok = r2, d2, c2, ok2
-    return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
-                   total_it, bool(ok and conv))
+    """Joint rate at per-variable distortion targets, by the target search
+    that every target solve runs (see ``_target_search``).  ``init_slopes``
+    can seed the sweep, e.g. with slopes from per-variable solves."""
+    return _target_search(_MultiSolver(joint, dists, side, limit), targets, init_slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +612,7 @@ def _curve(make_solver, source, d, slopes, targets) -> RdCurve:
     if slopes is not None:
         pts = _fixed_slope_points(make_solver(source, d), [(s,) for s in slopes])
     else:
-        pts = [_single_target(make_solver(source, d), t, DIST_TOL) for t in targets]
+        pts = [_target_search(make_solver(source, d), [t]) for t in targets]
     pts = tuple(sorted(pts, key=lambda pt: pt.distortion))
     monotone = all(
         pts[k + 1].rate <= pts[k].rate + 1e-9 for k in range(len(pts) - 1)

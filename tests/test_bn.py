@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semrd
+from semrd import errors
 from semrd import (
     SchemaError,
     SizeGuardError,
@@ -25,7 +26,19 @@ from semrd import (
     save_net,
     validate,
 )
-from semrd.bn import BayesNet, Cpt, Variable, ancestral_closure, config_index, resolve_size_guard
+from semrd.bn import (
+    BayesNet,
+    Cpt,
+    Variable,
+    ancestral_closure,
+    config_index,
+    net_from_dict,
+    resolve_size_guard,
+)
+from semrd.nets import BUNDLED, bundled_path
+
+TYPED_ERRORS = tuple(v for v in vars(errors).values()
+                     if isinstance(v, type) and issubclass(v, Exception))
 
 
 def test_fork_structure(fork_net):
@@ -88,6 +101,77 @@ def test_validate_reports_out_of_range_cpt_child(child):
     net = BayesNet((Variable(0, "A", 2), Variable(1, "B", 2)),
                    (Cpt(0, (), half), Cpt(child, (0,), two)), (0, 1))
     assert validate(net).violations == [f"cpt at position 1 is for variable {child}"]
+
+
+def test_validate_reports_non_finite_cpt_entries():
+    net = make_net([("A", 2)], [("A", [], [[float("nan"), 0.5]])])
+    assert validate(net).violations == ["'A': non-finite probability entries"]
+
+
+def _one_var_doc(**cpt):
+    return {"variables": [{"name": "A", "cardinality": 2}], "edges": [],
+            "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]], **cpt}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {**_one_var_doc(), "variables": 3},
+    {**_one_var_doc(), "edges": 5},
+    {**_one_var_doc(), "cpts": 7},
+    _one_var_doc(parents=0),
+    {**_one_var_doc(), "variables": [{"name": "A", "cardinality": None}]},
+    {**_one_var_doc(), "variables": [{"name": "A", "cardinality": 2.5}]},
+    _one_var_doc(child=["A"]),
+    _one_var_doc(rows=[[{}, 0.5]]),
+    _one_var_doc(rows=[[None, 1.0]]),
+], ids=["variables", "edges", "cpts", "parents", "cardinality", "fractional-cardinality",
+        "child", "rows", "null-entry"])
+def test_net_from_dict_rejects_malformed_fields(doc):
+    with pytest.raises(SchemaError):
+        net_from_dict(doc)
+
+
+def test_load_net_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        semrd.load_net(path)
+
+
+@st.composite
+def mutated_net_docs(draw):
+    """A bundled net's JSON document with one to three hostile edits: a key
+    or list entry dropped, a value swapped for one of another type, or a list
+    truncated, each at a random depth."""
+    doc = json.loads(bundled_path(draw(st.sampled_from(BUNDLED))).read_text())
+    hostile = st.sampled_from([None, True, 0, -1, 2.5, 10**30, float("nan"), float("inf"),
+                               "", "Y", [], [[]], ["Y"], [0.5, 0.5], {}, {"name": "Y"}])
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(["drop", "swap", "truncate"]))
+            if action == "drop":
+                del node[key]
+            elif action == "truncate" and isinstance(child, list) and child:
+                node[key] = child[:draw(st.integers(0, len(child) - 1))]
+            else:
+                node[key] = draw(hostile)
+            break
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_net_docs())
+def test_hostile_net_documents_raise_typed_errors(doc):
+    try:
+        net = net_from_dict(doc)
+    except TYPED_ERRORS:
+        return
+    validate(net)  # reports, never raises
 
 
 def test_import_does_not_load_networkx():

@@ -43,6 +43,21 @@ def test_verify_reports_broken_net(tmp_path):
     assert "row sum" in out + err
 
 
+def test_verify_rejects_non_finite_probabilities(tmp_path):
+    doc = {"variables": [{"name": "A", "cardinality": 2}],
+           "edges": [],
+           "cpts": [{"child": "A", "parents": [], "rows": [[float("nan"), 0.5]]}]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # written as the JSON token NaN
+    with pytest.raises(semrd.SchemaError, match="non-finite"):
+        semrd.load_net(path)
+    for cmd in ("verify", "entropy"):
+        rc, out, err = invoke([cmd, str(path)])
+        assert rc == 1
+        assert out == ""
+        assert "non-finite" in err
+
+
 def test_entropy_fork_exact_output():
     rc, out, _ = invoke(["entropy", "fork"])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Prefix-code construction, stream round-trips, and codebook cost accounting."""
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from semrd import (
     expected_length,
     huffman_code,
     joint_entropy_factorized,
+    load_bundled,
     random_net,
     sample,
 )
@@ -179,6 +181,33 @@ def test_decode_rejects_truncated_payload(fork_net):
 def test_from_bytes_rejects_bad_magic():
     with pytest.raises(CorruptStreamError):
         semrd.Bitstream.from_bytes(b"oops" + bytes(24))
+
+
+@cache
+def _bundled_codebook(name):
+    return build_factorized_codebooks(load_bundled(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["fork", "scene"]),
+    n=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=1_000),
+    flips=st.lists(st.integers(min_value=0, max_value=2**20), max_size=3),
+    cut=st.none() | st.integers(min_value=0, max_value=2**20),
+)
+def test_damaged_streams_raise_typed_errors(name, n, seed, flips, cut):
+    fcb = _bundled_codebook(name)
+    blob = bytearray(encode(fcb, sample(fcb.net, n, seed=seed)).to_bytes())
+    for bit in flips:
+        blob[(bit // 8) % len(blob)] ^= 1 << (bit % 8)
+    if cut is not None:
+        blob = blob[:cut % len(blob)]
+    try:
+        out = decode(fcb, semrd.Bitstream.from_bytes(bytes(blob)))
+    except (CorruptStreamError, WrongCodebookError):
+        return
+    assert out.shape[1] == fcb.net.m
 
 
 def test_deterministic_net_encodes_to_zero_bits():

@@ -123,6 +123,19 @@ def test_ba_target_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_and_conditional_targets_run_the_joint_search(seed):
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    d = hamming_distortion(k)
+    p = rng.dirichlet(np.ones(k))
+    t = float(rng.uniform(0.2, 0.9)) * trivial_distortion(p, d)
+    assert ba_target(p, d, t) == ba_joint_multi_target(p, [d], [t])
+    joint = rng.dirichlet(np.ones(2 * k)).reshape(k, 2)  # joint[x, y]
+    t = float(rng.uniform(0.2, 0.9)) * float((joint.T @ d).min(axis=1).sum())
+    assert ba_conditional_target(joint, d, t) == ba_joint_multi_target(joint.T, [d], [t], side=True)
+
+
 def test_rd_curve_shape_flags():
     curve = rd_curve([0.5, 0.5], HAM2, slopes=default_slope_grid())
     assert len(curve.points) == 25
