@@ -16,7 +16,10 @@ s <= 0: the test channel is tilted as
 
 and the reconstruction marginal q is refreshed from Q until the classic
 upper/lower bound bracket on the parametric objective closes below
-``GAP_TOL_NATS`` (see ``_ba_slope_core``).  Slopes are the Lagrange
+``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, one call of
+that loop steps every side state's q together, and each state stops on its
+own bracket; a state's arithmetic is the same as in a solve of it alone.
+Slopes are the Lagrange
 multipliers of the distortion constraints, so a target-distortion solve runs
 a bracketing secant on each slope; with side information the same slopes
 apply to every side state, which is exactly the optimal distortion allocation
@@ -118,7 +121,7 @@ def squared_error_distortion(k: int) -> np.ndarray:
 
 def _check_dist(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if not np.isfinite(p).all() or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidStateError(f"not a distribution (sum {p.sum():.12g})")
     return p
 
@@ -135,93 +138,111 @@ def min_distortion(p, d) -> float:
     return float(p @ np.asarray(d, float).min(axis=1))
 
 
-def _ba_slope_core(px, expo, max_iters, q0=None):
-    """Alternating minimization at a fixed exponent matrix ``expo`` (log2 scale).
+def _ba_slope_core(p, a, q, max_iters):
+    """Alternating minimization at fixed tilts, for a stack of sources at once.
 
-    ``expo[x, xhat] = sum_i s_i * d_i``; rows are shifted by their maximum so
-    the tilt matrix keeps an exact 1 per row and never underflows to an empty
-    row.  With c the multiplicative update applied to q, the parametric
-    objective is bracketed by
+    ``p`` is (states, rows): each side state's source on its support, padded
+    with zeros to the widest support; ``a`` is (states, rows, nh): the tilt
+    matrices 2^(sum_i s_i * d_i) on those rows, each row shifted by its
+    maximum so it keeps an exact 1 and never underflows to an empty row (a
+    padding row is all 1, so A q stays positive on it); ``q`` is
+    (states, nh), the starting reconstruction marginals.  With c the
+    multiplicative update applied to q, each state's parametric objective is
+    bracketed by
 
         F(q) + 1 - max_xhat c(xhat)  <=  min F  <=  F(q) - sum qc ln c,
 
-    and the loop stops once the bracket width drops below ``GAP_TOL_NATS``.
-    The bracket holds at any interior q, so plain update pairs are interleaved
-    with extrapolated (Steffensen-type) steps that collapse the slow modes
-    appearing at shallow slopes; an extrapolated q is kept only when it does
-    not increase the convex potential -sum p ln(Aq).  Returns the source
-    support, the conditional channel on it, and q.
+    and a state stops, and leaves the stack, once its own bracket is tighter
+    than ``GAP_TOL_NATS``; the others keep stepping, so one slow state runs
+    at single-state cost.  The bracket holds at any interior q, so plain
+    update pairs are interleaved with extrapolated (Steffensen-type) steps
+    that collapse the slow modes appearing at shallow slopes; a state keeps
+    its extrapolated q only when that does not increase its convex potential
+    -sum p ln(Aq).  The stacked products work slice by slice, so a state
+    without padding rows gets the arithmetic of a solve of it alone (padding
+    only regroups its sums).  Returns the final q, the iterations and the
+    convergence flag of every state.
     """
-    sup = np.flatnonzero(px > 0)
-    p = px[sup]
-    ms = expo[sup]
-    a = np.exp2(ms - ms.max(axis=1, keepdims=True))
-    nh = a.shape[1]
+    q_out = np.empty_like(q)
+    iters = np.zeros(len(q), int)
+    conv = np.zeros(len(q), bool)
+    live = np.arange(len(q))  # the state in each slot of the stack
 
-    def step(q):
-        alpha = a @ q
-        c = a.T @ (p / alpha)
+    def col(x):
+        """One number per state, shaped to scale each state's row (a lone
+        state's as a plain float, the cheapest operand to broadcast)."""
+        return x[0] if len(x) == 1 else np.array(x)[:, None]
+
+    def step(q, alpha, p, a):
+        c = np.vecmat(p / alpha, a)
         qc = q * c
-        pos = qc > 0
-        gap = (float(c.max()) - 1.0) - float(np.sum(qc[pos] * np.log(c[pos])))
-        return qc / qc.sum(), gap
+        if np.count_nonzero(qc) == qc.size:  # qc >= 0
+            lnc = np.add.reduce(qc * np.log(c), axis=1).tolist()
+        else:  # a dead letter: sum each state's positive terms only
+            pos = qc > 0
+            lnc = [np.add.reduce(qc[k][pos[k]] * np.log(c[k][pos[k]])) for k in range(len(q))]
+        cmax = np.maximum.reduce(c, axis=1).tolist()
+        done = [(cm - 1.0) - s < GAP_TOL_NATS for cm, s in zip(cmax, lnc)]
+        return qc / col(np.add.reduce(qc, axis=1).tolist()), done
 
-    def potential(q):
-        return -float(p @ np.log(a @ q))
+    def leave(done, qd, it, live, *stack):
+        """Record the states whose gap closed; return the others' rows."""
+        done = np.array(done)
+        gone = live[done]
+        q_out[gone], iters[gone], conv[gone] = qd[done], it, True
+        return [x[~done] for x in (live, *stack)]
 
-    if q0 is not None and q0.shape == (nh,) and q0.min() >= 0.0 and q0.sum() > 0.0:
-        # mild mixing keeps dead letters revivable without perturbing the
-        # solution when the optimal face is degenerate
-        q = 0.995 * (q0 / q0.sum()) + 0.005 / nh
-    else:
-        q = np.full(nh, 1.0 / nh)
-    converged = False
+    alpha = np.matvec(a, q)  # A q of the current q, carried over between cycles
     it = 0
     while it < max_iters:
-        q1, gap = step(q)
+        q1, done = step(q, alpha, p, a)
         it += 1
-        if gap < GAP_TOL_NATS:
-            q = q1
-            converged = True
-            break
-        q2, gap = step(q1)
+        if any(done):
+            live, p, a, q, q1 = leave(done, q1, it, live, p, a, q, q1)
+            if not len(live):
+                break
+        q2, done = step(q1, np.matvec(a, q1), p, a)
         it += 1
-        if gap < GAP_TOL_NATS:
-            q = q2
-            converged = True
-            break
+        if any(done):
+            live, p, a, q, q1, q2 = leave(done, q2, it, live, p, a, q, q1, q2)
+            if not len(live):
+                break
         r = q1 - q
         v = (q2 - q1) - r
-        vn = float(v @ v)
-        if not np.isfinite(vn) or vn <= 0.0:
-            q = q2
+        vv = np.vecdot(v, v).tolist()
+        ok = [0.0 < x < math.inf for x in vv]
+        if any(ok):
+            # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
+            b = col([max(math.sqrt(y / x), 1.0) if o else 1.0
+                     for o, x, y in zip(ok, vv, np.vecdot(r, r).tolist())])
+            qa = q + (2.0 * b) * r + (b * b) * v
+            np.maximum(qa, 0.0, out=qa)
+            tot = np.add.reduce(qa, axis=1).tolist()
+            ok = [o and 0.0 < t < math.inf for o, t in zip(ok, tot)]
+        if not any(ok):  # no state has an extrapolation to try
+            q, alpha = q2, np.matvec(a, q2)
             continue
-        am = -math.sqrt(float(r @ r) / vn)
-        if am > -1.0:
-            am = -1.0
-        qa = q - 2.0 * am * r + (am * am) * v
-        np.maximum(qa, 0.0, out=qa)
-        tot = float(qa.sum())
-        if not np.isfinite(tot) or tot <= 0.0:
-            q = q2
-            continue
-        qa /= tot
-        floor = 1e-280 * float(qa.max())  # keep letters revivable after clipping
-        if floor > 0.0:
-            np.maximum(qa, floor, out=qa)
-            qa /= qa.sum()
-        q = qa if potential(qa) <= potential(q2) else q2
-    alpha = a @ q
-    channel = a * q / alpha[:, None]
-    return sup, p, channel, q, it, converged
-
-
-def _rate_bits(p, channel, qm) -> float:
-    qb = np.broadcast_to(qm, channel.shape)
-    pos = (channel > 0) & (qb > 0)  # qm can underflow below tiny channel entries
-    terms = np.zeros_like(channel)
-    terms[pos] = channel[pos] * np.log2(channel[pos] / qb[pos])
-    return max(0.0, float(p @ terms.sum(axis=1)))
+        if not all(ok):  # these states keep q2: stand it in to stay finite
+            np.copyto(qa, q2, where=col([not o for o in ok]))
+            tot = [t if o else 1.0 for o, t in zip(ok, tot)]
+        qa /= col(tot)
+        # keep letters revivable after clipping
+        np.maximum(qa, 1e-280 * col(np.maximum.reduce(qa, axis=1).tolist()), out=qa)
+        qa /= col(np.add.reduce(qa, axis=1).tolist())
+        # keep qa where it does not increase the potential -p.ln(Aq)
+        alphas = np.matvec(a, np.concatenate((qa, q2)).reshape(2, *q.shape))
+        pa, p2 = np.vecdot(p, np.log(alphas)).tolist()
+        take = [o and x >= y for o, x, y in zip(ok, pa, p2)]
+        if all(take):
+            q, alpha = qa, alphas[0]
+        else:
+            take = np.array(take)[:, None]
+            np.copyto(q2, qa, where=take)
+            np.copyto(alphas[1], alphas[0], where=take)
+            q, alpha = q2, alphas[1]
+    else:
+        q_out[live], iters[live] = q, it
+    return q_out, iters, conv
 
 
 def _accept(s: float, dist: float, target: float, dist_tol: float,
@@ -323,7 +344,8 @@ class _MultiSolver:
     """The rate-distortion engine: m per-variable constraints over the product
     reconstruction alphabet, optionally given a side variable (axis 0 of the
     joint array).  Everything that does not depend on the slopes is worked out
-    once here; ``eval`` warm-starts each side state from its previous q."""
+    once here; ``eval`` steps all side states in one kernel call, each
+    warm-started from its previous q."""
 
     def __init__(self, joint, dists, side: bool = False, limit: int = DEFAULT_SIZE_GUARD):
         joint = np.asarray(joint, float)
@@ -344,33 +366,47 @@ class _MultiSolver:
         for k, d in zip(cards, dists):
             if d.ndim != 2 or d.shape[0] != k:
                 raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows, one per state")
+            if not (np.isfinite(d).all() and (d >= 0).all()):
+                raise InvalidStateError("distortion matrix entries must be finite and >= 0")
         nx = math.prod(cards)
-        nh = math.prod(d.shape[1] for d in dists)
-        if nx * nh > limit:
-            raise SizeGuardError(f"product test-channel table {nx}x{nh} exceeds guard {limit}")
+        self.nh = nh = math.prod(d.shape[1] for d in dists)
+        if ny * nx * nh > limit:  # eval holds one table per side state at once
+            raise SizeGuardError(f"product test-channel table {nx}x{nh} for {ny} side states "
+                                 f"exceeds guard {limit}")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
-        self.lifted = [d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)]
+        # one all-zero row after the nx source rows: its tilt row is all 1
+        self.lifted = np.zeros((self.m, nx + 1, nh))
+        for i, d in enumerate(dists):
+            self.lifted[i, :nx] = d[ix[i][:, None], ih[i][None, :]]
         flat = joint.reshape(ny, nx)
         py = flat.sum(axis=1)
         ys = np.flatnonzero(py > 0)
         self.weights = py[ys]
-        self.conds = [flat[y] / py[y] for y in ys]
-        self.warm = [None] * len(ys)
+        conds = flat[ys] / py[ys, None]
+        # each state's support rows in order, padded to the widest support
+        # with the all-zero row nx at zero probability
+        width = int(np.count_nonzero(conds, axis=1).max())
+        order = np.argsort(conds == 0, axis=1, kind="stable")[:, :width]
+        self.p = np.take_along_axis(conds, order, axis=1)
+        self.rows = np.where(self.p > 0, order, nx)
+        self.warm = None
         # per-coordinate zero-rate corner and feasibility floor, aggregated over y
-        self.trivs = np.zeros(self.m)
-        self.floors = np.zeros(self.m)
-        for w, pc in zip(self.weights, self.conds):
-            arr = pc.reshape(cards)
-            for i, d in enumerate(dists):
-                other = tuple(a for a in range(self.m) if a != i)
-                marg = arr.sum(axis=other) if other else arr
-                self.trivs[i] += w * float((marg @ d).min())
-                self.floors[i] += w * float(marg @ d.min(axis=1))
+        arr = conds.reshape(-1, *cards)
+        corner = np.empty((len(ys), 2, self.m))
+        for i, d in enumerate(dists):
+            other = tuple(a + 1 for a in range(self.m) if a != i)
+            marg = (arr.sum(axis=other) if other else arr)[:, None, :]
+            corner[:, 0, i] = np.minimum.reduce(marg @ d, axis=2)[:, 0]
+            corner[:, 1, i] = (marg @ d.min(axis=1)[:, None])[:, 0, 0]
+        self.trivs, self.floors = _state_sum(self.weights, corner)
 
     def eval(self, slopes, iters: int | None = None) -> tuple[float, np.ndarray, int, bool]:
         """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
 
+        One ``_ba_slope_core`` call steps every side state; the rate and the
+        distortions are the p(y)-weighted sums over the states, ``iters`` the
+        most any state took and ``converged`` whether every state did.
         All-zero slopes give the zero-rate corner exactly, with 0 iterations.
         """
         if not any(slopes):
@@ -378,21 +414,32 @@ class _MultiSolver:
         expo = slopes[0] * self.lifted[0]
         for i in range(1, self.m):
             expo = expo + slopes[i] * self.lifted[i]
-        rate = 0.0
-        dvec = np.zeros(self.m)
-        worst_it = 0
-        all_conv = True
-        for k, (w, pc) in enumerate(zip(self.weights, self.conds)):
-            sup, ps, channel, q, it, conv = _ba_slope_core(
-                pc, expo, iters or MAX_ITERS, self.warm[k]
-            )
-            self.warm[k] = q
-            rate += w * _rate_bits(ps, channel, ps @ channel)
-            for i, lift in enumerate(self.lifted):
-                dvec[i] += w * float(ps @ (channel * lift[sup]).sum(axis=1))
-            worst_it = max(worst_it, it)
-            all_conv = all_conv and conv
-        return rate, dvec, worst_it, all_conv
+        a = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))[self.rows]
+        q = np.full((len(a), self.nh), 1.0 / self.nh)
+        if self.warm is not None:
+            q0 = self.warm
+            tot = np.add.reduce(q0, axis=1, keepdims=True)
+            ok = (np.minimum.reduce(q0, axis=1, keepdims=True) >= 0.0) & (tot > 0.0)
+            # mild mixing keeps dead letters revivable without perturbing the
+            # solution when the optimal face is degenerate
+            q = np.where(ok, 0.995 * (q0 / tot) + 0.005 / self.nh, q)
+        q, its, conv = _ba_slope_core(self.p, a, q, iters or MAX_ITERS)
+        self.warm = q
+        channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
+        qm = np.vecmat(self.p, channel)[:, None, :]
+        pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
+        info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
+        rates = np.maximum(np.vecdot(self.p, np.add.reduce(info, axis=2)), 0.0)
+        dists = [np.vecdot(self.p, np.add.reduce(channel * lift[self.rows], axis=2))
+                 for lift in self.lifted]
+        total = _state_sum(self.weights, np.column_stack([rates, *dists]))
+        return total[0], total[1:], int(its.max()), bool(conv.all())
+
+
+def _state_sum(w, x):
+    """sum_k w[k] * x[k], added in state order: numpy's pairwise ``sum``
+    would group the terms differently from a running sum over the states."""
+    return np.add.accumulate(w.reshape((-1,) + (1,) * (x.ndim - 1)) * x, axis=0)[-1]
 
 
 def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from semrd import (
     DistortionSpec,
     InvalidStateError,
+    SizeGuardError,
     ba_conditional,
     ba_conditional_target,
     ba_joint_multi,
@@ -87,6 +88,20 @@ def test_ba_point_rejects_positive_slope():
 def test_ba_point_rejects_non_distribution():
     with pytest.raises(InvalidStateError):
         ba_point([0.5, 0.6], HAM2, -1.0)
+    with pytest.raises(InvalidStateError):  # every comparison with NaN is False
+        ba_point([np.nan, 0.5, 0.5], hamming_distortion(3), -2.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p: trivial_distortion(p, hamming_distortion(3)),
+    lambda p: ba_target(p, hamming_distortion(3), 0.1),
+    lambda p: ba_conditional(np.column_stack([p, p]) / 2, hamming_distortion(3), -1.0),
+    lambda p: ba_joint_multi(p, [hamming_distortion(3)], (-1.0,)),
+], ids=["trivial_distortion", "ba_target", "ba_conditional", "ba_joint_multi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_entry_points_reject_non_finite_sources(solve, bad):
+    with pytest.raises(InvalidStateError):
+        solve(np.array([bad, 0.5, 0.5]))
 
 
 def test_ba_target_uniform_binary_reference():
@@ -268,10 +283,50 @@ def test_multi_argument_validation():
     lambda: ba_target([0.2, 0.3, 0.5], HAM2, 0.1),
     lambda: ba_conditional(np.full((2, 2), 0.25), hamming_distortion(3), -1.0),
     lambda: ba_conditional_target(np.full((3, 2), 1 / 6), HAM2, 0.1),
-], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target"])
+    lambda: ba_point([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]], -1.0),
+    lambda: ba_point([0.5, 0.5], [[0.0, np.inf], [1.0, 0.0]], -1.0),
+    lambda: ba_target([0.5, 0.5], [[0.0, -1.0], [1.0, 0.0]], 0.1),
+    lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, [[0.0, -1.0], [1.0, 0.0]]], (0.1, 0.1)),
+], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target",
+        "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint"])
 def test_distortion_rows_must_match_cardinality(solve):
     with pytest.raises(InvalidStateError):
         solve()
+
+
+def test_side_states_step_together_as_separate_solves():
+    """One kernel call steps every side state, and each keeps its own stop."""
+    d = [hamming_distortion(3)]
+    conds = np.array([
+        [0.5, 0.5, 0.0],  # a zero-probability source letter
+        [0.2, 0.3, 0.5],  # thousands of iterations at slope -1
+        [0.9, 0.05, 0.05],  # a few
+        [0.232, 0.498, 0.27],  # the iteration cap at slope -1
+    ])
+    joint = np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
+    py = joint.sum(axis=1)
+    side = rd._MultiSolver(joint, d, side=True)
+    # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp, so
+    # solve the rows exactly as the side solver normalizes them
+    alone = [rd._MultiSolver(row / w, d) for row, w in zip(joint, py)]
+    for slopes in [(-1.0,), (-2.0,), (-0.5,)]:  # warm-started after the first
+        rate, dvec, iters, conv = side.eval(slopes)
+        parts = [s.eval(slopes) for s in alone]
+        assert rate == pytest.approx(sum(w * p[0] for w, p in zip(py, parts)), rel=0, abs=1e-12)
+        assert dvec == pytest.approx(sum(w * p[1] for w, p in zip(py, parts)), rel=0, abs=1e-12)
+        assert iters == max(p[2] for p in parts)
+        assert conv == all(p[3] for p in parts)
+        if slopes == (-1.0,):
+            assert iters >= 10 * min(p[2] for p in parts)
+            assert not conv
+
+
+def test_size_guard_counts_every_side_state():
+    # the solver steps the test channels of all side states at once
+    joint = np.full((4, 2), 1 / 8)  # 4 side states, 2 letters, 2 reconstructions
+    assert ba_joint_multi(joint, [HAM2], (-1.0,), side=True, limit=16).converged
+    with pytest.raises(SizeGuardError):
+        ba_joint_multi(joint, [HAM2], (-1.0,), side=True, limit=15)
 
 
 def test_multi_fixed_slopes_point():
