@@ -18,15 +18,13 @@ and the reconstruction marginal q is refreshed from Q until the classic
 upper/lower bound bracket on the parametric objective closes below
 ``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, one call of
 that loop steps every side state's q together, and each state stops on its
-own bracket; a state's arithmetic is the same as in a solve of it alone.
-Slopes are the Lagrange
-multipliers of the distortion constraints, so a target-distortion solve runs
-a bracketing secant on each slope; with side information the same slopes
-apply to every side state, which is exactly the optimal distortion allocation
-across side states.  Every target solve, with one constraint or several, is
-the same search (``_target_search``): coordinate sweeps (coordinate ascent on
-the concave Lagrange dual), each slope search opening at the point the sweep
-holds.
+own bracket.  Slopes are the Lagrange multipliers of the distortion
+constraints, so a target-distortion solve runs a bracketing secant on each
+slope; with side information the same slopes apply to every side state,
+which is exactly the optimal distortion allocation across side states.
+Every target solve, with one constraint or several, is the same search
+(``_target_search``): coordinate sweeps (coordinate ascent on the concave
+Lagrange dual), each slope search opening at the point the sweep holds.
 
 A target point is accepted when its distortion is under the target within
 ``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
