@@ -5,14 +5,19 @@ For each bundled network: build the per-node codebooks, encode a large batch
 of samples, and line up three numbers per network -- the factorized entropy,
 the analytic expected code length, and the measured bits per sample.  The
 measured rate should track the analytic expectation to within sampling noise,
-and both stay inside [H, H + m).
+and both stay inside [H, H + m).  Encode and decode speeds, in symbols per
+second, go to stderr.
 """
 
 import argparse
 import sys
+import time
+
+import numpy as np
 
 from semrd import (
     build_factorized_codebooks,
+    decode,
     encode,
     expected_length,
     joint_entropy_factorized,
@@ -34,7 +39,17 @@ def main(argv=None):
         net = load_bundled(name)
         fcb = build_factorized_codebooks(net)
         draws = sample(net, args.n, seed=args.seed)
+        t0 = time.perf_counter()
         stream = encode(fcb, draws)
+        t1 = time.perf_counter()
+        decoded = decode(fcb, stream)
+        t2 = time.perf_counter()
+        symbols = draws.size
+        print(f"# {name}: encode {symbols / (t1 - t0):.4g} symbols/s, "
+              f"decode {symbols / (t2 - t1):.4g} symbols/s", file=sys.stderr)
+        if not np.array_equal(decoded, draws):
+            print(f"# {name}: decode(encode(x)) != x", file=sys.stderr)
+            return 1
         measured = 8 * len(stream.payload) / args.n
         h = joint_entropy_factorized(net)
         e_len = expected_length(fcb, net)

@@ -416,20 +416,20 @@ def enumerate_joint(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> JointTabl
 def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` ancestral samples; deterministic for a fixed seed.
 
-    Returns an (n, m) int array of state vectors in variable-id order.
+    Returns an (n, m) int array of state vectors in variable-id order; an
+    n x m table over the size guard is refused before it is allocated.
     """
     if n < 0:
         raise InvalidStateError(f"sample count must be >= 0, got {n}")
+    if n * net.m > DEFAULT_SIZE_GUARD:
+        raise SizeGuardError(f"{n} samples: {n}x{net.m} table exceeds guard {DEFAULT_SIZE_GUARD}")
     rng = np.random.default_rng(seed)
     out = np.zeros((n, net.m), dtype=np.int64)
     for i in net.order:
         c = net.cpts[i]
-        if c.parents:
-            cfg = np.zeros(n, dtype=np.int64)
-            for p in c.parents:
-                cfg = cfg * net.card(p) + out[:, p]
-        else:
-            cfg = np.zeros(n, dtype=np.int64)
+        cfg = np.zeros(n, dtype=np.int64)
+        for p in c.parents:
+            cfg = cfg * net.card(p) + out[:, p]
         cum = np.cumsum(c.table, axis=1)[cfg]
         u = rng.random(n)
         out[:, i] = np.minimum((u[:, None] >= cum).sum(axis=1), net.card(i) - 1)

@@ -16,6 +16,8 @@ deterministic variables cost nothing on the wire.
 
 Streams are framed as: 4-byte magic, 1-byte version, 8-byte big-endian count,
 16-byte network digest, then payload bits MSB-first, zero-padded to a byte.
+``encode`` gathers codewords from offset and length tables 2^14 symbols at a
+time and packs the bits once; ``decode`` looks each codeword up by its bits.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ from .bn import (
     DEFAULT_SIZE_GUARD,
     BayesNet,
     JointTable,
+    config_index,
     enumerate_joint,
     marginal_table,
 )
@@ -46,6 +50,7 @@ from .errors import (
 MAGIC = b"BNHC"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 8 + 16
+_BLOCK = 2**14  # symbols per encode block and per decode flush
 
 
 @dataclass(frozen=True)
@@ -64,23 +69,6 @@ class PrefixCode:
     def expected_length(self, p: Sequence[float]) -> float:
         p = np.asarray(p, dtype=float)
         return float(sum(p[s] * len(w) for s, w in self.codewords.items()))
-
-    def decode_tree(self):
-        """Nested [zero-branch, one-branch] lists with int leaves; a bare int
-        for the zero-bit single-symbol code."""
-        items = list(self.codewords.items())
-        if len(items) == 1 and items[0][1] == "":
-            return items[0][0]
-        root: list = [None, None]
-        for sym, word in items:
-            node = root
-            for bit in word[:-1]:
-                k = int(bit)
-                if node[k] is None:
-                    node[k] = [None, None]
-                node = node[k]
-            node[int(word[-1])] = sym
-        return root
 
 
 def huffman_code(p: Sequence[float]) -> PrefixCode:
@@ -173,11 +161,23 @@ class Bitstream:
         return cls(n, data[13:29], data[29:])
 
 
-def _parent_config_column(net: BayesNet, i: int, states: Sequence[int]) -> int:
-    cfg = 0
-    for p in net.cpts[i].parents:
-        cfg = cfg * net.card(p) + int(states[p])
-    return cfg
+def _reject(fcb: FactorizedCodebook, n0: int, rows) -> None:
+    """Raise the error of the first bad sample in ``rows``, numbered from ``n0``."""
+    net = fcb.net
+    for n, vec in enumerate(rows, n0):
+        if len(vec) != net.m:
+            raise InvalidStateError(f"sample {n} has {len(vec)} entries, expected {net.m}")
+        for i in net.order:
+            s = int(vec[i])
+            if not 0 <= s < net.card(i):
+                raise InvalidStateError(f"sample {n}: state {s} out of range for "
+                                        f"{net.variables[i].name!r}")
+        for i in net.order:
+            pa = net.cpts[i].parents
+            cfg = config_index([int(vec[p]) for p in pa], [net.card(p) for p in pa])
+            if int(vec[i]) not in fcb.codes[i][cfg].codewords:
+                raise UncodableSampleError(f"sample {n}: state {int(vec[i])} of {net.variables[i].name!r} "
+                                           f"has zero probability under parent config {cfg}")
 
 
 def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstream:
@@ -188,34 +188,42 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     out-of-range entries.
     """
     net = fcb.net
-    parts: list[str] = []
-    n = 0
-    for vec in samples:
-        if len(vec) != net.m:
-            raise InvalidStateError(f"sample {n} has {len(vec)} entries, expected {net.m}")
-        for i in net.order:
-            s = int(vec[i])
-            if not 0 <= s < net.card(i):
-                raise InvalidStateError(
-                    f"sample {n}: state {s} out of range for {net.variables[i].name!r}"
-                )
-        for i in net.order:
-            cfg = _parent_config_column(net, i, vec)
-            word = fcb.codes[i][cfg].codewords.get(int(vec[i]))
-            if word is None:
-                raise UncodableSampleError(
-                    f"sample {n}: state {int(vec[i])} of {net.variables[i].name!r} has zero "
-                    f"probability under parent config {cfg}"
-                )
-            parts.append(word)
-        n += 1
-    bits = "".join(parts)
-    if bits:
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-        payload = np.packbits(arr).tobytes()
+    # flat table over (variable, parent config, state): the codeword's offset
+    # into one pool of all codeword bits, and its length (-1: no codeword)
+    words = [code.codewords.get(s) for i, per_var in enumerate(fcb.codes)
+             for code in per_var for s in range(net.card(i))]
+    lengths = np.array([-1 if w is None else len(w) for w in words], dtype=np.int64)
+    offsets = np.cumsum(np.maximum(lengths, 0)) - np.maximum(lengths, 0)
+    pool = np.frombuffer("".join(w for w in words if w).encode("ascii"), dtype=np.uint8) - ord("0")
+    base = np.cumsum([0] + [len(per_var) * net.card(i) for i, per_var in enumerate(fcb.codes)])
+    per_block = max(1, _BLOCK // net.m)
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        blocks = (samples[t:t + per_block] for t in range(0, len(samples), per_block))
     else:
-        payload = b""
-    return Bitstream(n, net.digest(), payload)
+        it = iter(samples)
+        blocks = iter(lambda: list(islice(it, per_block)), [])
+    chunks, n = [pool[:0]], 0
+    for block in blocks:
+        try:
+            x = np.asarray(block, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            _reject(fcb, n, block)
+            raise
+        if x.shape != (len(block), net.m) or np.any((x < 0) | (x >= net.cards)):
+            _reject(fcb, n, block)
+        idx = np.empty((len(x), net.m), dtype=np.int64)  # columns in coding order
+        for j, i in enumerate(net.order):
+            cfg = 0
+            for p in net.cpts[i].parents:
+                cfg = cfg * net.card(p) + x[:, p]
+            idx[:, j] = base[i] + cfg * net.card(i) + x[:, i]
+        size = lengths[idx].ravel()
+        if np.any(size < 0):
+            _reject(fcb, n, block)
+        ends = np.cumsum(size)
+        chunks.append(pool[np.repeat(offsets[idx].ravel() + size - ends, size) + np.arange(ends[-1])])
+        n += len(x)
+    return Bitstream(n, net.digest(), np.packbits(np.concatenate(chunks)).tobytes())
 
 
 def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
@@ -229,14 +237,18 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         raise WrongCodebookError(
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
-    bits = np.unpackbits(np.frombuffer(stream.payload, dtype=np.uint8))
+    bits = np.unpackbits(np.frombuffer(stream.payload, dtype=np.uint8)).tobytes()
+    # per (variable, parent config): codeword bits -> symbol, and lengths shortest first
+    plan = [(i, [(p, net.card(p)) for p in net.cpts[i].parents],
+             [({bytes(map(int, w)): s for s, w in code.codewords.items()}.get,
+               sorted({len(w) for w in code.codewords.values()})) for code in fcb.codes[i]])
+            for i in net.order]
     # every sample spends at least the shortest codeword of each variable, so a
     # header count the payload cannot hold is refused before allocating for it
-    min_bits = sum(min(len(w) for code in per_var for w in code.codewords.values())
-                   for per_var in fcb.codes)
-    if stream.n * min_bits > bits.size:
+    min_bits = sum(min(sizes[0] for _, sizes in tables) for _, _, tables in plan)
+    if stream.n * min_bits > len(bits):
         raise CorruptStreamError(
-            f"header claims {stream.n} samples of >= {min_bits} bits; payload has {bits.size} bits"
+            f"header claims {stream.n} samples of >= {min_bits} bits; payload has {len(bits)} bits"
         )
     # a net whose every variable can code to zero bits admits any count, so
     # the output table itself is held to the size guard
@@ -245,24 +257,32 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
             f"header claims {stream.n} zero-bit samples: {stream.n}x{net.m} table "
             f"exceeds guard {DEFAULT_SIZE_GUARD}"
         )
-    trees = [[code.decode_tree() for code in per_var] for per_var in fcb.codes]
-    out = np.zeros((stream.n, net.m), dtype=np.int64)
-    pos = 0
-    total = bits.size
+    out = np.empty((stream.n, net.m), dtype=np.int64)
+    rows, pos = [], 0  # rows: decoded rows back to back, flushed every _BLOCK symbols
     for t in range(stream.n):
-        for i in net.order:
-            cfg = _parent_config_column(net, i, out[t])
-            node = trees[i][cfg]
-            while not isinstance(node, int):
-                if pos >= total:
+        row = [0] * net.m
+        for i, pa, tables in plan:
+            cfg = 0
+            for p, c in pa:
+                cfg = cfg * c + row[p]
+            get, sizes = tables[cfg]
+            for size in sizes:
+                end = pos + size
+                sym = get(bits[pos:end])
+                if sym is not None:
+                    break
+            else:  # no codeword starts here: truncated if the bits run out inside one
+                if any(w.startswith(bits[pos:pos + sizes[-1]]) for w in get.__self__):
                     raise CorruptStreamError(f"stream truncated inside sample {t}")
-                node = node[bits[pos]]
-                pos += 1
-                if node is None:
-                    raise CorruptStreamError(f"invalid codeword bits in sample {t}")
-            out[t, i] = node
-    if total - pos >= 8:
-        raise CorruptStreamError(f"{total - pos} unread bits after {stream.n} samples")
+                raise CorruptStreamError(f"invalid codeword bits in sample {t}")
+            pos = end
+            row[i] = sym
+        rows += row
+        if len(rows) >= _BLOCK or t == stream.n - 1:
+            out.reshape(-1)[(t + 1) * net.m - len(rows):(t + 1) * net.m] = rows
+            rows = []
+    if len(bits) - pos >= 8:
+        raise CorruptStreamError(f"{len(bits) - pos} unread bits after {stream.n} samples")
     return out
 
 

@@ -324,6 +324,14 @@ def test_sample_deterministic_and_in_range(fork_net):
     assert not np.array_equal(a, c)
 
 
+def test_sample_refuses_a_table_over_the_size_guard(fork_net):
+    # 2^40 samples of 3 variables: refused before the (n, m) table is allocated
+    with pytest.raises(SizeGuardError, match=r"^1099511627776 samples: 1099511627776x3 table "
+                                             r"exceeds guard 16777216$"):
+        sample(fork_net, 2**40, seed=0)
+    assert sample(fork_net, 0, seed=0).shape == (0, 3)
+
+
 def test_sample_frequencies_track_joint(fork_net):
     draws = sample(fork_net, 50_000, seed=11)
     zero = np.all(draws == 0, axis=1).mean()

@@ -116,6 +116,14 @@ def test_decode_wrong_net_fails(tmp_path):
     assert "codebook" in err.lower() or "digest" in err.lower()
 
 
+def test_sample_refuses_huge_counts():
+    rc, out, err = invoke(["sample", "fork", "-n", "1099511627776"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("semrd: ")
+    assert "guard" in err
+
+
 def test_decode_rejects_header_count_beyond_payload(tmp_path):
     stream = tmp_path / "huge.bnhc"
     stream.write_bytes(semrd.Bitstream(2**36, semrd.load_bundled("fork").digest(), b"\x00").to_bytes())

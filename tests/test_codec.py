@@ -1,5 +1,6 @@
 """Prefix-code construction, stream round-trips, and codebook cost accounting."""
 
+import hashlib
 from fractions import Fraction
 from functools import cache
 
@@ -159,6 +160,100 @@ def test_encode_rejects_zero_probability_state():
     fcb = build_factorized_codebooks(net)
     with pytest.raises(UncodableSampleError):
         encode(fcb, [[1, 0]])
+
+
+def _gated_net():
+    # B lists its parent A after itself, so samples are coded in the order
+    # (A, B): A's state 2 and B's state 1 under A = 1 have no codeword
+    return semrd.make_net(
+        [("B", 2), ("A", 3)],
+        [("B", ["A"], [[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]]),
+         ("A", [], [[0.5, 0.5, 0.0]])],
+    )
+
+
+def test_encode_reports_the_first_bad_sample():
+    fcb = build_factorized_codebooks(_gated_net())
+    rows = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [0, 7], [1, 2]]
+    with pytest.raises(UncodableSampleError,
+                       match=r"^sample 3: state 1 of 'B' has zero probability under parent config 1$"):
+        encode(fcb, rows)
+    with pytest.raises(InvalidStateError, match=r"^sample 1: state 7 out of range for 'A'$"):
+        encode(fcb, [[0, 0], [0, 7], [1, 1]])
+
+
+def test_encode_length_and_range_errors_win_within_a_sample():
+    fcb = build_factorized_codebooks(_gated_net())
+    # A = 2 is uncodable and comes first in the order, but B = 5 is out of range
+    with pytest.raises(InvalidStateError, match=r"^sample 0: state 5 out of range for 'B'$"):
+        encode(fcb, [[5, 2]])
+    with pytest.raises(InvalidStateError, match=r"^sample 1 has 3 entries, expected 2$"):
+        encode(fcb, [[0, 0], [1, 2, 0]])
+
+
+def test_encode_rejects_ragged_rows(fork_net):
+    fcb = build_factorized_codebooks(fork_net)
+    with pytest.raises(InvalidStateError, match=r"^sample 1 has 2 entries, expected 3$"):
+        encode(fcb, [[0, 0, 0], [0, 0], [1, 1, 1]])
+
+
+def test_encode_accepts_generators_and_empty_input(scene_net):
+    fcb = build_factorized_codebooks(scene_net)
+    draws = sample(scene_net, 300, seed=8)
+    blob = encode(fcb, draws).to_bytes()
+    assert encode(fcb, (tuple(int(s) for s in row) for row in draws)).to_bytes() == blob
+    assert encode(fcb, draws.tolist()).to_bytes() == blob
+    for empty in ([], iter(()), np.zeros((0, scene_net.m), dtype=np.int64)):
+        stream = encode(fcb, empty)
+        assert (stream.n, stream.payload) == (0, b"")
+        assert decode(fcb, stream).shape == (0, scene_net.m)
+
+
+# SHA-256 of encode(...).to_bytes(); these streams must never change
+GOLDEN_STREAMS = {
+    "fork": "e1093235fd52bdc860e82967441aa67fa51854adf2c64f44cb798e65dc748a1d",
+    "chain": "0ff579b66c9905504b21bcb979c445b8d54b95115a3b02174c12fa4acecf222f",
+    "scene": "f46b5716b2cd2b960b318005a6e345209f9b95c92557fc6981fd8666c1934a76",
+    "random40": "6169925b1fa82b08837dae4d7f0d54422d0d271f201a5d7d3da902d4cdd848f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_stream_bytes_are_pinned(name):
+    if name == "random40":
+        net, n, seed = random_net(40, 40, max_card=4, max_parents=3), 2_000, 41
+    else:
+        net, n, seed = load_bundled(name), 5_000, 21
+    fcb = build_factorized_codebooks(net)
+    draws = sample(net, n, seed=seed)
+    stream = encode(fcb, draws)
+    assert hashlib.sha256(stream.to_bytes()).hexdigest() == GOLDEN_STREAMS[name]
+    np.testing.assert_array_equal(decode(fcb, stream), draws)
+
+
+def test_round_trip_codewords_longer_than_64_bits():
+    # dyadic weights 2^-1 .. 2^-69, 2^-69 give codeword lengths 1 .. 69, 69
+    weights = [2.0 ** -(s + 1) for s in range(69)] + [2.0 ** -69]
+    net = semrd.make_net(
+        [("Y", 2), ("X", 70)],
+        [("X", [], [weights]), ("Y", ["X"], [[0.25, 0.75]] * 70)],
+    )
+    fcb = build_factorized_codebooks(net)
+    assert max(len(w) for w in fcb.codes[1][0].codewords.values()) == 69
+    rows = np.array([[y, x] for x in range(70) for y in (0, 1)] * 3, dtype=np.int64)
+    stream = encode(fcb, rows)
+    assert 8 * len(stream.payload) >= 6 * sum(fcb.codes[1][0].length(x) for x in range(70))
+    np.testing.assert_array_equal(decode(fcb, stream), rows)
+
+
+def test_round_trip_across_many_blocks(fork_net, scene_net):
+    # 60,003 and 80,004 symbols: several 2^14-symbol blocks, the last one short
+    for net, n in ((fork_net, 20_001), (scene_net, 20_001)):
+        fcb = build_factorized_codebooks(net)
+        draws = sample(net, n, seed=13)
+        stream = encode(fcb, draws)
+        assert encode(fcb, draws.tolist()).payload == stream.payload
+        np.testing.assert_array_equal(decode(fcb, stream), draws)
 
 
 def test_decode_rejects_other_nets_stream(fork_net, chain_net):
