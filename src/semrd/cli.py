@@ -197,7 +197,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     net = _load(cfg.args.net)
     arr = sample(net, cfg.args.n, cfg.args.seed)
-    _emit([",".join(map(str, row)) for row in arr.tolist()] or [""], cfg.args.output)
+    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], cfg.args.output)
     return 0
 
 
@@ -216,7 +216,7 @@ def cmd_decode(cfg: RunConfig) -> int:
     stream = Bitstream.from_bytes(Path(cfg.args.stream).read_bytes())
     fcb = build_factorized_codebooks(net)
     arr = decode(fcb, stream)
-    _emit([",".join(map(str, row)) for row in arr.tolist()] or [""], cfg.args.output)
+    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], cfg.args.output)
     return 0
 
 
