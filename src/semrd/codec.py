@@ -173,10 +173,10 @@ def _reject(fcb: FactorizedCodebook, n0: int, rows) -> None:
                 raise InvalidStateError(f"sample {n}: state {s} out of range for "
                                         f"{net.variables[i].name!r}")
         for i in net.order:
-            pa = net.cpts[i].parents
+            pa, s = net.cpts[i].parents, int(vec[i])
             cfg = config_index([int(vec[p]) for p in pa], [net.card(p) for p in pa])
-            if int(vec[i]) not in fcb.codes[i][cfg].codewords:
-                raise UncodableSampleError(f"sample {n}: state {int(vec[i])} of {net.variables[i].name!r} "
+            if s not in fcb.codes[i][cfg].codewords:
+                raise UncodableSampleError(f"sample {n}: state {s} of {net.variables[i].name!r} "
                                            f"has zero probability under parent config {cfg}")
 
 
