@@ -23,6 +23,7 @@ time and packs the bits once; ``decode`` looks each codeword up by its bits.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -161,20 +162,37 @@ class Bitstream:
         return cls(n, data[13:29], data[29:])
 
 
+def _state(v) -> int | None:
+    """``v`` as a state index, or None when it is not an integer (a NaN, an
+    infinity, a fractional float, a string, ...); integral floats count."""
+    if isinstance(v, (float, np.floating, np.bool_)):
+        return int(v) if float(v).is_integer() else None
+    if isinstance(v, (str, bytes)):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 def _reject(fcb: FactorizedCodebook, n0: int, rows) -> None:
     """Raise the error of the first bad sample in ``rows``, numbered from ``n0``."""
     net = fcb.net
     for n, vec in enumerate(rows, n0):
         if len(vec) != net.m:
             raise InvalidStateError(f"sample {n} has {len(vec)} entries, expected {net.m}")
+        states = [0] * net.m
         for i in net.order:
-            s = int(vec[i])
+            s = states[i] = _state(vec[i])
+            name = net.variables[i].name
+            if s is None:
+                v = vec[i].item() if isinstance(vec[i], np.generic) else vec[i]
+                raise InvalidStateError(f"sample {n}: state {v!r} of {name!r} is not an integer")
             if not 0 <= s < net.card(i):
-                raise InvalidStateError(f"sample {n}: state {s} out of range for "
-                                        f"{net.variables[i].name!r}")
+                raise InvalidStateError(f"sample {n}: state {s} out of range for {name!r}")
         for i in net.order:
-            pa, s = net.cpts[i].parents, int(vec[i])
-            cfg = config_index([int(vec[p]) for p in pa], [net.card(p) for p in pa])
+            pa, s = net.cpts[i].parents, states[i]
+            cfg = config_index([states[p] for p in pa], [net.card(p) for p in pa])
             if s not in fcb.codes[i][cfg].codewords:
                 raise UncodableSampleError(f"sample {n}: state {s} of {net.variables[i].name!r} "
                                            f"has zero probability under parent config {cfg}")
@@ -185,7 +203,8 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
 
     Raises an uncodable-sample error when a vector hits a zero-probability
     state (no codeword exists for it), and an invalid-state error on
-    out-of-range entries.
+    out-of-range or non-integer entries (integral floats such as 1.0 are
+    states); the error names the first bad sample.
     """
     net = fcb.net
     # flat table over (variable, parent config, state): the codeword's offset
@@ -205,11 +224,17 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     chunks, n = [pool[:0]], 0
     for block in blocks:
         try:
-            x = np.asarray(block, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
+            x = np.asarray(block)
+        except (TypeError, ValueError, OverflowError):  # ragged rows
             _reject(fcb, n, block)
             raise
-        if x.shape != (len(block), net.m) or np.any((x < 0) | (x >= net.cards)):
+        if x.shape != (len(block), net.m):
+            _reject(fcb, n, block)
+        if x.dtype.kind not in "biu" and not (
+                x.dtype.kind == "f" and np.all((x >= 0) & (x < net.cards) & (x == np.floor(x)))):
+            _reject(fcb, n, block)  # returns on an object array of valid states
+        x = x.astype(np.int64, copy=False)
+        if np.any((x < 0) | (x >= net.cards)):
             _reject(fcb, n, block)
         idx = np.empty((len(x), net.m), dtype=np.int64)  # columns in coding order
         for j, i in enumerate(net.order):

@@ -24,7 +24,12 @@ slope; with side information the same slopes apply to every side state,
 which is exactly the optimal distortion allocation across side states.
 Every target solve, with one constraint or several, is the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
-Lagrange dual), each slope search opening at the point the sweep holds.
+Lagrange dual), each slope search opening at the point the sweep holds.  A
+slope searched before opens with a Newton step on the gain dD/ds its last
+search measured, so a held point near its target probes near the root
+instead of doubling or halving the slope.  Every solve on one engine is
+warm-started from the reconstruction marginals of the solve before it,
+mixed with 1e-6 of the uniform distribution.
 
 A target point is accepted when its distortion is under the target within
 ``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
@@ -248,48 +253,71 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
     return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
 
 
-def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: float):
+def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: float,
+                gain: float | None = None):
     """Drive the achieved distortion to the target by moving the slope.
 
     ``ev(s) -> (rate, dist, dvec, iters, conv)`` with distortion
     nondecreasing in s; ``dvec`` is the full distortion vector.  ``start`` is
     a point ``(slope, rate, dist, dvec, conv)`` that ``ev`` has already solved
-    exactly (not a timeshared mix), and the search opens there: it doubles
-    away from 0 while the distortion is over the target (from slope 0 the
-    first step is -1) and halves toward 0 (at most three times, then 0
-    itself) while it is under, so slope 0 is solved only when the walk
-    reaches it and the start point is not solved again on the way.  The
-    bracket is closed by an Illinois secant; when the distortion jumps over
-    the target the result timeshares across the bracket, which convexity
-    makes exact.
+    exactly (not a timeshared mix), and the search opens there.  With a
+    ``gain`` g = dD/ds from an earlier search of this slope and a start below
+    0, the opening is the Newton step (target - dist) / g, clamped so the
+    first probe lies in [2s, s/2]; while the probes do not bracket the
+    target, each step is twice the one before (stopping at slope 0).
+    Without a gain the search doubles away from 0 while the distortion is
+    over the target (from slope 0 the first step is -1) and halves toward 0
+    (at most three times, then 0 itself) while it is under.  Either way
+    slope 0 is solved only when the walk reaches it, and the start point is
+    not solved again on the way.  The bracket is closed by an Illinois
+    secant; when the distortion jumps over the target the result timeshares
+    across the bracket, which convexity makes exact.
 
-    Returns (rate, dist, dvec, slope, total_iters, converged, exact), where
-    ``exact`` is False only for a timeshared mix, which no single solve at the
-    returned slope reproduces.
+    Returns (rate, dist, dvec, slope, total_iters, converged, exact, gain),
+    where ``exact`` is False only for a timeshared mix, which no single solve
+    at the returned slope reproduces, and ``gain`` is the secant dD/ds
+    through the final bracket (through the last two points when the search
+    ends before bracketing; None for a timeshared mix or when the secant is
+    not positive) for the next search of this slope to open with.
     """
     total = evals = 0
     s, rate, dist, pay, conv = start
     start_at_zero = s == 0.0
-    hi = lo = None
+    hi = lo = last = None
     halvings = 0
+    step = min(max((target - dist) / gain, s), -0.5 * s) if gain and s < 0.0 else None
+
+    def secant(a, b):
+        g = (b[1] - a[1]) / (b[0] - a[0]) if a and b[0] != a[0] else 0.0
+        return g if 0.0 < g < math.inf else None
+
     while True:
         if _accept(s, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, s, total, conv, True
+            return rate, dist, pay, s, total, conv, True, secant(last, (s, dist))
         if dist > target:
             hi, r_hi, d_hi, pay_hi, c_hi = s, rate, dist, pay, conv
             if lo is not None:
                 break
             if -s > 1e18 or evals >= _MAX_EVALS:
-                return rate, dist, pay, s, total, False, True  # cannot reach down to target
-            s = 2.0 * s if s < 0.0 else -1.0
+                # cannot reach down to target
+                return rate, dist, pay, s, total, False, True, secant(last, (s, dist))
+            last = s, dist
+            if step is not None:
+                s, step = s + step, 2.0 * step
+            else:
+                s = 2.0 * s if s < 0.0 else -1.0
         else:
             lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
             if hi is not None:
                 break
-            # under the target at a warm slope: walk toward 0 by halving and
-            # solve slope 0 itself only once the walk gets there
-            halvings += 1
-            s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
+            last = s, dist
+            if step is not None:
+                s, step = min(s + step, 0.0), 2.0 * step
+            else:
+                # under the target at a warm slope: walk toward 0 by halving
+                # and solve slope 0 itself only once the walk gets there
+                halvings += 1
+                s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
         rate, dist, pay, it, conv = ev(s)
         total += it
         evals += 1
@@ -302,7 +330,7 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: 
         total += it
         evals += 1
         if _accept(0.0, d0, target, dist_tol, slack_tol):
-            return r0, d0, p0, 0.0, total, c0, True
+            return r0, d0, p0, 0.0, total, c0, True, secant((lo, d_lo), (0.0, d0))
         r_hi, d_hi, pay_hi, c_hi = r0, d0, p0, c0
     f_lo, f_hi = d_lo - target, d_hi - target
     side = 0
@@ -317,7 +345,7 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: 
         total += it
         evals += 1
         if _accept(mid, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, mid, total, conv, True
+            return rate, dist, pay, mid, total, conv, True, secant((lo, d_lo), (hi, d_hi))
         if dist > target:
             hi, r_hi, d_hi, pay_hi, c_hi = mid, rate, dist, pay, conv
             f_hi = dist - target
@@ -334,8 +362,8 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: 
         lam = (target - d_lo) / (d_hi - d_lo)
         ok = hi - lo <= 1e-13 * max(1.0, -lo)
         return ((1 - lam) * r_lo + lam * r_hi, target, (1 - lam) * pay_lo + lam * pay_hi,
-                lo, total, bool(ok and c_lo and c_hi), False)
-    return r_lo, d_lo, pay_lo, lo, total, c_lo, True
+                lo, total, bool(ok and c_lo and c_hi), False, None)  # a jump has no gain
+    return r_lo, d_lo, pay_lo, lo, total, c_lo, True, secant((lo, d_lo), (hi, d_hi))
 
 
 class _MultiSolver:
@@ -406,6 +434,10 @@ class _MultiSolver:
         distortions are the p(y)-weighted sums over the states, ``iters`` the
         most any state took and ``converged`` whether every state did.
         All-zero slopes give the zero-rate corner exactly, with 0 iterations.
+        Each state starts from its q of the previous call mixed with 1e-6 of
+        the uniform distribution: enough to keep a dead letter revivable.  A
+        letter revived at a heavier weight has to decay back before the gap
+        closes, which makes warm solves near the root slower than cold ones.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
@@ -418,9 +450,9 @@ class _MultiSolver:
             q0 = self.warm
             tot = np.add.reduce(q0, axis=1, keepdims=True)
             ok = (np.minimum.reduce(q0, axis=1, keepdims=True) >= 0.0) & (tot > 0.0)
-            # mild mixing keeps dead letters revivable without perturbing the
-            # solution when the optimal face is degenerate
-            q = np.where(ok, 0.995 * (q0 / tot) + 0.005 / self.nh, q)
+            # a trace of uniform keeps dead letters revivable without
+            # perturbing the solution when the optimal face is degenerate
+            q = np.where(ok, (1.0 - 1e-6) * (q0 / tot) + 1e-6 / self.nh, q)
         q, its, conv = _ba_slope_core(self.p, a, q, iters or MAX_ITERS)
         self.warm = q
         channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
@@ -440,13 +472,14 @@ def _state_sum(w, x):
     return np.add.accumulate(w.reshape((-1,) + (1,) * (x.ndim - 1)) * x, axis=0)[-1]
 
 
-def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held):
+def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held, gain):
     """Move slope i so its own distortion meets the target, others fixed.
 
     ``held`` is ``(rate, D vector, converged)`` from an exact solve at the
-    current ``slopes``, and the slope search opens there.  Returns (slope,
-    rate, own distortion, D vector, iters, converged, exact), where ``exact``
-    is False when the point is a timeshared mix.
+    current ``slopes``, and the slope search opens there, with a Newton step
+    when ``gain`` (dD_i/ds_i from the last search of slope i) is known.
+    Returns (slope, rate, own distortion, D vector, iters, converged, exact,
+    gain), where ``exact`` is False when the point is a timeshared mix.
     """
 
     def ev(s):
@@ -455,8 +488,9 @@ def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held):
         return rate, dvec[i], dvec, it, conv
 
     start = (slopes[i], held[0], held[1][i], held[1], held[2])
-    rate, dist_i, dvec, s, it, conv, exact = _slope_root(ev, target, dist_tol, start, slack_tol)
-    return s, rate, dist_i, dvec, it, conv, exact
+    rate, dist_i, dvec, s, it, conv, exact, gain = _slope_root(ev, target, dist_tol, start,
+                                                                slack_tol, gain)
+    return s, rate, dist_i, dvec, it, conv, exact, gain
 
 
 def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
@@ -468,11 +502,17 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     evaluations.  Each adjustment opens its slope search at the point the
     sweep holds for the current slope vector, so that point is not solved
     again and slope 0 is solved only when the search walks to it; a held
-    timeshared mix is first re-solved at the slopes it sits at.  Sweeping
-    stops once all constraints check out or the slope vector goes
-    quasi-static.  A held exact, converged point is then reported as is;
-    otherwise a final solve at the settled slopes with a larger iteration
-    budget defines the reported point.
+    timeshared mix is first re-solved at the slopes it sits at.  The search
+    keeps one gain per coordinate, g_i = dD_i/ds_i, the secant through the
+    final bracket of that slope's last search: a coordinate searched again
+    (in a later sweep, or in the precise phase) first probes the Newton
+    point s_i - (D_i - target_i) / g_i rather than doubling or halving its
+    slope, so a held point that is already close probes near the root and
+    the next warm start stays close too.  Sweeping stops once all
+    constraints check out or the slope vector goes quasi-static.  A held
+    exact, converged point is then reported as is; otherwise a final solve
+    at the settled slopes with a larger iteration budget defines the
+    reported point.
     """
     targets = np.asarray(targets, float)
     if np.any(targets < 0):
@@ -493,6 +533,7 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                            for i in range(solver.m)])
     rate, dvec, total_it, conv = solver.eval(slopes)
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
+    gains = [None] * solver.m  # dD_i/ds_i from the last search of slope i
     # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
     # burning iterations deep inside jittery brackets), then a couple of
     # precise sweeps bind each constraint to DIST_TOL from slopes that are
@@ -507,8 +548,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                 if not exact:
                     rate, dvec, it, conv = solver.eval(slopes)
                     total_it += it
-                slopes[i], rate, _, dvec, it, conv, exact = _coord_adjust(
-                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv)
+                slopes[i], rate, _, dvec, it, conv, exact, gains[i] = _coord_adjust(
+                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv), gains[i]
                 )
                 total_it += it
                 moved = True

@@ -1,6 +1,7 @@
 """Prefix-code construction, stream round-trips, and codebook cost accounting."""
 
 import hashlib
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -149,6 +150,35 @@ def test_encode_rejects_out_of_range_state(fork_net):
     fcb = build_factorized_codebooks(fork_net)
     with pytest.raises(InvalidStateError):
         encode(fcb, [[0, 0, 5]])
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (0.5, "0.5"), (-1.5, "-1.5"), ("a", "'a'"),
+    ("1", "'1'"), (None, "None"),
+])
+def test_encode_rejects_non_integer_states(fork_net, bad, shown):
+    fcb = build_factorized_codebooks(fork_net)
+    message = rf"^sample 1: state {re.escape(shown)} of 'X2' is not an integer$"
+    with pytest.raises(InvalidStateError, match=message):
+        encode(fcb, [[0, 0, 0], [0, 0, bad], [0, 0, 7]])
+    if isinstance(bad, float):  # the same through the float-array path
+        with pytest.raises(InvalidStateError, match=message):
+            encode(fcb, np.array([[0, 0, 0], [0, 0, bad], [0, 0, 7]]))
+
+
+def test_encode_first_bad_sample_wins_over_a_later_non_integer(fork_net):
+    fcb = build_factorized_codebooks(fork_net)
+    with pytest.raises(InvalidStateError, match=r"^sample 0: state 7 out of range for 'X2'$"):
+        encode(fcb, np.array([[0, 0, 7], [0, 0, np.nan]]))
+
+
+def test_encode_accepts_integral_floats(fork_net):
+    fcb = build_factorized_codebooks(fork_net)
+    rows = [[0, 1, 1], [1, 0, 0]]
+    blob = encode(fcb, rows).to_bytes()
+    assert encode(fcb, np.array(rows, dtype=float)).to_bytes() == blob
+    assert encode(fcb, [[0, 1.0, 1], [1, 0, 0.0]]).to_bytes() == blob
+    assert encode(fcb, np.array(rows, dtype=object)).to_bytes() == blob
 
 
 def test_encode_rejects_zero_probability_state():
