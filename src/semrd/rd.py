@@ -24,12 +24,17 @@ slope; with side information the same slopes apply to every side state,
 which is exactly the optimal distortion allocation across side states.
 Every target solve, with one constraint or several, is the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
-Lagrange dual), each slope search opening at the point the sweep holds.  A
-slope searched before opens with a Newton step on the gain dD/ds its last
-search measured, so a held point near its target probes near the root
-instead of doubling or halving the slope.  Every solve on one engine is
-warm-started from the reconstruction marginals of the solve before it,
-mixed with 1e-6 of the uniform distribution.
+Lagrange dual), each slope search opening at the point the sweep holds.
+Unless the caller seeds them, the sweep starts each slope whose target lies
+below its zero-rate corner where the test channel with a uniform
+reconstruction marginal meets that target under the coordinate's marginal
+(``_uniform_q_slope``): for Hamming distortion the Shannon lower-bound
+slope, which is the solution wherever that bound is tight.  A slope
+searched before opens with a Newton step on the gain dD/ds its last search
+measured, so a held point near its target probes near the root instead of
+doubling or halving the slope.  Every solve on one engine is warm-started
+from the reconstruction marginals of the solve before it, mixed with 1e-6
+of the uniform distribution.
 
 A target point is accepted when its distortion is under the target within
 ``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
@@ -122,23 +127,80 @@ def squared_error_distortion(k: int) -> np.ndarray:
     return (idx[:, None] - idx[None, :]) ** 2
 
 
-def _check_dist(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all() or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidStateError(f"not a distribution (sum {p.sum():.12g})")
-    return p
+def _check_source(joint: np.ndarray, cards, dists) -> list[np.ndarray]:
+    """Check that ``joint`` is a distribution and that ``dists`` holds one
+    finite, nonnegative distortion matrix per variable, with one row per state
+    (``cards``); returns the matrices as float arrays."""
+    if not np.isfinite(joint).all() or np.any(joint < 0) or abs(joint.sum() - 1.0) > 1e-9:
+        raise InvalidStateError(f"not a distribution (sum {joint.sum():.12g})")
+    if len(dists) != len(cards):
+        raise InvalidStateError(f"{len(dists)} distortion matrices for {len(cards)} variables")
+    dists = [np.asarray(d, float) for d in dists]
+    for k, d in zip(cards, dists):
+        if d.ndim != 2 or d.shape[0] != k:
+            raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows, one per state")
+        if not (np.isfinite(d).all() and (d >= 0).all()):
+            raise InvalidStateError("distortion matrix entries must be finite and >= 0")
+    return dists
 
 
 def trivial_distortion(p, d) -> float:
     """Best constant-guess distortion min_xhat E d(X, xhat): the zero-rate corner."""
-    p = _check_dist(np.asarray(p, float).reshape(-1))
-    return float((p @ np.asarray(d, float)).min())
+    p = np.asarray(p, float).reshape(-1)
+    (d,) = _check_source(p, p.shape, [d])
+    return float((p @ d).min())
 
 
 def min_distortion(p, d) -> float:
     """Distortion floor sum_x p(x) min_xhat d(x, xhat); targets below it are infeasible."""
     p = np.asarray(p, float).reshape(-1)
-    return float(p @ np.asarray(d, float).min(axis=1))
+    (d,) = _check_source(p, p.shape, [d])
+    return float(p @ d.min(axis=1))
+
+
+def _uniform_q_slope(p, d, target: float) -> float:
+    """The slope s at which the test channel with a uniform reconstruction
+    marginal, Q(xhat | x) proportional to 2^(s * d(x, xhat)), has distortion
+    ``target`` under the source ``p``; ``target`` must lie below the mean
+    distortion.
+
+    That distortion rises monotonically from the floor at s = -inf to the
+    mean distortion at s = 0, with derivative ln 2 times the p-weighted
+    variance of d(x, .) under Q(. | x).  For Hamming distortion on k letters
+    the root is log2(D / ((k - 1)(1 - D))), the Shannon lower-bound slope,
+    which is the solved slope wherever that bound is tight.  The search opens
+    at that formula for the matrix read as a multiple of the Hamming one
+    (exact for those) and takes at most 64 Newton steps, each kept inside
+    the bracket found so far (doubling or bisecting otherwise).  A target at
+    the floor, whose root is at -inf, gets a finite slope where the excess
+    over the floor has all but vanished.
+    """
+    g = d - d.min(axis=1, keepdims=True)  # excess over each row's floor
+    moments = np.stack([np.ones_like(g), g, g * g], axis=1)
+    t = target - float(p @ d.min(axis=1))
+    n = g.shape[1]
+    s = -1.0
+    if t > 0.0:
+        unit = float(p @ g.sum(axis=1)) / (n - 1)  # c for c times Hamming
+        s = math.log2(t / ((n - 1) * (unit - t))) / unit
+    lo, hi = -math.inf, 0.0
+    for _ in range(64):
+        z, m1, m2 = np.matvec(moments, np.exp2(s * g)).T  # each row keeps a 1
+        m1 = m1 / z
+        e, de = float(p @ m1), math.log(2.0) * float(p @ (m2 / z - m1 * m1))
+        if abs(e - t) <= 1e-12 * t:
+            return s
+        if e > t:
+            hi = s
+        else:
+            lo = s
+        nxt = s - (e - t) / de if de > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 2.0 * s if lo == -math.inf else 0.5 * (lo + hi)
+        if abs(nxt - s) <= 1e-12 * -s:
+            return nxt
+        s = nxt
+    return s
 
 
 def _ba_slope_core(p, a, q, max_iters):
@@ -385,15 +447,7 @@ class _MultiSolver:
             cards = joint.shape
             joint = joint[None, ...]
         self.m = len(cards)
-        if len(dists) != self.m:
-            raise InvalidStateError(f"{len(dists)} distortion matrices for {self.m} variables")
-        _check_dist(joint.reshape(-1))
-        dists = [np.asarray(d, float) for d in dists]
-        for k, d in zip(cards, dists):
-            if d.ndim != 2 or d.shape[0] != k:
-                raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows, one per state")
-            if not (np.isfinite(d).all() and (d >= 0).all()):
-                raise InvalidStateError("distortion matrix entries must be finite and >= 0")
+        self.dists = dists = _check_source(joint, cards, dists)
         nx = math.prod(cards)
         self.nh = nh = math.prod(d.shape[1] for d in dists)
         if ny * nx * nh > limit:  # eval holds one table per side state at once
@@ -417,14 +471,17 @@ class _MultiSolver:
         self.p = np.take_along_axis(conds, order, axis=1)
         self.rows = np.where(self.p > 0, order, nx)
         self.warm = None
-        # per-coordinate zero-rate corner and feasibility floor, aggregated over y
+        # per-coordinate zero-rate corner and feasibility floor, aggregated
+        # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
         corner = np.empty((len(ys), 2, self.m))
+        self.margs = []
         for i, d in enumerate(dists):
             other = tuple(a + 1 for a in range(self.m) if a != i)
             marg = (arr.sum(axis=other) if other else arr)[:, None, :]
             corner[:, 0, i] = np.minimum.reduce(marg @ d, axis=2)[:, 0]
             corner[:, 1, i] = (marg @ d.min(axis=1)[:, None])[:, 0, 0]
+            self.margs.append(_state_sum(self.weights, marg[:, 0, :]))
         self.trivs, self.floors = _state_sum(self.weights, corner)
 
     def eval(self, slopes, iters: int | None = None) -> tuple[float, np.ndarray, int, bool]:
@@ -496,6 +553,14 @@ def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held, gain):
 def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     """Rate at per-variable distortion targets: the one target search.
 
+    Without ``init_slopes``, a coordinate whose target lies at or above its
+    zero-rate corner starts at slope 0 and every other one at
+    ``_uniform_q_slope`` of its p(y)-weighted marginal: the slope where the
+    test channel with a uniform q meets the target, the Shannon lower-bound
+    slope log2(D / ((k - 1)(1 - D))) for Hamming distortion.  Where that
+    bound is tight the first solve lands on the target; elsewhere the search
+    starts near the root.
+
     Coordinate sweeps adjust one slope at a time to meet its own target (or
     park it at 0 when the constraint goes slack), holding the others — this is
     coordinate ascent on the concave Lagrange dual, warm-started between
@@ -529,7 +594,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     if init_slopes is not None:
         slopes = np.minimum(np.asarray(init_slopes, float), 0.0)
     else:
-        slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else -1.0
+        slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
+                           _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
                            for i in range(solver.m)])
     rate, dvec, total_it, conv = solver.eval(slopes)
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes

@@ -23,6 +23,7 @@ from semrd import (
     gaussian_conditional_rd,
     hamming_distortion,
     lemma1_bounds,
+    lemma2_check,
     load_bundled,
     marginal_table,
     rd_curve,
@@ -31,7 +32,7 @@ from semrd import (
 )
 import semrd.rd as rd
 from semrd.cli import run
-from semrd.nets import doubly_symmetric_joint
+from semrd.nets import doubly_symmetric_fork, doubly_symmetric_joint
 from semrd.rd import min_distortion, trivial_distortion
 
 HAM2 = hamming_distortion(2)
@@ -95,10 +96,11 @@ def test_ba_point_rejects_non_distribution():
 
 @pytest.mark.parametrize("solve", [
     lambda p: trivial_distortion(p, hamming_distortion(3)),
+    lambda p: min_distortion(p, hamming_distortion(3)),
     lambda p: ba_target(p, hamming_distortion(3), 0.1),
     lambda p: ba_conditional(np.column_stack([p, p]) / 2, hamming_distortion(3), -1.0),
     lambda p: ba_joint_multi(p, [hamming_distortion(3)], (-1.0,)),
-], ids=["trivial_distortion", "ba_target", "ba_conditional", "ba_joint_multi"])
+], ids=["trivial_distortion", "min_distortion", "ba_target", "ba_conditional", "ba_joint_multi"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_entry_points_reject_non_finite_sources(solve, bad):
     with pytest.raises(InvalidStateError):
@@ -125,6 +127,39 @@ def test_ba_target_rejects_infeasible():
     shifted = np.array([[0.5, 1.0], [1.0, 0.5]])
     with pytest.raises(InvalidStateError):
         ba_target([0.5, 0.5], shifted, 0.3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ba_target_meets_the_tight_shannon_lower_bound(seed):
+    # for Hamming distortion R(D) = H(p) - h_b(D) - D log2(k - 1) exactly when
+    # D <= (k - 1) min p; the search opens at that bound's slope
+    rng = np.random.default_rng(seed)
+    k = 3 + seed % 2
+    p = rng.dirichlet(np.ones(k))
+    target = float(rng.uniform(0.05, 0.95)) * (k - 1) * float(p.min())
+    pt = ba_target(p, hamming_distortion(k), target)
+    want = -float(p @ np.log2(p)) - binary_entropy(target) - target * np.log2(k - 1)
+    assert pt.converged
+    assert pt.rate == pytest.approx(want, abs=1e-6)
+
+
+def test_ba_target_first_probe_is_not_capped():
+    # opening at slope -1 ran the first probe into the 10,000-iteration cap
+    pt = ba_target([0.232, 0.498, 0.27], hamming_distortion(3), 0.031)
+    assert pt.converged
+    assert pt.iterations <= 1_000
+
+
+def test_squared_error_target_hits_its_window():
+    # the opening slope solves the uniform-q distortion for any matrix
+    p = np.array([0.1, 0.4, 0.3, 0.2])
+    d = squared_error_distortion(4)
+    for frac in (0.05, 0.3, 0.8):
+        target = frac * trivial_distortion(p, d)
+        pt = ba_target(p, d, target)
+        assert pt.converged
+        assert pt.distortion <= target + 1e-6
+        assert (-pt.slope) * (target - pt.distortion) <= 3e-6
 
 
 def test_ba_target_monotone_in_target():
@@ -288,8 +323,14 @@ def test_multi_argument_validation():
     lambda: ba_point([0.5, 0.5], [[0.0, np.inf], [1.0, 0.0]], -1.0),
     lambda: ba_target([0.5, 0.5], [[0.0, -1.0], [1.0, 0.0]], 0.1),
     lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, [[0.0, -1.0], [1.0, 0.0]]], (0.1, 0.1)),
+    lambda: trivial_distortion([0.2, 0.3, 0.5], HAM2),
+    lambda: min_distortion([0.2, 0.3, 0.5], HAM2),
+    lambda: trivial_distortion([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]]),
+    lambda: min_distortion([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]]),
 ], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target",
-        "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint"])
+        "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint",
+        "trivial_distortion", "min_distortion", "trivial_distortion-nan-entry",
+        "min_distortion-nan-entry"])
 def test_distortion_rows_must_match_cardinality(solve):
     with pytest.raises(InvalidStateError):
         solve()
@@ -419,6 +460,23 @@ def test_joint_target_never_resolves_a_held_point(monkeypatch):
     probes = sum(any(x != 0 and y == 0 for x, y in zip(a, b)) and any(b)
                  for a, b in zip(calls, calls[1:]))
     assert probes < 30
+
+
+def test_lemma2_joint_solves_open_at_the_lower_bound_slope(monkeypatch):
+    # both coordinates of the joint solve and each block's open at the
+    # Shannon lower-bound slope, exact for these binary sources (35 at -1)
+    calls = []
+    real_eval = rd._MultiSolver.eval
+
+    def spy(self, slopes, iters=None):
+        calls.append(slopes)
+        return real_eval(self, slopes, iters)
+
+    monkeypatch.setattr(rd._MultiSolver, "eval", spy)
+    rep = lemma2_check(doubly_symmetric_fork(0.1, 0.1), ["Y"], (0.05, 0.05))
+    assert rep.converged
+    assert abs(rep.delta) <= 2e-4
+    assert len(calls) < 10
 
 
 def test_scene_sweep_rows_all_converge():
