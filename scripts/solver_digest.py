@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Fingerprint every rate-distortion engine evaluation on a fixed case list.
+
+Runs the acceptance test 7 grids (Lemma 1 sandwich on random nets), the
+test 8 checks (Lemma 2 decomposition) and a few erasure-distortion target
+solves, and prints one CSV row per case: the number of ``_MultiSolver.eval``
+calls it made and a SHA-256 over each call (slopes and iteration budget in;
+rate, distortion vector, iterations and convergence out) followed by the repr
+of the returned report.  Two trees whose rows all match ran the same solves
+bit for bit, so a refactor of the target search can be checked against its
+parent with ``diff``.
+"""
+
+import argparse
+import hashlib
+import sys
+import time
+
+import numpy as np
+
+from semrd import lemma1_bounds, lemma2_check, random_net
+from semrd import rd
+from semrd.nets import doubly_symmetric_chain, doubly_symmetric_fork
+from semrd.rd import ba_conditional_target, ba_target
+
+#: Uniform bit with an erase letter: R(D) is linear in D above D ~ 0.031.
+ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
+
+
+def _cases(size):
+    """(name, thunk) pairs in a fixed order; ``size`` caps the test 7 nets
+    and the test 8 checks (None: all 50 nets and 32 checks)."""
+    for seed in range(50 if size is None else min(size, 50)):
+        rng = np.random.default_rng(1000 + seed)
+        net = random_net(1000 + seed, int(rng.integers(2, 5)), max_card=3)
+        for g in range(5):
+            targets = tuple(float(t) for t in rng.uniform(0.03, 0.45, size=net.m))
+            yield f"test7:{seed}:{g}", lambda net=net, t=targets: lemma1_bounds(net, t)
+    checks = [(shape, p1, p2) for shape in (doubly_symmetric_fork, doubly_symmetric_chain)
+              for p1 in (0.05, 0.1, 0.2, 0.3) for p2 in (0.05, 0.1, 0.2, 0.3)]
+    for shape, p1, p2 in checks[:size]:
+        yield (f"test8:{shape.__name__}:{p1}:{p2}",
+               lambda net=shape(p1, p2): lemma2_check(net, ["Y"], (0.05, 0.05)))
+    for t in (0.1, 0.3, 0.7):
+        yield f"erasure:{t}", lambda t=t: ba_target([0.5, 0.5], ERASURE, t)
+    yield "erasure-cond:0.3", lambda: ba_conditional_target(np.full((2, 2), 0.25), ERASURE, 0.3)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--size", type=int, default=None,
+                    help="run only the first SIZE test 7 nets and test 8 checks")
+    args = ap.parse_args(argv)
+
+    real_eval = rd._MultiSolver.eval
+    log = []
+
+    def eval_logged(self, slopes, iters=None):
+        rate, dvec, its, conv = out = real_eval(self, slopes, iters)
+        log.append(np.asarray(slopes, float).tobytes() + repr(iters).encode()
+                   + np.float64(rate).tobytes() + np.asarray(dvec, float).tobytes()
+                   + repr((int(its), bool(conv))).encode())
+        return out
+
+    print("case,evals,sha256")
+    t0 = time.perf_counter()
+    rows = 0
+    rd._MultiSolver.eval = eval_logged
+    try:
+        for name, solve in _cases(args.size):
+            log.clear()
+            report = solve()
+            h = hashlib.sha256()
+            for record in log:
+                h.update(record)
+            h.update(repr(report).encode())
+            print(f"{name},{len(log)},{h.hexdigest()}", flush=True)
+            rows += 1
+    finally:
+        rd._MultiSolver.eval = real_eval
+    print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

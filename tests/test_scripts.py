@@ -25,6 +25,7 @@ def _main(name):
     ("codec_ledger", ["-n", "500"],
      "net,variables,entropy_bits,expected_length_bits,measured_bits_per_sample,"
      "entries_touched,stream_bytes", 3),
+    ("solver_digest", ["--size", "1"], "case,evals,sha256", 10),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
