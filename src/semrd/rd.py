@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -315,61 +315,73 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
     return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
 
 
-def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: float,
-                gain: float | None = None):
-    """Drive the achieved distortion to the target by moving the slope.
+def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float,
+                held, gain: float | None):
+    """Move slope i so its own distortion meets the target, the others fixed.
 
-    ``ev(s) -> (rate, dist, dvec, iters, conv)`` with distortion
-    nondecreasing in s; ``dvec`` is the full distortion vector.  ``start`` is
-    a point ``(slope, rate, dist, dvec, conv)`` that ``ev`` has already solved
-    exactly (not a timeshared mix), and the search opens there.  With a
-    ``gain`` g = dD/ds from an earlier search of this slope and a start below
-    0, the opening is the Newton step (target - dist) / g, clamped so the
-    first probe lies in [2s, s/2]; while the probes do not bracket the
-    target, each step is twice the one before (stopping at slope 0).
-    Without a gain the search doubles away from 0 while the distortion is
-    over the target (from slope 0 the first step is -1) and halves toward 0
-    (at most three times, then 0 itself) while it is under.  Either way
-    slope 0 is solved only when the walk reaches it, and the start point is
-    not solved again on the way.  The bracket is closed by an Illinois
-    secant; when the distortion jumps over the target the result timeshares
-    across the bracket, which convexity makes exact.
+    Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; the
+    distortion D_i is nondecreasing in the slope.  ``held`` is ``(rate,
+    D vector, converged)`` of an exact solve (not a timeshared mix) at the
+    current ``slopes``, and the search opens there.  With a ``gain``
+    g = dD_i/ds_i from an earlier search of this slope and a start below 0,
+    the opening is the Newton step (target - D_i) / g, clamped so the first
+    probe lies in [2s, s/2]; while the probes do not bracket the target,
+    each step is twice the one before (stopping at slope 0).  Without a gain
+    the search doubles away from 0 while the distortion is over the target
+    (from slope 0 the first step is -1) and halves toward 0 (at most three
+    times, then 0 itself) while it is under.  Either way slope 0 is solved
+    only when the walk reaches it, and the start point is not solved again
+    on the way.  The bracket is closed by an Illinois secant; when the
+    distortion jumps over the target the result timeshares across the
+    bracket, which convexity makes exact.
 
-    Returns (rate, dist, dvec, slope, total_iters, converged, exact, gain),
-    where ``exact`` is False only for a timeshared mix, which no single solve
-    at the returned slope reproduces, and ``gain`` is the secant dD/ds
-    through the final bracket (through the last two points when the search
-    ends before bracketing; None for a timeshared mix or when the secant is
-    not positive) for the next search of this slope to open with.
+    Every probe is one record ``(slope, rate, D vector, converged)``.
+    Returns (record, total_iters, exact, gain): the record of the point
+    found, the caller to store its slope in ``slopes[i]``; ``exact`` is False
+    only for a timeshared mix, which no single solve at the returned slope
+    reproduces; ``gain`` is the secant dD_i/ds_i through the final bracket
+    (through the last two points when the search ends before bracketing;
+    None for a timeshared mix or when the secant is not positive) for the
+    next search of this slope to open with.
     """
     total = evals = 0
-    s, rate, dist, pay, conv = start
-    start_at_zero = s == 0.0
+    pt = (slopes[i], *held)
+    start_at_zero = pt[0] == 0.0
     hi = lo = last = None
     halvings = 0
-    step = min(max((target - dist) / gain, s), -0.5 * s) if gain and s < 0.0 else None
+    step = (min(max((target - held[1][i]) / gain, pt[0]), -0.5 * pt[0])
+            if gain and pt[0] < 0.0 else None)
 
     def secant(a, b):
         g = (b[1] - a[1]) / (b[0] - a[0]) if a and b[0] != a[0] else 0.0
         return g if 0.0 < g < math.inf else None
 
+    def probe(s):
+        nonlocal total, evals
+        slopes[i] = s
+        rate, dvec, it, conv = solver.eval(slopes)
+        total += it
+        evals += 1
+        return s, rate, dvec, conv
+
     while True:
+        s, dist = pt[0], pt[2][i]
         if _accept(s, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, s, total, conv, True, secant(last, (s, dist))
+            return pt, total, True, secant(last, (s, dist))
         if dist > target:
-            hi, r_hi, d_hi, pay_hi, c_hi = s, rate, dist, pay, conv
+            hi = pt
             if lo is not None:
                 break
             if -s > 1e18 or evals >= _MAX_EVALS:
                 # cannot reach down to target
-                return rate, dist, pay, s, total, False, True, secant(last, (s, dist))
+                return pt[:3] + (False,), total, True, secant(last, (s, dist))
             last = s, dist
             if step is not None:
                 s, step = s + step, 2.0 * step
             else:
                 s = 2.0 * s if s < 0.0 else -1.0
         else:
-            lo, r_lo, d_lo, pay_lo, c_lo = s, rate, dist, pay, conv
+            lo = pt
             if hi is not None:
                 break
             last = s, dist
@@ -380,52 +392,48 @@ def _slope_root(ev: Callable, target: float, dist_tol: float, start, slack_tol: 
                 # and solve slope 0 itself only once the walk gets there
                 halvings += 1
                 s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
-        rate, dist, pay, it, conv = ev(s)
-        total += it
-        evals += 1
-    if hi == 0.0 and start_at_zero:
+        pt = probe(s)
+    if hi[0] == 0.0 and start_at_zero:
         # The held slope-0 point came before the probe solves concentrated the
         # reconstruction marginal; the constraint may now be slack at slope 0
         # exactly, where convergence is clean — preferable to chasing a
         # vanishing slope it can't resolve.
-        r0, d0, p0, it, c0 = ev(0.0)
-        total += it
-        evals += 1
-        if _accept(0.0, d0, target, dist_tol, slack_tol):
-            return r0, d0, p0, 0.0, total, c0, True, secant((lo, d_lo), (0.0, d0))
-        r_hi, d_hi, pay_hi, c_hi = r0, d0, p0, c0
-    f_lo, f_hi = d_lo - target, d_hi - target
+        hi = probe(0.0)
+        if _accept(0.0, hi[2][i], target, dist_tol, slack_tol):
+            return hi, total, True, secant((lo[0], lo[2][i]), (0.0, hi[2][i]))
+    f_lo, f_hi = lo[2][i] - target, hi[2][i] - target
     side = 0
-    while evals < _MAX_EVALS and hi - lo > 1e-13 * max(1.0, -lo):
+    while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
         if f_hi > f_lo:
-            mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
+            mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
+            if not lo[0] < mid < hi[0]:
+                mid = 0.5 * (lo[0] + hi[0])
         else:
-            mid = 0.5 * (lo + hi)
-        rate, dist, pay, it, conv = ev(mid)
-        total += it
-        evals += 1
+            mid = 0.5 * (lo[0] + hi[0])
+        pt = probe(mid)
+        dist = pt[2][i]
         if _accept(mid, dist, target, dist_tol, slack_tol):
-            return rate, dist, pay, mid, total, conv, True, secant((lo, d_lo), (hi, d_hi))
+            return pt, total, True, secant((lo[0], lo[2][i]), (hi[0], hi[2][i]))
         if dist > target:
-            hi, r_hi, d_hi, pay_hi, c_hi = mid, rate, dist, pay, conv
+            hi = pt
             f_hi = dist - target
             if side == 1:
                 f_lo *= 0.5
             side = 1
         else:
-            lo, r_lo, d_lo, pay_lo, c_lo = mid, rate, dist, pay, conv
+            lo = pt
             f_lo = dist - target
             if side == -1:
                 f_hi *= 0.5
             side = -1
+    d_lo, d_hi = lo[2][i], hi[2][i]
     if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
         lam = (target - d_lo) / (d_hi - d_lo)
-        ok = hi - lo <= 1e-13 * max(1.0, -lo)
-        return ((1 - lam) * r_lo + lam * r_hi, target, (1 - lam) * pay_lo + lam * pay_hi,
-                lo, total, bool(ok and c_lo and c_hi), False, None)  # a jump has no gain
-    return r_lo, d_lo, pay_lo, lo, total, c_lo, True, secant((lo, d_lo), (hi, d_hi))
+        ok = hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0])
+        mix = (lo[0], (1 - lam) * lo[1] + lam * hi[1], (1 - lam) * lo[2] + lam * hi[2],
+               bool(ok and lo[3] and hi[3]))
+        return mix, total, False, None  # a jump has no gain
+    return lo, total, True, secant((lo[0], d_lo), (hi[0], d_hi))
 
 
 class _MultiSolver:
@@ -529,27 +537,6 @@ def _state_sum(w, x):
     return np.add.accumulate(w.reshape((-1,) + (1,) * (x.ndim - 1)) * x, axis=0)[-1]
 
 
-def _coord_adjust(solver, slopes, i, target, dist_tol, slack_tol, held, gain):
-    """Move slope i so its own distortion meets the target, others fixed.
-
-    ``held`` is ``(rate, D vector, converged)`` from an exact solve at the
-    current ``slopes``, and the slope search opens there, with a Newton step
-    when ``gain`` (dD_i/ds_i from the last search of slope i) is known.
-    Returns (slope, rate, own distortion, D vector, iters, converged, exact,
-    gain), where ``exact`` is False when the point is a timeshared mix.
-    """
-
-    def ev(s):
-        slopes[i] = s
-        rate, dvec, it, conv = solver.eval(slopes)
-        return rate, dvec[i], dvec, it, conv
-
-    start = (slopes[i], held[0], held[1][i], held[1], held[2])
-    rate, dist_i, dvec, s, it, conv, exact, gain = _slope_root(ev, target, dist_tol, start,
-                                                                slack_tol, gain)
-    return s, rate, dist_i, dvec, it, conv, exact, gain
-
-
 def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     """Rate at per-variable distortion targets: the one target search.
 
@@ -614,7 +601,7 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                 if not exact:
                     rate, dvec, it, conv = solver.eval(slopes)
                     total_it += it
-                slopes[i], rate, _, dvec, it, conv, exact, gains[i] = _coord_adjust(
+                (slopes[i], rate, dvec, conv), it, exact, gains[i] = _slope_root(
                     solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv), gains[i]
                 )
                 total_it += it
