@@ -274,12 +274,21 @@ def _ba_slope_core(p, a, q, max_iters):
                 break
         r = q1 - q
         v = (q2 - q1) - r
-        vv = np.vecdot(v, v).tolist()
-        ok = [0.0 < x < math.inf for x in vv]
+        vv, rr = np.vecdot(v, v), np.vecdot(r, r)
+        if not vv.all():
+            # v.v underflows to 0 when only letters near the 1e-280 floor still
+            # move: take both squared norms again at the scale of the step
+            fix = (vv == 0.0) & np.any(v, axis=1)
+            if fix.any():
+                vr = np.concatenate((v[fix], r[fix]), axis=1)
+                vr /= np.maximum.reduce(np.abs(vr), axis=1, keepdims=True)
+                vs, rs = np.split(vr, 2, axis=1)
+                vv[fix], rr[fix] = np.vecdot(vs, vs), np.vecdot(rs, rs)
+        vv, rr = vv.tolist(), rr.tolist()
+        ok = [0.0 < x < math.inf and y / x < math.inf for x, y in zip(vv, rr)]
         if any(ok):
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
-            b = col([max(math.sqrt(y / x), 1.0) if o else 1.0
-                     for o, x, y in zip(ok, vv, np.vecdot(r, r).tolist())])
+            b = col([max(math.sqrt(y / x), 1.0) if o else 1.0 for o, x, y in zip(ok, vv, rr)])
             qa = q + (2.0 * b) * r + (b * b) * v
             np.maximum(qa, 0.0, out=qa)
             tot = np.add.reduce(qa, axis=1).tolist()

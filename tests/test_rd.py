@@ -150,6 +150,16 @@ def test_ba_target_first_probe_is_not_capped():
     assert pt.iterations <= 1_000
 
 
+def test_floor_letters_keep_the_extrapolation():
+    # once only letters near the 1e-280 floor still move, v.v underflows to 0;
+    # the kernel took that for a stopped q, skipped every extrapolation and
+    # ran into the 10,000-iteration cap at rate 0.0, while a plain solve of
+    # 1e6 iterations reaches 0.0131788266
+    pt = ba_point([0.232, 0.498, 0.27], hamming_distortion(3), -1.0)
+    assert pt.converged
+    assert pt.rate == pytest.approx(0.0131788266, abs=1e-9)
+
+
 def test_squared_error_target_hits_its_window():
     # the opening slope solves the uniform-q distortion for any matrix
     p = np.array([0.1, 0.4, 0.3, 0.2])
@@ -341,10 +351,11 @@ def test_side_states_step_together_as_separate_solves():
     d = [hamming_distortion(3)]
     conds = np.array([
         [0.5, 0.5, 0.0],  # a zero-probability source letter
-        [0.2, 0.3, 0.5],  # thousands of iterations at slope -1
+        [0.2, 0.3, 0.5],  # about a thousand iterations at slope -1
         [0.9, 0.05, 0.05],  # a few
-        [0.232, 0.498, 0.27],  # the iteration cap at slope -1
+        [0.232, 0.498, 0.27],  # about a thousand as well
     ])
+    budget = 500  # caps the two slow states at slope -1, next to converged ones
     joint = np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
     py = joint.sum(axis=1)
     side = rd._MultiSolver(joint, d, side=True)
@@ -352,8 +363,8 @@ def test_side_states_step_together_as_separate_solves():
     # solve the rows exactly as the side solver normalizes them
     alone = [rd._MultiSolver(row / w, d) for row, w in zip(joint, py)]
     for slopes in [(-1.0,), (-2.0,), (-0.5,)]:  # warm-started after the first
-        rate, dvec, iters, conv = side.eval(slopes)
-        parts = [s.eval(slopes) for s in alone]
+        rate, dvec, iters, conv = side.eval(slopes, iters=budget)
+        parts = [s.eval(slopes, iters=budget) for s in alone]
         assert rate == pytest.approx(sum(w * p[0] for w, p in zip(py, parts)), rel=0, abs=1e-12)
         assert dvec == pytest.approx(sum(w * p[1] for w, p in zip(py, parts)), rel=0, abs=1e-12)
         assert iters == max(p[2] for p in parts)
