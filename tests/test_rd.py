@@ -160,6 +160,31 @@ def test_floor_letters_keep_the_extrapolation():
     assert pt.rate == pytest.approx(0.0131788266, abs=1e-9)
 
 
+#: Uniform bit with an erase letter: R(D) = c (1 - D) on [~0.031, 1], c ~ 0.994192.
+ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
+
+
+def test_erasure_targets_timeshare_on_the_linear_segment():
+    # D(s) jumps across every target at the one slope -c, so each search
+    # brackets the jump and timeshares across it
+    got = []
+    for target in (0.1, 0.3, 0.7):
+        pt = ba_target([0.5, 0.5], ERASURE, target)
+        assert pt.converged
+        assert pt.distortion == pytest.approx(target, abs=1e-12)
+        got.append(pt.rate / (1.0 - target))
+    assert max(got) - min(got) <= 1e-6
+    assert got[0] == pytest.approx(0.994192, abs=1e-6)
+
+
+def test_erasure_conditional_target_matches_the_scalar_one():
+    # an independent side variable leaves the scalar problem in each state
+    scalar = ba_target([0.5, 0.5], ERASURE, 0.3)
+    pt = ba_conditional_target(np.full((2, 2), 0.25), ERASURE, 0.3)
+    assert pt.converged
+    assert pt.rate == pytest.approx(scalar.rate, abs=1e-12)
+
+
 def test_squared_error_target_hits_its_window():
     # the opening slope solves the uniform-q distortion for any matrix
     p = np.array([0.1, 0.4, 0.3, 0.2])
