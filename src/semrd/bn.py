@@ -354,47 +354,40 @@ def ancestral_closure(net: BayesNet, ids: Iterable[int]) -> set[int]:
 def marginal_table(net: BayesNet, ids: Sequence[int], limit: int = DEFAULT_SIZE_GUARD) -> JointTable:
     """Exact marginal distribution over ``ids`` (in the requested order).
 
-    Multiplies CPTs of the ancestral closure in topological order, summing out
-    each variable as soon as no remaining factor mentions it, so chains and
-    trees stay small even when the full joint would not fit.  Every
-    intermediate table is held under ``limit`` entries.
+    Variable elimination over the ancestral closure: each CPT, in topological
+    order, goes into a running table through one ``np.einsum`` contraction
+    that also sums out every variable no later CPT mentions (the requested
+    ids stay to the end), so chains and trees stay small even when the full
+    joint would not fit.  Each product, the table times the CPT before the
+    sum, is held under ``limit`` entries and under einsum's 52 axis labels.
     """
     ids = [net.id_of(i) for i in ids]
     if len(set(ids)) != len(ids) or not ids:
         raise InvalidStateError(f"ids must be a non-empty set of distinct variables, got {ids}")
     needed = ancestral_closure(net, ids)
     order_s = [v for v in net.order if v in needed]
-    last = {v: k for k, v in enumerate(order_s)}
+    last = {v: k for k, v in enumerate(order_s)}  # the last step that mentions v
     for pos, v in enumerate(order_s):
-        for p in net.cpts[v].parents:
-            last[p] = max(last[p], pos)
-    keep = set(ids)
-    active: list[int] = []
+        last.update(dict.fromkeys(net.cpts[v].parents, pos))
+    last.update(dict.fromkeys(ids, len(order_s)))
+    active: list[int] = []  # the variable on each axis of ``table``
     table = np.ones(())
     for pos, v in enumerate(order_s):
+        step, size = active + [v], table.size * net.card(v)
+        if size > limit:
+            raise SizeGuardError(f"intermediate table over {len(step)} variables has {size} "
+                                 f"entries (> guard {limit})")
+        if len(step) > 52:
+            raise SizeGuardError(f"intermediate table over {len(step)} variables has more "
+                                 f"axes than einsum's 52 labels")
         pa = net.cpts[v].parents
-        arr = net.cpts[v].table.reshape(tuple(net.card(p) for p in pa) + (net.card(v),))
-        axis_of = {a: k for k, a in enumerate(active)}
-        targets = [axis_of[p] for p in pa] + [len(active)]
-        arr = arr.transpose(np.argsort(targets))
-        shape = [1] * (len(active) + 1)
-        for t, dim in zip(sorted(targets), arr.shape):
-            shape[t] = dim
-        table = table[..., None] * arr.reshape(shape)
-        if table.size > limit:
-            raise SizeGuardError(
-                f"intermediate table over {len(active) + 1} variables has {table.size} entries "
-                f"(> guard {limit})"
-            )
-        active.append(v)
-        for u in [u for u in active if last[u] == pos and u not in keep]:
-            ax = active.index(u)
-            table = table.sum(axis=ax)
-            active.pop(ax)
-    table = table.transpose([active.index(i) for i in ids])
-    cards = tuple(net.card(i) for i in ids)
-    flat = np.ascontiguousarray(table).reshape(-1)
-    return JointTable(tuple(ids), cards, flat)
+        arr = net.cpts[v].table.reshape([net.card(p) for p in pa] + [net.card(v)])
+        out = [k for k, u in enumerate(step) if last[u] > pos]
+        table = np.einsum(table, list(range(len(active))),
+                          arr, [active.index(p) for p in pa] + [len(active)], out)
+        active = [step[k] for k in out]
+    table = np.ascontiguousarray(table.transpose([active.index(i) for i in ids]))
+    return JointTable(tuple(ids), tuple(net.card(i) for i in ids), table.reshape(-1))
 
 
 def enumerate_joint(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> JointTable:

@@ -346,6 +346,18 @@ def test_size_guard_blocks_large_enumeration():
     assert semrd.joint_entropy_factorized(big) > 0
 
 
+def test_marginal_table_refuses_more_axes_than_einsum_labels():
+    # only cardinality-1 variables, which validate rejects, or a guard over
+    # 2^52 let one elimination step hold more than 52 axes
+    roots = [(f"R{k}", 1) for k in range(60)]
+    net = make_net(roots + [("X", 2)],
+                   [(name, [], [[1.0]]) for name, _ in roots]
+                   + [("X", [name for name, _ in roots], [[0.5, 0.5]])])
+    assert not validate(net).ok
+    with pytest.raises(SizeGuardError, match="52"):
+        marginal_table(net, ["X"])
+
+
 def test_resolve_size_guard_limits():
     assert resolve_size_guard(None) == semrd.DEFAULT_SIZE_GUARD
     assert resolve_size_guard(1024) == 1024
