@@ -274,17 +274,15 @@ def _ba_slope_core(p, a, q, max_iters):
                 break
         r = q1 - q
         v = (q2 - q1) - r
-        vv, rr = np.vecdot(v, v), np.vecdot(r, r)
-        if not vv.all():
+        vv, rr = np.vecdot(v, v).tolist(), np.vecdot(r, r).tolist()
+        if 0.0 in vv:
             # v.v underflows to 0 when only letters near the 1e-280 floor still
             # move: take both squared norms again at the scale of the step
-            fix = (vv == 0.0) & np.any(v, axis=1)
-            if fix.any():
-                vr = np.concatenate((v[fix], r[fix]), axis=1)
-                vr /= np.maximum.reduce(np.abs(vr), axis=1, keepdims=True)
-                vs, rs = np.split(vr, 2, axis=1)
-                vv[fix], rr[fix] = np.vecdot(vs, vs), np.vecdot(rs, rs)
-        vv, rr = vv.tolist(), rr.tolist()
+            for k in range(len(vv)):
+                if vv[k] == 0.0 and v[k].any():
+                    scale = max(np.abs(v[k]).max(), np.abs(r[k]).max())
+                    vs, rs = v[k] / scale, r[k] / scale
+                    vv[k], rr[k] = float(np.vecdot(vs, vs)), float(np.vecdot(rs, rs))
         ok = [0.0 < x < math.inf and y / x < math.inf for x, y in zip(vv, rr)]
         if any(ok):
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
