@@ -283,6 +283,7 @@ def _ba_slope_core(p, a, q, max_iters):
                     scale = max(np.abs(v[k]).max(), np.abs(r[k]).max())
                     vs, rs = v[k] / scale, r[k] / scale
                     vv[k], rr[k] = float(np.vecdot(vs, vs)), float(np.vecdot(rs, rs))
+        # b * b = rr / vv must stay finite for the step below to be
         ok = [0.0 < x < math.inf and y / x < math.inf for x, y in zip(vv, rr)]
         if any(ok):
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
@@ -343,13 +344,14 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     bracket, which convexity makes exact.
 
     Every probe is one record ``(slope, rate, D vector, converged)``.
-    Returns (record, total_iters, exact, gain): the record of the point
-    found, the caller to store its slope in ``slopes[i]``; ``exact`` is False
-    only for a timeshared mix, which no single solve at the returned slope
-    reproduces; ``gain`` is the secant dD_i/ds_i through the final bracket
-    (through the last two points when the search ends before bracketing;
-    None for a timeshared mix or when the secant is not positive) for the
-    next search of this slope to open with.
+    Returns (record, total_iters, exact, gain).  ``record`` is the point
+    found; ``slopes[i]`` holds the last probe, so the caller stores the
+    record's slope there.  ``exact`` is False only for a timeshared mix,
+    which no single solve at the returned slope reproduces.  ``gain`` is the
+    secant dD_i/ds_i through the final bracket (through the last two points
+    when the search ends before bracketing; None for a timeshared mix or
+    when the secant is not positive) for the next search of this slope to
+    open with.
     """
     total = evals = 0
     pt = (slopes[i], *held)
