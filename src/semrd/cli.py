@@ -47,11 +47,11 @@ from .codec import (
 )
 from .errors import SizeGuardError
 from .info import (
+    conditional_entropies,
     conditional_mutual_information,
     joint_entropy_bruteforce,
     joint_entropy_factorized,
     marginal_entropy,
-    node_conditional_entropy,
     redundancy_gap,
 )
 from .nets import BUNDLED, bundled_path
@@ -182,9 +182,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_entropy(cfg: RunConfig) -> int:
     net = _load(cfg.args.net)
     lines = [_csv_line("section", "key", "value_bits")]
-    for i in range(net.m):
-        lines.append(_csv_line("node", net.variables[i].name, node_conditional_entropy(net, i)))
-    joint = joint_entropy_factorized(net)
+    rows = conditional_entropies(net)
+    lines += [_csv_line("node", v.name, h) for v, h in zip(net.variables, rows)]
+    joint = sum(rows)
     lines.append(_csv_line("summary", "joint_entropy", joint))
     if net.joint_states() <= cfg.size_guard:
         msum = sum(marginal_entropy(net, i) for i in range(net.m))
@@ -300,14 +300,6 @@ def _rd_common(cfg: RunConfig, conditional: bool) -> int:
     return 0
 
 
-def cmd_rd(cfg: RunConfig) -> int:
-    return _rd_common(cfg, conditional=False)
-
-
-def cmd_rd_cond(cfg: RunConfig) -> int:
-    return _rd_common(cfg, conditional=True)
-
-
 def cmd_rd_closed_form(cfg: RunConfig) -> int:
     if cfg.args.family == "binary":
         val = binary_conditional_rd(cfg.args.params[0], cfg.args.params[1])
@@ -397,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     netarg(p)
     p.set_defaults(fn=cmd_codec_report)
 
-    for name, fn, cond in (("rd", cmd_rd, False), ("rd-cond", cmd_rd_cond, True)):
+    for name, cond in (("rd", False), ("rd-cond", True)):
         p = sub.add_parser(
             name,
             help="rate-distortion " + ("with a side set known at both ends" if cond else "of selected variables"),
@@ -412,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--slopes", default=None, help="per-variable slopes (<= 0)")
         g.add_argument("--sweep", type=int, default=25, help="points on a common-slope curve sweep")
         p.add_argument("-o", "--output", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=lambda cfg, cond=cond: _rd_common(cfg, conditional=cond))
 
     p = sub.add_parser("rd-closed-form", help="closed-form conditional rate-distortion values")
     p.add_argument("family", choices=["binary", "gaussian"])

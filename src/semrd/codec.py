@@ -38,7 +38,7 @@ from .bn import (
     JointTable,
     config_index,
     enumerate_joint,
-    marginal_table,
+    marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
 )
 from .errors import (
     CorruptStreamError,
@@ -47,6 +47,7 @@ from .errors import (
     UncodableSampleError,
     WrongCodebookError,
 )
+from .info import parent_marginals
 
 MAGIC = b"BNHC"
 VERSION = 1
@@ -315,22 +316,21 @@ def expected_length(code, source) -> float:
     """Expected bits per state vector.
 
     * (FactorizedCodebook, BayesNet): sum_i sum_pa p(pa) E[len_i | pa],
-      which lands in [H, H + m).
+      which lands in [H, H + m); a net with other CPTs prices a mismatched
+      code, one with other cardinalities or parents is a wrong codebook.
     * (PrefixCode, JointTable): sum_s p(s) len(s), which lands in [H, H + 1).
     """
     if isinstance(code, FactorizedCodebook):
         net = source if isinstance(source, BayesNet) else code.net
+        if (net.cards, [c.parents for c in net.cpts]) != (
+                code.net.cards, [c.parents for c in code.net.cpts]):
+            raise WrongCodebookError("network structure differs from the codebook's")
         total = 0.0
-        for i in range(net.m):
-            cpt = net.cpts[i]
-            if cpt.parents:
-                p_pa = marginal_table(net, cpt.parents).probs
-            else:
-                p_pa = np.ones(1)
+        for codes, cpt, p_pa in zip(code.codes, net.cpts, parent_marginals(net)):
             for cfg, row in enumerate(cpt.table):
                 w = float(p_pa[cfg])
                 if w > 0:
-                    total += w * code.codes[i][cfg].expected_length(row)
+                    total += w * codes[cfg].expected_length(row)
         return total
     if isinstance(code, PrefixCode):
         probs = source.probs if isinstance(source, JointTable) else np.asarray(source, float)

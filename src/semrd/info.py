@@ -41,18 +41,44 @@ def binary_entropy(p: float) -> float:
 
 def node_conditional_entropy(net: BayesNet, i: int) -> float:
     """H(X_i | Parent(X_i)) = sum_pa p(pa) H(row_pa)."""
-    i = net.id_of(i)
-    cpt = net.cpts[i]
-    if not cpt.parents:
-        return entropy_bits(cpt.table[0])
-    p_pa = marginal_table(net, cpt.parents).probs
-    row_ent = np.array([entropy_bits(row) for row in cpt.table])
-    return float(p_pa @ row_ent)
+    cpt = net.cpts[net.id_of(i)]
+    p_pa = marginal_table(net, cpt.parents).probs if cpt.parents else np.ones(1)
+    return float(p_pa @ np.array([entropy_bits(row) for row in cpt.table]))
+
+
+def parent_marginals(net: BayesNet) -> list[np.ndarray]:
+    """p(Parent(X_i)) for each node i, flat in CPT row order ([1.0] for roots).
+
+    One walk over ``net.order``: when the family of i's last parent u holds
+    Parent(X_i) (no other parent's family can), it is summed out of
+    p(Parent(u)) * CPT_u by one einsum, else ``marginal_table`` computes it.
+    """
+    rank = {v: k for k, v in enumerate(net.order)}
+    out = [np.ones(1)] * net.m
+    for i in net.order:
+        pa = net.cpts[i].parents
+        if not pa:
+            continue
+        u = max(pa, key=rank.__getitem__)
+        fam = (*net.cpts[u].parents, u)
+        if set(pa) <= set(fam):
+            cpt, k = net.cpts[u].table.reshape([net.card(v) for v in fam]), list(range(len(fam)))
+            p = np.einsum(out[u].reshape(cpt.shape[:-1]), k[:-1], cpt, k, list(map(fam.index, pa)))
+        else:
+            p = marginal_table(net, pa).probs
+        out[i] = p.reshape(-1)
+    return out
+
+
+def conditional_entropies(net: BayesNet) -> list[float]:
+    """H(X_i | Parent(X_i)) for every node in id order, from one pass."""
+    return [float(p_pa @ np.array([entropy_bits(row) for row in cpt.table]))
+            for cpt, p_pa in zip(net.cpts, parent_marginals(net))]
 
 
 def joint_entropy_factorized(net: BayesNet) -> float:
     """Joint entropy via the factorization; never touches the joint table."""
-    return sum(node_conditional_entropy(net, i) for i in range(net.m))
+    return sum(conditional_entropies(net))
 
 
 def joint_entropy_bruteforce(table: JointTable) -> float:

@@ -292,6 +292,16 @@ def test_decode_rejects_other_nets_stream(fork_net, chain_net):
         decode(build_factorized_codebooks(chain_net), stream)
 
 
+def test_expected_length_rejects_a_net_of_other_structure(fork_net, chain_net, scene_net):
+    fcb = build_factorized_codebooks(fork_net)
+    for net in (chain_net, scene_net):  # other parent sets; other cardinalities
+        with pytest.raises(WrongCodebookError):
+            expected_length(fcb, net)
+    # same structure, other CPTs: the cost of coding the chain with a mismatched code
+    mismatched = expected_length(build_factorized_codebooks(binary_chain(6, 0.1)), binary_chain(6, 0.4))
+    assert mismatched == pytest.approx(6.0, abs=1e-12)
+
+
 def test_decode_rejects_truncated_payload(fork_net):
     fcb = build_factorized_codebooks(fork_net)
     stream = encode(fcb, sample(fork_net, 200, seed=5))

@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semrd.info
 from semrd import (
+    binary_chain,
     binary_entropy,
+    build_factorized_codebooks,
     conditional_mutual_information,
     entropy_bits,
     enumerate_joint,
+    expected_length,
     joint_entropy_bruteforce,
     joint_entropy_factorized,
+    make_net,
     marginal_entropy,
+    marginal_table,
     node_conditional_entropy,
     random_net,
     redundancy_gap,
 )
+from semrd.info import parent_marginals
 
 H_FORK = 1.9379911871785623
 FORK_GAP = 1.0620088128214377
@@ -54,6 +61,53 @@ def test_fork_node_terms(fork_net):
     assert marginal_entropy(fork_net, 1) == pytest.approx(1.0, abs=1e-12)
     total = sum(node_conditional_entropy(fork_net, i) for i in range(fork_net.m))
     assert total == pytest.approx(H_FORK, abs=1e-12)
+
+
+# X -> Y, X -> Z, Y -> Z: Z's parents {X, Y} are read off Y's family table
+TRIANGLE = make_net(
+    [("X", 2), ("Y", 3), ("Z", 2)],
+    [("X", [], [[0.3, 0.7]]),
+     ("Y", ["X"], [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]),
+     ("Z", ["X", "Y"], [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5],
+                        [0.2, 0.8], [0.7, 0.3], [0.1, 0.9]])],
+)
+# X -> Z <- Y with X and Y roots: no family holds {X, Y}, so Z falls back
+V_STRUCTURE = make_net(
+    [("X", 2), ("Y", 2), ("Z", 2)],
+    [("X", [], [[0.3, 0.7]]),
+     ("Y", [], [[0.6, 0.4]]),
+     ("Z", ["X", "Y"], [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5], [0.2, 0.8]])],
+)
+
+
+def test_parent_marginals_equal_per_node_elimination(fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net, binary_chain(50), TRIANGLE, V_STRUCTURE]
+    nets += [random_net(seed, 30 + seed, max_card=3, max_parents=2) for seed in range(20)]
+    for net in nets:
+        got = parent_marginals(net)
+        assert len(got) == net.m
+        for i in range(net.m):
+            pa = net.parents(i)
+            want = marginal_table(net, pa).probs if pa else np.ones(1)
+            assert np.array_equal(got[i], want), (net.names, i)
+        assert joint_entropy_factorized(net) == sum(
+            node_conditional_entropy(net, i) for i in range(net.m))
+
+
+def test_one_pass_calls_marginal_table_only_for_fallback_parent_sets(monkeypatch):
+    calls = []
+
+    def counted(net, ids, *args, **kwargs):
+        calls.append(tuple(ids))
+        return marginal_table(net, ids, *args, **kwargs)
+
+    monkeypatch.setattr(semrd.info, "marginal_table", counted)
+    for net, want in ((binary_chain(300), []), (TRIANGLE, []), (V_STRUCTURE, [(0, 1)])):
+        fcb = build_factorized_codebooks(net)
+        for fn in (joint_entropy_factorized, lambda n: expected_length(fcb, n)):
+            calls.clear()
+            fn(net)
+            assert calls == want
 
 
 def test_gap_equals_sum_of_parent_informations(fork_net, chain_net, scene_net):
