@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,6 +133,11 @@ class BayesNet:
 
     def digest(self) -> bytes:
         """16-byte truncated SHA-256 of the canonical serialization."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        # computed once: the dataclass is frozen and its CPT tables are read-only
         return hashlib.sha256(self.canonical_bytes()).digest()[:16]
 
 

@@ -17,7 +17,10 @@ deterministic variables cost nothing on the wire.
 Streams are framed as: 4-byte magic, 1-byte version, 8-byte big-endian count,
 16-byte network digest, then payload bits MSB-first, zero-padded to a byte.
 ``encode`` gathers codewords from offset and length tables 2^14 symbols at a
-time and packs the bits once; ``decode`` looks each codeword up by its bits.
+time and packs the bits once.  ``decode`` walks one binary trie over all the
+codes: pass 1 finds where each sample starts, decoding in Python only the
+variables whose codeword lengths vary and their ancestors; pass 2 decodes
+each variable for all samples in one numpy walk.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .info import parent_marginals
 MAGIC = b"BNHC"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 8 + 16
-_BLOCK = 2**14  # symbols per encode block and per decode flush
+_BLOCK = 2**14  # symbols per encode block
 
 
 @dataclass(frozen=True)
@@ -252,6 +255,30 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     return Bitstream(n, net.digest(), np.packbits(np.concatenate(chunks)).tobytes())
 
 
+def _trie(fcb: FactorizedCodebook) -> tuple[np.ndarray, ...]:
+    """All codes as one binary trie: node arrays kid (the two children), sym
+    and depth, and the root of each code in ``encode``'s order.  Node 0 is the
+    dead node (sym -2) where a missing child leads; inner nodes have sym -1;
+    a leaf is its own child.  A walk stops at the first leaf, so of two
+    codewords where one extends the other, the shorter one matches."""
+    kid, sym, depth, roots = [[0, 0]], [-2], [0], []
+    for code in (code for per_var in fcb.codes for code in per_var):
+        roots.append(len(kid))
+        kid.append([0, 0]), sym.append(-1), depth.append(0)
+        for s, w in code.codewords.items():
+            v = roots[-1]
+            for b in map(int, w):
+                if sym[v] >= 0:
+                    break
+                if not kid[v][b]:
+                    kid[v][b] = len(kid)
+                    kid.append([0, 0]), sym.append(-1), depth.append(depth[v] + 1)
+                v = kid[v][b]
+            else:
+                sym[v], kid[v] = s, [v, v]
+    return np.array(kid), np.array(sym), np.array(depth), np.array(roots)
+
+
 def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
     """Invert ``encode``; returns an (n, m) int array.
 
@@ -263,18 +290,21 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         raise WrongCodebookError(
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
-    bits = np.unpackbits(np.frombuffer(stream.payload, dtype=np.uint8)).tobytes()
-    # per (variable, parent config): codeword bits -> symbol, and lengths shortest first
-    plan = [(i, [(p, net.card(p)) for p in net.cpts[i].parents],
-             [({bytes(map(int, w)): s for s, w in code.codewords.items()}.get,
-               sorted({len(w) for w in code.codewords.values()})) for code in fcb.codes[i]])
-            for i in net.order]
+    kid, sym, depth, roots = _trie(fcb)
+    base = np.cumsum([0] + [len(per_var) for per_var in fcb.codes])
+    # per variable, over its nodes: the shortest and the longest codeword, and
+    # whether it is fixed-length: complete codes (no dead child), one length
+    first = roots[base[:-1]]
+    lo = np.minimum.reduceat(np.where(sym >= 0, depth, 2**62), first)
+    hi = np.maximum.reduceat(depth, first)
+    fixed = ~np.logical_or.reduceat(kid.min(axis=1) == 0, first) & (lo == hi)
+    lo, hi = lo.tolist(), hi.tolist()
     # every sample spends at least the shortest codeword of each variable, so a
     # header count the payload cannot hold is refused before allocating for it
-    min_bits = sum(min(sizes[0] for _, sizes in tables) for _, _, tables in plan)
-    if stream.n * min_bits > len(bits):
+    min_bits, nbits = sum(lo), 8 * len(stream.payload)
+    if stream.n * min_bits > nbits:
         raise CorruptStreamError(
-            f"header claims {stream.n} samples of >= {min_bits} bits; payload has {len(bits)} bits"
+            f"header claims {stream.n} samples of >= {min_bits} bits; payload has {nbits} bits"
         )
     # a net whose every variable can code to zero bits admits any count, so
     # the output table itself is held to the size guard
@@ -283,32 +313,60 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
             f"header claims {stream.n} zero-bit samples: {stream.n}x{net.m} table "
             f"exceeds guard {DEFAULT_SIZE_GUARD}"
         )
+    # zero bits past the payload, one sample's worth, let walks run on unchecked
+    pad = bytes(sum(hi) // 8 + 1)
+    bits = np.unpackbits(np.frombuffer(stream.payload + pad, dtype=np.uint8)).tobytes()
+    # pass 1 finds where each sample starts and every error, at its sample.  A
+    # fixed-length variable is stepped over unless one decoded here needs it
+    need = (~fixed).tolist()
+    for i in reversed(net.order):
+        for p in net.cpts[i].parents:
+            need[p] = need[p] or need[i]
+    steps, skip = [], 0
+    for i in net.order:
+        if need[i]:
+            pa = [(p, net.card(p)) for p in net.cpts[i].parents]
+            steps.append((skip, i, pa, roots[base[i]:base[i + 1]].tolist()))
+            skip = 0
+        else:
+            skip += lo[i]
+    if steps:
+        kids, syms, row, pos = kid.tolist(), sym.tolist(), [0] * net.m, 0
+        starts = np.empty(stream.n, dtype=np.int64)
+        for t in range(stream.n):
+            starts[t] = pos
+            for run, i, pa, tops in steps:
+                pos += run
+                cfg = 0
+                for p, c in pa:
+                    cfg = cfg * c + row[p]
+                v = tops[cfg]
+                while syms[v] == -1:
+                    v = kids[v][bits[pos]]
+                    pos += 1
+                if not v:  # dead: on the payload's own bits, or past its end
+                    raise CorruptStreamError(f"invalid codeword bits in sample {t}" if pos <= nbits
+                                             else f"stream truncated inside sample {t}")
+                row[i] = syms[v]
+            pos += skip
+            if pos > nbits:
+                raise CorruptStreamError(f"stream truncated inside sample {t}")
+    else:
+        starts, pos = np.arange(stream.n, dtype=np.int64) * skip, stream.n * skip
+    if nbits - pos >= 8:
+        raise CorruptStreamError(f"{nbits - pos} unread bits after {stream.n} samples")
+    # pass 2 decodes one variable of every sample at a time, one trie depth per step
+    bits, pos, kid = np.frombuffer(bits, dtype=np.uint8), starts, kid.ravel()
     out = np.empty((stream.n, net.m), dtype=np.int64)
-    rows, pos = [], 0  # rows: decoded rows back to back, flushed every _BLOCK symbols
-    for t in range(stream.n):
-        row = [0] * net.m
-        for i, pa, tables in plan:
-            cfg = 0
-            for p, c in pa:
-                cfg = cfg * c + row[p]
-            get, sizes = tables[cfg]
-            for size in sizes:
-                end = pos + size
-                sym = get(bits[pos:end])
-                if sym is not None:
-                    break
-            else:  # no codeword starts here: truncated if the bits run out inside one
-                if any(w.startswith(bits[pos:pos + sizes[-1]]) for w in get.__self__):
-                    raise CorruptStreamError(f"stream truncated inside sample {t}")
-                raise CorruptStreamError(f"invalid codeword bits in sample {t}")
-            pos = end
-            row[i] = sym
-        rows += row
-        if len(rows) >= _BLOCK or t == stream.n - 1:
-            out.reshape(-1)[(t + 1) * net.m - len(rows):(t + 1) * net.m] = rows
-            rows = []
-    if len(bits) - pos >= 8:
-        raise CorruptStreamError(f"{len(bits) - pos} unread bits after {stream.n} samples")
+    for i in net.order:
+        cfg = 0
+        for p in net.cpts[i].parents:
+            cfg = cfg * net.card(p) + out[:, p]
+        v = roots[base[i] + cfg]
+        for d in range(hi[i]):
+            v = kid[2 * v + bits[pos + d]]
+        out[:, i] = sym[v]
+        pos = pos + depth[v]
     return out
 
 

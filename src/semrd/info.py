@@ -22,12 +22,21 @@ from .errors import InvalidStateError, SizeGuardError
 _CLAMP_TOL = 1e-9
 
 
-def entropy_bits(p) -> float:
-    """Shannon entropy of a distribution (any shape), with 0*log2(0) = 0."""
+def _plogp(p) -> np.ndarray:
+    """p * log2(p) entrywise, with 0*log2(0) = 0."""
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-terms.sum())
+        return np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+
+
+def entropy_bits(p) -> float:
+    """Shannon entropy of a distribution (any shape), with 0*log2(0) = 0."""
+    return float(-_plogp(p).sum())
+
+
+def _row_entropies(table: np.ndarray) -> np.ndarray:
+    """Entropy of each CPT row, equal to ``entropy_bits`` row by row."""
+    return -_plogp(table).sum(axis=1)
 
 
 def binary_entropy(p: float) -> float:
@@ -43,7 +52,7 @@ def node_conditional_entropy(net: BayesNet, i: int) -> float:
     """H(X_i | Parent(X_i)) = sum_pa p(pa) H(row_pa)."""
     cpt = net.cpts[net.id_of(i)]
     p_pa = marginal_table(net, cpt.parents).probs if cpt.parents else np.ones(1)
-    return float(p_pa @ np.array([entropy_bits(row) for row in cpt.table]))
+    return float(p_pa @ _row_entropies(cpt.table))
 
 
 def parent_marginals(net: BayesNet) -> list[np.ndarray]:
@@ -72,7 +81,7 @@ def parent_marginals(net: BayesNet) -> list[np.ndarray]:
 
 def conditional_entropies(net: BayesNet) -> list[float]:
     """H(X_i | Parent(X_i)) for every node in id order, from one pass."""
-    return [float(p_pa @ np.array([entropy_bits(row) for row in cpt.table]))
+    return [float(p_pa @ _row_entropies(cpt.table))
             for cpt, p_pa in zip(net.cpts, parent_marginals(net))]
 
 

@@ -1,5 +1,7 @@
 """Network construction, validation, indexing, marginals, sampling, and I/O."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -381,6 +383,17 @@ def test_save_load_round_trip(tmp_path, scene_net):
 def test_digest_distinguishes_nets(fork_net, chain_net):
     assert len(fork_net.digest()) == 16
     assert fork_net.digest() != chain_net.digest()
+
+
+def test_digest_is_computed_once_and_follows_the_cpts(chain_net):
+    fresh = hashlib.sha256(chain_net.canonical_bytes()).digest()[:16]
+    assert chain_net.digest() == fresh
+    assert chain_net.digest() is chain_net.digest()
+    cpts = list(chain_net.cpts)
+    cpts[1] = Cpt(cpts[1].child, cpts[1].parents, cpts[1].table[::-1].copy())
+    other = dataclasses.replace(chain_net, cpts=tuple(cpts))
+    assert other.digest() == hashlib.sha256(other.canonical_bytes()).digest()[:16]
+    assert other.digest() != chain_net.digest()
 
 
 def test_load_bundled_unknown_name():

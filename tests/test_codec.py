@@ -30,6 +30,7 @@ from semrd import (
     random_net,
     sample,
 )
+from semrd.bn import config_index
 from semrd.nets import binary_chain
 
 
@@ -379,3 +380,202 @@ def test_complexity_report_skips_oversized_joint():
     assert rep.factorized_entries_touched <= 20 * 2 * 2
     assert rep.joint_build_seconds is None
     assert "guard" in rep.joint_note
+
+
+def _reference_decode(fcb, stream):
+    """The decoder as an oracle: one sample at a time, each codeword found by
+    growing a word bit by bit until it is one of the code's codewords."""
+    net = fcb.net
+    if stream.digest != net.digest():
+        raise WrongCodebookError(
+            f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}")
+    bits = "".join(f"{b:08b}" for b in stream.payload)
+    min_bits = sum(min(len(w) for code in per_var for w in code.codewords.values())
+                   for per_var in fcb.codes)
+    if stream.n * min_bits > len(bits):
+        raise CorruptStreamError(f"header claims {stream.n} samples of >= {min_bits} bits; "
+                                 f"payload has {len(bits)} bits")
+    if min_bits == 0 and stream.n * net.m > semrd.DEFAULT_SIZE_GUARD:
+        raise SizeGuardError("zero-bit samples over the guard")
+    out, pos = np.zeros((stream.n, net.m), dtype=np.int64), 0
+    for t in range(stream.n):
+        for i in net.order:
+            pa = net.cpts[i].parents
+            cfg = config_index(out[t, list(pa)], [net.card(p) for p in pa])
+            words = fcb.codes[i][cfg].codewords
+            symbol_of, word = {w: s for s, w in words.items()}, ""
+            while word not in symbol_of:
+                if not any(w.startswith(word) for w in words.values()):
+                    raise CorruptStreamError(f"invalid codeword bits in sample {t}")
+                if pos + len(word) == len(bits):
+                    raise CorruptStreamError(f"stream truncated inside sample {t}")
+                word += bits[pos + len(word)]
+            out[t, i], pos = symbol_of[word], pos + len(word)
+    if len(bits) - pos >= 8:
+        raise CorruptStreamError(f"{len(bits) - pos} unread bits after {stream.n} samples")
+    return out
+
+
+def _outcome(decoder, fcb, stream):
+    try:
+        out = decoder(fcb, stream)
+    except (CorruptStreamError, WrongCodebookError, SizeGuardError) as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tolist()
+
+
+def _assert_decodes_as_reference(fcb, stream):
+    expected = _outcome(_reference_decode, fcb, stream)
+    assert _outcome(decode, fcb, stream) == expected
+    return expected
+
+
+@st.composite
+def mixed_nets(draw):
+    """Small nets mixing fixed-length variables (binary, full support),
+    variable-length ones (cardinality 3, or a row with a zero) and
+    zero-length codewords (deterministic rows); or an all-fixed chain."""
+    m, chain = draw(st.integers(1, 6)), draw(st.booleans())
+    cards, cpts = [], []
+    for i in range(m):
+        cards.append(2 if chain else draw(st.sampled_from([2, 2, 3])))
+        if chain:
+            pa = [i - 1] if i else []
+        else:
+            pa = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+        full = chain or draw(st.booleans())
+        weight = st.integers(1 if full else 0, 3)
+        row = st.lists(weight, min_size=cards[i], max_size=cards[i]).filter(any)
+        rows = draw(st.lists(row, min_size=int(np.prod([cards[p] for p in pa])),
+                             max_size=int(np.prod([cards[p] for p in pa]))))
+        cpts.append((f"V{i}", [f"V{p}" for p in pa], [[w / sum(r) for w in r] for r in rows]))
+    return semrd.make_net([(f"V{i}", c) for i, c in enumerate(cards)], cpts)
+
+
+def _is_fixed_length(codes):
+    lengths = {len(w) for code in codes for w in code.codewords.values()}
+    return len(lengths) == 1 and all(code.kraft_sum() == 1 for code in codes)
+
+
+def test_fixed_length_parent_of_a_variable_length_child():
+    # A is fixed-length, B and C are not (B has a zero-length codeword), and
+    # every variable of a binary chain is fixed-length
+    net = semrd.make_net(
+        [("A", 2), ("B", 3), ("C", 2)],
+        [("A", [], [[0.3, 0.7]]),
+         ("B", ["A"], [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]]),
+         ("C", ["B"], [[0.4, 0.6], [0.5, 0.5], [1.0, 0.0]])],
+    )
+    fcb = build_factorized_codebooks(net)
+    assert [_is_fixed_length(codes) for codes in fcb.codes] == [True, False, False]
+    assert fcb.codes[1][1].codewords == {1: ""}
+    chain = build_factorized_codebooks(binary_chain(5))
+    assert all(_is_fixed_length(codes) for codes in chain.codes)
+    draws = sample(net, 300, seed=3)
+    assert _assert_decodes_as_reference(fcb, encode(fcb, draws)) == (draws.shape, draws.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=mixed_nets(), n=st.integers(0, 40), seed=st.integers(0, 1_000))
+def test_decode_matches_the_reference_on_mixed_nets(net, n, seed):
+    fcb = build_factorized_codebooks(net)
+    draws = sample(net, n, seed=seed)
+    assert _assert_decodes_as_reference(fcb, encode(fcb, draws)) == (draws.shape, draws.tolist())
+
+
+_MIXED = semrd.make_net(
+    [("A", 3), ("B", 2), ("C", 2), ("D", 3)],
+    [("A", [], [[0.5, 0.25, 0.25]]),
+     ("B", ["A"], [[0.3, 0.7], [0.6, 0.4], [1.0, 0.0]]),
+     ("C", ["B"], [[0.2, 0.8], [0.5, 0.5]]),
+     ("D", ["C"], [[0.2, 0.3, 0.5], [0.0, 0.5, 0.5]])],
+)
+
+
+# _MIXED's codebook with A's code made incomplete: no word 111
+_INCOMPLETE = semrd.FactorizedCodebook(
+    _MIXED, ((semrd.PrefixCode({0: "0", 1: "10", 2: "110"}),),
+             *build_factorized_codebooks(_MIXED).codes[1:]), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["fork", "chain", "scene", "mixed", "incomplete"]),
+    n=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=1_000),
+    flips=st.lists(st.integers(min_value=0, max_value=2**20), max_size=3),
+    cut=st.none() | st.integers(min_value=0, max_value=2**20),
+    claimed=st.integers(min_value=-2, max_value=2),
+)
+def test_damaged_streams_decode_as_the_reference(name, n, seed, flips, cut, claimed):
+    fcb = {"mixed": build_factorized_codebooks(_MIXED), "incomplete": _INCOMPLETE}.get(name)
+    fcb = fcb or _bundled_codebook(name)
+    stream = encode(fcb, sample(fcb.net, n, seed=seed))
+    payload = bytearray(stream.payload)
+    for bit in flips:
+        if payload:
+            payload[(bit // 8) % len(payload)] ^= 1 << (bit % 8)
+    if cut is not None:
+        payload = payload[:cut % (len(payload) + 1)]
+    damaged = semrd.Bitstream(max(0, n + claimed), stream.digest, bytes(payload))
+    _assert_decodes_as_reference(fcb, damaged)
+
+
+def test_cut_inside_a_trailing_fixed_length_run():
+    # A's codewords are 0, 10, 11; B and C always take one bit and are stepped
+    # over when the sample starts are found.  Samples of 3, 3, then 4 bits: a
+    # cut after 24 bits leaves sample 6 with A's two bits and neither B nor C
+    net = semrd.make_net(
+        [("A", 3), ("B", 2), ("C", 2)],
+        [("A", [], [[0.5, 0.25, 0.25]]),
+         ("B", ["A"], [[0.5, 0.5]] * 3),
+         ("C", ["B"], [[0.5, 0.5]] * 2)],
+    )
+    fcb = build_factorized_codebooks(net)
+    assert fcb.codes[0][0].codewords == {0: "0", 1: "10", 2: "11"}
+    stream = encode(fcb, [[0, 0, 0]] * 2 + [[1, 0, 0]] * 6)
+    assert len(stream.payload) == 4
+    cut = semrd.Bitstream(stream.n, stream.digest, stream.payload[:3])
+    assert _assert_decodes_as_reference(fcb, cut) == (
+        CorruptStreamError, "stream truncated inside sample 6")
+
+
+def test_incomplete_hand_built_codes_raise_invalid_bits():
+    # C's code has no word 1x, A's none for 11; a missing child read as index
+    # -1 would land on the last trie node, a leaf, and decode on silently
+    net = semrd.make_net([("C", 2), ("A", 3)],
+                         [("C", [], [[0.5, 0.5]]), ("A", [], [[0.5, 0.3, 0.2]])])
+    fcb = semrd.FactorizedCodebook(
+        net, ((semrd.PrefixCode({0: "00", 1: "01"}),), (semrd.PrefixCode({0: "0", 1: "10"}),)), 0)
+    good = encode(fcb, [[0, 1], [1, 0]])
+    assert _assert_decodes_as_reference(fcb, good) == ((2, 2), [[0, 1], [1, 0]])
+    cases = [
+        (1, [0b11000000], "invalid codeword bits in sample 0"),  # C = 1x
+        (2, [0b00100111], "invalid codeword bits in sample 1"),  # A = 11
+        # samples of 4, 4, 4 and 3 bits, then C = 1 on the payload's last bit
+        (5, [0b00100010, 0b00100001], "invalid codeword bits in sample 4"),
+        (5, [0b00100010, 0b00100000], "stream truncated inside sample 4"),
+    ]
+    for n, payload, message in cases:
+        bad = semrd.Bitstream(n, good.digest, bytes(payload))
+        assert _assert_decodes_as_reference(fcb, bad) == (CorruptStreamError, message)
+
+
+@pytest.mark.parametrize("words", [{0: "0", 1: "01", 2: "1"}, {1: "01", 0: "0", 2: "1"}])
+def test_hand_built_code_with_a_prefix_matches_the_shorter_word(words):
+    net = semrd.make_net([("A", 3)], [("A", [], [[0.5, 0.3, 0.2]])])
+    fcb = semrd.FactorizedCodebook(net, ((semrd.PrefixCode(words),),), 0)
+    stream = semrd.Bitstream(3, net.digest(), bytes([0b01100000]))  # 0 1 1
+    assert _assert_decodes_as_reference(fcb, stream) == ((3, 1), [[0], [2], [2]])
+
+
+def test_all_fixed_length_net_with_a_short_payload():
+    # every sample of an all-fixed-length net takes the same bits, so a short
+    # payload fails the header count check, as it did before
+    net = binary_chain(5, 0.2)
+    fcb = build_factorized_codebooks(net)
+    stream = encode(fcb, sample(net, 16, seed=4))
+    assert len(stream.payload) == 10
+    short = semrd.Bitstream(stream.n, stream.digest, stream.payload[:-1])
+    assert _assert_decodes_as_reference(fcb, short) == (
+        CorruptStreamError, "header claims 16 samples of >= 5 bits; payload has 72 bits")

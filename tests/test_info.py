@@ -94,6 +94,18 @@ def test_parent_marginals_equal_per_node_elimination(fork_net, chain_net, scene_
             node_conditional_entropy(net, i) for i in range(net.m))
 
 
+def test_row_entropies_equal_entropy_bits_row_by_row(fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net, binary_chain(180, 0.37)]
+    nets += [random_net(seed, 40, max_card=4, max_parents=3) for seed in range(10)]
+    for net in nets:
+        per_row = [np.array([entropy_bits(row) for row in cpt.table]) for cpt in net.cpts]
+        assert semrd.info.conditional_entropies(net) == [
+            float(p_pa @ h) for p_pa, h in zip(parent_marginals(net), per_row)]
+        for i, cpt in enumerate(net.cpts):
+            p_pa = marginal_table(net, cpt.parents).probs if cpt.parents else np.ones(1)
+            assert node_conditional_entropy(net, i) == float(p_pa @ per_row[i])
+
+
 def test_one_pass_calls_marginal_table_only_for_fallback_parent_sets(monkeypatch):
     calls = []
 
