@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -183,8 +182,9 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
-def config_index(states: Sequence[int], cards: Sequence[int]) -> int:
-    """Mixed-radix index of a parent configuration (last parent fastest)."""
+def config_index(states: Sequence, cards: Sequence[int]):
+    """Mixed-radix index of a parent configuration (last parent fastest); with
+    one integer column per parent, the indices of many configurations."""
     idx = 0
     for s, c in zip(states, cards):
         idx = idx * c + s
@@ -216,8 +216,9 @@ def make_net(
         if table.ndim == 1:
             table = table.reshape(1, -1)
         cpt_map[cid] = Cpt(cid, pids, table)
-    ordered = tuple(cpt_map.get(i, Cpt(i, (), np.zeros((1, vs[i].cardinality)))) for i in range(len(vs)))
-    return BayesNet(vs, ordered, _topo_order(ordered, len(vs)))
+    ordered = tuple(cpt_map.get(i) or Cpt(i, (), np.zeros((1, vs[i].cardinality))) for i in range(len(vs)))
+    order = _kahn(ordered, len(vs))
+    return BayesNet(vs, ordered, tuple(order) if len(order) == len(vs) else tuple(range(len(vs))))
 
 
 def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
@@ -243,12 +244,6 @@ def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
                 ready.append(w)
         ready.sort()
     return out
-
-
-def _topo_order(cpts: Sequence[Cpt], m: int) -> tuple[int, ...]:
-    """Kahn topological sort; falls back to id order on a cycle."""
-    out = _kahn(cpts, m)
-    return tuple(out) if len(out) == m else tuple(range(m))
 
 
 def validate(net: BayesNet) -> ValidationReport:
@@ -292,7 +287,8 @@ def validate(net: BayesNet) -> ValidationReport:
             rep.violations.append(f"{name!r}: non-finite probability entries")
         if np.any(c.table < 0):
             rep.violations.append(f"{name!r}: negative probability entries")
-        sums = c.table.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN sums never match 1
+            sums = c.table.sum(axis=1)
         for cfg in np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             rep.violations.append(f"{name!r}: row sum {sums[cfg]:.12g} != 1 at parent config {cfg}")
     # order / acyclicity
@@ -426,9 +422,7 @@ def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     out = np.zeros((n, net.m), dtype=np.int64)
     for i in net.order:
         c = net.cpts[i]
-        cfg = np.zeros(n, dtype=np.int64)
-        for p in c.parents:
-            cfg = cfg * net.card(p) + out[:, p]
+        cfg = config_index([out[:, p] for p in c.parents], [net.card(p) for p in c.parents])
         cum = np.cumsum(c.table, axis=1)[cfg]
         u = rng.random(n)
         out[:, i] = np.minimum((u[:, None] >= cum).sum(axis=1), net.card(i) - 1)
@@ -487,7 +481,7 @@ def resolve_size_guard(value: int | None) -> int:
 #
 # Variable ids are positions in the "variables" list.  "edges" must agree
 # with the parent lists in "cpts"; rows off by <= 1e-9 are renormalized at
-# load, anything worse is rejected.
+# load, anything worse is left for ``validate`` to reject.
 
 
 def _list(value, where: str) -> list | tuple:
@@ -497,6 +491,8 @@ def _list(value, where: str) -> list | tuple:
 
 
 def net_from_dict(doc: dict) -> BayesNet:
+    """Parse a network document and build it with ``make_net``; raises
+    ``SchemaError`` on a schema error or on ``validate``'s first violation."""
     if not isinstance(doc, dict):
         raise SchemaError("network document must be a JSON object")
     for key in ("variables", "edges", "cpts"):
@@ -533,27 +529,16 @@ def net_from_dict(doc: dict) -> BayesNet:
         pids = tuple(_resolve(p, f"cpts[{k}].parents")
                      for p in _list(c["parents"], f"cpts[{k}].parents"))
         try:
-            table = np.asarray(c["rows"], dtype=float)
+            table = np.array(c["rows"], dtype=float)
         except (TypeError, ValueError) as e:
             raise SchemaError(f"cpts[{k}].rows is ragged or non-numeric: {e}") from None
         if table.ndim != 2:
             raise SchemaError(f"cpts[{k}].rows must be a matrix")
-        n_cfg = math.prod(cards[p] for p in pids)
-        if table.shape != (n_cfg, cards[cid]):
-            raise SchemaError(
-                f"{names[cid]!r}: rows shape {table.shape} != ({n_cfg}, {cards[cid]})"
-            )
-        if not np.all(np.isfinite(table)):
-            raise SchemaError(f"{names[cid]!r}: non-finite probabilities")
-        if np.any(table < 0):
-            raise SchemaError(f"{names[cid]!r}: negative probabilities")
-        sums = table.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > _LOAD_RENORM_TOL)
-        if bad.size:
-            raise SchemaError(
-                f"{names[cid]!r}: row sum {sums[bad[0]]:.12g} != 1 at parent config {bad[0]}"
-            )
-        cpt_specs[cid] = (pids, table / sums[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = table.sum(axis=1)
+        near = np.abs(sums - 1.0) <= _LOAD_RENORM_TOL
+        table[near] /= sums[near, None]
+        cpt_specs[cid] = (pids, table)
     missing = [names[i] for i in range(len(names)) if i not in cpt_specs]
     if missing:
         raise SchemaError(f"missing cpts entry for {missing[0]!r}")
@@ -570,13 +555,16 @@ def net_from_dict(doc: dict) -> BayesNet:
             f"implied {sorted(implied)}"
         )
 
-    vs = tuple(Variable(i, names[i], cards[i]) for i in range(len(names)))
-    cpts = tuple(Cpt(i, *cpt_specs[i]) for i in range(len(names)))
-    return BayesNet(vs, cpts, _topo_order(cpts, len(vs)))
+    net = make_net(list(zip(names, cards)), [(names[i], [names[p] for p in pids], table)
+                                             for i, (pids, table) in cpt_specs.items()])
+    rep = validate(net)
+    if not rep.ok:
+        raise SchemaError(rep.violations[0])
+    return net
 
 
 def load_net(path) -> BayesNet:
-    """Load a network from a JSON file; schema errors carry the offending key."""
+    """Load a network from a JSON file; schema errors name the file and the offending key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -584,11 +572,10 @@ def load_net(path) -> BayesNet:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from None
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None
-    net = net_from_dict(doc)
-    rep = validate(net)
-    if not rep.ok:
-        raise SchemaError(f"{path}: {rep.violations[0]}")
-    return net
+    try:
+        return net_from_dict(doc)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def save_net(net: BayesNet, path, description: str | None = None) -> None:

@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .bn import (
     marginal_table,
     resolve_size_guard,
     sample,
-    validate,
 )
 from .bounds import lemma1_bounds, lemma2_check
 from .codec import (
@@ -67,14 +65,6 @@ from .rd import (
 )
 
 _ORACLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand arguments plus the size-guard override."""
-
-    args: argparse.Namespace
-    size_guard: int
 
 
 def _fmt(x) -> str:
@@ -141,22 +131,17 @@ def _read_samples(path, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    lines = []
+def cmd_verify(args: argparse.Namespace) -> int:
+    net = _load(args.net)  # refuses a net with any violation of ``validate``
+    lines = [_csv_line("check", "structure", "ok")]
     ok = True
-    rep = validate(net)
-    lines.append(_csv_line("check", "structure", "ok" if rep.ok else "fail"))
-    ok &= rep.ok
-    for v in rep.violations:
-        lines.append(_csv_line("violation", "structure", v))
-    if net.joint_states() <= cfg.size_guard:
-        jt = enumerate_joint(net, limit=cfg.size_guard)
+    if net.joint_states() <= args.size_guard:
+        jt = enumerate_joint(net, limit=args.size_guard)
         gap = abs(joint_entropy_factorized(net) - joint_entropy_bruteforce(jt))
         good = gap <= _ORACLE_TOL
         lines.append(_csv_line("check", "entropy-oracle", "ok" if good else f"fail gap {_fmt(gap)}"))
         ok &= good
-        red = redundancy_gap(net, limit=cfg.size_guard)
+        red = redundancy_gap(net, limit=args.size_guard)
         good = red >= -_ORACLE_TOL
         lines.append(_csv_line("check", "redundancy-nonnegative", "ok" if good else f"fail {_fmt(red)}"))
         ok &= good
@@ -179,51 +164,51 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_entropy(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
+def cmd_entropy(args: argparse.Namespace) -> int:
+    net = _load(args.net)
     lines = [_csv_line("section", "key", "value_bits")]
     rows = conditional_entropies(net)
     lines += [_csv_line("node", v.name, h) for v, h in zip(net.variables, rows)]
     joint = sum(rows)
     lines.append(_csv_line("summary", "joint_entropy", joint))
-    if net.joint_states() <= cfg.size_guard:
+    if net.joint_states() <= args.size_guard:
         msum = sum(marginal_entropy(net, i) for i in range(net.m))
         lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
         lines.append(_csv_line("summary", "redundancy_gap", msum - joint))
-    _emit(lines, cfg.args.output)
+    _emit(lines, args.output)
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    arr = sample(net, cfg.args.n, cfg.args.seed)
-    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], cfg.args.output)
+def cmd_sample(args: argparse.Namespace) -> int:
+    net = _load(args.net)
+    arr = sample(net, args.n, args.seed)
+    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], args.output)
     return 0
 
 
-def cmd_encode(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    arr = _read_samples(cfg.args.samples, net.m)
+def cmd_encode(args: argparse.Namespace) -> int:
+    net = _load(args.net)
+    arr = _read_samples(args.samples, net.m)
     fcb = build_factorized_codebooks(net)
     stream = encode(fcb, arr)
-    Path(cfg.args.output).write_bytes(stream.to_bytes())
+    Path(args.output).write_bytes(stream.to_bytes())
     print(f"encoded {stream.n} samples into {len(stream.payload)} payload bytes", file=sys.stderr)
     return 0
 
 
-def cmd_decode(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    stream = Bitstream.from_bytes(Path(cfg.args.stream).read_bytes())
+def cmd_decode(args: argparse.Namespace) -> int:
+    net = _load(args.net)
+    stream = Bitstream.from_bytes(Path(args.stream).read_bytes())
     fcb = build_factorized_codebooks(net)
     arr = decode(fcb, stream)
-    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], cfg.args.output)
+    _emit([",".join(map(str, row.tolist())) for row in arr] or [""], args.output)
     return 0
 
 
-def cmd_codec_report(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
+def cmd_codec_report(args: argparse.Namespace) -> int:
+    net = _load(args.net)
     t0 = time.perf_counter()
-    rep = complexity_report(net, limit=cfg.size_guard)
+    rep = complexity_report(net, limit=args.size_guard)
     lines = [_csv_line("field", "value")]
     lines.append(_csv_line("variables", rep.n_variables))
     lines.append(_csv_line("max_cardinality", rep.max_cardinality))
@@ -251,22 +236,22 @@ def cmd_codec_report(cfg: RunConfig) -> int:
     return 0
 
 
-def _rd_common(cfg: RunConfig, conditional: bool) -> int:
-    net = _load(cfg.args.net)
-    dspec = _dspec(net, cfg.args.distortion)
+def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
+    net = _load(args.net)
+    dspec = _dspec(net, args.distortion)
     if conditional:
-        side = _resolve_vars(net, cfg.args.side, [])
+        side = _resolve_vars(net, args.side, [])
         if not side:
             raise argparse.ArgumentTypeError("--side must name at least one variable")
         default_vars = [v for v in range(net.m) if v not in side]
     else:
         side = []
         default_vars = list(range(net.m))
-    vars_ = _resolve_vars(net, cfg.args.vars, default_vars)
+    vars_ = _resolve_vars(net, args.vars, default_vars)
     if not vars_ or len(set(vars_)) != len(vars_) or set(vars_) & set(side):
         raise argparse.ArgumentTypeError("--vars must be distinct and disjoint from --side")
     scope = side + vars_
-    jt = marginal_table(net, scope, limit=cfg.size_guard)
+    jt = marginal_table(net, scope, limit=args.size_guard)
     n_side = int(np.prod([net.card(s) for s in side])) if side else 1
     arr = jt.probs.reshape((n_side,) + tuple(net.card(v) for v in vars_))
     dists = [dspec.for_var(v) for v in vars_]
@@ -280,39 +265,39 @@ def _rd_common(cfg: RunConfig, conditional: bool) -> int:
     def add_point(pt):
         lines.append(_csv_line(*pt.slopes, pt.rate, *pt.distortions, pt.iterations, pt.converged))
 
-    if cfg.args.targets is not None:
-        targets = _parse_floats(cfg.args.targets)
+    if args.targets is not None:
+        targets = _parse_floats(args.targets)
         if len(targets) != len(vars_):
             raise argparse.ArgumentTypeError(f"{len(targets)} targets for {len(vars_)} variables")
-        add_point(ba_joint_multi_target(arr, dists, targets, side=True, limit=cfg.size_guard))
-    elif cfg.args.slopes is not None:
-        slopes = _parse_floats(cfg.args.slopes)
+        add_point(ba_joint_multi_target(arr, dists, targets, side=True, limit=args.size_guard))
+    elif args.slopes is not None:
+        slopes = _parse_floats(args.slopes)
         if len(slopes) != len(vars_):
             raise argparse.ArgumentTypeError(f"{len(slopes)} slopes for {len(vars_)} variables")
-        add_point(ba_joint_multi(arr, dists, slopes, side=True, limit=cfg.size_guard))
+        add_point(ba_joint_multi(arr, dists, slopes, side=True, limit=args.size_guard))
     else:
         # one solver for the whole grid: each slope warm-starts from the last
-        solver = _MultiSolver(arr, dists, side=True, limit=cfg.size_guard)
-        grid = [[s] * len(vars_) for s in default_slope_grid(cfg.args.sweep)]
+        solver = _MultiSolver(arr, dists, side=True, limit=args.size_guard)
+        grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]
         for pt in _fixed_slope_points(solver, grid):
             add_point(pt)
-    _emit(lines, cfg.args.output)
+    _emit(lines, args.output)
     return 0
 
 
-def cmd_rd_closed_form(cfg: RunConfig) -> int:
-    if cfg.args.family == "binary":
-        val = binary_conditional_rd(cfg.args.params[0], cfg.args.params[1])
+def cmd_rd_closed_form(args: argparse.Namespace) -> int:
+    if args.family == "binary":
+        val = binary_conditional_rd(args.params[0], args.params[1])
     else:
-        val = gaussian_conditional_rd(*cfg.args.params)
+        val = gaussian_conditional_rd(*args.params)
     print(f"{val:.6f}")
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    targets = _parse_floats(cfg.args.targets)
-    rep = lemma1_bounds(net, targets, _dspec(net, cfg.args.distortion), limit=cfg.size_guard)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    net = _load(args.net)
+    targets = _parse_floats(args.targets)
+    rep = lemma1_bounds(net, targets, _dspec(net, args.distortion), limit=args.size_guard)
     names = net.names
     lines = [
         _csv_line(*[f"target_{n}" for n in names], "lower_bits", "joint_bits", "upper_bits",
@@ -320,23 +305,23 @@ def cmd_bounds(cfg: RunConfig) -> int:
         _csv_line(*rep.targets, rep.lower, rep.joint, rep.upper,
                   rep.slack_lower, rep.slack_upper, rep.converged),
     ]
-    _emit(lines, cfg.args.output)
+    _emit(lines, args.output)
     return 0
 
 
-def cmd_lemma2(cfg: RunConfig) -> int:
-    net = _load(cfg.args.net)
-    side = _resolve_vars(net, cfg.args.side, [])
+def cmd_lemma2(args: argparse.Namespace) -> int:
+    net = _load(args.net)
+    side = _resolve_vars(net, args.side, [])
     if not side:
         raise argparse.ArgumentTypeError("--side must name at least one variable")
-    targets = _parse_floats(cfg.args.targets)
-    rep = lemma2_check(net, side, targets, _dspec(net, cfg.args.distortion), limit=cfg.size_guard)
+    targets = _parse_floats(args.targets)
+    rep = lemma2_check(net, side, targets, _dspec(net, args.distortion), limit=args.size_guard)
     blocks = "|".join("+".join(net.variables[v].name for v in blk) for blk in rep.partition.blocks)
     lines = [
         _csv_line("blocks", "joint_conditional_bits", "subset_sum_bits", "delta", "converged"),
         _csv_line(blocks, rep.joint_conditional, rep.subset_sum, rep.delta, rep.converged),
     ]
-    _emit(lines, cfg.args.output)
+    _emit(lines, args.output)
     return 0
 
 
@@ -404,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g.add_argument("--slopes", default=None, help="per-variable slopes (<= 0)")
         g.add_argument("--sweep", type=int, default=25, help="points on a common-slope curve sweep")
         p.add_argument("-o", "--output", default=None)
-        p.set_defaults(fn=lambda cfg, cond=cond: _rd_common(cfg, conditional=cond))
+        p.set_defaults(fn=lambda args, cond=cond: _rd_common(args, conditional=cond))
 
     p = sub.add_parser("rd-closed-form", help="closed-form conditional rate-distortion values")
     p.add_argument("family", choices=["binary", "gaussian"])
@@ -438,7 +423,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        guard = resolve_size_guard(
+        args.size_guard = resolve_size_guard(
             int(os.environ["SEMRD_SIZE_GUARD"]) if "SEMRD_SIZE_GUARD" in os.environ else None
         )
     except (ValueError, SizeGuardError) as e:
@@ -450,7 +435,7 @@ def run(argv=None) -> int:
             raise argparse.ArgumentTypeError(
                 f"{args.family} needs {n_params[args.family]} parameters"
             )
-        return args.fn(RunConfig(args, guard))
+        return args.fn(args)
     except argparse.ArgumentTypeError as e:
         print(f"semrd: {e}", file=sys.stderr)
         return 2

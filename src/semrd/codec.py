@@ -242,9 +242,8 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
             _reject(fcb, n, block)
         idx = np.empty((len(x), net.m), dtype=np.int64)  # columns in coding order
         for j, i in enumerate(net.order):
-            cfg = 0
-            for p in net.cpts[i].parents:
-                cfg = cfg * net.card(p) + x[:, p]
+            pa = net.cpts[i].parents
+            cfg = config_index([x[:, p] for p in pa], [net.card(p) for p in pa])
             idx[:, j] = base[i] + cfg * net.card(i) + x[:, i]
         size = lengths[idx].ravel()
         if np.any(size < 0):
@@ -359,10 +358,8 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
     bits, pos, kid = np.frombuffer(bits, dtype=np.uint8), starts, kid.ravel()
     out = np.empty((stream.n, net.m), dtype=np.int64)
     for i in net.order:
-        cfg = 0
-        for p in net.cpts[i].parents:
-            cfg = cfg * net.card(p) + out[:, p]
-        v = roots[base[i] + cfg]
+        pa = net.cpts[i].parents
+        v = roots[base[i] + config_index([out[:, p] for p in pa], [net.card(p) for p in pa])]
         for d in range(hi[i]):
             v = kid[2 * v + bits[pos + d]]
         out[:, i] = sym[v]

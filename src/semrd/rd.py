@@ -72,6 +72,8 @@ DIST_TOL = 1e-6
 SLACK_TOL = 3e-6
 MAX_ITERS = 10_000
 _MAX_EVALS = 48
+#: Coordinate sweeps per phase of a target search (coarse, then precise).
+_MAX_SWEEPS = 12
 
 
 @dataclass(frozen=True)
@@ -413,11 +415,9 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     f_lo, f_hi = lo[2][i] - target, hi[2][i] - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
-        if f_hi > f_lo:
-            mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
-            if not lo[0] < mid < hi[0]:
-                mid = 0.5 * (lo[0] + hi[0])
-        else:
+        # f_hi > 0 >= f_lo: hi is over the target, lo at or under it
+        mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
+        if not lo[0] < mid < hi[0]:  # also a NaN
             mid = 0.5 * (lo[0] + hi[0])
         pt = probe(mid)
         dist = pt[2][i]
@@ -597,11 +597,10 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
     gains = [None] * solver.m  # dD_i/ds_i from the last search of slope i
     # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
-    # burning iterations deep inside jittery brackets), then a couple of
-    # precise sweeps bind each constraint to DIST_TOL from slopes that are
-    # already close.
-    for sweeps, dtol, stol in ((12, 1e-4, 1e-4), (3, DIST_TOL, SLACK_TOL)):
-        for _ in range(sweeps):
+    # burning iterations deep inside jittery brackets), then precise sweeps
+    # bind each constraint to DIST_TOL from slopes that are already close.
+    for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL)):
+        for _ in range(_MAX_SWEEPS):
             prev = slopes.copy()
             moved = False
             for i in range(solver.m):

@@ -125,8 +125,10 @@ def _one_var_doc(**cpt):
     _one_var_doc(child=["A"]),
     _one_var_doc(rows=[[{}, 0.5]]),
     _one_var_doc(rows=[[None, 1.0]]),
+    _one_var_doc(rows=[[1e308, 1e308]]),
+    _one_var_doc(rows=[[float("inf"), float("-inf")]]),
 ], ids=["variables", "edges", "cpts", "parents", "cardinality", "fractional-cardinality",
-        "child", "rows", "null-entry"])
+        "child", "rows", "null-entry", "overflowing-row-sum", "inf-minus-inf-row-sum"])
 def test_net_from_dict_rejects_malformed_fields(doc):
     with pytest.raises(SchemaError):
         net_from_dict(doc)
@@ -137,6 +139,32 @@ def test_load_net_rejects_deeply_nested_json(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(SchemaError, match="nested too deeply"):
         semrd.load_net(path)
+
+
+def test_net_from_dict_rejects_cycle():
+    half = [[0.5, 0.5], [0.5, 0.5]]
+    doc = {"variables": [{"name": "A", "cardinality": 2}, {"name": "B", "cardinality": 2}],
+           "edges": [["B", "A"], ["A", "B"]],
+           "cpts": [{"child": "A", "parents": ["B"], "rows": half},
+                    {"child": "B", "parents": ["A"], "rows": half}]}
+    with pytest.raises(SchemaError, match="cycle|order places parent"):
+        net_from_dict(doc)
+
+
+def test_load_net_renormalizes_rows_within_1e_9(tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(_one_var_doc(rows=[[0.5, 0.5 + 5e-10]])))
+    net = semrd.load_net(path)
+    assert validate(net).ok
+    assert abs(net.cpts[0].table.sum() - 1.0) <= 1e-12
+
+
+def test_load_net_rejects_row_off_by_2e_9_naming_the_file(tmp_path):
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(_one_var_doc(rows=[[0.5, 0.5 + 2e-9]])))
+    with pytest.raises(SchemaError, match="row sum") as info:
+        semrd.load_net(path)
+    assert str(path) in str(info.value)
 
 
 @st.composite

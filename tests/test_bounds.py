@@ -120,3 +120,22 @@ def test_sandwich_holds_on_random_nets(seed):
     rep = lemma1_bounds(net, targets)
     if rep.converged:
         assert rep.lower - 2e-4 <= rep.joint <= rep.upper + 2e-4
+
+
+def _test7_grid(index):
+    """Net and targets of grid ``index`` of acceptance test 7 (5 grids per net)."""
+    seed, g = divmod(index, 5)
+    rng = np.random.default_rng(1000 + seed)
+    net = random_net(1000 + seed, int(rng.integers(2, 5)), max_card=3)
+    for _ in range(g + 1):
+        targets = tuple(float(t) for t in rng.uniform(0.03, 0.45, size=net.m))
+    return net, targets
+
+
+def test_precise_sweeps_converge_on_former_test7_skips():
+    # these grids ran out of precise sweeps when that phase had 3 of them
+    for index in (8, 10, 21, 87, 90, 155, 183):
+        net, targets = _test7_grid(index)
+        rep = lemma1_bounds(net, targets)
+        assert rep.converged, index
+        assert rep.lower - 2e-4 <= rep.joint <= rep.upper + 2e-4, index
