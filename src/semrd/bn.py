@@ -212,7 +212,7 @@ def make_net(
                 raise SchemaError(f"cpt references unknown variable {name!r}")
         cid = by_name[child]
         pids = tuple(by_name[p] for p in parents)
-        table = np.asarray(rows, dtype=float)
+        table = np.array(rows, dtype=float)  # a copy: the net freezes its tables
         if table.ndim == 1:
             table = table.reshape(1, -1)
         cpt_map[cid] = Cpt(cid, pids, table)
@@ -291,20 +291,7 @@ def validate(net: BayesNet) -> ValidationReport:
             sums = c.table.sum(axis=1)
         for cfg in np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             rep.violations.append(f"{name!r}: row sum {sums[cfg]:.12g} != 1 at parent config {cfg}")
-    # order / acyclicity
-    if sorted(net.order) != list(range(m)):
-        rep.violations.append(f"order {net.order} is not a permutation of 0..{m - 1}")
-    else:
-        pos = {v: k for k, v in enumerate(net.order)}
-        for c in net.cpts:
-            if not 0 <= c.child < m:
-                continue  # reported with the cpt positions above
-            for p in c.parents:
-                if 0 <= p < m and p != c.child and pos[p] > pos[c.child]:
-                    rep.violations.append(
-                        f"order places parent {net.variables[p].name!r} after child "
-                        f"{net.variables[c.child].name!r}"
-                    )
+    # acyclicity first: the cycle line covers the edges into the vertices it leaves out
     left = set(range(m)).difference(_kahn(net.cpts, m))
     if left:
         # every unplaced vertex has an unplaced parent: climb until one repeats
@@ -316,6 +303,19 @@ def validate(net: BayesNet) -> ValidationReport:
             v = up[v]
         cyc = [u for u in seen if seen[u] >= seen[v]][::-1]  # parent -> child order
         rep.violations.append("cycle: " + " -> ".join(map(str, cyc + cyc[:1])))
+    if sorted(net.order) != list(range(m)):
+        rep.violations.append(f"order {net.order} is not a permutation of 0..{m - 1}")
+    else:
+        pos = {v: k for k, v in enumerate(net.order)}
+        for c in net.cpts:
+            if not 0 <= c.child < m or c.child in left:
+                continue  # reported with the cpt positions or the cycle above
+            for p in c.parents:
+                if 0 <= p < m and p != c.child and pos[p] > pos[c.child]:
+                    rep.violations.append(
+                        f"order places parent {net.variables[p].name!r} after child "
+                        f"{net.variables[c.child].name!r}"
+                    )
     return rep
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .bn import DEFAULT_SIZE_GUARD, BayesNet, Partition, conditional_partition, marginal_table
 from .errors import InvalidStateError
+from .info import parent_marginals
 from .rd import (
     DistortionSpec,
     ba_conditional_target,
@@ -61,13 +62,14 @@ class DecompositionReport:
 
 
 def _side_first_array(net: BayesNet, side: Sequence[int], targets_vars: Sequence[int],
-                      limit: int) -> np.ndarray:
-    """p(y, x_1..x_b) with the side set flattened into the leading axis."""
-    scope = list(side) + list(targets_vars)
-    jt = marginal_table(net, scope, limit=limit)
-    n_side = int(np.prod([net.card(s) for s in side])) if side else 1
-    shape = (n_side,) + tuple(net.card(v) for v in targets_vars)
-    return jt.probs.reshape(shape)
+                      limit: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
+    """p(y, x_1..x_b) with the side set flattened into the leading axis.
+
+    The one cut of a rate-distortion source out of a network: the Lemma 1
+    joint, the Lemma 2 side + rest table and the CLI's ``rd``/``rd-cond``.
+    """
+    jt = marginal_table(net, [*side, *targets_vars], limit=limit)
+    return jt.probs.reshape(-1, *(net.card(v) for v in targets_vars))
 
 
 def lemma1_bounds(net: BayesNet, targets: Sequence[float],
@@ -82,33 +84,21 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
         raise InvalidStateError(f"{len(targets)} targets for {net.m} variables")
     if dspec is None:
         dspec = DistortionSpec.hamming(net.cards)
-    lower_terms: list[float] = []
-    upper_terms: list[float] = []
-    seed_slopes: list[float] = []
-    conv = True
-    for i in range(net.m):
+    # the joint first: a net over the guard is refused before any solve, and
+    # every source below is a marginal of it, so none is larger
+    joint_arr = _side_first_array(net, [], range(net.m), limit)[0]
+    terms = []  # (upper point, lower point) per variable
+    for i, (cpt, p_pa) in enumerate(zip(net.cpts, parent_marginals(net))):
         d = dspec.for_var(i)
-        marg = marginal_table(net, [i], limit=limit).probs
-        up = ba_target(marg, d, targets[i])
-        upper_terms.append(up.rate)
-        conv = conv and up.converged
-        parents = net.parents(i)
-        if not parents:
-            lower_terms.append(up.rate)
-            seed_slopes.append(up.slope)
-        else:
-            jt = marginal_table(net, list(parents) + [i], limit=limit)
-            n_cfg = int(np.prod([net.card(p) for p in parents]))
-            joint_xy = jt.probs.reshape(n_cfg, net.card(i)).T  # (x, parent config)
-            lo = ba_conditional_target(joint_xy, d, targets[i])
-            lower_terms.append(lo.rate)
-            seed_slopes.append(lo.slope)
-            conv = conv and lo.converged
-    joint_arr = marginal_table(net, list(range(net.m)), limit=limit).probs.reshape(net.cards)
+        up = ba_target(p_pa @ cpt.table, d, targets[i])  # p(x_i)
+        lo = up if not cpt.parents else ba_conditional_target(
+            (p_pa[:, None] * cpt.table).T, d, targets[i])  # p(x_i, parent config)
+        terms.append((up, lo))
     jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)],
                                targets, limit=limit,
-                               init_slopes=seed_slopes)
-    conv = conv and jp.converged
+                               init_slopes=[lo.slope for _, lo in terms])
+    upper_terms = tuple(up.rate for up, _ in terms)
+    lower_terms = tuple(lo.rate for _, lo in terms)
     lower = float(sum(lower_terms))
     upper = float(sum(upper_terms))
     return BoundReport(
@@ -116,11 +106,11 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
         lower=lower,
         joint=jp.rate,
         upper=upper,
-        lower_terms=tuple(lower_terms),
-        upper_terms=tuple(upper_terms),
+        lower_terms=lower_terms,
+        upper_terms=upper_terms,
         slack_lower=jp.rate - lower,
         slack_upper=upper - jp.rate,
-        converged=conv,
+        converged=jp.converged and all(pt.converged for pair in terms for pt in pair),
     )
 
 
@@ -150,7 +140,8 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
     conv = jp.converged
     block_rates: list[float] = []
     for block in part.blocks:
-        barr = _side_first_array(net, part.side, list(block), limit)
+        # p(side, block): sum the other blocks' axes out of the one cut table
+        barr = arr.sum(axis=tuple(1 + k for k, v in enumerate(rest) if v not in block))
         bp = ba_joint_multi_target(barr, [dspec.for_var(v) for v in block],
                                    [by_var[v] for v in block],
                                    side=True, limit=limit)

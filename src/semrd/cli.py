@@ -30,11 +30,11 @@ from .bn import (
     conditional_partition,
     enumerate_joint,
     load_net,
-    marginal_table,
+    marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
     resolve_size_guard,
     sample,
 )
-from .bounds import lemma1_bounds, lemma2_check
+from .bounds import _side_first_array, lemma1_bounds, lemma2_check
 from .codec import (
     Bitstream,
     build_factorized_codebooks,
@@ -49,7 +49,7 @@ from .info import (
     conditional_mutual_information,
     joint_entropy_bruteforce,
     joint_entropy_factorized,
-    marginal_entropy,
+    marginal_entropy_sum,
     redundancy_gap,
 )
 from .nets import BUNDLED, bundled_path
@@ -172,7 +172,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     joint = sum(rows)
     lines.append(_csv_line("summary", "joint_entropy", joint))
     if net.joint_states() <= args.size_guard:
-        msum = sum(marginal_entropy(net, i) for i in range(net.m))
+        msum = marginal_entropy_sum(net)
         lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
         lines.append(_csv_line("summary", "redundancy_gap", msum - joint))
     _emit(lines, args.output)
@@ -250,10 +250,7 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
     vars_ = _resolve_vars(net, args.vars, default_vars)
     if not vars_ or len(set(vars_)) != len(vars_) or set(vars_) & set(side):
         raise argparse.ArgumentTypeError("--vars must be distinct and disjoint from --side")
-    scope = side + vars_
-    jt = marginal_table(net, scope, limit=args.size_guard)
-    n_side = int(np.prod([net.card(s) for s in side])) if side else 1
-    arr = jt.probs.reshape((n_side,) + tuple(net.card(v) for v in vars_))
+    arr = _side_first_array(net, side, vars_, args.size_guard)
     dists = [dspec.for_var(v) for v in vars_]
     names = [net.variables[v].name for v in vars_]
     header = _csv_line(

@@ -73,6 +73,10 @@ class PrefixCode:
 
     def expected_length(self, p: Sequence[float]) -> float:
         p = np.asarray(p, dtype=float)
+        if len(self.codewords) < p.size:  # a symbol p emits may lack a codeword
+            for s in np.flatnonzero(p > 0):
+                if int(s) not in self.codewords:
+                    raise UncodableSampleError(f"symbol {s} has probability {p[s]:.12g} but no codeword")
         return float(sum(p[s] * len(w) for s, w in self.codewords.items()))
 
 
@@ -374,6 +378,8 @@ def expected_length(code, source) -> float:
       which lands in [H, H + m); a net with other CPTs prices a mismatched
       code, one with other cardinalities or parents is a wrong codebook.
     * (PrefixCode, JointTable): sum_s p(s) len(s), which lands in [H, H + 1).
+
+    A state the source emits without a codeword is an uncodable sample.
     """
     if isinstance(code, FactorizedCodebook):
         net = source if isinstance(source, BayesNet) else code.net

@@ -100,6 +100,11 @@ def marginal_entropy(net: BayesNet, i: int) -> float:
     return entropy_bits(marginal_table(net, [net.id_of(i)]).probs)
 
 
+def marginal_entropy_sum(net: BayesNet) -> float:
+    """sum_i H(X_i), with p(X_i) = p(Parent(X_i)) @ CPT_i from one pass."""
+    return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, parent_marginals(net)))
+
+
 def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
     """sum_i H(X_i) - H(X_1..X_m): the rate saved by coding jointly.
 
@@ -109,7 +114,7 @@ def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
     cap = DEFAULT_SIZE_GUARD if limit is None else limit
     if net.joint_states() > cap:
         raise SizeGuardError(f"joint state space {net.joint_states()} exceeds guard {cap}")
-    return sum(marginal_entropy(net, i) for i in range(net.m)) - joint_entropy_factorized(net)
+    return marginal_entropy_sum(net) - joint_entropy_factorized(net)
 
 
 def _subset_entropy(arr: np.ndarray, axes_keep: Sequence[int]) -> float:

@@ -96,6 +96,16 @@ def test_validate_reports_cycle():
     assert cycles == ["cycle: 1 -> 2 -> 3 -> 1"]
 
 
+def test_validate_lists_the_cycle_first_and_order_lines_only_off_it():
+    # A <-> B is a cycle; C lists its parent D after itself, off the cycle
+    half = [[0.5, 0.5]]
+    net = make_net(
+        [("A", 2), ("B", 2), ("C", 2), ("D", 2)],
+        [("A", ["B"], half * 2), ("B", ["A"], half * 2), ("C", ["D"], half * 2), ("D", [], half)],
+    )
+    assert validate(net).violations == ["cycle: 1 -> 0 -> 1", "order places parent 'D' after child 'C'"]
+
+
 @pytest.mark.parametrize("child", [5, -1])
 def test_validate_reports_out_of_range_cpt_child(child):
     # make_net cannot build this; a hand-built net must still get a report
@@ -147,7 +157,7 @@ def test_net_from_dict_rejects_cycle():
            "edges": [["B", "A"], ["A", "B"]],
            "cpts": [{"child": "A", "parents": ["B"], "rows": half},
                     {"child": "B", "parents": ["A"], "rows": half}]}
-    with pytest.raises(SchemaError, match="cycle|order places parent"):
+    with pytest.raises(SchemaError, match="cycle"):
         net_from_dict(doc)
 
 
@@ -215,6 +225,15 @@ def test_import_does_not_load_networkx():
 def test_make_net_rejects_unknown_parent():
     with pytest.raises(SchemaError):
         make_net([("A", 2)], [("A", ["Z"], [[0.5, 0.5], [0.5, 0.5]])])
+
+
+def test_make_net_copies_the_rows_it_is_given():
+    a = np.full((1, 2), 0.5)
+    net = make_net([("A", 2)], [("A", [], a)])
+    assert a.flags.writeable
+    assert not net.cpts[0].table.flags.writeable
+    a[0] = [0.9, 0.1]
+    assert net.cpts[0].table.tolist() == [[0.5, 0.5]]
 
 
 def test_make_net_rejects_duplicate_names():

@@ -1,16 +1,24 @@
 """Sandwich bounds around the joint rate and side-information decomposition."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semrd.bounds
+import semrd.cli
+import semrd.info
 from semrd import (
     DistortionSpec,
     InvalidStateError,
+    SizeGuardError,
     binary_entropy,
     lemma1_bounds,
     lemma2_check,
     make_net,
+    marginal_table,
     random_net,
 )
 from semrd.nets import doubly_symmetric_fork
@@ -109,6 +117,36 @@ def test_decomposition_single_block_when_side_does_not_split(chain_net):
 def test_decomposition_rejects_unknown_side(fork_net):
     with pytest.raises(InvalidStateError):
         lemma2_check(fork_net, ["nope"], (0.05, 0.05))
+
+
+def test_sources_are_cut_from_one_table(monkeypatch, scene_net):
+    calls = []
+
+    def counted(net, ids, *args, **kwargs):
+        calls.append(tuple(ids))
+        return marginal_table(net, ids, *args, **kwargs)
+
+    for mod in (semrd.bounds, semrd.info, semrd.cli):
+        monkeypatch.setattr(mod, "marginal_table", counted)
+    lemma1_bounds(scene_net, (0.16, 0.163, 0.067, 0.103))
+    assert calls == [(0, 1, 2, 3)]  # the joint; every other source comes from the pass
+    calls.clear()
+    lemma2_check(doubly_symmetric_fork(0.1, 0.1), ["Y"], (0.05, 0.05))
+    assert calls == [(0, 1, 2)]  # side + rest; the blocks are summed out of it
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert semrd.cli.run(["entropy", "scene"]) == 0
+    assert calls == []
+
+
+def test_bounds_refuse_a_net_over_the_guard_before_any_solve(monkeypatch, scene_net):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size guard")
+
+    for name in ("ba_target", "ba_conditional_target", "ba_joint_multi_target"):
+        monkeypatch.setattr(semrd.bounds, name, no_solve)
+    with pytest.raises(SizeGuardError):
+        lemma1_bounds(scene_net, (0.1, 0.1, 0.1, 0.1), limit=10)
 
 
 @settings(max_examples=8, deadline=None)

@@ -193,6 +193,20 @@ def test_encode_rejects_zero_probability_state():
         encode(fcb, [[1, 0]])
 
 
+def test_expected_length_refuses_a_source_state_without_a_codeword():
+    # the code has no codeword for state 2, which B emits with weight 0.8
+    with pytest.raises(UncodableSampleError, match=r"^symbol 2 has probability 0.8 but no codeword$"):
+        expected_length(huffman_code([0.5, 0.5, 0.0]), [0.1, 0.1, 0.8])
+    a = semrd.make_net([("X", 3)], [("X", [], [[0.5, 0.5, 0.0]])])
+    b = semrd.make_net([("X", 3)], [("X", [], [[0.1, 0.1, 0.8]])])
+    with pytest.raises(UncodableSampleError, match=r"^symbol 2 has probability 0.8 but no codeword$"):
+        expected_length(build_factorized_codebooks(a), b)
+    # a parent configuration of weight 0 is not priced, so its gaps do not count
+    gated = _gated_net()
+    assert expected_length(build_factorized_codebooks(gated), gated) == pytest.approx(
+        1.0 + 0.5 * 1.0, abs=1e-15)
+
+
 def _gated_net():
     # B lists its parent A after itself, so samples are coded in the order
     # (A, B): A's state 2 and B's state 1 under A = 1 have no codeword

@@ -1,22 +1,27 @@
 """Entropy accounting: factorized totals, oracle agreement, redundancy identities."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semrd.bounds
 import semrd.info
 from semrd import (
     binary_chain,
     binary_entropy,
     build_factorized_codebooks,
     conditional_mutual_information,
+    conditional_partition,
     entropy_bits,
     enumerate_joint,
     expected_length,
     joint_entropy_bruteforce,
     joint_entropy_factorized,
+    lemma1_bounds,
+    lemma2_check,
     make_net,
     marginal_entropy,
     marginal_table,
@@ -24,7 +29,7 @@ from semrd import (
     random_net,
     redundancy_gap,
 )
-from semrd.info import parent_marginals
+from semrd.info import marginal_entropy_sum, parent_marginals
 
 H_FORK = 1.9379911871785623
 FORK_GAP = 1.0620088128214377
@@ -120,6 +125,48 @@ def test_one_pass_calls_marginal_table_only_for_fallback_parent_sets(monkeypatch
             calls.clear()
             fn(net)
             assert calls == want
+
+
+def test_lemma_sources_equal_their_own_elimination(monkeypatch, fork_net, chain_net, scene_net):
+    # record the source of every solve and answer it with a stub point
+    seen = {name: [] for name in ("ba_target", "ba_conditional_target", "ba_joint_multi_target")}
+    for name, log in seen.items():
+        monkeypatch.setattr(semrd.bounds, name, lambda src, *a, log=log, **k: log.append(
+            np.asarray(src)) or SimpleNamespace(rate=0.0, slope=-1.0, converged=True))
+    nets = [fork_net, chain_net, scene_net, TRIANGLE, V_STRUCTURE]
+    nets += [random_net(seed, 6, max_card=3, max_parents=2) for seed in range(5)]
+    for net in nets:
+        for log in seen.values():
+            log.clear()
+        lemma1_bounds(net, [0.1] * net.m)
+        assert np.array_equal(seen["ba_joint_multi_target"][0],
+                              marginal_table(net, range(net.m)).probs.reshape(net.cards))
+        assert len(seen["ba_target"]) == net.m
+        for i, src in enumerate(seen["ba_target"]):
+            np.testing.assert_allclose(src, marginal_table(net, [i]).probs, rtol=0, atol=1e-15)
+        children = [i for i in range(net.m) if net.parents(i)]
+        assert len(seen["ba_conditional_target"]) == len(children)
+        for i, src in zip(children, seen["ba_conditional_target"]):
+            fam = marginal_table(net, [*net.parents(i), i]).probs.reshape(-1, net.card(i)).T
+            assert src.shape == fam.shape
+            np.testing.assert_allclose(src, fam, rtol=0, atol=1e-15)
+        for side in range(net.m):
+            blocks = conditional_partition(net, [side]).blocks
+            seen["ba_joint_multi_target"].clear()
+            lemma2_check(net, [side], [0.1] * (net.m - 1))
+            assert len(seen["ba_joint_multi_target"]) == 1 + len(blocks)
+            for block, src in zip(blocks, seen["ba_joint_multi_target"][1:]):
+                want = marginal_table(net, [side, *block]).probs
+                assert src.shape == tuple(net.card(v) for v in (side, *block))
+                np.testing.assert_allclose(src.reshape(-1), want, rtol=0, atol=1e-15)
+
+
+def test_marginal_entropy_sum_equals_per_node_elimination(fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net, binary_chain(50), TRIANGLE, V_STRUCTURE]
+    nets += [random_net(seed, 12, max_card=3, max_parents=2) for seed in range(10)]
+    for net in nets:
+        want = sum(marginal_entropy(net, i) for i in range(net.m))
+        assert marginal_entropy_sum(net) == pytest.approx(want, abs=1e-12)
 
 
 def test_gap_equals_sum_of_parent_informations(fork_net, chain_net, scene_net):
