@@ -8,7 +8,8 @@ calls it made and a SHA-256 over each call (slopes and iteration budget in;
 rate, distortion vector, iterations and convergence out) followed by the repr
 of the returned report.  Two trees whose rows all match ran the same solves
 bit for bit, so a refactor of the target search can be checked against its
-parent with ``diff``.
+parent with ``diff``.  A census goes to stderr: the evaluations, the
+iterations they took, and the evaluations that returned ``converged=False``.
 """
 
 import argparse
@@ -54,9 +55,13 @@ def main(argv=None):
 
     real_eval = rd._MultiSolver.eval
     log = []
+    census = [0, 0, 0]  # evaluations, iterations, unconverged evaluations
 
     def eval_logged(self, slopes, iters=None):
         rate, dvec, its, conv = out = real_eval(self, slopes, iters)
+        census[0] += 1
+        census[1] += int(its)
+        census[2] += not conv
         log.append(np.asarray(slopes, float).tobytes() + repr(iters).encode()
                    + np.float64(rate).tobytes() + np.asarray(dvec, float).tobytes()
                    + repr((int(its), bool(conv))).encode())
@@ -79,6 +84,8 @@ def main(argv=None):
     finally:
         rd._MultiSolver.eval = real_eval
     print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    print(f"# {census[0]} evaluations, {census[1]} iterations, {census[2]} unconverged",
+          file=sys.stderr)
     return 0
 
 

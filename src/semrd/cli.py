@@ -50,6 +50,7 @@ from .info import (
     joint_entropy_bruteforce,
     joint_entropy_factorized,
     marginal_entropy_sum,
+    parent_marginals,
     redundancy_gap,
 )
 from .nets import BUNDLED, bundled_path
@@ -167,12 +168,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     net = _load(args.net)
     lines = [_csv_line("section", "key", "value_bits")]
-    rows = conditional_entropies(net)
+    marginals = parent_marginals(net)
+    rows = conditional_entropies(net, marginals)
     lines += [_csv_line("node", v.name, h) for v, h in zip(net.variables, rows)]
     joint = sum(rows)
     lines.append(_csv_line("summary", "joint_entropy", joint))
     if net.joint_states() <= args.size_guard:
-        msum = marginal_entropy_sum(net)
+        msum = marginal_entropy_sum(net, marginals)
         lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
         lines.append(_csv_line("summary", "redundancy_gap", msum - joint))
     _emit(lines, args.output)

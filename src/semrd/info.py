@@ -79,10 +79,11 @@ def parent_marginals(net: BayesNet) -> list[np.ndarray]:
     return out
 
 
-def conditional_entropies(net: BayesNet) -> list[float]:
-    """H(X_i | Parent(X_i)) for every node in id order, from one pass."""
-    return [float(p_pa @ _row_entropies(cpt.table))
-            for cpt, p_pa in zip(net.cpts, parent_marginals(net))]
+def conditional_entropies(net: BayesNet, marginals: list[np.ndarray] | None = None) -> list[float]:
+    """H(X_i | Parent(X_i)) for every node in id order, from one pass
+    (``marginals``: that pass, ``parent_marginals(net)``, if already run)."""
+    marginals = parent_marginals(net) if marginals is None else marginals
+    return [float(p_pa @ _row_entropies(cpt.table)) for cpt, p_pa in zip(net.cpts, marginals)]
 
 
 def joint_entropy_factorized(net: BayesNet) -> float:
@@ -100,9 +101,11 @@ def marginal_entropy(net: BayesNet, i: int) -> float:
     return entropy_bits(marginal_table(net, [net.id_of(i)]).probs)
 
 
-def marginal_entropy_sum(net: BayesNet) -> float:
-    """sum_i H(X_i), with p(X_i) = p(Parent(X_i)) @ CPT_i from one pass."""
-    return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, parent_marginals(net)))
+def marginal_entropy_sum(net: BayesNet, marginals: list[np.ndarray] | None = None) -> float:
+    """sum_i H(X_i), with p(X_i) = p(Parent(X_i)) @ CPT_i from one pass
+    (``marginals`` as for ``conditional_entropies``)."""
+    marginals = parent_marginals(net) if marginals is None else marginals
+    return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, marginals))
 
 
 def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
@@ -114,7 +117,8 @@ def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
     cap = DEFAULT_SIZE_GUARD if limit is None else limit
     if net.joint_states() > cap:
         raise SizeGuardError(f"joint state space {net.joint_states()} exceeds guard {cap}")
-    return marginal_entropy_sum(net) - joint_entropy_factorized(net)
+    marginals = parent_marginals(net)
+    return marginal_entropy_sum(net, marginals) - sum(conditional_entropies(net, marginals))
 
 
 def _subset_entropy(arr: np.ndarray, axes_keep: Sequence[int]) -> float:

@@ -22,6 +22,12 @@ own bracket.  Slopes are the Lagrange multipliers of the distortion
 constraints, so a target-distortion solve runs a bracketing secant on each
 slope; with side information the same slopes apply to every side state,
 which is exactly the optimal distortion allocation across side states.
+A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
+leaves that loop for active-set Newton on q over its own support rows
+(``_newton``), which stops on the same bracket: at fixed slopes the loop is
+the EM step of a maximum-likelihood mixing-weights problem, and EM crawls
+near some optima where Newton converges in a few steps.  A solve's
+``iterations`` count both kinds of step, one each, under one cap.
 Every target solve, with one constraint or several, is the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
 Lagrange dual), each slope search opening at the point the sweep holds.
@@ -71,6 +77,14 @@ DIST_TOL = 1e-6
 #: Per-constraint complementary-slackness budget (bits).
 SLACK_TOL = 3e-6
 MAX_ITERS = 10_000
+#: Blahut-Arimoto iterations before a slow state moves to Newton on q.
+_NEWTON_AFTER = 100
+#: Newton drops letters under this fraction of the largest.
+_NEWTON_FLOOR = 1e-12
+#: Plain Blahut-Arimoto steps in a row before Newton hands a state back.
+_NEWTON_STALLS = 3
+#: Step halvings before a Newton line search gives up.
+_SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
 #: Coordinate sweeps per phase of a target search (coarse, then precise).
 _MAX_SWEEPS = 12
@@ -227,13 +241,42 @@ def _ba_slope_core(p, a, q, max_iters):
     its extrapolated q only when that does not increase its convex potential
     -sum p ln(Aq).  The stacked products work slice by slice, so a state
     without padding rows gets the arithmetic of a solve of it alone (padding
-    only regroups its sums).  Returns the final q, the iterations and the
-    convergence flag of every state.
+    only regroups its sums).
+
+    A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
+    leaves the stack for ``_newton`` on its own support rows, which stops on
+    the same bracket; a state that Newton hands back runs these steps alone
+    for the rest of its budget.  A Newton step counts as one iteration, so
+    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and
+    all of them share ``max_iters``.  Returns the final q, the iterations and
+    the convergence flag of every state.
     """
-    q_out = np.empty_like(q)
-    iters = np.zeros(len(q), int)
-    conv = np.zeros(len(q), bool)
-    live = np.arange(len(q))  # the state in each slot of the stack
+    out = np.empty_like(q), np.zeros(len(q), int), np.zeros(len(q), bool)
+    live, q, it = _ba_cycles(p, a, q, np.arange(len(q)), 0, min(max_iters, _NEWTON_AFTER), out)
+    for k, qk in zip(live.tolist(), q):
+        out[0][k], out[1][k] = qk, it  # capped, unless Newton has budget left
+        if it >= max_iters:
+            continue
+        rows = p[k] > 0
+        pk, ak = p[k, rows], a[k, rows]
+        qn, itk, done = _newton(pk, ak, qk, it, max_iters)
+        if done is None:  # handed back: plain steps for the rest of the budget
+            gone, qn, itk = _ba_cycles(pk[None], ak[None], qk[None], np.array([k]),
+                                       itk, max_iters, out)
+            if not len(gone):
+                continue
+            qn, done = qn[0], False
+        out[0][k], out[1][k], out[2][k] = qn, itk, done
+    return out
+
+
+def _ba_cycles(p, a, q, live, it, stop, out):
+    """The stacked steps of ``_ba_slope_core`` from iteration ``it`` on, until
+    every state has closed its bracket or ``it`` reaches ``stop``.  ``live``
+    holds the state of each slot of the stack; a state that stops has its q,
+    iterations and True written into the arrays ``out``.  Returns the states
+    still open, their q and the iteration count."""
+    q_out, iters, conv = out
 
     def col(x):
         """One number per state, shaped to scale each state's row (a lone
@@ -260,8 +303,7 @@ def _ba_slope_core(p, a, q, max_iters):
         return [x[~done] for x in (live, *stack)]
 
     alpha = np.matvec(a, q)  # A q of the current q, carried over between cycles
-    it = 0
-    while it < max_iters:
+    while it < stop:
         q1, done = step(q, alpha, p, a)
         it += 1
         if any(done):
@@ -315,9 +357,112 @@ def _ba_slope_core(p, a, q, max_iters):
             np.copyto(q2, qa, where=take)
             np.copyto(alphas[1], alphas[0], where=take)
             q, alpha = q2, alphas[1]
-    else:
-        q_out[live], iters[live] = q, it
-    return q_out, iters, conv
+    return live, q, it
+
+
+def _newton(p, a, q, it, max_iters):
+    """Active-set Newton on q for one state: p (rows,), a (rows, nh).
+
+    At fixed tilts the kernel minimizes F(q) = -sum p ln(Aq) over the simplex,
+    the maximum-likelihood mixing-weights problem, whose EM step is the
+    Blahut-Arimoto update q <- q c with c = A^T (p / Aq) = -grad F.  Near a
+    slow optimum EM crawls; Newton does not.  Letters whose columns of A are
+    equal (as where a slope is 0) are one letter to F: Newton moves their
+    total and keeps their ratios, as the Blahut-Arimoto step does.  Each step
+    works on the support S of q, joined by the letter that most violates
+    c <= 1 off it, and solves the equality-constrained KKT system
+
+        [H 1; 1^T 0] [d; mu] = [c_S - 1; 0],   H = A_S^T diag(p / (Aq)^2) A_S,
+
+    for a step d with sum d = 0 (a letter joining with d <= 0 is left out).
+    A ratio test caps the step where the first letter of S reaches 0, and an
+    Armijo search on F (its decrease taken by log1p, so it stays exact near
+    the optimum) shortens it; letters the step takes under ``_NEWTON_FLOOR``
+    of the largest drop out of S.  When the search fails, or the KKT system
+    has no finite descent step (H singular on S, as on a flat face of a
+    linear segment of the curve), the state takes the Blahut-Arimoto step
+    instead, stretched along q (c - 1) as far as the search allows.  The stop
+    test is the kernel's bracket.  Returns (q, it, converged): ``it`` counts
+    on from the given count, one per step; converged is None when the state
+    is handed back after ``_NEWTON_STALLS`` plain Blahut-Arimoto steps in a
+    row (neither a Newton step nor a stretched one), which the extrapolated
+    steps of ``_ba_slope_core`` take faster.
+    """
+    a, group = np.unique(a, axis=1, return_inverse=True)
+    group = group.reshape(-1)
+    mass = np.bincount(group, q)
+    share = np.divide(q, mass[group], out=1.0 / np.bincount(group)[group], where=mass[group] > 0)
+    q, stalls = mass, 0
+    while True:
+        q = np.where(q > _NEWTON_FLOOR * q.max(), q, 0.0)
+        q /= q.sum()
+        alpha = a @ q
+        c = (p / alpha) @ a
+        on, qc = q > 0, q * c
+        pos = qc > 0
+        gap = (c.max() - 1.0) - qc[pos] @ np.log(c[pos])
+        if gap < GAP_TOL_NATS or it >= max_iters or stalls >= _NEWTON_STALLS:
+            done = True if gap < GAP_TOL_NATS else False if it >= max_iters else None
+            return q[group] * share, it, done
+        it += 1
+        j = int(np.argmax(np.where(on, -np.inf, c)))
+        joined = not on[j] and c[j] > 1.0
+        s = on.copy()
+        s[j] |= joined
+        d = _kkt_step(p, a, alpha, c, s)
+        if joined and d is not None and d[np.count_nonzero(s[:j])] <= 0.0:
+            s[j] = False
+            d = _kkt_step(p, a, alpha, c, s)
+        t = _search(p, a, alpha, c, q, s, d, True) if d is not None else None
+        if t is None:  # the Blahut-Arimoto step q c, stretched as far as the search allows
+            s = on
+            d = q[s] * (c[s] - 1.0)
+            t = _search(p, a, alpha, c, q, s, d, False)
+            stalls = stalls + 1 if t == 1.0 else 0
+        else:
+            stalls = 0
+        q[s] += t * d
+
+
+def _kkt_step(p, a, alpha, c, s):
+    """The Newton step on support ``s`` (see ``_newton``), or None when the
+    KKT system gives no finite descent direction."""
+    As = a[:, s]
+    n = As.shape[1]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = (As.T * (p / (alpha * alpha))) @ As
+    kkt[n, n] = 0.0
+    rhs = np.append(c[s] - 1.0, 0.0)
+    try:
+        d = np.linalg.solve(kkt, rhs)[:n]
+    except np.linalg.LinAlgError:
+        return None
+    return d if 0.0 < rhs[:n] @ d < math.inf and np.isfinite(d).all() else None
+
+
+def _search(p, a, alpha, c, q, s, d, newton):
+    """Armijo search of ``_newton`` along d on support s, from the ratio cap
+    (at most 1 for a Newton step d).  Returns the step length; a failed
+    Newton search returns None, and the search along the Blahut-Arimoto
+    direction q (c - 1) returns 1, the plain step, at the latest.  The
+    decrease is that of F at the normalized point, so a sum of d that
+    rounding leaves off 0 does not count as one."""
+    neg = d < 0.0
+    t = float((q[s][neg] / -d[neg]).min()) if neg.any() else math.inf
+    if newton:
+        t = min(t, 1.0)
+    slope = (c[s] - 1.0) @ d  # -dF along d
+    rel = (a[:, s] @ d) / alpha  # A(q + t d) = alpha (1 + t rel)
+    tot = d.sum()
+    for _ in range(_SEARCH_HALVINGS):
+        if not newton and not 1.0 < t < math.inf:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = p @ np.log1p(t * rel) - math.log1p(t * tot)  # F(q) - F(q + t d)
+        if drop >= 1e-4 * t * slope:
+            return t
+        t *= 0.5
+    return None if newton else 1.0
 
 
 def _accept(s: float, dist: float, target: float, dist_tol: float,

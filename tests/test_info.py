@@ -1,5 +1,7 @@
 """Entropy accounting: factorized totals, oracle agreement, redundancy identities."""
 
+import contextlib
+import io
 import math
 from types import SimpleNamespace
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semrd.bounds
+import semrd.cli
 import semrd.info
 from semrd import (
     binary_chain,
@@ -28,6 +31,7 @@ from semrd import (
     node_conditional_entropy,
     random_net,
     redundancy_gap,
+    save_net,
 )
 from semrd.info import marginal_entropy_sum, parent_marginals
 
@@ -125,6 +129,26 @@ def test_one_pass_calls_marginal_table_only_for_fallback_parent_sets(monkeypatch
             calls.clear()
             fn(net)
             assert calls == want
+
+
+def test_redundancy_gap_and_entropy_command_run_the_pass_once(monkeypatch, tmp_path):
+    # each parent set that falls back to marginal_table is eliminated once,
+    # not once for sum_i H(X_i) and again for the conditional entropies
+    calls = []
+
+    def counted(net, ids, *args, **kwargs):
+        calls.append(tuple(ids))
+        return marginal_table(net, ids, *args, **kwargs)
+
+    monkeypatch.setattr(semrd.info, "marginal_table", counted)
+    redundancy_gap(V_STRUCTURE)
+    assert calls == [(0, 1)]
+    calls.clear()
+    path = tmp_path / "v.json"
+    save_net(V_STRUCTURE, path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert semrd.cli.run(["entropy", str(path)]) == 0
+    assert calls == [(0, 1)]
 
 
 def test_lemma_sources_equal_their_own_elimination(monkeypatch, fork_net, chain_net, scene_net):

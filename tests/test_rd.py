@@ -160,6 +160,31 @@ def test_floor_letters_keep_the_extrapolation():
     assert pt.rate == pytest.approx(0.0131788266, abs=1e-9)
 
 
+def test_slow_blahut_arimoto_point_closes_in_the_newton_phase():
+    # Blahut-Arimoto steps alone converge sublinearly here (2,131 iterations,
+    # extrapolation included); Newton on q takes over after _NEWTON_AFTER
+    # iterations and closes the bracket in a few steps
+    pt = ba_point([0.2516, 0.4544, 0.2940], hamming_distortion(3), -1.0)
+    assert pt.converged
+    assert pt.iterations <= 300
+    assert pt.rate == pytest.approx(0.0372126420, abs=1e-8)
+
+
+def test_a_state_newton_hands_back_keeps_the_rest_of_its_budget(monkeypatch):
+    # a Newton phase that gives the state back after 5 steps leaves it the
+    # plain steps, from the q it entered with, for the rest of the budget
+    args = ([0.2516, 0.4544, 0.2940], hamming_distortion(3), -1.0)
+    after = rd._NEWTON_AFTER
+    monkeypatch.setattr(rd, "_NEWTON_AFTER", rd.MAX_ITERS)
+    plain = ba_point(*args)
+    monkeypatch.setattr(rd, "_NEWTON_AFTER", after)
+    monkeypatch.setattr(rd, "_newton", lambda p, a, q, it, max_iters: (q, it + 5, None))
+    handed = ba_point(*args)
+    assert plain.converged and handed.converged
+    assert handed.iterations == plain.iterations + 5
+    assert handed.rate == pytest.approx(plain.rate, rel=0, abs=1e-12)
+
+
 #: Uniform bit with an erase letter: R(D) = c (1 - D) on [~0.031, 1], c ~ 0.994192.
 ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
 
@@ -372,31 +397,36 @@ def test_distortion_rows_must_match_cardinality(solve):
 
 
 def test_side_states_step_together_as_separate_solves():
-    """One kernel call steps every side state, and each keeps its own stop."""
+    """One kernel call steps every side state, and each keeps its own stop,
+    in the Blahut-Arimoto phase and in the Newton phase after it."""
     d = [hamming_distortion(3)]
     conds = np.array([
         [0.5, 0.5, 0.0],  # a zero-probability source letter
-        [0.2, 0.3, 0.5],  # about a thousand iterations at slope -1
+        [0.2, 0.3, 0.5],  # about a thousand Blahut-Arimoto iterations at slope -1
         [0.9, 0.05, 0.05],  # a few
         [0.232, 0.498, 0.27],  # about a thousand as well
     ])
-    budget = 500  # caps the two slow states at slope -1, next to converged ones
     joint = np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
     py = joint.sum(axis=1)
-    side = rd._MultiSolver(joint, d, side=True)
-    # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp, so
-    # solve the rows exactly as the side solver normalizes them
-    alone = [rd._MultiSolver(row / w, d) for row, w in zip(joint, py)]
-    for slopes in [(-1.0,), (-2.0,), (-0.5,)]:  # warm-started after the first
-        rate, dvec, iters, conv = side.eval(slopes, iters=budget)
-        parts = [s.eval(slopes, iters=budget) for s in alone]
-        assert rate == pytest.approx(sum(w * p[0] for w, p in zip(py, parts)), rel=0, abs=1e-12)
-        assert dvec == pytest.approx(sum(w * p[1] for w, p in zip(py, parts)), rel=0, abs=1e-12)
-        assert iters == max(p[2] for p in parts)
-        assert conv == all(p[3] for p in parts)
-        if slopes == (-1.0,):
-            assert iters >= 10 * min(p[2] for p in parts)
-            assert not conv
+    # a budget of _NEWTON_AFTER caps the two slow states at slope -1 in the
+    # Blahut-Arimoto phase, next to converged ones; at the default budget they
+    # close their brackets in the Newton phase
+    for budget in (rd._NEWTON_AFTER, None):
+        side = rd._MultiSolver(joint, d, side=True)
+        # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp,
+        # so solve the rows exactly as the side solver normalizes them
+        alone = [rd._MultiSolver(row / w, d) for row, w in zip(joint, py)]
+        for slopes in [(-1.0,), (-2.0,), (-0.5,)]:  # warm-started after the first
+            rate, dvec, iters, conv = side.eval(slopes, iters=budget)
+            parts = [s.eval(slopes, iters=budget) for s in alone]
+            assert rate == pytest.approx(sum(w * p[0] for w, p in zip(py, parts)), rel=0, abs=1e-12)
+            assert dvec == pytest.approx(sum(w * p[1] for w, p in zip(py, parts)), rel=0, abs=1e-12)
+            assert iters == max(p[2] for p in parts)
+            assert conv == all(p[3] for p in parts)
+            if slopes == (-1.0,):
+                assert iters >= 10 * min(p[2] for p in parts)
+                assert conv == (budget is None)
+                assert iters > rd._NEWTON_AFTER or budget is not None
 
 
 def test_size_guard_counts_every_side_state():

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,15 @@ def test_script_prints_its_csv(name, argv, header, rows):
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert all(line.count(",") == header.count(",") for line in lines[1:])
+
+
+def test_solver_digest_census_counts_every_evaluation():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert _main("solver_digest")(["--size", "1"]) == 0
+    evals = sum(int(line.split(",")[1]) for line in out.getvalue().splitlines()[1:])
+    census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged",
+                          err.getvalue().splitlines()[-1])
+    assert census is not None
+    assert int(census[1]) == evals
+    assert int(census[3]) <= evals
