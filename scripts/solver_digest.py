@@ -4,12 +4,13 @@
 Runs the acceptance test 7 grids (Lemma 1 sandwich on random nets), the
 test 8 checks (Lemma 2 decomposition) and a few erasure-distortion target
 solves, and prints one CSV row per case: the number of ``_MultiSolver.eval``
-calls it made and a SHA-256 over each call (slopes and iteration budget in;
-rate, distortion vector, iterations and convergence out) followed by the repr
-of the returned report.  Two trees whose rows all match ran the same solves
-bit for bit, so a refactor of the target search can be checked against its
-parent with ``diff``.  A census goes to stderr: the evaluations, the
-iterations they took, and the evaluations that returned ``converged=False``.
+calls it made and a SHA-256 over each call (slopes in; rate, distortion
+vector, iterations and convergence out) followed by the repr of the returned
+report.  Two trees whose rows all match ran the same solves bit for bit, so a
+refactor of the target search can be checked against its parent with
+``diff``.  A census goes to stderr: the evaluations, the iterations they took,
+and the evaluations that returned ``converged=False``.  Exits 1 when any
+evaluation returned ``converged=False``.
 """
 
 import argparse
@@ -57,14 +58,13 @@ def main(argv=None):
     log = []
     census = [0, 0, 0]  # evaluations, iterations, unconverged evaluations
 
-    def eval_logged(self, slopes, iters=None):
-        rate, dvec, its, conv = out = real_eval(self, slopes, iters)
+    def eval_logged(self, slopes):
+        rate, dvec, its, conv = out = real_eval(self, slopes)
         census[0] += 1
         census[1] += int(its)
         census[2] += not conv
-        log.append(np.asarray(slopes, float).tobytes() + repr(iters).encode()
-                   + np.float64(rate).tobytes() + np.asarray(dvec, float).tobytes()
-                   + repr((int(its), bool(conv))).encode())
+        log.append(np.asarray(slopes, float).tobytes() + np.float64(rate).tobytes()
+                   + np.asarray(dvec, float).tobytes() + repr((int(its), bool(conv))).encode())
         return out
 
     print("case,evals,sha256")
@@ -86,7 +86,7 @@ def main(argv=None):
     print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     print(f"# {census[0]} evaluations, {census[1]} iterations, {census[2]} unconverged",
           file=sys.stderr)
-    return 0
+    return 1 if census[2] else 0
 
 
 if __name__ == "__main__":

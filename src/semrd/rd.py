@@ -18,16 +18,18 @@ and the reconstruction marginal q is refreshed from Q until the classic
 upper/lower bound bracket on the parametric objective closes below
 ``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, one call of
 that loop steps every side state's q together, and each state stops on its
-own bracket.  Slopes are the Lagrange multipliers of the distortion
-constraints, so a target-distortion solve runs a bracketing secant on each
-slope; with side information the same slopes apply to every side state,
-which is exactly the optimal distortion allocation across side states.
-A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
-leaves that loop for active-set Newton on q over its own support rows
+own bracket.  Plain update pairs alternate with extrapolated steps, and a
+state whose bracket is still open after ``_NEWTON_AFTER`` iterations leaves
+that loop for active-set Newton on q over its own support rows
 (``_newton``), which stops on the same bracket: at fixed slopes the loop is
 the EM step of a maximum-likelihood mixing-weights problem, and EM crawls
-near some optima where Newton converges in a few steps.  A solve's
-``iterations`` count both kinds of step, one each, under one cap.
+near some optima where Newton converges in a few steps.  Newton is the
+kernel's one rescue for a slow state.  A solve's ``iterations`` count both
+kinds of step, one each, under one cap.  Slopes are the Lagrange
+multipliers of the distortion constraints, so a target-distortion solve
+runs a bracketing secant on each slope; with side information the same
+slopes apply to every side state, which is exactly the optimal distortion
+allocation across side states.
 Every target solve, with one constraint or several, is the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
 Lagrange dual), each slope search opening at the point the sweep holds.
@@ -81,8 +83,6 @@ MAX_ITERS = 10_000
 _NEWTON_AFTER = 100
 #: Newton drops letters under this fraction of the largest.
 _NEWTON_FLOOR = 1e-12
-#: Plain Blahut-Arimoto steps in a row before Newton hands a state back.
-_NEWTON_STALLS = 3
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
@@ -237,46 +237,21 @@ def _ba_slope_core(p, a, q, max_iters):
     than ``GAP_TOL_NATS``; the others keep stepping, so one slow state runs
     at single-state cost.  The bracket holds at any interior q, so plain
     update pairs are interleaved with extrapolated (Steffensen-type) steps
-    that collapse the slow modes appearing at shallow slopes; a state keeps
-    its extrapolated q only when that does not increase its convex potential
-    -sum p ln(Aq).  The stacked products work slice by slice, so a state
-    without padding rows gets the arithmetic of a solve of it alone (padding
-    only regroups its sums).
+    that collapse the slow modes appearing at shallow slopes; an
+    extrapolated q is clipped at 1e-280 of its largest letter, so every
+    letter stays revivable by the multiplicative update.  The stacked
+    products work slice by slice, so a state without padding rows gets the
+    arithmetic of a solve of it alone (padding only regroups its sums).
 
     A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
     leaves the stack for ``_newton`` on its own support rows, which stops on
-    the same bracket; a state that Newton hands back runs these steps alone
-    for the rest of its budget.  A Newton step counts as one iteration, so
-    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and
-    all of them share ``max_iters``.  Returns the final q, the iterations and
-    the convergence flag of every state.
+    the same bracket; it is the kernel's one rescue for a slow state.  A
+    Newton step counts as one iteration, so ``iters`` is the Blahut-Arimoto
+    iterations plus the Newton steps, and all of them share ``max_iters``.
+    Returns the final q, the iterations and the convergence flag of every
+    state.
     """
-    out = np.empty_like(q), np.zeros(len(q), int), np.zeros(len(q), bool)
-    live, q, it = _ba_cycles(p, a, q, np.arange(len(q)), 0, min(max_iters, _NEWTON_AFTER), out)
-    for k, qk in zip(live.tolist(), q):
-        out[0][k], out[1][k] = qk, it  # capped, unless Newton has budget left
-        if it >= max_iters:
-            continue
-        rows = p[k] > 0
-        pk, ak = p[k, rows], a[k, rows]
-        qn, itk, done = _newton(pk, ak, qk, it, max_iters)
-        if done is None:  # handed back: plain steps for the rest of the budget
-            gone, qn, itk = _ba_cycles(pk[None], ak[None], qk[None], np.array([k]),
-                                       itk, max_iters, out)
-            if not len(gone):
-                continue
-            qn, done = qn[0], False
-        out[0][k], out[1][k], out[2][k] = qn, itk, done
-    return out
-
-
-def _ba_cycles(p, a, q, live, it, stop, out):
-    """The stacked steps of ``_ba_slope_core`` from iteration ``it`` on, until
-    every state has closed its bracket or ``it`` reaches ``stop``.  ``live``
-    holds the state of each slot of the stack; a state that stops has its q,
-    iterations and True written into the arrays ``out``.  Returns the states
-    still open, their q and the iteration count."""
-    q_out, iters, conv = out
+    q_out, iters, conv = np.empty_like(q), np.zeros(len(q), int), np.zeros(len(q), bool)
 
     def col(x):
         """One number per state, shaped to scale each state's row (a lone
@@ -302,62 +277,48 @@ def _ba_cycles(p, a, q, live, it, stop, out):
         q_out[gone], iters[gone], conv[gone] = qd[done], it, True
         return [x[~done] for x in (live, *stack)]
 
-    alpha = np.matvec(a, q)  # A q of the current q, carried over between cycles
-    while it < stop:
-        q1, done = step(q, alpha, p, a)
+    live, sp, sa, it = np.arange(len(q)), p, a, 0  # the stack of open states
+    alpha = np.matvec(sa, q)  # A q of the current q, carried over between cycles
+    while it < min(max_iters, _NEWTON_AFTER):
+        q1, done = step(q, alpha, sp, sa)
         it += 1
         if any(done):
-            live, p, a, q, q1 = leave(done, q1, it, live, p, a, q, q1)
+            live, sp, sa, q, q1 = leave(done, q1, it, live, sp, sa, q, q1)
             if not len(live):
                 break
-        q2, done = step(q1, np.matvec(a, q1), p, a)
+        q2, done = step(q1, np.matvec(sa, q1), sp, sa)
         it += 1
         if any(done):
-            live, p, a, q, q1, q2 = leave(done, q2, it, live, p, a, q, q1, q2)
+            live, sp, sa, q, q1, q2 = leave(done, q2, it, live, sp, sa, q, q1, q2)
             if not len(live):
                 break
         r = q1 - q
         v = (q2 - q1) - r
         vv, rr = np.vecdot(v, v).tolist(), np.vecdot(r, r).tolist()
-        if 0.0 in vv:
-            # v.v underflows to 0 when only letters near the 1e-280 floor still
-            # move: take both squared norms again at the scale of the step
-            for k in range(len(vv)):
-                if vv[k] == 0.0 and v[k].any():
-                    scale = max(np.abs(v[k]).max(), np.abs(r[k]).max())
-                    vs, rs = v[k] / scale, r[k] / scale
-                    vv[k], rr[k] = float(np.vecdot(vs, vs)), float(np.vecdot(rs, rs))
         # b * b = rr / vv must stay finite for the step below to be
         ok = [0.0 < x < math.inf and y / x < math.inf for x, y in zip(vv, rr)]
         if any(ok):
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
             b = col([max(math.sqrt(y / x), 1.0) if o else 1.0 for o, x, y in zip(ok, vv, rr)])
             qa = q + (2.0 * b) * r + (b * b) * v
-            np.maximum(qa, 0.0, out=qa)
+            # clip at 1e-280 of the largest letter, not at 0: the update q c
+            # revives a letter from there in a few steps, Newton cannot from
+            # 0, and A q stays positive
+            np.maximum(qa, 1e-280 * col(np.maximum.reduce(qa, axis=1).tolist()), out=qa)
             tot = np.add.reduce(qa, axis=1).tolist()
             ok = [o and 0.0 < t < math.inf for o, t in zip(ok, tot)]
-        if not any(ok):  # no state has an extrapolation to try
-            q, alpha = q2, np.matvec(a, q2)
-            continue
-        if not all(ok):  # these states keep q2: stand it in to stay finite
-            np.copyto(qa, q2, where=col([not o for o in ok]))
-            tot = [t if o else 1.0 for o, t in zip(ok, tot)]
-        qa /= col(tot)
-        # keep letters revivable after clipping
-        np.maximum(qa, 1e-280 * col(np.maximum.reduce(qa, axis=1).tolist()), out=qa)
-        qa /= col(np.add.reduce(qa, axis=1).tolist())
-        # keep qa where it does not increase the potential -p.ln(Aq)
-        alphas = np.matvec(a, np.concatenate((qa, q2)).reshape(2, *q.shape))
-        pa, p2 = np.vecdot(p, np.log(alphas)).tolist()
-        take = [o and x >= y for o, x, y in zip(ok, pa, p2)]
-        if all(take):
-            q, alpha = qa, alphas[0]
-        else:
-            take = np.array(take)[:, None]
-            np.copyto(q2, qa, where=take)
-            np.copyto(alphas[1], alphas[0], where=take)
-            q, alpha = q2, alphas[1]
-    return live, q, it
+        if any(ok):
+            if not all(ok):  # these states keep q2: stand it in to stay finite
+                np.copyto(qa, q2, where=col([not o for o in ok]))
+                tot = [t if o else 1.0 for o, t in zip(ok, tot)]
+            q2 = qa / col(tot)
+        q, alpha = q2, np.matvec(sa, q2)
+    q_out[live], iters[live] = q, it  # capped, unless Newton has budget left
+    if it < max_iters:
+        for k, qk in zip(live.tolist(), q):
+            rows = p[k] > 0
+            q_out[k], iters[k], conv[k] = _newton(p[k, rows], a[k, rows], qk, it, max_iters)
+    return q_out, iters, conv
 
 
 def _newton(p, a, q, it, max_iters):
@@ -382,17 +343,15 @@ def _newton(p, a, q, it, max_iters):
     has no finite descent step (H singular on S, as on a flat face of a
     linear segment of the curve), the state takes the Blahut-Arimoto step
     instead, stretched along q (c - 1) as far as the search allows.  The stop
-    test is the kernel's bracket.  Returns (q, it, converged): ``it`` counts
-    on from the given count, one per step; converged is None when the state
-    is handed back after ``_NEWTON_STALLS`` plain Blahut-Arimoto steps in a
-    row (neither a Newton step nor a stretched one), which the extrapolated
-    steps of ``_ba_slope_core`` take faster.
+    test is the kernel's bracket, and the state keeps stepping until it
+    closes or the budget runs out.  Returns (q, it, converged): ``it`` counts
+    on from the given count, one per step.
     """
     a, group = np.unique(a, axis=1, return_inverse=True)
     group = group.reshape(-1)
     mass = np.bincount(group, q)
     share = np.divide(q, mass[group], out=1.0 / np.bincount(group)[group], where=mass[group] > 0)
-    q, stalls = mass, 0
+    q = mass
     while True:
         q = np.where(q > _NEWTON_FLOOR * q.max(), q, 0.0)
         q /= q.sum()
@@ -401,9 +360,8 @@ def _newton(p, a, q, it, max_iters):
         on, qc = q > 0, q * c
         pos = qc > 0
         gap = (c.max() - 1.0) - qc[pos] @ np.log(c[pos])
-        if gap < GAP_TOL_NATS or it >= max_iters or stalls >= _NEWTON_STALLS:
-            done = True if gap < GAP_TOL_NATS else False if it >= max_iters else None
-            return q[group] * share, it, done
+        if gap < GAP_TOL_NATS or it >= max_iters:
+            return q[group] * share, it, bool(gap < GAP_TOL_NATS)
         it += 1
         j = int(np.argmax(np.where(on, -np.inf, c)))
         joined = not on[j] and c[j] > 1.0
@@ -418,9 +376,6 @@ def _newton(p, a, q, it, max_iters):
             s = on
             d = q[s] * (c[s] - 1.0)
             t = _search(p, a, alpha, c, q, s, d, False)
-            stalls = stalls + 1 if t == 1.0 else 0
-        else:
-            stalls = 0
         q[s] += t * d
 
 
@@ -646,7 +601,7 @@ class _MultiSolver:
             self.margs.append(_state_sum(self.weights, marg[:, 0, :]))
         self.trivs, self.floors = _state_sum(self.weights, corner)
 
-    def eval(self, slopes, iters: int | None = None) -> tuple[float, np.ndarray, int, bool]:
+    def eval(self, slopes) -> tuple[float, np.ndarray, int, bool]:
         """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
 
         One ``_ba_slope_core`` call steps every side state; the rate and the
@@ -672,7 +627,7 @@ class _MultiSolver:
             # a trace of uniform keeps dead letters revivable without
             # perturbing the solution when the optimal face is degenerate
             q = np.where(ok, (1.0 - 1e-6) * (q0 / tot) + 1e-6 / self.nh, q)
-        q, its, conv = _ba_slope_core(self.p, a, q, iters or MAX_ITERS)
+        q, its, conv = _ba_slope_core(self.p, a, q, MAX_ITERS)
         self.warm = q
         channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
         qm = np.vecmat(self.p, channel)[:, None, :]
@@ -715,10 +670,11 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     point s_i - (D_i - target_i) / g_i rather than doubling or halving its
     slope, so a held point that is already close probes near the root and
     the next warm start stays close too.  Sweeping stops once all
-    constraints check out or the slope vector goes quasi-static.  A held
-    exact, converged point is then reported as is; otherwise a final solve
-    at the settled slopes with a larger iteration budget defines the
-    reported point.
+    constraints check out or the slope vector goes quasi-static, and the
+    point the sweep holds then is the one reported: an exact solve, or a
+    timeshared mix across a jump of D(s).  It counts as converged when its
+    solves closed their brackets and every constraint passes ``_accept`` at
+    ``DIST_TOL``.
     """
     targets = np.asarray(targets, float)
     if np.any(targets < 0):
@@ -768,15 +724,6 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
             if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
                 break
     ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
-    if not (exact and conv):
-        r2, d2, it, c2 = solver.eval(slopes, iters=4 * MAX_ITERS)
-        total_it += it
-        ok2 = all(_accept(slopes[i], d2[i], targets[i], DIST_TOL) for i in range(solver.m))
-        if ok2 or not ok:
-            # the high-budget solve at the settled slopes defines the point,
-            # unless only the held one meets the targets (a timeshared point:
-            # no single slope does)
-            rate, dvec, conv, ok = r2, d2, c2, ok2
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
                    total_it, bool(ok and conv))
 

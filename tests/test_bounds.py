@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from semrd import (
     marginal_table,
     random_net,
 )
+from semrd.info import parent_marginals, redundancy_gap
 from semrd.nets import doubly_symmetric_fork
+from semrd.rd import ba_joint_multi_target
 
 TWO_SIDED_RATE = 0.36519727294664994  # 2 * (h_b(0.1) - h_b(0.05))
 
@@ -177,3 +180,76 @@ def test_precise_sweeps_converge_on_former_test7_skips():
         rep = lemma1_bounds(net, targets)
         assert rep.converged, index
         assert rep.lower - 2e-4 <= rep.joint <= rep.upper + 2e-4, index
+
+
+def shannon_lower_bound(joint, targets, side=False):
+    """(H(X | Y) - sum_i [h(D_i) + D_i log2(k_i - 1)], tight) at Hamming
+    targets D_i for the source ``joint`` (with a leading side axis Y when
+    ``side``): the Shannon lower bound on its rate, and whether the bound is
+    the rate itself, which holds exactly when the backward channel
+    (K_1(D_1) x ... x K_m(D_m))^-1 p(. | y) is >= 0 for every side state y,
+    K_i(D) the k_i-ary symmetric channel with error D."""
+    joint = np.asarray(joint, float)
+    joint = joint if side else joint[None]
+    bound, tight = 0.0, True
+    for py in joint:
+        w = py.sum()
+        if w == 0.0:
+            continue
+        back = py / w
+        for axis, (k, t) in enumerate(zip(py.shape, targets)):
+            inv = np.linalg.inv((1.0 - t - t / (k - 1)) * np.eye(k) + t / (k - 1))
+            back = np.moveaxis(np.tensordot(inv, back, axes=(1, axis)), 0, axis)
+        tight = tight and back.min() >= 0.0
+        nz = py[py > 0] / w
+        bound -= w * float(nz @ np.log2(nz))
+    bound -= sum(binary_entropy(t) + t * math.log2(k - 1) for k, t in zip(joint.shape[1:], targets))
+    return bound, tight
+
+
+def _oracle_draws():
+    """300 random nets (2-4 variables, cardinality <= 3) with Hamming targets
+    from U(0.005, 0.08): low distortion, where the bound is often tight."""
+    for seed in range(300):
+        rng = np.random.default_rng(7000 + seed)
+        net = random_net(7000 + seed, int(rng.integers(2, 5)), max_card=3)
+        targets = tuple(float(t) for t in rng.uniform(0.005, 0.08, size=net.m))
+        yield net, targets, marginal_table(net, list(range(net.m))).probs.reshape(net.cards)
+
+
+def test_joint_solve_meets_the_tight_shannon_lower_bound():
+    tight = 0
+    for net, targets, arr in _oracle_draws():
+        bound, exact = shannon_lower_bound(arr, targets)
+        if not exact:
+            continue
+        tight += 1
+        pt = ba_joint_multi_target(arr, DistortionSpec.hamming(net.cards).matrices, targets)
+        assert pt.converged, targets
+        assert abs(pt.rate - bound) <= 1e-6, targets
+    print(f"Shannon lower bound: {tight} of 300 joint draws tight")
+    assert tight >= 50
+
+
+def test_lemma1_terms_meet_the_tight_shannon_lower_bound():
+    # with H(X) = sum_i H(X_i | Parent(X_i)), the lower sum is the joint bound
+    # once every family is tight, and upper - joint is the redundancy gap once
+    # every marginal is tight too
+    tight = gaps = 0
+    for net, targets, arr in _oracle_draws():
+        bound, exact = shannon_lower_bound(arr, targets)
+        fams = list(zip(net.cpts, parent_marginals(net), targets))
+        if not (exact and all(shannon_lower_bound(p_pa[:, None] * cpt.table, [t], side=True)[1]
+                              for cpt, p_pa, t in fams)):
+            continue
+        tight += 1
+        rep = lemma1_bounds(net, targets)
+        assert rep.converged, targets
+        assert abs(rep.lower - bound) <= 1e-6, targets
+        assert abs(rep.joint - bound) <= 1e-6, targets
+        if all(shannon_lower_bound(p_pa @ cpt.table, [t])[1] for cpt, p_pa, t in fams):
+            gaps += 1
+            assert abs(rep.slack_upper - redundancy_gap(net)) <= 1e-6, targets
+    print(f"Shannon lower bound: {tight} of 300 Lemma 1 draws tight in the joint and every "
+          f"family, {gaps} in every marginal too")
+    assert gaps >= 50

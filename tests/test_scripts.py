@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from semrd import rd
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -48,3 +50,14 @@ def test_solver_digest_census_counts_every_evaluation():
     assert census is not None
     assert int(census[1]) == evals
     assert int(census[3]) <= evals
+
+
+def test_solver_digest_exits_1_on_an_unconverged_evaluation(monkeypatch):
+    # a 2-iteration budget leaves the kernel's brackets open
+    monkeypatch.setattr(rd, "MAX_ITERS", 2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert _main("solver_digest")(["--size", "1"]) == 1
+    census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged",
+                          err.getvalue().splitlines()[-1])
+    assert census is not None and int(census[3]) > 0
