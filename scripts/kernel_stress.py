@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Stress the rate-distortion kernel and the target search on random sources.
+
+Draws ``--sources`` seeded sources of 2-6 letters, each with a Hamming, a
+squared-error or a random distortion matrix (2-6 reconstruction letters,
+about 30 % of the entries 0), and solves each at nine slopes from -1000 to
+-0.05 with ``ba_point``.  Then it runs ``--draws`` seeded draws each of a
+target (``ba_target``), a conditional target (``ba_conditional_target``) and
+a two-variable joint target solve (``ba_joint_multi_target``), with targets
+drawn between each coordinate's distortion floor and its zero-rate corner.
+
+Prints one CSV row per kind of solve: the points solved, the iterations they
+took, the most any one took, the bad points and the unmet targets.  A point
+is bad when its rate or a distortion is NaN or when a kernel evaluation it
+made (``_MultiSolver.eval``) returned ``converged=False``; a target is unmet
+when the target search returned ``converged=False`` although every
+evaluation converged, a fault of the search (it cannot meet a joint target
+on a linear segment of the surface), not of the kernel.  Each bad point and
+unmet target goes to stderr with the call that reproduces it.  Exits 1 when
+any point is bad.
+
+    python scripts/kernel_stress.py --sources 600 --draws 150
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from semrd import rd
+from semrd.rd import (ba_conditional_target, ba_joint_multi_target, ba_point, ba_target,
+                      hamming_distortion, min_distortion, squared_error_distortion,
+                      trivial_distortion)
+
+SLOPES = (-1000.0, -300.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.3, -0.05)
+
+
+def _source(rng, k):
+    """A source on k letters; Dirichlet(1/2) draws leave some letters rare."""
+    p = rng.dirichlet(np.full(k, 0.5))
+    return p / p.sum()
+
+
+def _distortion(rng, kind, k):
+    if kind == 0:
+        return hamming_distortion(k)
+    if kind == 1:
+        return squared_error_distortion(k)
+    kh = int(rng.integers(2, 7))
+    return rng.uniform(0.0, 3.0, size=(k, kh)) * (rng.random((k, kh)) >= 0.3)
+
+
+def _target(rng, floor, corner):
+    return float(floor + rng.uniform(0.05, 0.95) * (corner - floor))
+
+
+def _points(sources):
+    for seed in range(sources):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        p, d = _source(rng, k), _distortion(rng, seed % 3, k)
+        for slope in SLOPES:
+            yield (f"ba_point({p.tolist()}, {d.tolist()}, {slope})",
+                   lambda p=p, d=d, s=slope: ba_point(p, d, s))
+
+
+def _targets(draws):
+    for seed in range(draws):
+        rng = np.random.default_rng(100_000 + seed)
+        k = int(rng.integers(2, 7))
+        p, d = _source(rng, k), _distortion(rng, seed % 3, k)
+        t = _target(rng, min_distortion(p, d), trivial_distortion(p, d))
+        yield f"ba_target({p.tolist()}, {d.tolist()}, {t})", lambda p=p, d=d, t=t: ba_target(p, d, t)
+
+
+def _conditional_targets(draws):
+    for seed in range(draws):
+        rng = np.random.default_rng(200_000 + seed)
+        k, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        joint = _source(rng, k * ny).reshape(k, ny)
+        d = _distortion(rng, seed % 3, k)
+        py = joint.sum(axis=0)
+        states = [(w, joint[:, y] / w) for y, w in enumerate(py) if w > 0]
+        floor = sum(w * min_distortion(c, d) for w, c in states)
+        corner = sum(w * trivial_distortion(c, d) for w, c in states)
+        t = _target(rng, floor, corner)
+        yield (f"ba_conditional_target({joint.tolist()}, {d.tolist()}, {t})",
+               lambda j=joint, d=d, t=t: ba_conditional_target(j, d, t))
+
+
+def _joint_targets(draws):
+    for seed in range(draws):
+        rng = np.random.default_rng(300_000 + seed)
+        cards = [int(c) for c in rng.integers(2, 4, size=2)]
+        joint = _source(rng, cards[0] * cards[1]).reshape(cards)
+        dists = [_distortion(rng, (seed + i) % 3, k) for i, k in enumerate(cards)]
+        targets = tuple(_target(rng, min_distortion(m, d), trivial_distortion(m, d))
+                        for m, d in zip((joint.sum(axis=1), joint.sum(axis=0)), dists))
+        yield (f"ba_joint_multi_target({joint.tolist()}, {[d.tolist() for d in dists]}, {targets})",
+               lambda j=joint, ds=dists, t=targets: ba_joint_multi_target(j, ds, t))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sources", type=int, default=600,
+                    help="random sources solved at each of the nine slopes")
+    ap.add_argument("--draws", type=int, default=150,
+                    help="random draws of each kind of target solve")
+    args = ap.parse_args(argv)
+
+    real_eval = rd._MultiSolver.eval
+    failed = []  # kernel evaluations of the current point that did not converge
+
+    def eval_checked(self, slopes):
+        out = real_eval(self, slopes)
+        failed.append(not out[3])
+        return out
+
+    print("kind,points,iterations,max_iterations,bad,unmet")
+    total_bad = 0
+    rd._MultiSolver.eval = eval_checked
+    try:
+        for kind, cases in (("point", _points(args.sources)),
+                            ("target", _targets(args.draws)),
+                            ("conditional_target", _conditional_targets(args.draws)),
+                            ("joint_target", _joint_targets(args.draws))):
+            points = iters = most = bad = unmet = 0
+            for call, solve in cases:
+                failed.clear()
+                pt = solve()
+                points += 1
+                iters += pt.iterations
+                most = max(most, pt.iterations)
+                if np.isnan([pt.rate, *pt.distortions]).any() or any(failed):
+                    bad += 1
+                    print(f"# bad: {call} -> {pt}", file=sys.stderr)
+                elif not pt.converged:
+                    unmet += 1
+                    print(f"# unmet: {call} -> {pt}", file=sys.stderr)
+            print(f"{kind},{points},{iters},{most},{bad},{unmet}")
+            total_bad += bad
+    finally:
+        rd._MultiSolver.eval = real_eval
+    return 1 if total_bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

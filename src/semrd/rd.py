@@ -19,11 +19,13 @@ upper/lower bound bracket on the parametric objective closes below
 ``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, one call of
 that loop steps every side state's q together, and each state stops on its
 own bracket.  Plain update pairs alternate with extrapolated steps, and a
-state whose bracket is still open after ``_NEWTON_AFTER`` iterations leaves
-that loop for active-set Newton on q over its own support rows
+state whose bracket is still open after ``_NEWTON_AFTER`` (30) iterations
+leaves that loop for active-set Newton on q over its own support rows
 (``_newton``), which stops on the same bracket: at fixed slopes the loop is
 the EM step of a maximum-likelihood mixing-weights problem, and EM crawls
-near some optima where Newton converges in a few steps.  Newton is the
+near some optima where Newton converges in a few steps.  Newton starts from
+the support the state has reached: letters still under the warm start's
+uniform trace and shrinking start outside it.  Newton is the
 kernel's one rescue for a slow state.  A solve's ``iterations`` count both
 kinds of step, one each, under one cap.  Slopes are the Lagrange
 multipliers of the distortion constraints, so a target-distortion solve
@@ -80,9 +82,13 @@ DIST_TOL = 1e-6
 SLACK_TOL = 3e-6
 MAX_ITERS = 10_000
 #: Blahut-Arimoto iterations before a slow state moves to Newton on q.
-_NEWTON_AFTER = 100
+_NEWTON_AFTER = 30
 #: Newton drops letters under this fraction of the largest.
 _NEWTON_FLOOR = 1e-12
+#: Newton merges letters whose columns of A agree to this (rows' maxima are 1).
+_NEWTON_MERGE = 1e-14
+#: Weight of the uniform distribution mixed into every warm start.
+_WARM_TRACE = 1e-6
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
@@ -245,9 +251,11 @@ def _ba_slope_core(p, a, q, max_iters):
 
     A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
     leaves the stack for ``_newton`` on its own support rows, which stops on
-    the same bracket; it is the kernel's one rescue for a slow state.  A
-    Newton step counts as one iteration, so ``iters`` is the Blahut-Arimoto
-    iterations plus the Newton steps, and all of them share ``max_iters``.
+    the same bracket; it is the kernel's one rescue for a slow state.  The
+    handoff comes early: a state still open after it is most often a few
+    Newton steps from its optimum.  A Newton step counts as one iteration, so
+    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and all
+    of them share ``max_iters``.
     Returns the final q, the iterations and the convergence flag of every
     state.
     """
@@ -327,11 +335,18 @@ def _newton(p, a, q, it, max_iters):
     At fixed tilts the kernel minimizes F(q) = -sum p ln(Aq) over the simplex,
     the maximum-likelihood mixing-weights problem, whose EM step is the
     Blahut-Arimoto update q <- q c with c = A^T (p / Aq) = -grad F.  Near a
-    slow optimum EM crawls; Newton does not.  Letters whose columns of A are
-    equal (as where a slope is 0) are one letter to F: Newton moves their
-    total and keeps their ratios, as the Blahut-Arimoto step does.  Each step
-    works on the support S of q, joined by the letter that most violates
-    c <= 1 off it, and solves the equality-constrained KKT system
+    slow optimum EM crawls; Newton does not.  Letters whose columns of A
+    round alike to ``_NEWTON_MERGE`` (equal, as where a slope is 0, or apart
+    only by entries far below their rows' maxima of 1, as on a flat face) are
+    merged: Newton moves their total and keeps their ratios, as the
+    Blahut-Arimoto step does, on the column A takes for those ratios.  Where
+    every c <= 1, p / Aq <= 1 on every row (each row has an entry 1), so the
+    merge moves no letter's c by more than rows * ``_NEWTON_MERGE``, far
+    under the stop tolerance.  A letter under ``_WARM_TRACE`` of the largest
+    with c < 1 starts off the support: the uniform trace of a warm start put
+    it there.  Each step works on the support S of the merged q, joined by
+    the letter that most violates c <= 1 off it, and solves the
+    equality-constrained KKT system
 
         [H 1; 1^T 0] [d; mu] = [c_S - 1; 0],   H = A_S^T diag(p / (Aq)^2) A_S,
 
@@ -343,40 +358,50 @@ def _newton(p, a, q, it, max_iters):
     has no finite descent step (H singular on S, as on a flat face of a
     linear segment of the curve), the state takes the Blahut-Arimoto step
     instead, stretched along q (c - 1) as far as the search allows.  The stop
-    test is the kernel's bracket, and the state keeps stepping until it
-    closes or the budget runs out.  Returns (q, it, converged): ``it`` counts
-    on from the given count, one per step.
+    test is the kernel's bracket over every letter, unmerged, and the state
+    keeps stepping until it closes or the budget runs out.  Returns
+    (q, it, converged): ``it`` counts on from the given count, one per step.
     """
-    a, group = np.unique(a, axis=1, return_inverse=True)
-    group = group.reshape(-1)
+    ids = {}  # letters whose columns of A round alike are one merged letter
+    key = np.rint(a * (1.0 / _NEWTON_MERGE)).T.copy()
+    group = np.array([ids.setdefault(k.tobytes(), len(ids)) for k in key])
     mass = np.bincount(group, q)
     share = np.divide(q, mass[group], out=1.0 / np.bincount(group)[group], where=mass[group] > 0)
-    q = mass
+    merge = np.zeros((len(q), len(ids)))
+    merge[np.arange(len(q)), group] = share
+    b = a @ merge  # the merged letters' columns: A q = b g for q = g[group] * share
+    g = mass
+    # the warm start's trace: a letter under it, relative to the largest,
+    # and still shrinking starts off the support
+    g[(g < _WARM_TRACE * g.max()) & ((p / (b @ g)) @ b < 1.0)] = 0.0
     while True:
-        q = np.where(q > _NEWTON_FLOOR * q.max(), q, 0.0)
-        q /= q.sum()
+        g = np.where(g > _NEWTON_FLOOR * g.max(), g, 0.0)
+        g /= g.sum()
+        q = g[group] * share
         alpha = a @ q
-        c = (p / alpha) @ a
-        on, qc = q > 0, q * c
+        cq = (p / alpha) @ a
+        qc = q * cq
         pos = qc > 0
-        gap = (c.max() - 1.0) - qc[pos] @ np.log(c[pos])
+        gap = (cq.max() - 1.0) - qc[pos] @ np.log(cq[pos])  # the bracket over every letter
         if gap < GAP_TOL_NATS or it >= max_iters:
-            return q[group] * share, it, bool(gap < GAP_TOL_NATS)
+            return q, it, bool(gap < GAP_TOL_NATS)
         it += 1
+        c = cq @ merge
+        on = g > 0
         j = int(np.argmax(np.where(on, -np.inf, c)))
         joined = not on[j] and c[j] > 1.0
         s = on.copy()
         s[j] |= joined
-        d = _kkt_step(p, a, alpha, c, s)
+        d = _kkt_step(p, b, alpha, c, s)
         if joined and d is not None and d[np.count_nonzero(s[:j])] <= 0.0:
             s[j] = False
-            d = _kkt_step(p, a, alpha, c, s)
-        t = _search(p, a, alpha, c, q, s, d, True) if d is not None else None
-        if t is None:  # the Blahut-Arimoto step q c, stretched as far as the search allows
+            d = _kkt_step(p, b, alpha, c, s)
+        t = _search(p, b, alpha, c, g, s, d, True) if d is not None else None
+        if t is None:  # the Blahut-Arimoto step g c, stretched as far as the search allows
             s = on
-            d = q[s] * (c[s] - 1.0)
-            t = _search(p, a, alpha, c, q, s, d, False)
-        q[s] += t * d
+            d = g[s] * (c[s] - 1.0)
+            t = _search(p, b, alpha, c, g, s, d, False)
+        g[s] += t * d
 
 
 def _kkt_step(p, a, alpha, c, s):
@@ -626,7 +651,7 @@ class _MultiSolver:
             ok = (np.minimum.reduce(q0, axis=1, keepdims=True) >= 0.0) & (tot > 0.0)
             # a trace of uniform keeps dead letters revivable without
             # perturbing the solution when the optimal face is degenerate
-            q = np.where(ok, (1.0 - 1e-6) * (q0 / tot) + 1e-6 / self.nh, q)
+            q = np.where(ok, (1.0 - _WARM_TRACE) * (q0 / tot) + _WARM_TRACE / self.nh, q)
         q, its, conv = _ba_slope_core(self.p, a, q, MAX_ITERS)
         self.warm = q
         channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]

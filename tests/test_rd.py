@@ -176,6 +176,33 @@ def test_clipped_letters_stay_revivable(slope):
     assert pt.rate == pytest.approx(0.28167906, abs=1e-7)
 
 
+def test_equal_letters_on_a_flat_face_merge_in_the_newton_phase():
+    # letters 2 and 3 have tilts 3.4e-48 and 6.9e-48 in row 0 and 1 in row 1:
+    # equal to rounding, so a KKT system that keeps them apart is singular,
+    # and Blahut-Arimoto steps alone held the gap at 1.16e-9 nats until the
+    # 10,000 cap; merged, Newton closes it
+    d = [[0.28988808766969587, 0.0, 1.576734476579448, 1.566724407472144],
+         [0.0, 0.15672060439144742, 0.0, 0.0]]
+    pt = ba_point([0.3087717144163245, 0.6912282855836756], d, -100.0)
+    assert pt.converged
+    assert pt.rate == pytest.approx(0.8916492652, abs=1e-8)
+
+
+def test_a_letter_the_optimum_needs_is_not_lost_at_the_handoff():
+    # a handoff after 20 Blahut-Arimoto iterations entered Newton with a
+    # needed letter at 5e-43 of the largest, which Newton never grew back:
+    # the solve capped at 10,000 iterations
+    p = [0.03869090290775831, 0.07712500772121254, 0.0020327004510105, 0.8821513889200187]
+    d = [[0.8633341937245766, 0.19262053036428572, 1.0237777870644353, 2.3235961055974177,
+          1.6046668980240586],
+         [0.0, 2.698918001112441, 1.7895746870394902, 1.4472290091890814, 0.0],
+         [0.0, 0.5276022488418133, 1.1839326734775277, 1.1195729756945623, 1.6254198283520398],
+         [2.838311544990182, 1.2574177815316165, 0.01355957499551264, 0.0, 0.0]]
+    pt = ba_point(p, d, -100.0)
+    assert pt.converged
+    assert pt.rate == pytest.approx(0.2570029103, abs=1e-8)
+
+
 def test_slow_blahut_arimoto_point_closes_in_the_newton_phase():
     # Blahut-Arimoto steps alone converge sublinearly here (2,131 iterations,
     # extrapolation included); Newton on q takes over after _NEWTON_AFTER
@@ -409,11 +436,13 @@ def test_side_states_step_together_as_separate_solves(monkeypatch):
     ])
     joint = np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
     py = joint.sum(axis=1)
-    # a budget of _NEWTON_AFTER caps the two slow states at slope -1 in the
-    # Blahut-Arimoto phase, next to converged ones; at the default budget they
-    # close their brackets in the Newton phase
+    # the subject is the stack in each phase, not where one hands over to
+    # the other, so the handoff is held at 100: a budget of 100 caps the two
+    # slow states at slope -1 in the Blahut-Arimoto phase, next to converged
+    # ones; at the default budget they close their brackets in the Newton phase
+    monkeypatch.setattr(rd, "_NEWTON_AFTER", 100)
     default = rd.MAX_ITERS
-    for budget in (rd._NEWTON_AFTER, default):
+    for budget in (100, default):
         monkeypatch.setattr(rd, "MAX_ITERS", budget)
         side = rd._MultiSolver(joint, d, side=True)
         # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp,

@@ -29,6 +29,8 @@ def _main(name):
      "net,variables,entropy_bits,expected_length_bits,measured_bits_per_sample,"
      "entries_touched,stream_bytes", 3),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 10),
+    ("kernel_stress", ["--sources", "3", "--draws", "1"],
+     "kind,points,iterations,max_iterations,bad,unmet", 4),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
@@ -61,3 +63,13 @@ def test_solver_digest_exits_1_on_an_unconverged_evaluation(monkeypatch):
     census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged",
                           err.getvalue().splitlines()[-1])
     assert census is not None and int(census[3]) > 0
+
+
+def test_kernel_stress_exits_1_on_an_unconverged_evaluation(monkeypatch):
+    # a 2-iteration budget leaves the kernel's brackets open
+    monkeypatch.setattr(rd, "MAX_ITERS", 2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert _main("kernel_stress")(["--sources", "1", "--draws", "0"]) == 1
+    kind, points, _, most, bad, _ = out.getvalue().splitlines()[1].split(",")
+    assert (kind, points, most) == ("point", "9", "2") and int(bad) > 0
