@@ -5,8 +5,8 @@ For each bundled network: build the per-node codebooks, encode a large batch
 of samples, and line up three numbers per network -- the factorized entropy,
 the analytic expected code length, and the measured bits per sample.  The
 measured rate should track the analytic expectation to within sampling noise,
-and both stay inside [H, H + m).  Encode and decode speeds, in symbols per
-second, go to stderr.
+and both stay inside [H, H + m).  Sample, encode and decode speeds, in
+symbols per second, go to stderr.
 """
 
 import argparse
@@ -38,6 +38,7 @@ def main(argv=None):
     for name in BUNDLED:
         net = load_bundled(name)
         fcb = build_factorized_codebooks(net)
+        t = time.perf_counter()
         draws = sample(net, args.n, seed=args.seed)
         t0 = time.perf_counter()
         stream = encode(fcb, draws)
@@ -45,7 +46,8 @@ def main(argv=None):
         decoded = decode(fcb, stream)
         t2 = time.perf_counter()
         symbols = draws.size
-        print(f"# {name}: encode {symbols / (t1 - t0):.4g} symbols/s, "
+        print(f"# {name}: sample {symbols / (t0 - t):.4g} symbols/s, "
+              f"encode {symbols / (t1 - t0):.4g} symbols/s, "
               f"decode {symbols / (t2 - t1):.4g} symbols/s", file=sys.stderr)
         if not np.array_equal(decoded, draws):
             print(f"# {name}: decode(encode(x)) != x", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -89,10 +90,7 @@ class BayesNet:
         return max((len(c.parents) for c in self.cpts), default=0)
 
     def joint_states(self) -> int:
-        n = 1
-        for c in self.cards:
-            n *= c
-        return n
+        return math.prod(self.cards)
 
     def id_of(self, name_or_id: str | int) -> int:
         """Resolve a variable name (or id passed through) to its id."""
@@ -189,6 +187,18 @@ def config_index(states: Sequence, cards: Sequence[int]):
     for s, c in zip(states, cards):
         idx = idx * c + s
     return idx
+
+
+def row_layout(net: BayesNet) -> tuple[np.ndarray, np.ndarray]:
+    """Every variable's parent ids padded to the widest family, (m, L), and
+    their mixed-radix weights, 0 on padding: ``(x[:, pa] * w).sum(-1)`` is
+    the CPT row of every variable in each state vector of an (n, m) ``x``."""
+    width = net.max_in_degree()
+    pa = np.array([c.parents + (-1,) * (width - len(c.parents)) for c in net.cpts],
+                  dtype=np.int64).reshape(net.m, width)
+    card = np.array(net.cards + (1,))[pa]  # padding: id -1, cardinality 1
+    w = np.cumprod(card[:, ::-1], axis=1)[:, ::-1] // card  # product of the later cards
+    return np.maximum(pa, 0), w * (pa >= 0)
 
 
 def make_net(
@@ -411,8 +421,9 @@ def enumerate_joint(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> JointTabl
 def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` ancestral samples; deterministic for a fixed seed.
 
-    Returns an (n, m) int array of state vectors in variable-id order; an
-    n x m table over the size guard is refused before it is allocated.
+    A state counts the first k - 1 cumulative entries of its CPT row that a
+    fresh uniform reaches, one 1-d compare each.  Returns an (n, m) int array
+    in id order; an n x m table over the guard is refused before allocation.
     """
     if n < 0:
         raise InvalidStateError(f"sample count must be >= 0, got {n}")
@@ -423,9 +434,10 @@ def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     for i in net.order:
         c = net.cpts[i]
         cfg = config_index([out[:, p] for p in c.parents], [net.card(p) for p in c.parents])
-        cum = np.cumsum(c.table, axis=1)[cfg]
-        u = rng.random(n)
-        out[:, i] = np.minimum((u[:, None] >= cum).sum(axis=1), net.card(i) - 1)
+        u, cum, x = rng.random(n), c.table[:, 0], out[:, i]
+        for j in range(1, net.card(i)):  # cum: column j - 1 of the cumulative CPT
+            x += u >= cum[cfg]
+            cum = cum + c.table[:, j]
     return out
 
 

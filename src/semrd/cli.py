@@ -211,15 +211,10 @@ def cmd_codec_report(args: argparse.Namespace) -> int:
     net = _load(args.net)
     t0 = time.perf_counter()
     rep = complexity_report(net, limit=args.size_guard)
-    lines = [_csv_line("field", "value")]
-    lines.append(_csv_line("variables", rep.n_variables))
-    lines.append(_csv_line("max_cardinality", rep.max_cardinality))
-    lines.append(_csv_line("max_in_degree", rep.max_in_degree))
-    lines.append(_csv_line("joint_states", rep.joint_states))
-    lines.append(_csv_line("factorized_code_bound", rep.factorized_code_bound))
-    lines.append(_csv_line("factorized_entry_bound", rep.factorized_entry_bound))
-    lines.append(_csv_line("factorized_codes_built", rep.factorized_codes_built))
-    lines.append(_csv_line("factorized_entries_touched", rep.factorized_entries_touched))
+    lines = [_csv_line("field", "value"), _csv_line("variables", rep.n_variables)]
+    lines += [_csv_line(name, getattr(rep, name)) for name in (
+        "max_cardinality", "max_in_degree", "joint_states", "factorized_code_bound",
+        "factorized_entry_bound", "factorized_codes_built", "factorized_entries_touched")]
     lines.append(_csv_line("joint_entropy_bits", joint_entropy_factorized(net)))
     lines.append(_csv_line("factorized_expected_length_bits",
                            expected_length(rep.factorized_codebook, net)))

@@ -16,11 +16,12 @@ deterministic variables cost nothing on the wire.
 
 Streams are framed as: 4-byte magic, 1-byte version, 8-byte big-endian count,
 16-byte network digest, then payload bits MSB-first, zero-padded to a byte.
-``encode`` gathers codewords from offset and length tables 2^14 symbols at a
-time and packs the bits once.  ``decode`` walks one binary trie over all the
-codes: pass 1 finds where each sample starts, decoding in Python only the
-variables whose codeword lengths vary and their ancestors; pass 2 decodes
-each variable for all samples in one numpy walk.
+``encode`` finds the codes of 2^14 symbols at a time in one numpy step over
+``row_layout``, gathers their codewords from the codebook's flat table and
+packs the bits once.  ``decode`` walks one binary trie over all the codes:
+pass 1 finds where each sample starts, decoding in Python only the variables
+whose codeword lengths vary and their ancestors; pass 2 decodes each
+variable for all samples in one numpy walk.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
@@ -42,6 +44,7 @@ from .bn import (
     config_index,
     enumerate_joint,
     marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
+    row_layout,
 )
 from .errors import (
     CorruptStreamError,
@@ -87,15 +90,13 @@ def huffman_code(p: Sequence[float]) -> PrefixCode:
     yields the empty codeword.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0 or np.any(p < 0):
+    weights = p.tolist() if p.ndim == 1 else []
+    if not weights or any(w < 0 for w in weights):
         raise InvalidStateError("huffman_code needs a 1-d nonnegative weight vector")
-    support = np.flatnonzero(p > 0)
-    if support.size == 0:
-        raise InvalidStateError("distribution has empty support")
-    if support.size == 1:
-        return PrefixCode({int(support[0]): ""})
     # heap entries: (weight, smallest contained symbol, subtree)
-    heap: list[tuple[float, int, object]] = [(float(p[s]), int(s), int(s)) for s in support]
+    heap: list[tuple[float, int, object]] = [(w, s, s) for s, w in enumerate(weights) if w > 0]
+    if not heap:
+        raise InvalidStateError("distribution has empty support")
     heapq.heapify(heap)
     while len(heap) > 1:
         w0, m0, t0 = heapq.heappop(heap)
@@ -124,6 +125,19 @@ class FactorizedCodebook:
     def n_codes(self) -> int:
         return sum(len(per) for per in self.codes)
 
+    @cached_property
+    def table(self) -> tuple[np.ndarray, ...]:
+        """Codeword offsets into ``pool`` and lengths (-1: none), (codes, k) for
+        the widest cardinality k; the pool of all codeword bits; and each
+        variable's first code.  Codes are in (variable, parent config) order."""
+        k = max(self.net.cards, default=1)
+        words = [code.codewords.get(s) for per_var in self.codes for code in per_var for s in range(k)]
+        lengths = np.array([-1 if w is None else len(w) for w in words], dtype=np.int64).reshape(-1, k)
+        size = np.maximum(lengths, 0)
+        pool = np.frombuffer("".join(filter(None, words)).encode("ascii"), dtype=np.uint8) - ord("0")
+        first = np.cumsum([0] + [len(per_var) for per_var in self.codes])
+        return (np.cumsum(size).reshape(size.shape) - size, lengths, pool, first)
+
 
 def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
     """Build conditional Huffman codes from the CPT rows.
@@ -131,13 +145,8 @@ def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
     Touches exactly sum_i (parent configs of i) * card(i) table entries,
     which is at most m * k^L * k — independent of the joint alphabet.
     """
-    codes = []
-    touched = 0
-    for i in range(net.m):
-        rows = net.cpts[i].table
-        codes.append(tuple(huffman_code(row) for row in rows))
-        touched += rows.size
-    return FactorizedCodebook(net, tuple(codes), touched)
+    codes = tuple(tuple(huffman_code(row) for row in c.table) for c in net.cpts)
+    return FactorizedCodebook(net, codes, sum(c.table.size for c in net.cpts))
 
 
 def build_joint_huffman(table: JointTable, limit: int = DEFAULT_SIZE_GUARD) -> PrefixCode:
@@ -214,15 +223,11 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     out-of-range or non-integer entries (integral floats such as 1.0 are
     states); the error names the first bad sample.
     """
-    net = fcb.net
-    # flat table over (variable, parent config, state): the codeword's offset
-    # into one pool of all codeword bits, and its length (-1: no codeword)
-    words = [code.codewords.get(s) for i, per_var in enumerate(fcb.codes)
-             for code in per_var for s in range(net.card(i))]
-    lengths = np.array([-1 if w is None else len(w) for w in words], dtype=np.int64)
-    offsets = np.cumsum(np.maximum(lengths, 0)) - np.maximum(lengths, 0)
-    pool = np.frombuffer("".join(w for w in words if w).encode("ascii"), dtype=np.uint8) - ord("0")
-    base = np.cumsum([0] + [len(per_var) * net.card(i) for i, per_var in enumerate(fcb.codes)])
+    net, (pa, w) = fcb.net, row_layout(fcb.net)
+    offsets, lengths, pool, first = fcb.table
+    cards, order, k = np.array(net.cards), np.array(net.order), lengths.shape[1]
+    # in coding order: a symbol's table entry is k * (first code + CPT row) + state
+    pa, w, first = pa[order], w[order] * k, first[order] * k
     per_block = max(1, _BLOCK // net.m)
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         blocks = (samples[t:t + per_block] for t in range(0, len(samples), per_block))
@@ -239,21 +244,17 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
         if x.shape != (len(block), net.m):
             _reject(fcb, n, block)
         if x.dtype.kind not in "biu" and not (
-                x.dtype.kind == "f" and np.all((x >= 0) & (x < net.cards) & (x == np.floor(x)))):
+                x.dtype.kind == "f" and np.all((x >= 0) & (x < cards) & (x == np.floor(x)))):
             _reject(fcb, n, block)  # returns on an object array of valid states
         x = x.astype(np.int64, copy=False)
-        if np.any((x < 0) | (x >= net.cards)):
+        if ((x < 0) | (x >= cards)).any():
             _reject(fcb, n, block)
-        idx = np.empty((len(x), net.m), dtype=np.int64)  # columns in coding order
-        for j, i in enumerate(net.order):
-            pa = net.cpts[i].parents
-            cfg = config_index([x[:, p] for p in pa], [net.card(p) for p in pa])
-            idx[:, j] = base[i] + cfg * net.card(i) + x[:, i]
-        size = lengths[idx].ravel()
-        if np.any(size < 0):
+        idx = (first + np.einsum("nml,ml->nm", x[:, pa], w) + x[:, order]).ravel()
+        size = lengths.ravel()[idx]
+        if (size < 0).any():
             _reject(fcb, n, block)
         ends = np.cumsum(size)
-        chunks.append(pool[np.repeat(offsets[idx].ravel() + size - ends, size) + np.arange(ends[-1])])
+        chunks.append(pool[np.repeat(offsets.ravel()[idx] + size - ends, size) + np.arange(ends[-1])])
         n += len(x)
     return Bitstream(n, net.digest(), np.packbits(np.concatenate(chunks)).tobytes())
 
@@ -264,13 +265,14 @@ def _trie(fcb: FactorizedCodebook) -> tuple[np.ndarray, ...]:
     dead node (sym -2) where a missing child leads; inner nodes have sym -1;
     a leaf is its own child.  A walk stops at the first leaf, so of two
     codewords where one extends the other, the shorter one matches."""
-    kid, sym, depth, roots = [[0, 0]], [-2], [0], []
-    for code in (code for per_var in fcb.codes for code in per_var):
+    offsets, lengths, pool, _ = fcb.table
+    kid, sym, depth, roots, bits = [[0, 0]], [-2], [0], [], pool.tolist()
+    for offs, lens in zip(offsets.tolist(), lengths.tolist()):
         roots.append(len(kid))
         kid.append([0, 0]), sym.append(-1), depth.append(0)
-        for s, w in code.codewords.items():
+        for s in (s for s, n in enumerate(lens) if n >= 0):
             v = roots[-1]
-            for b in map(int, w):
+            for b in bits[offs[s]:offs[s] + lens[s]]:
                 if sym[v] >= 0:
                     break
                 if not kid[v][b]:
@@ -294,7 +296,7 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
     kid, sym, depth, roots = _trie(fcb)
-    base = np.cumsum([0] + [len(per_var) for per_var in fcb.codes])
+    base = fcb.table[3]
     # per variable, over its nodes: the shortest and the longest codeword, and
     # whether it is fixed-length: complete codes (no dead child), one length
     first = roots[base[:-1]]
@@ -386,13 +388,16 @@ def expected_length(code, source) -> float:
         if (net.cards, [c.parents for c in net.cpts]) != (
                 code.net.cards, [c.parents for c in code.net.cpts]):
             raise WrongCodebookError("network structure differs from the codebook's")
-        total = 0.0
-        for codes, cpt, p_pa in zip(code.codes, net.cpts, parent_marginals(net)):
-            for cfg, row in enumerate(cpt.table):
-                w = float(p_pa[cfg])
-                if w > 0:
-                    total += w * codes[cfg].expected_length(row)
-        return total
+        _, lengths, _, first = code.table
+        probs = np.zeros(lengths.shape)  # the CPT rows, in the codes' order
+        for i, cpt in enumerate(net.cpts):
+            probs[first[i]:first[i + 1], :net.card(i)] = cpt.table
+        w = np.concatenate(parent_marginals(net))
+        row, s = np.nonzero((lengths < 0) & (probs > 0) & (w[:, None] > 0))
+        if row.size:  # a parent configuration of weight 0 is not priced
+            raise UncodableSampleError(f"symbol {s[0]} has probability {probs[row[0], s[0]]:.12g} "
+                                       f"but no codeword")
+        return float(w @ (probs * lengths).sum(axis=1))
     if isinstance(code, PrefixCode):
         probs = source.probs if isinstance(source, JointTable) else np.asarray(source, float)
         return code.expected_length(probs)

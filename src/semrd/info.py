@@ -34,11 +34,6 @@ def entropy_bits(p) -> float:
     return float(-_plogp(p).sum())
 
 
-def _row_entropies(table: np.ndarray) -> np.ndarray:
-    """Entropy of each CPT row, equal to ``entropy_bits`` row by row."""
-    return -_plogp(table).sum(axis=1)
-
-
 def binary_entropy(p: float) -> float:
     """h_b(p) = -p*log2(p) - (1-p)*log2(1-p)."""
     if not 0.0 <= p <= 1.0:
@@ -52,7 +47,7 @@ def node_conditional_entropy(net: BayesNet, i: int) -> float:
     """H(X_i | Parent(X_i)) = sum_pa p(pa) H(row_pa)."""
     cpt = net.cpts[net.id_of(i)]
     p_pa = marginal_table(net, cpt.parents).probs if cpt.parents else np.ones(1)
-    return float(p_pa @ _row_entropies(cpt.table))
+    return float(p_pa @ -_plogp(cpt.table).sum(axis=1))
 
 
 def parent_marginals(net: BayesNet) -> list[np.ndarray]:
@@ -80,10 +75,13 @@ def parent_marginals(net: BayesNet) -> list[np.ndarray]:
 
 
 def conditional_entropies(net: BayesNet, marginals: list[np.ndarray] | None = None) -> list[float]:
-    """H(X_i | Parent(X_i)) for every node in id order, from one pass
-    (``marginals``: that pass, ``parent_marginals(net)``, if already run)."""
+    """H(X_i | Parent(X_i)) for every node in id order, from one ``_plogp`` over
+    all CPTs and one pass (``marginals``: ``parent_marginals(net)``, if run)."""
     marginals = parent_marginals(net) if marginals is None else marginals
-    return [float(p_pa @ _row_entropies(cpt.table)) for cpt, p_pa in zip(net.cpts, marginals)]
+    ent = -_plogp(np.concatenate([c.table.ravel() for c in net.cpts]))
+    ends = np.cumsum([c.table.size for c in net.cpts])[:-1]
+    return [float(p_pa @ e.reshape(c.table.shape).sum(axis=1))
+            for c, p_pa, e in zip(net.cpts, marginals, np.split(ent, ends))]
 
 
 def joint_entropy_factorized(net: BayesNet) -> float:

@@ -36,6 +36,7 @@ from semrd.bn import (
     config_index,
     net_from_dict,
     resolve_size_guard,
+    row_layout,
 )
 from semrd.nets import BUNDLED, bundled_path
 
@@ -385,6 +386,69 @@ def test_sample_frequencies_track_joint(fork_net):
     draws = sample(fork_net, 50_000, seed=11)
     zero = np.all(draws == 0, axis=1).mean()
     assert zero == pytest.approx(0.405, abs=0.01)
+
+
+def _net_with_zeros(seed, max_card=6, max_parents=3):
+    """A random net whose CPT rows hold zeros, whose ids are not a topological
+    order and whose parents are listed out of id order."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    cards = rng.integers(2, max_card + 1, size=m).tolist()
+    ids = rng.permutation(m).tolist()  # a topological order
+    cpts = []
+    for k, i in enumerate(ids):
+        pa = rng.permutation(ids[:k])[:int(rng.integers(0, min(k, max_parents) + 1))].tolist()
+        n_cfg = int(np.prod([cards[p] for p in pa]))
+        rows = rng.dirichlet(np.ones(cards[i]), size=n_cfg) * (rng.random((n_cfg, cards[i])) < 0.6)
+        rows[~rows.any(axis=1), int(rng.integers(cards[i]))] = 1.0
+        cpts.append((f"V{i}", [f"V{p}" for p in pa], (rows / rows.sum(axis=1, keepdims=True)).tolist()))
+    return make_net([(f"V{i}", c) for i, c in enumerate(cards)], cpts)
+
+
+def _reference_sample(net, n, seed):
+    """Ancestral sampling with one 2-d compare per variable: its row's
+    cumulative CPT entries against the uniforms, clipped to k - 1."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, net.m), dtype=np.int64)
+    for i in net.order:
+        c = net.cpts[i]
+        cfg = config_index([out[:, p] for p in c.parents], [net.card(p) for p in c.parents])
+        cum = np.cumsum(c.table, axis=1)[cfg]
+        u = rng.random(n)
+        out[:, i] = np.minimum((u[:, None] >= cum).sum(axis=1), net.card(i) - 1)
+    return out
+
+
+ALL_ROOTS = make_net([("A", 3), ("B", 2), ("C", 4)],
+                     [("A", [], [[0.2, 0.3, 0.5]]), ("B", [], [[0.5, 0.5]]),
+                      ("C", [], [[0.25, 0.0, 0.5, 0.25]])])
+ONE_VARIABLE = make_net([("A", 5)], [("A", [], [[0.1, 0.2, 0.0, 0.3, 0.4]])])
+
+
+def test_sample_equals_the_per_node_reference(fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net, ALL_ROOTS, ONE_VARIABLE]
+    nets += [_net_with_zeros(seed) for seed in range(40)]
+    for seed, net in enumerate(nets):
+        for n in (0, 1, 333):
+            got = sample(net, n, seed)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _reference_sample(net, n, seed))
+
+
+def test_row_layout_indexes_every_cpt_row_as_config_index():
+    nets = [ALL_ROOTS, ONE_VARIABLE]
+    nets += [random_net(seed, 12, max_card=5, max_parents=3) for seed in range(20)]
+    nets += [_net_with_zeros(seed, max_card=5) for seed in range(20)]
+    rng = np.random.default_rng(0)
+    for net in nets:
+        pa, w = row_layout(net)
+        assert pa.shape == w.shape == (net.m, net.max_in_degree())
+        x = rng.integers(0, net.cards, size=(300, net.m))
+        rows = (x[:, pa] * w).sum(-1)
+        for i, c in enumerate(net.cpts):
+            want = config_index([x[:, p] for p in c.parents], [net.card(p) for p in c.parents])
+            np.testing.assert_array_equal(rows[:, i], np.broadcast_to(want, len(x)))
+    assert row_layout(ALL_ROOTS)[0].shape == (3, 0)
 
 
 def test_size_guard_blocks_large_enumeration():

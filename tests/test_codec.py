@@ -1,6 +1,7 @@
 """Prefix-code construction, stream round-trips, and codebook cost accounting."""
 
 import hashlib
+import heapq
 import re
 from fractions import Fraction
 from functools import cache
@@ -31,6 +32,7 @@ from semrd import (
     sample,
 )
 from semrd.bn import config_index
+from semrd.info import parent_marginals
 from semrd.nets import binary_chain
 
 
@@ -58,6 +60,42 @@ def test_huffman_is_deterministic():
     b = huffman_code(p)
     assert a.codewords == b.codewords
     assert list(a.codewords.items()) == list(b.codewords.items())
+
+
+def _reference_huffman(p):
+    """``huffman_code`` with its heap built from numpy's support indices."""
+    p = np.asarray(p, dtype=float)
+    support = np.flatnonzero(p > 0)
+    if support.size == 1:
+        return {int(support[0]): ""}
+    heap = [(float(p[s]), int(s), int(s)) for s in support]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        w0, m0, t0 = heapq.heappop(heap)
+        w1, m1, t1 = heapq.heappop(heap)
+        heapq.heappush(heap, (w0 + w1, min(m0, m1), (t0, t1)))
+    codewords, stack = {}, [(heap[0][2], "")]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, int):
+            codewords[node] = prefix
+        else:
+            stack.extend([(node[0], prefix + "0"), (node[1], prefix + "1")])
+    return codewords
+
+
+def test_huffman_matches_the_reference_on_rows_with_zeros_and_ties():
+    rng = np.random.default_rng(17)
+    for _ in range(800):
+        k = int(rng.integers(1, 12))
+        p = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+        if rng.random() < 0.3:
+            p = np.round(p, 1)  # equal weights: ties broken by the smallest symbol
+        if not p.any():
+            p[int(rng.integers(k))] = 1.0
+        want = _reference_huffman(p)
+        assert list(huffman_code(p).codewords.items()) == list(want.items())
+        assert list(huffman_code(list(p)).codewords.items()) == list(want.items())
 
 
 def test_huffman_uniform_eight():
@@ -205,6 +243,11 @@ def test_expected_length_refuses_a_source_state_without_a_codeword():
     gated = _gated_net()
     assert expected_length(build_factorized_codebooks(gated), gated) == pytest.approx(
         1.0 + 0.5 * 1.0, abs=1e-15)
+    # nor a mismatched source's row under a configuration of weight 0: Y = 1 under X = 1
+    x = ("X", [], [[1.0, 0.0]])
+    a = semrd.make_net([("X", 2), ("Y", 2)], [x, ("Y", ["X"], [[0.5, 0.5], [1.0, 0.0]])])
+    b = semrd.make_net([("X", 2), ("Y", 2)], [x, ("Y", ["X"], [[0.5, 0.5], [0.0, 1.0]])])
+    assert expected_length(build_factorized_codebooks(a), b) == 1.0
 
 
 def _gated_net():
@@ -315,6 +358,34 @@ def test_expected_length_rejects_a_net_of_other_structure(fork_net, chain_net, s
     # same structure, other CPTs: the cost of coding the chain with a mismatched code
     mismatched = expected_length(build_factorized_codebooks(binary_chain(6, 0.1)), binary_chain(6, 0.4))
     assert mismatched == pytest.approx(6.0, abs=1e-12)
+
+
+def test_expected_length_equals_the_per_row_sum(fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net, _gated_net(), binary_chain(180, 0.3)]
+    nets += [random_net(seed, 30, max_card=5, max_parents=3) for seed in range(10)]
+    for net in nets:
+        fcb = build_factorized_codebooks(net)
+        want = sum(float(w) * code.expected_length(row)
+                   for per_var, cpt, p_pa in zip(fcb.codes, net.cpts, parent_marginals(net))
+                   for code, row, w in zip(per_var, cpt.table, p_pa) if w > 0)
+        assert expected_length(fcb, net) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_all_roots_and_one_variable_nets_round_trip():
+    nets = [
+        semrd.make_net([("A", 3), ("B", 2), ("C", 4)],
+                       [("A", [], [[0.2, 0.3, 0.5]]), ("B", [], [[0.5, 0.5]]),
+                        ("C", [], [[0.25, 0.0, 0.5, 0.25]])]),
+        semrd.make_net([("A", 5)], [("A", [], [[0.1, 0.2, 0.0, 0.3, 0.4]])]),
+        semrd.make_net([("A", 3)], [("A", [], [[0.0, 1.0, 0.0]])]),  # zero-length codeword
+    ]
+    for net in nets:
+        fcb = build_factorized_codebooks(net)
+        for n in (0, 1, 5_000):
+            draws = sample(net, n, seed=n)
+            stream = encode(fcb, draws)
+            assert encode(fcb, draws.tolist()).payload == stream.payload
+            np.testing.assert_array_equal(decode(fcb, stream), draws)
 
 
 def test_decode_rejects_truncated_payload(fork_net):

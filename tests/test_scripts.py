@@ -42,6 +42,17 @@ def test_script_prints_its_csv(name, argv, header, rows):
     assert all(line.count(",") == header.count(",") for line in lines[1:])
 
 
+def test_codec_ledger_reports_sample_encode_and_decode_speeds():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert _main("codec_ledger")(["-n", "500"]) == 0
+    speed = r"[0-9.e+]+ symbols/s"
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 3
+    assert all(re.fullmatch(rf"# \w+: sample {speed}, encode {speed}, decode {speed}", line)
+               for line in lines)
+
+
 def test_solver_digest_census_counts_every_evaluation():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
