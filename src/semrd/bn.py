@@ -260,6 +260,8 @@ def validate(net: BayesNet) -> ValidationReport:
     """Check structural and probabilistic invariants; never raises."""
     rep = ValidationReport()
     m = len(net.variables)
+    if not m:
+        rep.violations.append("network has no variables")
     for i, v in enumerate(net.variables):
         if v.id != i:
             rep.violations.append(f"variable ids must be dense 0..{m - 1}; got {v.id} at position {i}")

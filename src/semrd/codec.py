@@ -27,6 +27,7 @@ variable for all samples in one numpy walk.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -91,8 +92,8 @@ def huffman_code(p: Sequence[float]) -> PrefixCode:
     """
     p = np.asarray(p, dtype=float)
     weights = p.tolist() if p.ndim == 1 else []
-    if not weights or any(w < 0 for w in weights):
-        raise InvalidStateError("huffman_code needs a 1-d nonnegative weight vector")
+    if not weights or not all(0.0 <= w < math.inf for w in weights):  # also a NaN
+        raise InvalidStateError("huffman_code needs a 1-d finite nonnegative weight vector")
     # heap entries: (weight, smallest contained symbol, subtree)
     heap: list[tuple[float, int, object]] = [(w, s, s) for s, w in enumerate(weights) if w > 0]
     if not heap:

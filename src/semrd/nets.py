@@ -63,9 +63,8 @@ def binary_chain(m: int, p: float = 0.3) -> BayesNet:
     return make_net(variables, cpts)
 
 
-def random_net(seed: int, n_vars: int, max_card: int = 2, max_parents: int = 2,
-               alpha: float = 1.0) -> BayesNet:
-    """Random structure + Dirichlet CPT rows; deterministic per seed.
+def random_net(seed: int, n_vars: int, max_card: int = 2, max_parents: int = 2) -> BayesNet:
+    """Random structure + flat Dirichlet(1) CPT rows; deterministic per seed.
 
     Parents are drawn among lower-id variables, so ids are already a
     topological order.
@@ -78,7 +77,7 @@ def random_net(seed: int, n_vars: int, max_card: int = 2, max_parents: int = 2,
         n_par = int(rng.integers(0, min(i, max_parents) + 1))
         parents = sorted(rng.choice(i, size=n_par, replace=False).tolist()) if n_par else []
         n_cfg = int(np.prod([cards[p] for p in parents])) if parents else 1
-        rows = rng.dirichlet(np.full(int(cards[i]), alpha), size=n_cfg)
+        rows = rng.dirichlet(np.ones(int(cards[i])), size=n_cfg)
         rows /= rows.sum(axis=1, keepdims=True)
         cpts.append((f"V{i}", [f"V{p}" for p in parents], rows.tolist()))
     return make_net(variables, cpts)

@@ -266,8 +266,8 @@ def _ba_slope_core(p, a, q, max_iters):
         state's as a plain float, the cheapest operand to broadcast)."""
         return x[0] if len(x) == 1 else np.array(x)[:, None]
 
-    def step(q, alpha, p, a):
-        c = np.vecmat(p / alpha, a)
+    def step(q, p, a):
+        c = np.vecmat(p / np.matvec(a, q), a)
         qc = q * c
         if np.count_nonzero(qc) == qc.size:  # qc >= 0
             lnc = np.add.reduce(qc * np.log(c), axis=1).tolist()
@@ -286,20 +286,17 @@ def _ba_slope_core(p, a, q, max_iters):
         return [x[~done] for x in (live, *stack)]
 
     live, sp, sa, it = np.arange(len(q)), p, a, 0  # the stack of open states
-    alpha = np.matvec(sa, q)  # A q of the current q, carried over between cycles
     while it < min(max_iters, _NEWTON_AFTER):
-        q1, done = step(q, alpha, sp, sa)
-        it += 1
-        if any(done):
-            live, sp, sa, q, q1 = leave(done, q1, it, live, sp, sa, q, q1)
-            if not len(live):
-                break
-        q2, done = step(q1, np.matvec(sa, q1), sp, sa)
-        it += 1
-        if any(done):
-            live, sp, sa, q, q1, q2 = leave(done, q2, it, live, sp, sa, q, q1, q2)
-            if not len(live):
-                break
+        qs = [q]  # q and its two plain updates q1, q2 on the open states
+        for _ in range(2):
+            qn, done = step(qs[-1], sp, sa)
+            it += 1
+            qs.append(qn)
+            if any(done):
+                live, sp, sa, *qs = leave(done, qn, it, live, sp, sa, *qs)
+                if not len(live):
+                    return q_out, iters, conv
+        q, q1, q2 = qs
         r = q1 - q
         v = (q2 - q1) - r
         vv, rr = np.vecdot(v, v).tolist(), np.vecdot(r, r).tolist()
@@ -320,7 +317,7 @@ def _ba_slope_core(p, a, q, max_iters):
                 np.copyto(qa, q2, where=col([not o for o in ok]))
                 tot = [t if o else 1.0 for o, t in zip(ok, tot)]
             q2 = qa / col(tot)
-        q, alpha = q2, np.matvec(sa, q2)
+        q = q2
     q_out[live], iters[live] = q, it  # capped, unless Newton has budget left
     if it < max_iters:
         for k, qk in zip(live.tolist(), q):
@@ -511,23 +508,20 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             if -s > 1e18 or evals >= _MAX_EVALS:
                 # cannot reach down to target
                 return pt[:3] + (False,), total, True, secant(last, (s, dist))
-            last = s, dist
-            if step is not None:
-                s, step = s + step, 2.0 * step
-            else:
-                s = 2.0 * s if s < 0.0 else -1.0
         else:
             lo = pt
             if hi is not None:
                 break
-            last = s, dist
-            if step is not None:
-                s, step = min(s + step, 0.0), 2.0 * step
-            else:
-                # under the target at a warm slope: walk toward 0 by halving
-                # and solve slope 0 itself only once the walk gets there
-                halvings += 1
-                s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
+        last = s, dist
+        if step is not None:  # a gain step over the target is negative, so never past 0
+            s, step = min(s + step, 0.0), 2.0 * step
+        elif dist > target:
+            s = 2.0 * s if s < 0.0 else -1.0
+        else:
+            # under the target at a warm slope: walk toward 0 by halving
+            # and solve slope 0 itself only once the walk gets there
+            halvings += 1
+            s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
         pt = probe(s)
     if hi[0] == 0.0 and start_at_zero:
         # The held slope-0 point came before the probe solves concentrated the
@@ -694,9 +688,9 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     (in a later sweep, or in the precise phase) first probes the Newton
     point s_i - (D_i - target_i) / g_i rather than doubling or halving its
     slope, so a held point that is already close probes near the root and
-    the next warm start stays close too.  Sweeping stops once all
-    constraints check out or the slope vector goes quasi-static, and the
-    point the sweep holds then is the one reported: an exact solve, or a
+    the next warm start stays close too.  A phase stops sweeping once all
+    constraints check out (or after ``_MAX_SWEEPS`` sweeps), and the point
+    the sweep holds then is the one reported: an exact solve, or a
     timeshared mix across a jump of D(s).  It counts as converged when its
     solves closed their brackets and every constraint passes ``_accept`` at
     ``DIST_TOL``.
@@ -727,8 +721,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     # bind each constraint to DIST_TOL from slopes that are already close.
     for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL)):
         for _ in range(_MAX_SWEEPS):
-            prev = slopes.copy()
-            moved = False
+            if all(_accept(slopes[i], dvec[i], targets[i], dtol, stol) for i in range(solver.m)):
+                break
             for i in range(solver.m):
                 if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
                     continue
@@ -739,15 +733,6 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                     solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv), gains[i]
                 )
                 total_it += it
-                moved = True
-            ok = all(_accept(slopes[i], dvec[i], targets[i], dtol, stol)
-                     for i in range(solver.m))
-            if ok and not moved:
-                break
-            # capped inner solves jitter the distortions; once the slopes are
-            # quasi-static the sweep has settled as far as it can
-            if moved and np.all(np.abs(slopes - prev) <= 1e-6 * np.maximum(1.0, -prev)):
-                break
     ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
                    total_it, bool(ok and conv))
@@ -893,9 +878,9 @@ def _curve(make_solver, source, d, slopes, targets) -> RdCurve:
     return RdCurve(pts, monotone, convex)
 
 
-def default_slope_grid(n: int = 25, lo: float = -12.0, hi: float = -0.2) -> tuple[float, ...]:
-    """Geometric grid of slopes covering near-lossless to near-zero-rate."""
-    return tuple(-np.geomspace(-lo, -hi, n))
+def default_slope_grid(n: int = 25) -> tuple[float, ...]:
+    """Geometric grid of n slopes from -12 (near-lossless) to -0.2 (near-zero-rate)."""
+    return tuple(-np.geomspace(12.0, 0.2, n))
 
 
 def rd_curve(p, d, *, slopes: Sequence[float] | None = None,

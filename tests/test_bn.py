@@ -145,6 +145,18 @@ def test_net_from_dict_rejects_malformed_fields(doc):
         net_from_dict(doc)
 
 
+def test_a_net_without_variables_is_refused(tmp_path):
+    # it once passed, and entropy and encode then failed with untyped errors
+    doc = {"variables": [], "edges": [], "cpts": []}
+    assert validate(make_net([], [])).violations == ["network has no variables"]
+    with pytest.raises(SchemaError, match="no variables"):
+        net_from_dict(doc)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="no variables"):
+        semrd.load_net(path)
+
+
 def test_load_net_rejects_deeply_nested_json(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

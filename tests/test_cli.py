@@ -58,6 +58,15 @@ def test_verify_rejects_non_finite_probabilities(tmp_path):
         assert "non-finite" in err
 
 
+def test_verify_refuses_a_net_without_variables(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"variables": [], "edges": [], "cpts": []}))
+    rc, out, err = invoke(["verify", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert "no variables" in err
+
+
 def test_entropy_fork_exact_output():
     rc, out, _ = invoke(["entropy", "fork"])
     assert rc == 0

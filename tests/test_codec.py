@@ -1,5 +1,6 @@
 """Prefix-code construction, stream round-trips, and codebook cost accounting."""
 
+import dataclasses
 import hashlib
 import heapq
 import re
@@ -96,6 +97,18 @@ def test_huffman_matches_the_reference_on_rows_with_zeros_and_ties():
         want = _reference_huffman(p)
         assert list(huffman_code(p).codewords.items()) == list(want.items())
         assert list(huffman_code(list(p)).codewords.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_huffman_refuses_non_finite_weights(bad, fork_net):
+    # a NaN weight once dropped its symbol and +inf got a codeword
+    with pytest.raises(InvalidStateError, match="finite"):
+        huffman_code([bad, 1.0])
+    jt = enumerate_joint(fork_net)
+    w = jt.probs.copy()
+    w[0] = bad
+    with pytest.raises(InvalidStateError, match="finite"):
+        build_joint_huffman(dataclasses.replace(jt, probs=w))
 
 
 def test_huffman_uniform_eight():

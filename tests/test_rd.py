@@ -213,6 +213,29 @@ def test_slow_blahut_arimoto_point_closes_in_the_newton_phase():
     assert pt.rate == pytest.approx(0.0372126420, abs=1e-8)
 
 
+def test_a_dead_letter_sums_only_the_positive_bracket_terms():
+    # letter 2's tilt column underflows to 0 on both support rows, so q c has
+    # a zero entry and the kernel's bracket sums each state's positive terms
+    # (the RuntimeWarning filter would turn a 0 * log 0 into an error)
+    pt = ba_point([0.5, 0.5, 0.0], hamming_distortion(3), -1100.0)
+    assert pt.converged
+    assert pt.rate == pytest.approx(1.0, abs=1e-12)
+    assert pt.distortion == pytest.approx(0.0, abs=1e-12)
+
+
+def test_newton_halves_its_step_and_falls_back_to_a_stretched_blahut_arimoto_step():
+    # at this point Newton's Armijo search halves its step, and where the KKT
+    # system gives no descent step the state takes the stretched
+    # Blahut-Arimoto step instead; the solve still closes its bracket
+    p = [0.12590647433037896, 0.8709397310797213, 0.0031537945898995924]
+    d = [[1.4897911441747005, 1.314453850865906, 1.4537565119424014, 0.4050227923050034],
+         [0.0, 0.0, 2.010560460304304, 1.1968042869225923],
+         [1.5740353971071646, 1.1862958695959307, 0.0, 0.6541402672247918]]
+    pt = ba_point(p, d, -30.0)
+    assert pt.converged
+    assert pt.rate == pytest.approx(0.5762337798556905, abs=1e-9)
+
+
 #: Uniform bit with an erase letter: R(D) = c (1 - D) on [~0.031, 1], c ~ 0.994192.
 ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
 
