@@ -17,9 +17,9 @@ when the target search returned ``converged=False`` although every
 evaluation converged, a fault of the search (it cannot meet a joint target
 on a linear segment of the surface), not of the kernel.  Each bad point and
 unmet target goes to stderr with the call that reproduces it.  Exits 1 when
-any point is bad.
+any point is bad, or when more targets are unmet than ``--max-unmet``.
 
-    python scripts/kernel_stress.py --sources 600 --draws 150
+    python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 3
 """
 
 import argparse
@@ -106,6 +106,8 @@ def main(argv=None):
                     help="random sources solved at each of the nine slopes")
     ap.add_argument("--draws", type=int, default=150,
                     help="random draws of each kind of target solve")
+    ap.add_argument("--max-unmet", type=int, default=None,
+                    help="exit 1 when more targets than this are unmet (default: no limit)")
     args = ap.parse_args(argv)
 
     real_eval = rd._MultiSolver.eval
@@ -117,7 +119,7 @@ def main(argv=None):
         return out
 
     print("kind,points,iterations,max_iterations,bad,unmet")
-    total_bad = 0
+    total_bad = total_unmet = 0
     rd._MultiSolver.eval = eval_checked
     try:
         for kind, cases in (("point", _points(args.sources)),
@@ -139,9 +141,13 @@ def main(argv=None):
                     print(f"# unmet: {call} -> {pt}", file=sys.stderr)
             print(f"{kind},{points},{iters},{most},{bad},{unmet}")
             total_bad += bad
+            total_unmet += unmet
     finally:
         rd._MultiSolver.eval = real_eval
-    return 1 if total_bad else 0
+    too_many = args.max_unmet is not None and total_unmet > args.max_unmet
+    if too_many:
+        print(f"# {total_unmet} unmet targets, more than --max-unmet {args.max_unmet}", file=sys.stderr)
+    return 1 if total_bad or too_many else 0
 
 
 if __name__ == "__main__":

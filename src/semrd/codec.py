@@ -139,6 +139,31 @@ class FactorizedCodebook:
         first = np.cumsum([0] + [len(per_var) for per_var in self.codes])
         return (np.cumsum(size).reshape(size.shape) - size, lengths, pool, first)
 
+    @cached_property
+    def trie(self) -> tuple[np.ndarray, ...]:
+        """All codes as one binary trie: node arrays kid (the two children),
+        sym and depth, and the root of each code in ``encode``'s order.  Node 0
+        is the dead node (sym -2) where a missing child leads; inner nodes have
+        sym -1; a leaf is its own child.  A walk stops at the first leaf, so of
+        two codewords where one extends the other, the shorter one matches."""
+        offsets, lengths, pool, _ = self.table
+        kid, sym, depth, roots, bits = [[0, 0]], [-2], [0], [], pool.tolist()
+        for offs, lens in zip(offsets.tolist(), lengths.tolist()):
+            roots.append(len(kid))
+            kid.append([0, 0]), sym.append(-1), depth.append(0)
+            for s in (s for s, n in enumerate(lens) if n >= 0):
+                v = roots[-1]
+                for b in bits[offs[s]:offs[s] + lens[s]]:
+                    if sym[v] >= 0:
+                        break
+                    if not kid[v][b]:
+                        kid[v][b] = len(kid)
+                        kid.append([0, 0]), sym.append(-1), depth.append(depth[v] + 1)
+                    v = kid[v][b]
+                else:
+                    sym[v], kid[v] = s, [v, v]
+        return np.array(kid), np.array(sym), np.array(depth), np.array(roots)
+
 
 def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
     """Build conditional Huffman codes from the CPT rows.
@@ -260,31 +285,6 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     return Bitstream(n, net.digest(), np.packbits(np.concatenate(chunks)).tobytes())
 
 
-def _trie(fcb: FactorizedCodebook) -> tuple[np.ndarray, ...]:
-    """All codes as one binary trie: node arrays kid (the two children), sym
-    and depth, and the root of each code in ``encode``'s order.  Node 0 is the
-    dead node (sym -2) where a missing child leads; inner nodes have sym -1;
-    a leaf is its own child.  A walk stops at the first leaf, so of two
-    codewords where one extends the other, the shorter one matches."""
-    offsets, lengths, pool, _ = fcb.table
-    kid, sym, depth, roots, bits = [[0, 0]], [-2], [0], [], pool.tolist()
-    for offs, lens in zip(offsets.tolist(), lengths.tolist()):
-        roots.append(len(kid))
-        kid.append([0, 0]), sym.append(-1), depth.append(0)
-        for s in (s for s, n in enumerate(lens) if n >= 0):
-            v = roots[-1]
-            for b in bits[offs[s]:offs[s] + lens[s]]:
-                if sym[v] >= 0:
-                    break
-                if not kid[v][b]:
-                    kid[v][b] = len(kid)
-                    kid.append([0, 0]), sym.append(-1), depth.append(depth[v] + 1)
-                v = kid[v][b]
-            else:
-                sym[v], kid[v] = s, [v, v]
-    return np.array(kid), np.array(sym), np.array(depth), np.array(roots)
-
-
 def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
     """Invert ``encode``; returns an (n, m) int array.
 
@@ -296,7 +296,7 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         raise WrongCodebookError(
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
-    kid, sym, depth, roots = _trie(fcb)
+    kid, sym, depth, roots = fcb.trie
     base = fcb.table[3]
     # per variable, over its nodes: the shortest and the longest codeword, and
     # whether it is fixed-length: complete codes (no dead child), one length

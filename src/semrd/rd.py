@@ -26,7 +26,11 @@ the EM step of a maximum-likelihood mixing-weights problem, and EM crawls
 near some optima where Newton converges in a few steps.  Newton starts from
 the support the state has reached: letters still under the warm start's
 uniform trace and shrinking start outside it.  Newton is the
-kernel's one rescue for a slow state.  A solve's ``iterations`` count both
+kernel's one rescue for a slow state.  An engine remembers which side
+states its last solve handed to Newton, and their next solve skips the
+loop and starts in Newton from the warm start, where Newton's quadratic
+convergence pays off at once; a state that started in Newton goes back to
+the loop the time after.  A solve's ``iterations`` count both
 kinds of step, one each, under one cap.  Slopes are the Lagrange
 multipliers of the distortion constraints, so a target-distortion solve
 runs a bracketing secant on each slope; with side information the same
@@ -225,7 +229,7 @@ def _uniform_q_slope(p, d, target: float) -> float:
     return s
 
 
-def _ba_slope_core(p, a, q, max_iters):
+def _ba_slope_core(p, a, q, max_iters, newton):
     """Alternating minimization at fixed tilts, for a stack of sources at once.
 
     ``p`` is (states, rows): each side state's source on its support, padded
@@ -253,13 +257,23 @@ def _ba_slope_core(p, a, q, max_iters):
     leaves the stack for ``_newton`` on its own support rows, which stops on
     the same bracket; it is the kernel's one rescue for a slow state.  The
     handoff comes early: a state still open after it is most often a few
-    Newton steps from its optimum.  A Newton step counts as one iteration, so
-    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and all
-    of them share ``max_iters``.
+    Newton steps from its optimum.  The states flagged in ``newton`` skip the
+    stack and go to ``_newton`` at iteration 0, from their ``q``.  A Newton
+    step counts as one iteration, so ``iters`` is the Blahut-Arimoto
+    iterations plus the Newton steps, and all of them share ``max_iters``.
     Returns the final q, the iterations and the convergence flag of every
-    state.
+    state, and which states the stack handed to Newton after
+    ``_NEWTON_AFTER`` iterations (a flagged state is not among them).
     """
     q_out, iters, conv = np.empty_like(q), np.zeros(len(q), int), np.zeros(len(q), bool)
+    handed = np.zeros(len(q), bool)  # the states the loop hands to Newton
+
+    def to_newton(k, qk, it):
+        rows = p[k] > 0
+        q_out[k], iters[k], conv[k] = _newton(p[k, rows], a[k, rows], qk, it, max_iters)
+
+    for k in np.flatnonzero(newton).tolist():
+        to_newton(k, q[k], 0)
 
     def col(x):
         """One number per state, shaped to scale each state's row (a lone
@@ -285,8 +299,9 @@ def _ba_slope_core(p, a, q, max_iters):
         q_out[gone], iters[gone], conv[gone] = qd[done], it, True
         return [x[~done] for x in (live, *stack)]
 
-    live, sp, sa, it = np.arange(len(q)), p, a, 0  # the stack of open states
-    while it < min(max_iters, _NEWTON_AFTER):
+    live, it = np.flatnonzero(~newton), 0  # the stack of open states
+    sp, sa, q = (p, a, q) if len(live) == len(q) else (p[live], a[live], q[live])
+    while len(live) and it < min(max_iters, _NEWTON_AFTER):
         qs = [q]  # q and its two plain updates q1, q2 on the open states
         for _ in range(2):
             qn, done = step(qs[-1], sp, sa)
@@ -295,7 +310,7 @@ def _ba_slope_core(p, a, q, max_iters):
             if any(done):
                 live, sp, sa, *qs = leave(done, qn, it, live, sp, sa, *qs)
                 if not len(live):
-                    return q_out, iters, conv
+                    return q_out, iters, conv, handed
         q, q1, q2 = qs
         r = q1 - q
         v = (q2 - q1) - r
@@ -320,10 +335,10 @@ def _ba_slope_core(p, a, q, max_iters):
         q = q2
     q_out[live], iters[live] = q, it  # capped, unless Newton has budget left
     if it < max_iters:
+        handed[live] = True
         for k, qk in zip(live.tolist(), q):
-            rows = p[k] > 0
-            q_out[k], iters[k], conv[k] = _newton(p[k, rows], a[k, rows], qk, it, max_iters)
-    return q_out, iters, conv
+            to_newton(k, qk, it)
+    return q_out, iters, conv, handed
 
 
 def _newton(p, a, q, it, max_iters):
@@ -607,6 +622,7 @@ class _MultiSolver:
         self.p = np.take_along_axis(conds, order, axis=1)
         self.rows = np.where(self.p > 0, order, nx)
         self.warm = None
+        self.newton = np.zeros(len(ys), bool)  # the states the last solve handed to Newton
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
@@ -629,8 +645,14 @@ class _MultiSolver:
         All-zero slopes give the zero-rate corner exactly, with 0 iterations.
         Each state starts from its q of the previous call mixed with 1e-6 of
         the uniform distribution: enough to keep a dead letter revivable.  A
-        letter revived at a heavier weight has to decay back before the gap
-        closes, which makes warm solves near the root slower than cold ones.
+        state that the previous call's Blahut-Arimoto loop handed to Newton
+        starts this one in Newton (``newton``): next to an optimum that
+        Newton reached, a few Newton steps close its gap where the loop would
+        spend ``_NEWTON_AFTER`` iterations first.  Such a state returns to the
+        loop on the call after, and so does every state on the first call.
+        (Kept in Newton for good, the states save more iterations, but a
+        conditional target search of ``scripts/kernel_stress.py`` on a linear
+        face then needs one slope evaluation more than ``_MAX_EVALS``.)
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
@@ -646,7 +668,7 @@ class _MultiSolver:
             # a trace of uniform keeps dead letters revivable without
             # perturbing the solution when the optimal face is degenerate
             q = np.where(ok, (1.0 - _WARM_TRACE) * (q0 / tot) + _WARM_TRACE / self.nh, q)
-        q, its, conv = _ba_slope_core(self.p, a, q, MAX_ITERS)
+        q, its, conv, self.newton = _ba_slope_core(self.p, a, q, MAX_ITERS, self.newton)
         self.warm = q
         channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
         qm = np.vecmat(self.p, channel)[:, None, :]

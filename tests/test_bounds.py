@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from semrd import (
 )
 from semrd.info import parent_marginals, redundancy_gap
 from semrd.nets import doubly_symmetric_fork
-from semrd.rd import ba_joint_multi_target
+from semrd.bounds import _side_first_array
+from semrd.rd import ba_conditional_target, ba_joint_multi_target, hamming_distortion
 
 TWO_SIDED_RATE = 0.36519727294664994  # 2 * (h_b(0.1) - h_b(0.05))
 
@@ -253,3 +255,35 @@ def test_lemma1_terms_meet_the_tight_shannon_lower_bound():
     print(f"Shannon lower bound: {tight} of 300 Lemma 1 draws tight in the joint and every "
           f"family, {gaps} in every marginal too")
     assert gaps >= 50
+
+
+def test_side_axis_solves_meet_the_tight_shannon_lower_bound():
+    # given a side variable Y the bound is H(X | Y) - sum_i [h(D_i) +
+    # D_i log2(k_i - 1)], tight where every side state's backward channel is
+    # >= 0: on the first 100 oracle draws, each family's conditional solve
+    # (side: the parent configuration) and each Lemma 2 rate, the joint
+    # conditional and every block's, with variable (draw number mod m) as
+    # the side variable
+    conds = rates = 0
+    for k, (net, targets, _) in enumerate(itertools.islice(_oracle_draws(), 100)):
+        for cpt, p_pa, t in zip(net.cpts, parent_marginals(net), targets):
+            src = p_pa[:, None] * cpt.table  # (parent configuration, x)
+            bound, exact = shannon_lower_bound(src, [t], side=True)
+            if cpt.parents and exact:
+                conds += 1
+                pt = ba_conditional_target(src.T, hamming_distortion(cpt.table.shape[1]), t)
+                assert pt.converged, targets
+                assert abs(pt.rate - bound) <= 1e-6, targets
+        side = k % net.m
+        rest = [v for v in range(net.m) if v != side]
+        rep = lemma2_check(net, [side], [targets[v] for v in rest])
+        for block, rate in [(rest, rep.joint_conditional), *zip(rep.partition.blocks, rep.block_rates)]:
+            bound, exact = shannon_lower_bound(_side_first_array(net, [side], block),
+                                               [targets[v] for v in block], side=True)
+            if exact:
+                rates += 1
+                assert rep.converged, targets
+                assert abs(rate - bound) <= 1e-6, targets
+    print(f"Shannon lower bound given a side variable: {conds} conditional solves and "
+          f"{rates} Lemma 2 rates tight on 100 draws")
+    assert conds >= 50 and rates >= 50

@@ -357,6 +357,18 @@ def test_round_trip_across_many_blocks(fork_net, scene_net):
         np.testing.assert_array_equal(decode(fcb, stream), draws)
 
 
+def test_decodes_with_one_codebook_build_its_trie_once(scene_net):
+    fcb = build_factorized_codebooks(scene_net)
+    streams = [encode(fcb, sample(scene_net, 700, seed=s)) for s in (5, 6)]
+    outs = [decode(fcb, streams[0])]
+    trie = fcb.__dict__["trie"]  # the cached property's value
+    outs.append(decode(fcb, streams[1]))
+    assert fcb.__dict__["trie"] is trie
+    for stream, out, s in zip(streams, outs, (5, 6)):
+        np.testing.assert_array_equal(out, sample(scene_net, 700, seed=s))
+        assert encode(fcb, out).to_bytes() == stream.to_bytes()
+
+
 def test_decode_rejects_other_nets_stream(fork_net, chain_net):
     stream = encode(build_factorized_codebooks(fork_net), sample(fork_net, 10, seed=5))
     with pytest.raises(WrongCodebookError):

@@ -213,6 +213,55 @@ def test_slow_blahut_arimoto_point_closes_in_the_newton_phase():
     assert pt.rate == pytest.approx(0.0372126420, abs=1e-8)
 
 
+def _slow_side_source():
+    """Four side states over three letters; at slope -1 the second and the
+    fourth stay open past the Blahut-Arimoto loop, the others close in it."""
+    conds = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.9, 0.05, 0.05], [0.232, 0.498, 0.27]])
+    return np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
+
+
+@pytest.mark.parametrize("source, side, handed", [
+    ([0.2516, 0.4544, 0.2940], False, [True]),
+    (_slow_side_source(), True, [False, True, False, True]),
+], ids=["plain", "side"])
+def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, handed):
+    # the slow point above: its first solve spends _NEWTON_AFTER iterations in
+    # the Blahut-Arimoto loop before Newton closes it; the engine starts the
+    # states it handed over in Newton on the next solve, a slope away, and
+    # that solve lands where a fresh engine's does
+    d = [hamming_distortion(3)]
+    solver = rd._MultiSolver(source, d, side=side)
+    assert solver.eval((-1.0,))[2] > rd._NEWTON_AFTER
+    assert solver.newton.tolist() == handed
+    rate, dvec, iters, conv = solver.eval((-1.01,))
+    fresh = rd._MultiSolver(source, d, side=side).eval((-1.01,))
+    assert conv and fresh[3]
+    assert iters < rd._NEWTON_AFTER < fresh[2]
+    assert rate == pytest.approx(fresh[0], rel=0, abs=1e-9)
+    assert dvec == pytest.approx(fresh[1], rel=0, abs=1e-9)
+    # a state that started in Newton goes back to the loop on the next solve
+    assert not solver.newton.any()
+
+
+def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypatch, fork_net):
+    # every side state of the fork's Lemma 2 solves closes its gap in the
+    # Blahut-Arimoto loop, so no solve starts a state in Newton, and the
+    # check takes the iterations it took before solves could start there
+    started, iters = [], []
+    real_eval = rd._MultiSolver.eval
+
+    def spy(self, slopes):
+        started.append(bool(self.newton.any()))
+        out = real_eval(self, slopes)
+        iters.append(out[2])
+        return out
+
+    monkeypatch.setattr(rd._MultiSolver, "eval", spy)
+    assert lemma2_check(fork_net, ["Y"], (0.05, 0.05)).converged
+    assert not any(started)
+    assert iters == [18, 9, 9]
+
+
 def test_a_dead_letter_sums_only_the_positive_bracket_terms():
     # letter 2's tilt column underflows to 0 on both support rows, so q c has
     # a zero entry and the kernel's bracket sums each state's positive terms
@@ -451,13 +500,10 @@ def test_side_states_step_together_as_separate_solves(monkeypatch):
     """One kernel call steps every side state, and each keeps its own stop,
     in the Blahut-Arimoto phase and in the Newton phase after it."""
     d = [hamming_distortion(3)]
-    conds = np.array([
-        [0.5, 0.5, 0.0],  # a zero-probability source letter
-        [0.2, 0.3, 0.5],  # about a thousand Blahut-Arimoto iterations at slope -1
-        [0.9, 0.05, 0.05],  # a few
-        [0.232, 0.498, 0.27],  # about a thousand as well
-    ])
-    joint = np.array([0.3, 0.4, 0.2, 0.1])[:, None] * conds
+    # a zero-probability source letter in the first state; at slope -1 about
+    # a thousand Blahut-Arimoto iterations in the second and the fourth, a
+    # few in the third
+    joint = _slow_side_source()
     py = joint.sum(axis=1)
     # the subject is the stack in each phase, not where one hands over to
     # the other, so the handoff is held at 100: a budget of 100 caps the two

@@ -84,3 +84,18 @@ def test_kernel_stress_exits_1_on_an_unconverged_evaluation(monkeypatch):
         assert _main("kernel_stress")(["--sources", "1", "--draws", "0"]) == 1
     kind, points, _, most, bad, _ = out.getvalue().splitlines()[1].split(",")
     assert (kind, points, most) == ("point", "9", "2") and int(bad) > 0
+
+
+@pytest.mark.parametrize("limit, code", [([], 0), (["--max-unmet", "1"], 0), (["--max-unmet", "0"], 1)],
+                         ids=["no-limit", "at-limit", "over-limit"])
+def test_kernel_stress_exits_1_past_max_unmet(monkeypatch, limit, code):
+    # one slope evaluation per search leaves the one joint target unmet,
+    # with every kernel evaluation converged
+    monkeypatch.setattr(rd, "_MAX_EVALS", 1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert _main("kernel_stress")(["--sources", "0", "--draws", "1", *limit]) == code
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert [(kind, bad, unmet) for kind, _, _, _, bad, unmet in rows] == [
+        ("point", "0", "0"), ("target", "0", "0"), ("conditional_target", "0", "0"),
+        ("joint_target", "0", "1")]
