@@ -23,6 +23,7 @@ from .bn import (
     marginal_table,
     sample,
     save_net,
+    size_guard,
     validate,
 )
 from .bounds import BoundReport, DecompositionReport, lemma1_bounds, lemma2_check

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ from .errors import InvalidStateError, SchemaError, SizeGuardError
 #: Default cap on dense table sizes (number of float entries).
 DEFAULT_SIZE_GUARD = 2**24
 
-#: Hard ceiling for user-supplied guard overrides.
+#: Hard ceiling for ``SEMRD_SIZE_GUARD``.
 MAX_SIZE_GUARD = 2**28
 
 _ROW_SUM_TOL = 1e-12
@@ -365,7 +366,24 @@ def ancestral_closure(net: BayesNet, ids: Iterable[int]) -> set[int]:
     return seen
 
 
-def marginal_table(net: BayesNet, ids: Sequence[int], limit: int = DEFAULT_SIZE_GUARD) -> JointTable:
+def size_guard() -> int:
+    """The cap on dense table sizes, read at each call: ``SEMRD_SIZE_GUARD``
+    when it is set, else ``DEFAULT_SIZE_GUARD``.  A set value that is not an
+    integer in [1, ``MAX_SIZE_GUARD``] raises a size-guard error.  Every check
+    that refuses an allocation takes its bound from here."""
+    value = os.environ.get("SEMRD_SIZE_GUARD")
+    if value is None:
+        return DEFAULT_SIZE_GUARD
+    try:
+        guard = int(value)
+    except ValueError:  # also past int's digit limit
+        guard = 0
+    if not 1 <= guard <= MAX_SIZE_GUARD:
+        raise SizeGuardError(f"SEMRD_SIZE_GUARD={value!r} is not an integer in [1, {MAX_SIZE_GUARD}]")
+    return guard
+
+
+def marginal_table(net: BayesNet, ids: Sequence[int]) -> JointTable:
     """Exact marginal distribution over ``ids`` (in the requested order).
 
     Variable elimination over the ancestral closure: each CPT, in topological
@@ -373,11 +391,13 @@ def marginal_table(net: BayesNet, ids: Sequence[int], limit: int = DEFAULT_SIZE_
     that also sums out every variable no later CPT mentions (the requested
     ids stay to the end), so chains and trees stay small even when the full
     joint would not fit.  Each product, the table times the CPT before the
-    sum, is held under ``limit`` entries and under einsum's 52 axis labels.
+    sum, is held under ``size_guard()`` entries and under einsum's 52 axis
+    labels.
     """
     ids = [net.id_of(i) for i in ids]
     if len(set(ids)) != len(ids) or not ids:
         raise InvalidStateError(f"ids must be a non-empty set of distinct variables, got {ids}")
+    guard = size_guard()
     needed = ancestral_closure(net, ids)
     order_s = [v for v in net.order if v in needed]
     last = {v: k for k, v in enumerate(order_s)}  # the last step that mentions v
@@ -388,9 +408,9 @@ def marginal_table(net: BayesNet, ids: Sequence[int], limit: int = DEFAULT_SIZE_
     table = np.ones(())
     for pos, v in enumerate(order_s):
         step, size = active + [v], table.size * net.card(v)
-        if size > limit:
+        if size > guard:
             raise SizeGuardError(f"intermediate table over {len(step)} variables has {size} "
-                                 f"entries (> guard {limit})")
+                                 f"entries (> guard {guard})")
         if len(step) > 52:
             raise SizeGuardError(f"intermediate table over {len(step)} variables has more "
                                  f"axes than einsum's 52 labels")
@@ -404,16 +424,16 @@ def marginal_table(net: BayesNet, ids: Sequence[int], limit: int = DEFAULT_SIZE_
     return JointTable(tuple(ids), tuple(net.card(i) for i in ids), table.reshape(-1))
 
 
-def enumerate_joint(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> JointTable:
+def enumerate_joint(net: BayesNet) -> JointTable:
     """Dense joint table over all variables in id order.
 
     Raises a size-guard error before allocating anything when the state space
-    exceeds ``limit``; the returned table sums to 1 within 1e-9.
+    exceeds ``size_guard()``; the returned table sums to 1 within 1e-9.
     """
-    n = net.joint_states()
-    if n > limit:
-        raise SizeGuardError(f"joint state space {n} exceeds guard {limit}")
-    jt = marginal_table(net, list(range(net.m)), limit=limit)
+    n, guard = net.joint_states(), size_guard()
+    if n > guard:
+        raise SizeGuardError(f"joint state space {n} exceeds guard {guard}")
+    jt = marginal_table(net, list(range(net.m)))
     total = float(jt.probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise SchemaError(f"joint table sums to {total:.12g}, not 1; network is inconsistent")
@@ -429,8 +449,9 @@ def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise InvalidStateError(f"sample count must be >= 0, got {n}")
-    if n * net.m > DEFAULT_SIZE_GUARD:
-        raise SizeGuardError(f"{n} samples: {n}x{net.m} table exceeds guard {DEFAULT_SIZE_GUARD}")
+    guard = size_guard()
+    if n * net.m > guard:
+        raise SizeGuardError(f"{n} samples: {n}x{net.m} table exceeds guard {guard}")
     rng = np.random.default_rng(seed)
     out = np.zeros((n, net.m), dtype=np.int64)
     for i in net.order:
@@ -471,15 +492,6 @@ def conditional_partition(net: BayesNet, side: Sequence[int]) -> Partition:
         if v not in side_ids:
             blocks.setdefault(find(v), []).append(v)
     return Partition(tuple(sorted(side_ids)), tuple(sorted(tuple(b) for b in blocks.values())))
-
-
-def resolve_size_guard(value: int | None) -> int:
-    """Clamp-check a user-supplied guard override."""
-    if value is None:
-        return DEFAULT_SIZE_GUARD
-    if not 1 <= value <= MAX_SIZE_GUARD:
-        raise SizeGuardError(f"size guard {value} outside [1, {MAX_SIZE_GUARD}]")
-    return value
 
 
 # ---------------------------------------------------------------------------

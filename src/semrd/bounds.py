@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import DEFAULT_SIZE_GUARD, BayesNet, Partition, conditional_partition, marginal_table
+from .bn import BayesNet, Partition, conditional_partition, marginal_table
 from .errors import InvalidStateError
 from .info import parent_marginals
 from .rd import (
@@ -61,20 +61,18 @@ class DecompositionReport:
     converged: bool
 
 
-def _side_first_array(net: BayesNet, side: Sequence[int], targets_vars: Sequence[int],
-                      limit: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
+def _side_first_array(net: BayesNet, side: Sequence[int], targets_vars: Sequence[int]) -> np.ndarray:
     """p(y, x_1..x_b) with the side set flattened into the leading axis.
 
     The one cut of a rate-distortion source out of a network: the Lemma 1
     joint, the Lemma 2 side + rest table and the CLI's ``rd``/``rd-cond``.
     """
-    jt = marginal_table(net, [*side, *targets_vars], limit=limit)
+    jt = marginal_table(net, [*side, *targets_vars])
     return jt.probs.reshape(-1, *(net.card(v) for v in targets_vars))
 
 
 def lemma1_bounds(net: BayesNet, targets: Sequence[float],
-                  dspec: DistortionSpec | None = None, *,
-                  limit: int = DEFAULT_SIZE_GUARD) -> BoundReport:
+                  dspec: DistortionSpec | None = None) -> BoundReport:
     """Evaluate the sandwich at one per-variable target vector.
 
     Hamming distortion per variable unless ``dspec`` says otherwise.
@@ -86,7 +84,7 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
         dspec = DistortionSpec.hamming(net.cards)
     # the joint first: a net over the guard is refused before any solve, and
     # every source below is a marginal of it, so none is larger
-    joint_arr = _side_first_array(net, [], range(net.m), limit)[0]
+    joint_arr = _side_first_array(net, [], range(net.m))[0]
     terms = []  # (upper point, lower point) per variable
     for i, (cpt, p_pa) in enumerate(zip(net.cpts, parent_marginals(net))):
         d = dspec.for_var(i)
@@ -95,8 +93,7 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
             (p_pa[:, None] * cpt.table).T, d, targets[i])  # p(x_i, parent config)
         terms.append((up, lo))
     jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)],
-                               targets, limit=limit,
-                               init_slopes=[lo.slope for _, lo in terms])
+                               targets, init_slopes=[lo.slope for _, lo in terms])
     upper_terms = tuple(up.rate for up, _ in terms)
     lower_terms = tuple(lo.rate for _, lo in terms)
     lower = float(sum(lower_terms))
@@ -115,8 +112,7 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
 
 
 def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[float],
-                 dspec: DistortionSpec | None = None, *,
-                 limit: int = DEFAULT_SIZE_GUARD) -> DecompositionReport:
+                 dspec: DistortionSpec | None = None) -> DecompositionReport:
     """Compare the joint conditional rate against the per-block sum.
 
     ``targets`` aligns with the non-side variables in ascending id order.
@@ -133,18 +129,16 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
         dspec = DistortionSpec.hamming(net.cards)
     by_var = dict(zip(rest, targets))
 
-    arr = _side_first_array(net, part.side, rest, limit)
+    arr = _side_first_array(net, part.side, rest)
     jp = ba_joint_multi_target(arr, [dspec.for_var(v) for v in rest],
-                               [by_var[v] for v in rest],
-                               side=True, limit=limit)
+                               [by_var[v] for v in rest], side=True)
     conv = jp.converged
     block_rates: list[float] = []
     for block in part.blocks:
         # p(side, block): sum the other blocks' axes out of the one cut table
         barr = arr.sum(axis=tuple(1 + k for k, v in enumerate(rest) if v not in block))
         bp = ba_joint_multi_target(barr, [dspec.for_var(v) for v in block],
-                                   [by_var[v] for v in block],
-                                   side=True, limit=limit)
+                                   [by_var[v] for v in block], side=True)
         block_rates.append(bp.rate)
         conv = conv and bp.converged
     subset_sum = float(sum(block_rates))

@@ -8,8 +8,9 @@ to stderr so they never perturb the CSV surface.
 Exit codes: 0 success, 1 validation failure (bad network file, uncodable
 sample, corrupt stream, guard violation, failed check), 2 usage error.
 
-The dense-table size guard defaults to 2^24 joint states and may be raised or
-lowered with the ``SEMRD_SIZE_GUARD`` environment variable (capped at 2^28).
+The dense-table size guard defaults to 2^24 entries and may be raised or
+lowered with the ``SEMRD_SIZE_GUARD`` environment variable (capped at 2^28);
+a value outside that range is a usage error.
 Network arguments take a file path, or the name of a bundled example
 (fork, chain, scene).
 """
@@ -17,7 +18,6 @@ Network arguments take a file path, or the name of a bundled example
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,8 +31,8 @@ from .bn import (
     enumerate_joint,
     load_net,
     marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
-    resolve_size_guard,
     sample,
+    size_guard,
 )
 from .bounds import _side_first_array, lemma1_bounds, lemma2_check
 from .codec import (
@@ -136,13 +136,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     net = _load(args.net)  # refuses a net with any violation of ``validate``
     lines = [_csv_line("check", "structure", "ok")]
     ok = True
-    if net.joint_states() <= args.size_guard:
-        jt = enumerate_joint(net, limit=args.size_guard)
+    if net.joint_states() <= size_guard():
+        jt = enumerate_joint(net)
         gap = abs(joint_entropy_factorized(net) - joint_entropy_bruteforce(jt))
         good = gap <= _ORACLE_TOL
         lines.append(_csv_line("check", "entropy-oracle", "ok" if good else f"fail gap {_fmt(gap)}"))
         ok &= good
-        red = redundancy_gap(net, limit=args.size_guard)
+        red = redundancy_gap(net)
         good = red >= -_ORACLE_TOL
         lines.append(_csv_line("check", "redundancy-nonnegative", "ok" if good else f"fail {_fmt(red)}"))
         ok &= good
@@ -172,11 +172,10 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     rows = conditional_entropies(net, marginals)
     lines += [_csv_line("node", v.name, h) for v, h in zip(net.variables, rows)]
     joint = sum(rows)
+    msum = marginal_entropy_sum(net, marginals)
     lines.append(_csv_line("summary", "joint_entropy", joint))
-    if net.joint_states() <= args.size_guard:
-        msum = marginal_entropy_sum(net, marginals)
-        lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
-        lines.append(_csv_line("summary", "redundancy_gap", msum - joint))
+    lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
+    lines.append(_csv_line("summary", "redundancy_gap", msum - joint))
     _emit(lines, args.output)
     return 0
 
@@ -210,7 +209,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_codec_report(args: argparse.Namespace) -> int:
     net = _load(args.net)
     t0 = time.perf_counter()
-    rep = complexity_report(net, limit=args.size_guard)
+    rep = complexity_report(net)
     lines = [_csv_line("field", "value"), _csv_line("variables", rep.n_variables)]
     lines += [_csv_line(name, getattr(rep, name)) for name in (
         "max_cardinality", "max_in_degree", "joint_states", "factorized_code_bound",
@@ -247,7 +246,7 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
     vars_ = _resolve_vars(net, args.vars, default_vars)
     if not vars_ or len(set(vars_)) != len(vars_) or set(vars_) & set(side):
         raise argparse.ArgumentTypeError("--vars must be distinct and disjoint from --side")
-    arr = _side_first_array(net, side, vars_, args.size_guard)
+    arr = _side_first_array(net, side, vars_)
     dists = [dspec.for_var(v) for v in vars_]
     names = [net.variables[v].name for v in vars_]
     header = _csv_line(
@@ -263,15 +262,17 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
         targets = _parse_floats(args.targets)
         if len(targets) != len(vars_):
             raise argparse.ArgumentTypeError(f"{len(targets)} targets for {len(vars_)} variables")
-        add_point(ba_joint_multi_target(arr, dists, targets, side=True, limit=args.size_guard))
+        add_point(ba_joint_multi_target(arr, dists, targets, side=True))
     elif args.slopes is not None:
         slopes = _parse_floats(args.slopes)
         if len(slopes) != len(vars_):
             raise argparse.ArgumentTypeError(f"{len(slopes)} slopes for {len(vars_)} variables")
-        add_point(ba_joint_multi(arr, dists, slopes, side=True, limit=args.size_guard))
+        add_point(ba_joint_multi(arr, dists, slopes, side=True))
     else:
+        if args.sweep < 0:
+            raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
         # one solver for the whole grid: each slope warm-starts from the last
-        solver = _MultiSolver(arr, dists, side=True, limit=args.size_guard)
+        solver = _MultiSolver(arr, dists, side=True)
         grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]
         for pt in _fixed_slope_points(solver, grid):
             add_point(pt)
@@ -291,7 +292,7 @@ def cmd_rd_closed_form(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     net = _load(args.net)
     targets = _parse_floats(args.targets)
-    rep = lemma1_bounds(net, targets, _dspec(net, args.distortion), limit=args.size_guard)
+    rep = lemma1_bounds(net, targets, _dspec(net, args.distortion))
     names = net.names
     lines = [
         _csv_line(*[f"target_{n}" for n in names], "lower_bits", "joint_bits", "upper_bits",
@@ -309,7 +310,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     if not side:
         raise argparse.ArgumentTypeError("--side must name at least one variable")
     targets = _parse_floats(args.targets)
-    rep = lemma2_check(net, side, targets, _dspec(net, args.distortion), limit=args.size_guard)
+    rep = lemma2_check(net, side, targets, _dspec(net, args.distortion))
     blocks = "|".join("+".join(net.variables[v].name for v in blk) for blk in rep.partition.blocks)
     lines = [
         _csv_line("blocks", "joint_conditional_bits", "subset_sum_bits", "delta", "converged"),
@@ -417,11 +418,9 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        args.size_guard = resolve_size_guard(
-            int(os.environ["SEMRD_SIZE_GUARD"]) if "SEMRD_SIZE_GUARD" in os.environ else None
-        )
-    except (ValueError, SizeGuardError) as e:
-        print(f"semrd: bad SEMRD_SIZE_GUARD: {e}", file=sys.stderr)
+        size_guard()
+    except SizeGuardError as e:
+        print(f"semrd: {e}", file=sys.stderr)
         return 2
     try:
         n_params = {"binary": 2, "gaussian": 3}

@@ -39,13 +39,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bn import (
-    DEFAULT_SIZE_GUARD,
     BayesNet,
     JointTable,
     config_index,
     enumerate_joint,
     marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
     row_layout,
+    size_guard,
 )
 from .errors import (
     CorruptStreamError,
@@ -175,10 +175,11 @@ def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
     return FactorizedCodebook(net, codes, sum(c.table.size for c in net.cpts))
 
 
-def build_joint_huffman(table: JointTable, limit: int = DEFAULT_SIZE_GUARD) -> PrefixCode:
+def build_joint_huffman(table: JointTable) -> PrefixCode:
     """Single Huffman code over the dense joint alphabet (oracle route)."""
-    if table.probs.size > limit:
-        raise SizeGuardError(f"joint alphabet {table.probs.size} exceeds guard {limit}")
+    guard = size_guard()
+    if table.probs.size > guard:
+        raise SizeGuardError(f"joint alphabet {table.probs.size} exceeds guard {guard}")
     return huffman_code(table.probs)
 
 
@@ -314,10 +315,11 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         )
     # a net whose every variable can code to zero bits admits any count, so
     # the output table itself is held to the size guard
-    if min_bits == 0 and stream.n * net.m > DEFAULT_SIZE_GUARD:
+    guard = size_guard()
+    if min_bits == 0 and stream.n * net.m > guard:
         raise SizeGuardError(
             f"header claims {stream.n} zero-bit samples: {stream.n}x{net.m} table "
-            f"exceeds guard {DEFAULT_SIZE_GUARD}"
+            f"exceeds guard {guard}"
         )
     # zero bits past the payload, one sample's worth, let walks run on unchecked
     pad = bytes(sum(hi) // 8 + 1)
@@ -426,7 +428,7 @@ class ComplexityReport:
     joint_code: PrefixCode | None = field(repr=False, compare=False)
 
 
-def complexity_report(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> ComplexityReport:
+def complexity_report(net: BayesNet) -> ComplexityReport:
     """Build both codebooks (joint only when under the guard), account the work,
     and hand the built codebooks back with the report."""
     k = max(net.cards)
@@ -434,16 +436,16 @@ def complexity_report(net: BayesNet, limit: int = DEFAULT_SIZE_GUARD) -> Complex
     t0 = time.perf_counter()
     fcb = build_factorized_codebooks(net)
     t_fac = time.perf_counter() - t0
-    n_joint = net.joint_states()
+    n_joint, guard = net.joint_states(), size_guard()
     jt = jcode = t_joint = None
     note = ""
-    if n_joint <= limit:
+    if n_joint <= guard:
         t0 = time.perf_counter()
-        jt = enumerate_joint(net, limit=limit)
-        jcode = build_joint_huffman(jt, limit=limit)
+        jt = enumerate_joint(net)
+        jcode = build_joint_huffman(jt)
         t_joint = time.perf_counter() - t0
     else:
-        note = f"skipped: joint alphabet {n_joint} exceeds size guard {limit}"
+        note = f"skipped: joint alphabet {n_joint} exceeds size guard {guard}"
     return ComplexityReport(
         n_variables=net.m,
         max_cardinality=k,

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import DEFAULT_SIZE_GUARD, BayesNet, JointTable, marginal_table
-from .errors import InvalidStateError, SizeGuardError
+from .bn import BayesNet, JointTable, marginal_table
+from .errors import InvalidStateError
 
 _CLAMP_TOL = 1e-9
 
@@ -106,15 +106,13 @@ def marginal_entropy_sum(net: BayesNet, marginals: list[np.ndarray] | None = Non
     return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, marginals))
 
 
-def redundancy_gap(net: BayesNet, limit: int | None = None) -> float:
+def redundancy_gap(net: BayesNet) -> float:
     """sum_i H(X_i) - H(X_1..X_m): the rate saved by coding jointly.
 
     Equals the total correlation sum_i I(X_i; Parent(X_i)); nonnegative up to
-    float noise.  Guarded by the joint-state-space cap like the dense routes.
+    float noise.  Both sums come from one ``parent_marginals`` pass, so no
+    joint table is built and no joint state-space guard applies.
     """
-    cap = DEFAULT_SIZE_GUARD if limit is None else limit
-    if net.joint_states() > cap:
-        raise SizeGuardError(f"joint state space {net.joint_states()} exceeds guard {cap}")
     marginals = parent_marginals(net)
     return marginal_entropy_sum(net, marginals) - sum(conditional_entropies(net, marginals))
 

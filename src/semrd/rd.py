@@ -41,9 +41,10 @@ Every target solve, with one constraint or several, is the same search
 Lagrange dual), each slope search opening at the point the sweep holds.
 Unless the caller seeds them, the sweep starts each slope whose target lies
 below its zero-rate corner where the test channel with a uniform
-reconstruction marginal meets that target under the coordinate's marginal
-(``_uniform_q_slope``): for Hamming distortion the Shannon lower-bound
-slope, which is the solution wherever that bound is tight.  A slope
+reconstruction marginal meets that target under the coordinate's marginal,
+its distortion matrix read as a multiple of the Hamming one
+(``_uniform_q_slope``, in closed form): for Hamming distortion the Shannon
+lower-bound slope, which is the solution wherever that bound is tight.  A slope
 searched before opens with a Newton step on the gain dD/ds its last search
 measured, so a held point near its target probes near the root instead of
 doubling or halving the slope.  Every solve on one engine is warm-started
@@ -56,10 +57,11 @@ below a small rate budget — the defect bounds how far the dual value can sit
 from the true constrained minimum, and it is the right test at zero-rate
 corners and on linear curve segments where D(s) jumps across the target.
 
-The tolerances and iteration caps are the module constants below; only the
-multi-constraint entry points take options: ``limit`` (the product
-test-channel size guard, also applied to the one-constraint case at its
-default) and, for target solves, ``init_slopes``.
+The tolerances and iteration caps are the module constants below, and the
+product test-channel tables of every solve are held to ``size_guard()``;
+the one option is ``init_slopes`` of the multi-constraint target solve.
+Targets must be numbers and slopes finite: a NaN target or an infinite
+slope is refused before any solve.
 
 Conventions: a 2-d conditional source is passed as ``joint[x, y]`` (side
 variable last); a multi-variable source has one axis per variable with an
@@ -74,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import DEFAULT_SIZE_GUARD
+from .bn import size_guard
 from .errors import InvalidStateError, SizeGuardError
 from .info import binary_entropy
 
@@ -185,48 +187,25 @@ def min_distortion(p, d) -> float:
 
 
 def _uniform_q_slope(p, d, target: float) -> float:
-    """The slope s at which the test channel with a uniform reconstruction
-    marginal, Q(xhat | x) proportional to 2^(s * d(x, xhat)), has distortion
-    ``target`` under the source ``p``; ``target`` must lie below the mean
-    distortion.
+    """An opening slope for a ``target`` between the floor and the zero-rate
+    corner of the source ``p`` under ``d``, in closed form.
 
-    That distortion rises monotonically from the floor at s = -inf to the
-    mean distortion at s = 0, with derivative ln 2 times the p-weighted
-    variance of d(x, .) under Q(. | x).  For Hamming distortion on k letters
-    the root is log2(D / ((k - 1)(1 - D))), the Shannon lower-bound slope,
-    which is the solved slope wherever that bound is tight.  The search opens
-    at that formula for the matrix read as a multiple of the Hamming one
-    (exact for those) and takes at most 64 Newton steps, each kept inside
-    the bracket found so far (doubling or bisecting otherwise).  A target at
-    the floor, whose root is at -inf, gets a finite slope where the excess
-    over the floor has all but vanished.
+    The matrix is read as c times the Hamming one on its excess over each
+    row's floor, c the mean excess per off-floor letter, and the slope is
+    the one at which the test channel with a uniform reconstruction
+    marginal meets the target there: for Hamming distortion on k letters
+    log2(D / ((k - 1)(1 - D))), the Shannon lower-bound slope, which is the
+    solved slope wherever that bound is tight.  A target at the floor, whose
+    root is at -inf, opens at -1100 over the smallest positive excess, where
+    every tilt off the floor underflows to 0.
     """
     g = d - d.min(axis=1, keepdims=True)  # excess over each row's floor
-    moments = np.stack([np.ones_like(g), g, g * g], axis=1)
     t = target - float(p @ d.min(axis=1))
-    n = g.shape[1]
-    s = -1.0
     if t > 0.0:
+        n = g.shape[1]
         unit = float(p @ g.sum(axis=1)) / (n - 1)  # c for c times Hamming
-        s = math.log2(t / ((n - 1) * (unit - t))) / unit
-    lo, hi = -math.inf, 0.0
-    for _ in range(64):
-        z, m1, m2 = np.matvec(moments, np.exp2(s * g)).T  # each row keeps a 1
-        m1 = m1 / z
-        e, de = float(p @ m1), math.log(2.0) * float(p @ (m2 / z - m1 * m1))
-        if abs(e - t) <= 1e-12 * t:
-            return s
-        if e > t:
-            hi = s
-        else:
-            lo = s
-        nxt = s - (e - t) / de if de > 0.0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 2.0 * s if lo == -math.inf else 0.5 * (lo + hi)
-        if abs(nxt - s) <= 1e-12 * -s:
-            return nxt
-        s = nxt
-    return s
+        return math.log2(t / ((n - 1) * (unit - t))) / unit
+    return -1100.0 / float(np.min(g, where=g > 0.0, initial=math.inf))
 
 
 def _ba_slope_core(p, a, q, max_iters, newton):
@@ -586,7 +565,7 @@ class _MultiSolver:
     once here; ``eval`` steps all side states in one kernel call, each
     warm-started from its previous q."""
 
-    def __init__(self, joint, dists, side: bool = False, limit: int = DEFAULT_SIZE_GUARD):
+    def __init__(self, joint, dists, side: bool = False):
         joint = np.asarray(joint, float)
         if side:
             if joint.ndim < 2:
@@ -601,9 +580,10 @@ class _MultiSolver:
         self.dists = dists = _check_source(joint, cards, dists)
         nx = math.prod(cards)
         self.nh = nh = math.prod(d.shape[1] for d in dists)
-        if ny * nx * nh > limit:  # eval holds one table per side state at once
+        guard = size_guard()
+        if ny * nx * nh > guard:  # eval holds one table per side state at once
             raise SizeGuardError(f"product test-channel table {nx}x{nh} for {ny} side states "
-                                 f"exceeds guard {limit}")
+                                 f"exceeds guard {guard}")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
         # one all-zero row after the nx source rows: its tilt row is all 1
@@ -693,8 +673,9 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     Without ``init_slopes``, a coordinate whose target lies at or above its
     zero-rate corner starts at slope 0 and every other one at
     ``_uniform_q_slope`` of its p(y)-weighted marginal: the slope where the
-    test channel with a uniform q meets the target, the Shannon lower-bound
-    slope log2(D / ((k - 1)(1 - D))) for Hamming distortion.  Where that
+    test channel with a uniform q meets the target for the matrix read as a
+    multiple of the Hamming one, the Shannon lower-bound slope
+    log2(D / ((k - 1)(1 - D))) for Hamming distortion.  Where that
     bound is tight the first solve lands on the target; elsewhere the search
     starts near the root.
 
@@ -718,7 +699,7 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     ``DIST_TOL``.
     """
     targets = np.asarray(targets, float)
-    if np.any(targets < 0):
+    if not np.all(targets >= 0):  # also a NaN
         raise InvalidStateError(f"targets must be >= 0, got {targets.tolist()}")
     if targets.shape != (solver.m,):
         raise InvalidStateError(f"{targets.size} targets for {solver.m} variables")
@@ -730,7 +711,10 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     if np.all(targets >= solver.trivs - 1e-15):
         return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
     if init_slopes is not None:
-        slopes = np.minimum(np.asarray(init_slopes, float), 0.0)
+        slopes = np.asarray(init_slopes, float)
+        if not np.isfinite(slopes).all():
+            raise InvalidStateError(f"init_slopes must be finite, got {slopes.tolist()}")
+        slopes = np.minimum(slopes, 0.0)
     else:
         slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
                            _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
@@ -782,8 +766,8 @@ def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:
     points = []
     for slopes in grid:
         slopes = tuple(float(s) for s in slopes)
-        if any(s > 0 for s in slopes):
-            raise InvalidStateError(f"slopes must be <= 0, got {slopes}")
+        if not all(-math.inf < s <= 0 for s in slopes):  # also a NaN
+            raise InvalidStateError(f"slopes must be finite and <= 0, got {slopes}")
         if len(slopes) != solver.m:
             raise InvalidStateError(f"{len(slopes)} slopes for {solver.m} variables")
         rate, dvec, it, conv = solver.eval(slopes)
@@ -822,19 +806,17 @@ def ba_conditional_target(joint, d, target: float) -> RdPoint:
     return _target_search(_conditional_solver(joint, d), [target])
 
 
-def ba_joint_multi(joint, dists, slopes, *, side: bool = False,
-                   limit: int = DEFAULT_SIZE_GUARD) -> RdPoint:
+def ba_joint_multi(joint, dists, slopes, *, side: bool = False) -> RdPoint:
     """One point on the multi-constraint surface at a fixed slope vector."""
-    return _fixed_slope_points(_MultiSolver(joint, dists, side, limit), [slopes])[0]
+    return _fixed_slope_points(_MultiSolver(joint, dists, side), [slopes])[0]
 
 
 def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
-                          limit: int = DEFAULT_SIZE_GUARD,
                           init_slopes: Sequence[float] | None = None) -> RdPoint:
     """Joint rate at per-variable distortion targets, by the target search
     that every target solve runs (see ``_target_search``).  ``init_slopes``
     can seed the sweep, e.g. with slopes from per-variable solves."""
-    return _target_search(_MultiSolver(joint, dists, side, limit), targets, init_slopes)
+    return _target_search(_MultiSolver(joint, dists, side), targets, init_slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +829,7 @@ def binary_conditional_rd(p: float, target: float) -> float:
     function of a binary source seen through a symmetric flip channel p."""
     if not 0.0 <= p <= 0.5:
         raise InvalidStateError(f"flip probability {p} outside [0, 0.5]")
-    if target < 0.0:
+    if not target >= 0.0:  # also a NaN
         raise InvalidStateError(f"target distortion must be >= 0, got {target}")
     if target >= p:
         return 0.0
@@ -857,11 +839,11 @@ def binary_conditional_rd(p: float, target: float) -> float:
 def gaussian_conditional_rd(sigma: float, r: float, target: float) -> float:
     """(1/2) log2(sigma^2 (1 - r^2) / D), clamped at 0: conditional
     rate-distortion of a Gaussian with correlation r to the side variable."""
-    if sigma <= 0.0:
-        raise InvalidStateError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:  # also a NaN
+        raise InvalidStateError(f"sigma must be finite and > 0, got {sigma}")
     if not -1.0 <= r <= 1.0:
         raise InvalidStateError(f"correlation {r} outside [-1, 1]")
-    if target <= 0.0:
+    if not target > 0.0:  # also a NaN
         raise InvalidStateError(f"target distortion must be > 0, got {target}")
     ceiling = sigma * sigma * (1.0 - r * r)
     if target >= ceiling:

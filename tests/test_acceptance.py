@@ -115,7 +115,7 @@ def test_3_codec_round_trip_and_length_windows():
         assert elapsed < 10.0
 
 
-def test_4_codebook_cost_scales_with_factorization():
+def test_4_codebook_cost_scales_with_factorization(monkeypatch):
     net = binary_chain(20)
     t0 = time.perf_counter()
     fcb = build_factorized_codebooks(net)
@@ -123,8 +123,9 @@ def test_4_codebook_cost_scales_with_factorization():
     assert fcb.entries_touched <= 20 * 2 * 2
     assert net.joint_states() == 2**20
     assert build_seconds < 0.050
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(2**16))
     with pytest.raises(SizeGuardError):
-        enumerate_joint(net, limit=2**16)
+        enumerate_joint(net)
     print(f"20-node chain: {fcb.entries_touched} entries touched "
           f"(joint would need {net.joint_states()}), build {build_seconds * 1e3:.2f}ms")
 

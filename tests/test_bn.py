@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,8 +38,8 @@ from semrd.bn import (
     ancestral_closure,
     config_index,
     net_from_dict,
-    resolve_size_guard,
     row_layout,
+    size_guard,
 )
 from semrd.nets import BUNDLED, bundled_path
 
@@ -394,6 +397,13 @@ def test_sample_refuses_a_table_over_the_size_guard(fork_net):
     assert sample(fork_net, 0, seed=0).shape == (0, 3)
 
 
+def test_sample_obeys_the_size_guard_setting(monkeypatch, fork_net):
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "4")
+    with pytest.raises(SizeGuardError, match=r"^3 samples: 3x3 table exceeds guard 4$"):
+        sample(fork_net, 3, 0)
+    assert sample(fork_net, 1, 0).shape == (1, 3)
+
+
 def test_sample_frequencies_track_joint(fork_net):
     draws = sample(fork_net, 50_000, seed=11)
     zero = np.all(draws == 0, axis=1).mean()
@@ -463,10 +473,11 @@ def test_row_layout_indexes_every_cpt_row_as_config_index():
     assert row_layout(ALL_ROOTS)[0].shape == (3, 0)
 
 
-def test_size_guard_blocks_large_enumeration():
+def test_size_guard_blocks_large_enumeration(monkeypatch):
     big = semrd.nets.binary_chain(20)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(2**16))
     with pytest.raises(SizeGuardError):
-        enumerate_joint(big, limit=2**16)
+        enumerate_joint(big)
     # the factorized view never materializes the joint, so this stays cheap
     assert semrd.joint_entropy_factorized(big) > 0
 
@@ -483,13 +494,36 @@ def test_marginal_table_refuses_more_axes_than_einsum_labels():
         marginal_table(net, ["X"])
 
 
-def test_resolve_size_guard_limits():
-    assert resolve_size_guard(None) == semrd.DEFAULT_SIZE_GUARD
-    assert resolve_size_guard(1024) == 1024
+def test_size_guard_limits(monkeypatch):
+    monkeypatch.delenv("SEMRD_SIZE_GUARD", raising=False)
+    assert size_guard() == semrd.DEFAULT_SIZE_GUARD
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "1024")
+    assert size_guard() == 1024
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(2**40))
     with pytest.raises(SizeGuardError):
-        resolve_size_guard(2**40)
+        size_guard()
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "0")
     with pytest.raises(SizeGuardError):
-        resolve_size_guard(0)
+        size_guard()
+
+
+def _functions(obj):
+    """Every function defined in a module or class, methods of its classes too."""
+    for value in vars(obj).values():
+        value = getattr(value, "__func__", value)  # a staticmethod or classmethod
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value) and value.__module__ == obj.__name__:
+            yield from _functions(value)
+
+
+def test_no_function_takes_a_limit():
+    # the size guard is one setting, read by ``size_guard``, not a parameter
+    modules = [importlib.import_module(f"semrd.{m.name}") for m in pkgutil.iter_modules(semrd.__path__)]
+    assert len(modules) >= 8
+    for mod in modules:
+        for fn in _functions(mod):
+            assert "limit" not in inspect.signature(fn).parameters, fn.__qualname__
 
 
 def test_save_load_round_trip(tmp_path, scene_net):

@@ -150,8 +150,9 @@ def test_bounds_refuse_a_net_over_the_guard_before_any_solve(monkeypatch, scene_
 
     for name in ("ba_target", "ba_conditional_target", "ba_joint_multi_target"):
         monkeypatch.setattr(semrd.bounds, name, no_solve)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "10")
     with pytest.raises(SizeGuardError):
-        lemma1_bounds(scene_net, (0.1, 0.1, 0.1, 0.1), limit=10)
+        lemma1_bounds(scene_net, (0.1, 0.1, 0.1, 0.1))
 
 
 @settings(max_examples=8, deadline=None)

@@ -261,6 +261,70 @@ def test_size_guard_env_blocks_joint_work(monkeypatch):
     assert "guard" in err.lower()
 
 
+def test_entropy_prints_the_marginal_rows_under_any_guard(monkeypatch):
+    # both rows come from the per-node marginals: no joint table is built
+    _, full, _ = invoke(["entropy", "fork"])
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "4")
+    rc, out, _ = invoke(["entropy", "fork"])
+    assert rc == 0 and out == full
+    assert "summary,marginal_entropy_sum," in out and "summary,redundancy_gap," in out
+
+
+def test_sample_command_obeys_the_size_guard(monkeypatch):
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "4")
+    rc, out, err = invoke(["sample", "fork", "-n", "3"])
+    assert (rc, out) == (1, "")
+    assert "3x3 table exceeds guard 4" in err
+
+
+@pytest.mark.parametrize("value", ["x", "0", str(2**29)])
+def test_a_bad_size_guard_fails_library_calls_and_is_a_usage_error(monkeypatch, fork_net, value):
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", value)
+    with pytest.raises(semrd.SizeGuardError, match="SEMRD_SIZE_GUARD"):
+        semrd.marginal_table(fork_net, [0])
+    with pytest.raises(semrd.SizeGuardError, match="SEMRD_SIZE_GUARD"):
+        semrd.sample(fork_net, 1, 0)
+    rc, out, err = invoke(["entropy", "fork"])
+    assert (rc, out) == (2, "")
+    assert "SEMRD_SIZE_GUARD" in err
+
+
+_NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: semrd.ba_target([0.5, 0.5], _HAM2, _NAN), None),
+    (lambda: semrd.ba_point([0.5, 0.5], _HAM2, _NAN), None),
+    (lambda: semrd.ba_joint_multi_target(np.full((2, 2), 0.25), [_HAM2, _HAM2], (0.1, 0.1),
+                                         init_slopes=[_NAN, -1.0]), None),
+    (lambda: semrd.gaussian_conditional_rd(1.0, 0.0, _NAN), None),
+    (["rd", "fork", "--vars", "X1", "--targets", "nan"], 1),
+    (["rd", "fork", "--vars", "X1", "--slopes=-inf"], 1),
+    (["bounds", "fork", "--targets", "nan,0.1,0.1"], 1),
+    (["rd-closed-form", "gaussian", "1", "0", "nan"], 1),
+    (["rd-closed-form", "gaussian", "nan", "0", "0.1"], 1),
+    (["rd-closed-form", "gaussian", "inf", "0", "0.1"], 1),
+    (["rd", "fork", "--vars", "X1", "--sweep", "-3"], 2),
+], ids=["ba_target-nan", "ba_point-nan", "init_slopes-nan", "gaussian-target-nan",
+        "rd-targets-nan", "rd-slopes-inf", "bounds-targets-nan", "closed-form-target-nan",
+        "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative"])
+def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
+    # a NaN distortion is neither over nor under its target, so a slope
+    # search would probe slope 0 forever; a NaN or infinite slope would run
+    # the kernel to its iteration cap and return nan
+    def no_solve(self, slopes):
+        raise AssertionError(f"solved at slopes {slopes}")
+
+    monkeypatch.setattr(semrd.rd._MultiSolver, "eval", no_solve)
+    if code is None:
+        with pytest.raises(semrd.InvalidStateError):
+            call()
+    else:
+        rc, out, err = invoke(call)
+        assert (rc, out) == (code, "")
+        assert err.startswith("semrd: ")
+
+
 def test_all_subcommands_byte_stable(tmp_path):
     samples = tmp_path / "s.csv"
     stream = tmp_path / "s.bnhc"

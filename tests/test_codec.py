@@ -456,7 +456,7 @@ def test_damaged_streams_raise_typed_errors(name, n, seed, flips, cut):
     assert out.shape[1] == fcb.net.m
 
 
-def test_deterministic_net_encodes_to_zero_bits():
+def test_deterministic_net_encodes_to_zero_bits(monkeypatch):
     net = semrd.make_net(
         [("A", 2), ("B", 2)],
         [("A", [], [[1.0, 0.0]]),
@@ -469,6 +469,12 @@ def test_deterministic_net_encodes_to_zero_bits():
     # with no bits per sample the payload cannot bound the header count
     with pytest.raises(SizeGuardError):
         decode(fcb, semrd.Bitstream(2**40, stream.digest, b""))
+    # that table is held to the guard in force: 50 samples x 2 variables
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "100")
+    assert decode(fcb, stream).shape == (50, 2)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "99")
+    with pytest.raises(SizeGuardError, match=r"50x2 table exceeds guard 99$"):
+        decode(fcb, stream)
 
 
 def test_complexity_report_fork(fork_net):
@@ -483,9 +489,10 @@ def test_complexity_report_fork(fork_net):
     assert rep.factorized_entries_touched == 10
 
 
-def test_complexity_report_skips_oversized_joint():
+def test_complexity_report_skips_oversized_joint(monkeypatch):
     net = binary_chain(20)
-    rep = complexity_report(net, limit=2**16)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(2**16))
+    rep = complexity_report(net)
     assert rep.joint_states == 2**20
     assert rep.factorized_entries_touched <= 20 * 2 * 2
     assert rep.joint_build_seconds is None
@@ -505,7 +512,7 @@ def _reference_decode(fcb, stream):
     if stream.n * min_bits > len(bits):
         raise CorruptStreamError(f"header claims {stream.n} samples of >= {min_bits} bits; "
                                  f"payload has {len(bits)} bits")
-    if min_bits == 0 and stream.n * net.m > semrd.DEFAULT_SIZE_GUARD:
+    if min_bits == 0 and stream.n * net.m > semrd.size_guard():
         raise SizeGuardError("zero-bit samples over the guard")
     out, pos = np.zeros((stream.n, net.m), dtype=np.int64), 0
     for t in range(stream.n):

@@ -204,6 +204,15 @@ def test_gap_equals_sum_of_parent_informations(fork_net, chain_net, scene_net):
         assert redundancy_gap(net) == pytest.approx(acc, abs=1e-9)
 
 
+def test_redundancy_gap_builds_no_joint_table():
+    # 2^30 joint states, over the default guard: the gap needs only the
+    # per-node marginals, 29 links of I(X_i; X_i-1) = 1 - h_b(0.3) each
+    net = binary_chain(30)
+    assert net.joint_states() > semrd.DEFAULT_SIZE_GUARD
+    assert redundancy_gap(net) == pytest.approx(29 * (1 - binary_entropy(0.3)), abs=1e-12)
+    assert redundancy_gap(net) == pytest.approx(3.4426, abs=1e-4)
+
+
 def test_gap_zero_for_fully_independent_net():
     net = random_net(5, 4, max_card=3, max_parents=0)
     assert all(net.parents(i) == () for i in range(net.m))
