@@ -10,7 +10,10 @@ a two-variable joint target solve (``ba_joint_multi_target``), with targets
 drawn between each coordinate's distortion floor and its zero-rate corner.
 
 Prints one CSV row per kind of solve: the points solved, the iterations they
-took, the most any one took, the bad points and the unmet targets.  A point
+took, the most any one took, the kernel evaluations they made, the most any
+one made (each slope search stops at ``rd._MAX_EVALS`` evaluations, so for
+one-constraint targets this column shows the margin), the bad points and
+the unmet targets.  A point
 is bad when its rate or a distortion is NaN or when a kernel evaluation it
 made (``_MultiSolver.eval``) returned ``converged=False``; a target is unmet
 when the target search returned ``converged=False`` although every
@@ -111,14 +114,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     real_eval = rd._MultiSolver.eval
-    failed = []  # kernel evaluations of the current point that did not converge
+    failed = []  # one flag per kernel evaluation of the current point: True if unconverged
 
     def eval_checked(self, slopes):
         out = real_eval(self, slopes)
         failed.append(not out[3])
         return out
 
-    print("kind,points,iterations,max_iterations,bad,unmet")
+    print("kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet")
     total_bad = total_unmet = 0
     rd._MultiSolver.eval = eval_checked
     try:
@@ -126,20 +129,22 @@ def main(argv=None):
                             ("target", _targets(args.draws)),
                             ("conditional_target", _conditional_targets(args.draws)),
                             ("joint_target", _joint_targets(args.draws))):
-            points = iters = most = bad = unmet = 0
+            points = iters = most = evals = most_evals = bad = unmet = 0
             for call, solve in cases:
                 failed.clear()
                 pt = solve()
                 points += 1
                 iters += pt.iterations
                 most = max(most, pt.iterations)
+                evals += len(failed)
+                most_evals = max(most_evals, len(failed))
                 if np.isnan([pt.rate, *pt.distortions]).any() or any(failed):
                     bad += 1
                     print(f"# bad: {call} -> {pt}", file=sys.stderr)
                 elif not pt.converged:
                     unmet += 1
                     print(f"# unmet: {call} -> {pt}", file=sys.stderr)
-            print(f"{kind},{points},{iters},{most},{bad},{unmet}")
+            print(f"{kind},{points},{iters},{most},{evals},{most_evals},{bad},{unmet}")
             total_bad += bad
             total_unmet += unmet
     finally:

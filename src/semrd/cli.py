@@ -181,6 +181,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise argparse.ArgumentTypeError(f"-n must be >= 0, got {args.n}")
     net = _load(args.net)
     arr = sample(net, args.n, args.seed)
     _emit([",".join(map(str, row.tolist())) for row in arr] or [""], args.output)

@@ -27,10 +27,9 @@ near some optima where Newton converges in a few steps.  Newton starts from
 the support the state has reached: letters still under the warm start's
 uniform trace and shrinking start outside it.  Newton is the
 kernel's one rescue for a slow state.  An engine remembers which side
-states its last solve handed to Newton, and their next solve skips the
-loop and starts in Newton from the warm start, where Newton's quadratic
-convergence pays off at once; a state that started in Newton goes back to
-the loop the time after.  A solve's ``iterations`` count both
+states any of its solves handed to Newton, and every later solve skips the
+loop for them and starts them in Newton from the warm start, where Newton's
+quadratic convergence pays off at once.  A solve's ``iterations`` count both
 kinds of step, one each, under one cap.  Slopes are the Lagrange
 multipliers of the distortion constraints, so a target-distortion solve
 runs a bracketing secant on each slope; with side information the same
@@ -56,6 +55,10 @@ A target point is accepted when its distortion is under the target within
 below a small rate budget — the defect bounds how far the dual value can sit
 from the true constrained minimum, and it is the right test at zero-rate
 corners and on linear curve segments where D(s) jumps across the target.
+With one constraint, a search whose bracket straddles such a jump stops on
+a dual certificate instead: every probe's R - s (D - target) lies under
+R(target) (Blahut 1972), and once the timeshare of the bracket's ends is
+within ``SLACK_TOL`` of the best of them, the timeshare is returned.
 
 The tolerances and iteration caps are the module constants below, and the
 product test-channel tables of every solve are held to ``size_guard()``;
@@ -459,17 +462,26 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     only when the walk reaches it, and the start point is not solved again
     on the way.  The bracket is closed by an Illinois secant; when the
     distortion jumps over the target the result timeshares across the
-    bracket, which convexity makes exact.
+    bracket, which convexity makes exact.  With one constraint, every probe
+    (the held point too) gives the dual bound R - s (D_i - target) <=
+    R(target) on the curve, and while the bracket straddles a jump larger
+    than ``dist_tol`` the search stops as soon as the timeshare is within
+    ``SLACK_TOL`` of the best bound: the guarantee ``_accept`` gives a single
+    point, without closing the bracket.  That budget holds in the coarse
+    phase too, since no later sweep checks a timeshare again.  With several
+    constraints a one-coordinate mix is no joint timeshare, so those
+    searches close the bracket to a width of 1e-13.
 
     Every probe is one record ``(slope, rate, D vector, converged)``.
     Returns (record, total_iters, exact, gain).  ``record`` is the point
     found; ``slopes[i]`` holds the last probe, so the caller stores the
     record's slope there.  ``exact`` is False only for a timeshared mix,
-    which no single solve at the returned slope reproduces.  ``gain`` is the
-    secant dD_i/ds_i through the final bracket (through the last two points
-    when the search ends before bracketing; None for a timeshared mix or
-    when the secant is not positive) for the next search of this slope to
-    open with.
+    which no single solve at the returned slope reproduces; a mix counts as
+    converged when both its ends did and, unless the certificate stopped
+    the search, the bracket closed.  ``gain`` is the secant dD_i/ds_i
+    through the final bracket (through the last two points when the search
+    ends before bracketing; None for a timeshared mix or when the secant is
+    not positive) for the next search of this slope to open with.
     """
     total = evals = 0
     pt = (slopes[i], *held)
@@ -478,18 +490,27 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     halvings = 0
     step = (min(max((target - held[1][i]) / gain, pt[0]), -0.5 * pt[0])
             if gain and pt[0] < 0.0 else None)
+    # the dual bound max_k R_k - s_k (D_k - T) <= R(T) over the probes (with one constraint)
+    bound = held[0] - pt[0] * (held[1][i] - target)
 
     def secant(a, b):
         g = (b[1] - a[1]) / (b[0] - a[0]) if a and b[0] != a[0] else 0.0
         return g if 0.0 < g < math.inf else None
 
     def probe(s):
-        nonlocal total, evals
+        nonlocal total, evals, bound
         slopes[i] = s
         rate, dvec, it, conv = solver.eval(slopes)
         total += it
         evals += 1
+        bound = max(bound, rate - s * (dvec[i] - target))
         return s, rate, dvec, conv
+
+    def mix(ok):
+        """The timeshare of lo and hi that meets the target."""
+        lam = (target - lo[2][i]) / (hi[2][i] - lo[2][i])
+        return (lo[0], (1 - lam) * lo[1] + lam * hi[1], (1 - lam) * lo[2] + lam * hi[2],
+                bool(ok and lo[3] and hi[3]))
 
     while True:
         s, dist = pt[0], pt[2][i]
@@ -528,6 +549,11 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     f_lo, f_hi = lo[2][i] - target, hi[2][i] - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
+        if len(slopes) == 1 and hi[2][i] - lo[2][i] > dist_tol:
+            # the timeshare is achievable and ``bound`` lies under R(target)
+            pt = mix(True)
+            if pt[1] - bound <= SLACK_TOL:
+                return pt, total, False, None
         # f_hi > 0 >= f_lo: hi is over the target, lo at or under it
         mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
         if not lo[0] < mid < hi[0]:  # also a NaN
@@ -550,11 +576,8 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             side = -1
     d_lo, d_hi = lo[2][i], hi[2][i]
     if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
-        lam = (target - d_lo) / (d_hi - d_lo)
         ok = hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0])
-        mix = (lo[0], (1 - lam) * lo[1] + lam * hi[1], (1 - lam) * lo[2] + lam * hi[2],
-               bool(ok and lo[3] and hi[3]))
-        return mix, total, False, None  # a jump has no gain
+        return mix(ok), total, False, None  # a jump has no gain
     return lo, total, True, secant((lo[0], d_lo), (hi[0], d_hi))
 
 
@@ -602,7 +625,7 @@ class _MultiSolver:
         self.p = np.take_along_axis(conds, order, axis=1)
         self.rows = np.where(self.p > 0, order, nx)
         self.warm = None
-        self.newton = np.zeros(len(ys), bool)  # the states the last solve handed to Newton
+        self.newton = np.zeros(len(ys), bool)  # the states any solve handed to Newton
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
@@ -625,14 +648,12 @@ class _MultiSolver:
         All-zero slopes give the zero-rate corner exactly, with 0 iterations.
         Each state starts from its q of the previous call mixed with 1e-6 of
         the uniform distribution: enough to keep a dead letter revivable.  A
-        state that the previous call's Blahut-Arimoto loop handed to Newton
-        starts this one in Newton (``newton``): next to an optimum that
+        state that the Blahut-Arimoto loop of any earlier call handed to
+        Newton starts this one in Newton (``newton``): next to an optimum that
         Newton reached, a few Newton steps close its gap where the loop would
-        spend ``_NEWTON_AFTER`` iterations first.  Such a state returns to the
-        loop on the call after, and so does every state on the first call.
-        (Kept in Newton for good, the states save more iterations, but a
-        conditional target search of ``scripts/kernel_stress.py`` on a linear
-        face then needs one slope evaluation more than ``_MAX_EVALS``.)
+        spend ``_NEWTON_AFTER`` iterations first.  Every state starts in the
+        loop on the first call, and a state that keeps closing its gap there
+        never leaves it.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
@@ -648,7 +669,8 @@ class _MultiSolver:
             # a trace of uniform keeps dead letters revivable without
             # perturbing the solution when the optimal face is degenerate
             q = np.where(ok, (1.0 - _WARM_TRACE) * (q0 / tot) + _WARM_TRACE / self.nh, q)
-        q, its, conv, self.newton = _ba_slope_core(self.p, a, q, MAX_ITERS, self.newton)
+        q, its, conv, handed = _ba_slope_core(self.p, a, q, MAX_ITERS, self.newton)
+        self.newton |= handed
         self.warm = q
         channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
         qm = np.vecmat(self.p, channel)[:, None, :]
@@ -884,6 +906,8 @@ def _curve(make_solver, source, d, slopes, targets) -> RdCurve:
 
 def default_slope_grid(n: int = 25) -> tuple[float, ...]:
     """Geometric grid of n slopes from -12 (near-lossless) to -0.2 (near-zero-rate)."""
+    if n < 0:
+        raise InvalidStateError(f"a slope grid needs n >= 0 points, got {n}")
     return tuple(-np.geomspace(12.0, 0.2, n))
 
 

@@ -305,13 +305,17 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (["rd-closed-form", "gaussian", "nan", "0", "0.1"], 1),
     (["rd-closed-form", "gaussian", "inf", "0", "0.1"], 1),
     (["rd", "fork", "--vars", "X1", "--sweep", "-3"], 2),
+    (["sample", "fork", "-n", "-3"], 2),
+    (lambda: semrd.default_slope_grid(-3), None),
 ], ids=["ba_target-nan", "ba_point-nan", "init_slopes-nan", "gaussian-target-nan",
         "rd-targets-nan", "rd-slopes-inf", "bounds-targets-nan", "closed-form-target-nan",
-        "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative"])
+        "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative",
+        "sample-count-negative", "slope-grid-negative"])
 def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
     # a NaN distortion is neither over nor under its target, so a slope
     # search would probe slope 0 forever; a NaN or infinite slope would run
-    # the kernel to its iteration cap and return nan
+    # the kernel to its iteration cap and return nan; a negative count is a
+    # usage error, as a bad option value is
     def no_solve(self, slopes):
         raise AssertionError(f"solved at slopes {slopes}")
 

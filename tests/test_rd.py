@@ -227,20 +227,21 @@ def _slow_side_source():
 def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, handed):
     # the slow point above: its first solve spends _NEWTON_AFTER iterations in
     # the Blahut-Arimoto loop before Newton closes it; the engine starts the
-    # states it handed over in Newton on the next solve, a slope away, and
-    # that solve lands where a fresh engine's does
+    # states it handed over in Newton on every later solve, a slope away or
+    # more, and each such solve lands where a fresh engine's does
     d = [hamming_distortion(3)]
     solver = rd._MultiSolver(source, d, side=side)
     assert solver.eval((-1.0,))[2] > rd._NEWTON_AFTER
     assert solver.newton.tolist() == handed
-    rate, dvec, iters, conv = solver.eval((-1.01,))
-    fresh = rd._MultiSolver(source, d, side=side).eval((-1.01,))
-    assert conv and fresh[3]
-    assert iters < rd._NEWTON_AFTER < fresh[2]
-    assert rate == pytest.approx(fresh[0], rel=0, abs=1e-9)
-    assert dvec == pytest.approx(fresh[1], rel=0, abs=1e-9)
-    # a state that started in Newton goes back to the loop on the next solve
-    assert not solver.newton.any()
+    for slope in (-1.01, -1.05):
+        rate, dvec, iters, conv = solver.eval((slope,))
+        fresh = rd._MultiSolver(source, d, side=side).eval((slope,))
+        assert conv and fresh[3]
+        assert iters < rd._NEWTON_AFTER < fresh[2]
+        assert rate == pytest.approx(fresh[0], rel=0, abs=1e-9)
+        assert dvec == pytest.approx(fresh[1], rel=0, abs=1e-9)
+        # a state that started in Newton stays flagged for the solve after
+        assert solver.newton.tolist() == handed
 
 
 def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypatch, fork_net):
@@ -308,6 +309,50 @@ def test_erasure_conditional_target_matches_the_scalar_one():
     pt = ba_conditional_target(np.full((2, 2), 0.25), ERASURE, 0.3)
     assert pt.converged
     assert pt.rate == pytest.approx(scalar.rate, abs=1e-12)
+
+
+def _counting_evals(monkeypatch):
+    """Patch ``_MultiSolver.eval`` to record the slopes of each call; returns the record."""
+    calls = []
+    real_eval = rd._MultiSolver.eval
+
+    def spy(self, slopes):
+        calls.append(tuple(slopes))
+        return real_eval(self, slopes)
+
+    monkeypatch.setattr(rd._MultiSolver, "eval", spy)
+    return calls
+
+
+@pytest.mark.parametrize("target", [0.1, 0.3, 0.7])
+def test_erasure_targets_stop_on_the_dual_certificate(monkeypatch, target):
+    # the bracket straddles the jump of D(s) at slope -c; the search stops once
+    # the timeshare is within SLACK_TOL of the best supporting line at the
+    # target, with half the evaluation budget to spare (39, 34 and 34
+    # evaluations when it closed the bracket to a width of 1e-13)
+    c = 0.994191716761131  # the root of 2^(1 - c) = 1 + 2^(-8c)
+    calls = _counting_evals(monkeypatch)
+    pt = ba_target([0.5, 0.5], ERASURE, target)
+    assert pt.converged
+    assert len(calls) <= rd._MAX_EVALS // 2
+    assert c * (1 - target) - 1e-9 <= pt.rate <= c * (1 - target) + rd.SLACK_TOL
+
+
+def test_a_conditional_target_on_a_linear_face_keeps_evaluations_to_spare(monkeypatch):
+    # a kernel_stress draw (conditional target 86, seed 200,086) whose search
+    # brackets a jump of D(s) at slope -1.3864; closing that bracket to a width
+    # of 1e-13 took 39 of the 48 evaluations, and 47 once warm states stayed
+    # in Newton
+    joint = [[0.4950649200431483, 0.03307947820860563],
+             [0.22261836363453563, 0.24923723811371046]]
+    d = [[0.0, 1.537078598223288, 0.37307592370374487, 2.5502900649558824,
+          1.0376620811684363, 1.5295765625641746],
+         [2.899764498310967, 0.6206540644515156, 1.0705174857771722, 0.3128859506847417,
+          1.1700209620971052, 0.20940044717299588]]
+    calls = _counting_evals(monkeypatch)
+    pt = ba_conditional_target(joint, d, 0.33868576817479557)
+    assert pt.converged
+    assert len(calls) <= rd._MAX_EVALS // 2
 
 
 def test_squared_error_target_hits_its_window():

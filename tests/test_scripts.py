@@ -30,7 +30,7 @@ def _main(name):
      "entries_touched,stream_bytes", 3),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 10),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
-     "kind,points,iterations,max_iterations,bad,unmet", 4),
+     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 4),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
@@ -82,8 +82,8 @@ def test_kernel_stress_exits_1_on_an_unconverged_evaluation(monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert _main("kernel_stress")(["--sources", "1", "--draws", "0"]) == 1
-    kind, points, _, most, bad, _ = out.getvalue().splitlines()[1].split(",")
-    assert (kind, points, most) == ("point", "9", "2") and int(bad) > 0
+    kind, points, _, most, evals, most_evals, bad, _ = out.getvalue().splitlines()[1].split(",")
+    assert (kind, points, most, evals, most_evals) == ("point", "9", "2", "9", "1") and int(bad) > 0
 
 
 @pytest.mark.parametrize("limit, code", [([], 0), (["--max-unmet", "1"], 0), (["--max-unmet", "0"], 1)],
@@ -96,6 +96,6 @@ def test_kernel_stress_exits_1_past_max_unmet(monkeypatch, limit, code):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert _main("kernel_stress")(["--sources", "0", "--draws", "1", *limit]) == code
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-    assert [(kind, bad, unmet) for kind, _, _, _, bad, unmet in rows] == [
+    assert [(kind, bad, unmet) for kind, _, _, _, _, _, bad, unmet in rows] == [
         ("point", "0", "0"), ("target", "0", "0"), ("conditional_target", "0", "0"),
         ("joint_target", "0", "1")]
