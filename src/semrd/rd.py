@@ -16,21 +16,22 @@ s <= 0: the test channel is tilted as
 
 and the reconstruction marginal q is refreshed from Q until the classic
 upper/lower bound bracket on the parametric objective closes below
-``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, one call of
-that loop steps every side state's q together, and each state stops on its
-own bracket.  Plain update pairs alternate with extrapolated steps, and a
-state whose bracket is still open after ``_NEWTON_AFTER`` (30) iterations
-leaves that loop for active-set Newton on q over its own support rows
-(``_newton``), which stops on the same bracket: at fixed slopes the loop is
-the EM step of a maximum-likelihood mixing-weights problem, and EM crawls
-near some optima where Newton converges in a few steps.  Newton starts from
-the support the state has reached: letters still under the warm start's
-uniform trace and shrinking start outside it.  Newton is the
-kernel's one rescue for a slow state.  An engine remembers which side
-states any of its solves handed to Newton, and every later solve skips the
-loop for them and starts them in Newton from the warm start, where Newton's
-quadratic convergence pays off at once.  A solve's ``iterations`` count both
-kinds of step, one each, under one cap.  Slopes are the Lagrange
+``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, each side
+state's q runs that loop on its own and stops on its own bracket, and the
+rate is the p(y)-weighted sum of the states' rates.  Plain update pairs
+alternate with extrapolated steps, and a state whose bracket is still open
+after ``_NEWTON_AFTER`` (30) iterations leaves that loop for active-set
+Newton on q over its own support rows (``_newton``), which stops on the
+same bracket: at fixed slopes the loop is the EM step of a
+maximum-likelihood mixing-weights problem, and EM crawls near some optima
+where Newton converges in a few steps.  Newton starts from the support the
+state has reached: letters still under the warm start's uniform trace and
+shrinking start outside it.  Newton is the kernel's one rescue for a slow
+state.  An engine remembers which side states any of its solves handed to
+Newton, and every later solve skips the loop for them and starts them in
+Newton from the warm start, where Newton's quadratic convergence pays off
+at once.  A solve's ``iterations`` count both kinds of step, one each,
+under one cap.  Slopes are the Lagrange
 multipliers of the distortion constraints, so a target-distortion solve
 runs a bracketing secant on each slope; with side information the same
 slopes apply to every side state, which is exactly the optimal distortion
@@ -212,115 +213,69 @@ def _uniform_q_slope(p, d, target: float) -> float:
 
 
 def _ba_slope_core(p, a, q, max_iters, newton):
-    """Alternating minimization at fixed tilts, for a stack of sources at once.
+    """Alternating minimization at fixed tilts for one source.
 
-    ``p`` is (states, rows): each side state's source on its support, padded
-    with zeros to the widest support; ``a`` is (states, rows, nh): the tilt
-    matrices 2^(sum_i s_i * d_i) on those rows, each row shifted by its
-    maximum so it keeps an exact 1 and never underflows to an empty row (a
-    padding row is all 1, so A q stays positive on it); ``q`` is
-    (states, nh), the starting reconstruction marginals.  With c the
-    multiplicative update applied to q, each state's parametric objective is
+    ``p`` is (rows,): a side state's source on its support; ``a`` is
+    (rows, nh): the tilt matrix 2^(sum_i s_i * d_i) on those rows, each row
+    shifted by its maximum so it keeps an exact 1 and never underflows to an
+    empty row; ``q`` is (nh,), the starting reconstruction marginal.  With c
+    the multiplicative update applied to q, the parametric objective is
     bracketed by
 
         F(q) + 1 - max_xhat c(xhat)  <=  min F  <=  F(q) - sum qc ln c,
 
-    and a state stops, and leaves the stack, once its own bracket is tighter
-    than ``GAP_TOL_NATS``; the others keep stepping, so one slow state runs
-    at single-state cost.  The bracket holds at any interior q, so plain
-    update pairs are interleaved with extrapolated (Steffensen-type) steps
-    that collapse the slow modes appearing at shallow slopes; an
-    extrapolated q is clipped at 1e-280 of its largest letter, so every
-    letter stays revivable by the multiplicative update.  The stacked
-    products work slice by slice, so a state without padding rows gets the
-    arithmetic of a solve of it alone (padding only regroups its sums).
+    and the loop stops once the bracket is tighter than ``GAP_TOL_NATS``.
+    The bracket holds at any interior q, so plain update pairs are
+    interleaved with extrapolated (Steffensen-type) steps that collapse the
+    slow modes appearing at shallow slopes; an extrapolated q is clipped at
+    1e-280 of its largest letter, so every letter stays revivable by the
+    multiplicative update.
 
-    A state whose bracket is still open after ``_NEWTON_AFTER`` iterations
-    leaves the stack for ``_newton`` on its own support rows, which stops on
-    the same bracket; it is the kernel's one rescue for a slow state.  The
-    handoff comes early: a state still open after it is most often a few
-    Newton steps from its optimum.  The states flagged in ``newton`` skip the
-    stack and go to ``_newton`` at iteration 0, from their ``q``.  A Newton
-    step counts as one iteration, so ``iters`` is the Blahut-Arimoto
-    iterations plus the Newton steps, and all of them share ``max_iters``.
-    Returns the final q, the iterations and the convergence flag of every
-    state, and which states the stack handed to Newton after
-    ``_NEWTON_AFTER`` iterations (a flagged state is not among them).
+    A bracket still open after ``_NEWTON_AFTER`` iterations hands the state
+    to ``_newton``, which stops on the same bracket; it is the kernel's one
+    rescue for a slow state.  The handoff comes early: a state still open
+    after it is most often a few Newton steps from its optimum.  With
+    ``newton`` set the state skips the loop and starts in ``_newton`` at
+    iteration 0, from ``q``.  A Newton step counts as one iteration, so
+    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and
+    all of them share ``max_iters``.  Returns (q, iters, converged, handed):
+    ``handed`` is whether the loop handed the state to Newton after
+    ``_NEWTON_AFTER`` iterations (never for a state that started there).
     """
-    q_out, iters, conv = np.empty_like(q), np.zeros(len(q), int), np.zeros(len(q), bool)
-    handed = np.zeros(len(q), bool)  # the states the loop hands to Newton
-
-    def to_newton(k, qk, it):
-        rows = p[k] > 0
-        q_out[k], iters[k], conv[k] = _newton(p[k, rows], a[k, rows], qk, it, max_iters)
-
-    for k in np.flatnonzero(newton).tolist():
-        to_newton(k, q[k], 0)
-
-    def col(x):
-        """One number per state, shaped to scale each state's row (a lone
-        state's as a plain float, the cheapest operand to broadcast)."""
-        return x[0] if len(x) == 1 else np.array(x)[:, None]
-
-    def step(q, p, a):
-        c = np.vecmat(p / np.matvec(a, q), a)
-        qc = q * c
-        if np.count_nonzero(qc) == qc.size:  # qc >= 0
-            lnc = np.add.reduce(qc * np.log(c), axis=1).tolist()
-        else:  # a dead letter: sum each state's positive terms only
-            pos = qc > 0
-            lnc = [np.add.reduce(qc[k][pos[k]] * np.log(c[k][pos[k]])) for k in range(len(q))]
-        cmax = np.maximum.reduce(c, axis=1).tolist()
-        done = [(cm - 1.0) - s < GAP_TOL_NATS for cm, s in zip(cmax, lnc)]
-        return qc / col(np.add.reduce(qc, axis=1).tolist()), done
-
-    def leave(done, qd, it, live, *stack):
-        """Record the states whose gap closed; return the others' rows."""
-        done = np.array(done)
-        gone = live[done]
-        q_out[gone], iters[gone], conv[gone] = qd[done], it, True
-        return [x[~done] for x in (live, *stack)]
-
-    live, it = np.flatnonzero(~newton), 0  # the stack of open states
-    sp, sa, q = (p, a, q) if len(live) == len(q) else (p[live], a[live], q[live])
-    while len(live) and it < min(max_iters, _NEWTON_AFTER):
-        qs = [q]  # q and its two plain updates q1, q2 on the open states
+    if newton:
+        return (*_newton(p, a, q, 0, max_iters), False)
+    it = 0
+    while it < min(max_iters, _NEWTON_AFTER):
+        qs = [q]  # q and its two plain updates q1, q2
         for _ in range(2):
-            qn, done = step(qs[-1], sp, sa)
+            c = (p / (a @ qs[-1])) @ a
+            qc = qs[-1] * c
+            pos = qc > 0  # a dead letter adds no term
+            gap = (c.max() - 1.0) - np.add.reduce(qc[pos] * np.log(c[pos]))
             it += 1
-            qs.append(qn)
-            if any(done):
-                live, sp, sa, *qs = leave(done, qn, it, live, sp, sa, *qs)
-                if not len(live):
-                    return q_out, iters, conv, handed
+            qs.append(qc / qc.sum())
+            if gap < GAP_TOL_NATS:
+                return qs[-1], it, True, False
         q, q1, q2 = qs
         r = q1 - q
         v = (q2 - q1) - r
-        vv, rr = np.vecdot(v, v).tolist(), np.vecdot(r, r).tolist()
+        vv, rr = float(v @ v), float(r @ r)
         # b * b = rr / vv must stay finite for the step below to be
-        ok = [0.0 < x < math.inf and y / x < math.inf for x, y in zip(vv, rr)]
-        if any(ok):
+        if 0.0 < vv < math.inf and rr / vv < math.inf:
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
-            b = col([max(math.sqrt(y / x), 1.0) if o else 1.0 for o, x, y in zip(ok, vv, rr)])
+            b = max(math.sqrt(rr / vv), 1.0)
             qa = q + (2.0 * b) * r + (b * b) * v
             # clip at 1e-280 of the largest letter, not at 0: the update q c
             # revives a letter from there in a few steps, Newton cannot from
             # 0, and A q stays positive
-            np.maximum(qa, 1e-280 * col(np.maximum.reduce(qa, axis=1).tolist()), out=qa)
-            tot = np.add.reduce(qa, axis=1).tolist()
-            ok = [o and 0.0 < t < math.inf for o, t in zip(ok, tot)]
-        if any(ok):
-            if not all(ok):  # these states keep q2: stand it in to stay finite
-                np.copyto(qa, q2, where=col([not o for o in ok]))
-                tot = [t if o else 1.0 for o, t in zip(ok, tot)]
-            q2 = qa / col(tot)
+            np.maximum(qa, 1e-280 * qa.max(), out=qa)
+            tot = qa.sum()
+            if 0.0 < tot < math.inf:
+                q2 = qa / tot
         q = q2
-    q_out[live], iters[live] = q, it  # capped, unless Newton has budget left
     if it < max_iters:
-        handed[live] = True
-        for k, qk in zip(live.tolist(), q):
-            to_newton(k, qk, it)
-    return q_out, iters, conv, handed
+        return (*_newton(p, a, q, it, max_iters), True)
+    return q, it, False, False  # capped
 
 
 def _newton(p, a, q, it, max_iters):
@@ -585,8 +540,8 @@ class _MultiSolver:
     """The rate-distortion engine: m per-variable constraints over the product
     reconstruction alphabet, optionally given a side variable (axis 0 of the
     joint array).  Everything that does not depend on the slopes is worked out
-    once here; ``eval`` steps all side states in one kernel call, each
-    warm-started from its previous q."""
+    once here; ``eval`` solves the side states one after another, each in its
+    own kernel call and warm-started from its previous q."""
 
     def __init__(self, joint, dists, side: bool = False):
         joint = np.asarray(joint, float)
@@ -604,27 +559,20 @@ class _MultiSolver:
         nx = math.prod(cards)
         self.nh = nh = math.prod(d.shape[1] for d in dists)
         guard = size_guard()
-        if ny * nx * nh > guard:  # eval holds one table per side state at once
+        if ny * nx * nh > guard:  # all side states' tables, though eval holds one at a time
             raise SizeGuardError(f"product test-channel table {nx}x{nh} for {ny} side states "
                                  f"exceeds guard {guard}")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
-        # one all-zero row after the nx source rows: its tilt row is all 1
-        self.lifted = np.zeros((self.m, nx + 1, nh))
-        for i, d in enumerate(dists):
-            self.lifted[i, :nx] = d[ix[i][:, None], ih[i][None, :]]
+        self.lifted = np.array([d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)])
         flat = joint.reshape(ny, nx)
         py = flat.sum(axis=1)
         ys = np.flatnonzero(py > 0)
         self.weights = py[ys]
         conds = flat[ys] / py[ys, None]
-        # each state's support rows in order, padded to the widest support
-        # with the all-zero row nx at zero probability
-        width = int(np.count_nonzero(conds, axis=1).max())
-        order = np.argsort(conds == 0, axis=1, kind="stable")[:, :width]
-        self.p = np.take_along_axis(conds, order, axis=1)
-        self.rows = np.where(self.p > 0, order, nx)
-        self.warm = None
+        self.rows = [np.flatnonzero(c) for c in conds]  # each state's support rows
+        self.p = [c[rows] for c, rows in zip(conds, self.rows)]
+        self.warm = [None] * len(ys)
         self.newton = np.zeros(len(ys), bool)  # the states any solve handed to Newton
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
@@ -642,45 +590,48 @@ class _MultiSolver:
     def eval(self, slopes) -> tuple[float, np.ndarray, int, bool]:
         """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
 
-        One ``_ba_slope_core`` call steps every side state; the rate and the
-        distortions are the p(y)-weighted sums over the states, ``iters`` the
-        most any state took and ``converged`` whether every state did.
-        All-zero slopes give the zero-rate corner exactly, with 0 iterations.
-        Each state starts from its q of the previous call mixed with 1e-6 of
-        the uniform distribution: enough to keep a dead letter revivable.  A
-        state that the Blahut-Arimoto loop of any earlier call handed to
-        Newton starts this one in Newton (``newton``): next to an optimum that
-        Newton reached, a few Newton steps close its gap where the loop would
-        spend ``_NEWTON_AFTER`` iterations first.  Every state starts in the
-        loop on the first call, and a state that keeps closing its gap there
-        never leaves it.
+        Each side state is its own ``_ba_slope_core`` call on its support
+        rows; the rate and the distortions are the p(y)-weighted sums over
+        the states, ``iters`` the most any state took and ``converged``
+        whether every state did.  All-zero slopes give the zero-rate corner
+        exactly, with 0 iterations.  A state starts from the uniform q on the
+        first call and from its q of the previous call, mixed with 1e-6 of
+        the uniform distribution, after that: enough to keep a dead letter
+        revivable.  A state that the Blahut-Arimoto loop of any earlier call
+        handed to Newton starts this one in Newton (``newton``): next to an
+        optimum that Newton reached, a few Newton steps close its gap where
+        the loop would spend ``_NEWTON_AFTER`` iterations first.  A state
+        that keeps closing its gap in the loop never leaves it.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
         expo = slopes[0] * self.lifted[0]
         for i in range(1, self.m):
             expo = expo + slopes[i] * self.lifted[i]
-        a = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))[self.rows]
-        q = np.full((len(a), self.nh), 1.0 / self.nh)
-        if self.warm is not None:
-            q0 = self.warm
-            tot = np.add.reduce(q0, axis=1, keepdims=True)
-            ok = (np.minimum.reduce(q0, axis=1, keepdims=True) >= 0.0) & (tot > 0.0)
-            # a trace of uniform keeps dead letters revivable without
-            # perturbing the solution when the optimal face is degenerate
-            q = np.where(ok, (1.0 - _WARM_TRACE) * (q0 / tot) + _WARM_TRACE / self.nh, q)
-        q, its, conv, handed = _ba_slope_core(self.p, a, q, MAX_ITERS, self.newton)
-        self.newton |= handed
-        self.warm = q
-        channel = a * q[:, None, :] / np.matvec(a, q)[:, :, None]
-        qm = np.vecmat(self.p, channel)[:, None, :]
-        pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
-        info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
-        rates = np.maximum(np.vecdot(self.p, np.add.reduce(info, axis=2)), 0.0)
-        dists = [np.vecdot(self.p, np.add.reduce(channel * lift[self.rows], axis=2))
-                 for lift in self.lifted]
-        total = _state_sum(self.weights, np.column_stack([rates, *dists]))
-        return total[0], total[1:], int(its.max()), bool(conv.all())
+        tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+        parts, iters, converged = [], 0, True
+        for k, (p, rows) in enumerate(zip(self.p, self.rows)):
+            a = tilt[rows]
+            q = self.warm[k]
+            if q is not None and q.min() >= 0.0 and q.sum() > 0.0:
+                # a trace of uniform keeps dead letters revivable without
+                # perturbing the solution when the optimal face is degenerate
+                q = (1.0 - _WARM_TRACE) * (q / q.sum()) + _WARM_TRACE / self.nh
+            else:
+                q = np.full(self.nh, 1.0 / self.nh)
+            q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, self.newton[k])
+            self.newton[k] |= handed
+            self.warm[k] = q
+            iters, converged = max(iters, its), converged and conv
+            channel = a * q / (a @ q)[:, None]
+            qm = p @ channel
+            pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
+            info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
+            rate = max(p @ np.add.reduce(info, axis=1), 0.0)
+            parts.append([rate, *(p @ np.add.reduce(channel * lift[rows], axis=1)
+                                  for lift in self.lifted)])
+        total = _state_sum(self.weights, np.array(parts))
+        return total[0], total[1:], iters, converged
 
 
 def _state_sum(w, x):

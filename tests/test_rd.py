@@ -542,42 +542,61 @@ def test_distortion_rows_must_match_cardinality(solve):
         solve()
 
 
+def _side_evals_as_separate_solves(joint, d):
+    """Evaluate a side solver at slopes -1, -2 and -0.5 in turn (warm-started
+    after the first), check each evaluation against the p(y)-weighted
+    separate solves of its states, and yield (slopes, iters, converged, the
+    separate solves' iterations)."""
+    py = joint.sum(axis=1)
+    side = rd._MultiSolver(joint, d, side=True)
+    # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp,
+    # so solve the rows exactly as the side solver normalizes them
+    alone = [(w, rd._MultiSolver(row / w, d)) for row, w in zip(joint, py) if w > 0]
+    for slopes in [(-1.0,), (-2.0,), (-0.5,)]:
+        rate, dvec, iters, conv = side.eval(slopes)
+        parts = [(w, s.eval(slopes)) for w, s in alone]
+        assert rate == pytest.approx(sum(w * p[0] for w, p in parts), rel=0, abs=1e-12)
+        assert dvec == pytest.approx(sum(w * p[1] for w, p in parts), rel=0, abs=1e-12)
+        assert iters == max(p[2] for _, p in parts)
+        assert conv == all(p[3] for _, p in parts)
+        yield slopes, iters, conv, [p[2] for _, p in parts]
+
+
 def test_side_states_step_together_as_separate_solves(monkeypatch):
-    """One kernel call steps every side state, and each keeps its own stop,
-    in the Blahut-Arimoto phase and in the Newton phase after it."""
-    d = [hamming_distortion(3)]
+    """A side solve is the p(y)-weighted sum of separate solves of its
+    states: each state keeps its own stop, in the Blahut-Arimoto phase and
+    in the Newton phase after it."""
     # a zero-probability source letter in the first state; at slope -1 about
     # a thousand Blahut-Arimoto iterations in the second and the fourth, a
     # few in the third
     joint = _slow_side_source()
-    py = joint.sum(axis=1)
-    # the subject is the stack in each phase, not where one hands over to
-    # the other, so the handoff is held at 100: a budget of 100 caps the two
-    # slow states at slope -1 in the Blahut-Arimoto phase, next to converged
-    # ones; at the default budget they close their brackets in the Newton phase
+    # the subject is each phase, not where one hands over to the other, so
+    # the handoff is held at 100: a budget of 100 caps the two slow states at
+    # slope -1 in the Blahut-Arimoto phase, next to converged ones; at the
+    # default budget they close their brackets in the Newton phase
     monkeypatch.setattr(rd, "_NEWTON_AFTER", 100)
     default = rd.MAX_ITERS
     for budget in (100, default):
         monkeypatch.setattr(rd, "MAX_ITERS", budget)
-        side = rd._MultiSolver(joint, d, side=True)
-        # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp,
-        # so solve the rows exactly as the side solver normalizes them
-        alone = [rd._MultiSolver(row / w, d) for row, w in zip(joint, py)]
-        for slopes in [(-1.0,), (-2.0,), (-0.5,)]:  # warm-started after the first
-            rate, dvec, iters, conv = side.eval(slopes)
-            parts = [s.eval(slopes) for s in alone]
-            assert rate == pytest.approx(sum(w * p[0] for w, p in zip(py, parts)), rel=0, abs=1e-12)
-            assert dvec == pytest.approx(sum(w * p[1] for w, p in zip(py, parts)), rel=0, abs=1e-12)
-            assert iters == max(p[2] for p in parts)
-            assert conv == all(p[3] for p in parts)
+        for slopes, iters, conv, part_iters in _side_evals_as_separate_solves(
+                joint, [hamming_distortion(3)]):
             if slopes == (-1.0,):
-                assert iters >= 10 * min(p[2] for p in parts)
+                assert iters >= 10 * min(part_iters)
                 assert conv == (budget == default)
                 assert iters > rd._NEWTON_AFTER or budget != default
 
 
+def test_side_states_of_different_supports_solve_as_separate_solves():
+    # supports of one, two and three letters, and a state of probability 0,
+    # which the side solve drops
+    conds = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.0, 0.0]])
+    joint = np.array([0.3, 0.4, 0.3, 0.0])[:, None] * conds
+    assert len(list(_side_evals_as_separate_solves(joint, [hamming_distortion(3)]))) == 3
+
+
 def test_size_guard_counts_every_side_state(monkeypatch):
-    # the solver steps the test channels of all side states at once
+    # the guard bounds the test-channel tables of all side states together,
+    # though eval holds one state's table at a time
     joint = np.full((4, 2), 1 / 8)  # 4 side states, 2 letters, 2 reconstructions
     monkeypatch.setenv("SEMRD_SIZE_GUARD", "16")
     assert ba_joint_multi(joint, [HAM2], (-1.0,), side=True).converged
