@@ -4,16 +4,19 @@
 Draws ``--sources`` seeded sources of 2-6 letters, each with a Hamming, a
 squared-error or a random distortion matrix (2-6 reconstruction letters,
 about 30 % of the entries 0), and solves each at nine slopes from -1000 to
--0.05 with ``ba_point``.  Then it runs ``--draws`` seeded draws each of a
-target (``ba_target``), a conditional target (``ba_conditional_target``) and
-a two-variable joint target solve (``ba_joint_multi_target``), with targets
+-0.05 with ``ba_point``, each on a fresh engine, then sweeps each source
+over the same nine slopes, shallow slope first, on one engine
+(``rd_curve``), so every point after the first is warm-started from the one
+before.  Then it runs ``--draws`` seeded draws each of a target
+(``ba_target``), a conditional target (``ba_conditional_target``) and a
+two-variable joint target solve (``ba_joint_multi_target``), with targets
 drawn between each coordinate's distortion floor and its zero-rate corner.
 
 Prints one CSV row per kind of solve: the points solved, the iterations they
 took, the most any one took, the kernel evaluations they made, the most any
-one made (each slope search stops at ``rd._MAX_EVALS`` evaluations, so for
-one-constraint targets this column shows the margin), the bad points and
-the unmet targets.  A point
+one solve made (a sweep is one solve of nine points; each slope search stops
+at ``rd._MAX_EVALS`` evaluations, so for one-constraint targets this column
+shows the margin), the bad points and the unmet targets.  A point
 is bad when its rate or a distortion is NaN or when a kernel evaluation it
 made (``_MultiSolver.eval``) returned ``converged=False``; a target is unmet
 when the target search returned ``converged=False`` although every
@@ -31,9 +34,9 @@ import sys
 import numpy as np
 
 from semrd import rd
-from semrd.rd import (ba_conditional_target, ba_joint_multi_target, ba_point, ba_target,
-                      hamming_distortion, min_distortion, squared_error_distortion,
-                      trivial_distortion)
+from semrd.rd import (RdCurve, ba_conditional_target, ba_joint_multi_target, ba_point,
+                      ba_target, hamming_distortion, min_distortion, rd_curve,
+                      squared_error_distortion, trivial_distortion)
 
 SLOPES = (-1000.0, -300.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.3, -0.05)
 
@@ -57,14 +60,24 @@ def _target(rng, floor, corner):
     return float(floor + rng.uniform(0.05, 0.95) * (corner - floor))
 
 
-def _points(sources):
+def _sources(sources):
     for seed in range(sources):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 7))
-        p, d = _source(rng, k), _distortion(rng, seed % 3, k)
+        yield _source(rng, k), _distortion(rng, seed % 3, k)
+
+
+def _points(sources):
+    for p, d in _sources(sources):
         for slope in SLOPES:
             yield (f"ba_point({p.tolist()}, {d.tolist()}, {slope})",
                    lambda p=p, d=d, s=slope: ba_point(p, d, s))
+
+
+def _sweeps(sources):
+    for p, d in _sources(sources):
+        yield (f"rd_curve({p.tolist()}, {d.tolist()}, slopes={list(SLOPES[::-1])})",
+               lambda p=p, d=d: rd_curve(p, d, slopes=SLOPES[::-1]))
 
 
 def _targets(draws):
@@ -106,7 +119,7 @@ def _joint_targets(draws):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sources", type=int, default=600,
-                    help="random sources solved at each of the nine slopes")
+                    help="random sources solved at each of the nine slopes, then swept over them")
     ap.add_argument("--draws", type=int, default=150,
                     help="random draws of each kind of target solve")
     ap.add_argument("--max-unmet", type=int, default=None,
@@ -126,24 +139,29 @@ def main(argv=None):
     rd._MultiSolver.eval = eval_checked
     try:
         for kind, cases in (("point", _points(args.sources)),
+                            ("sweep", _sweeps(args.sources)),
                             ("target", _targets(args.draws)),
                             ("conditional_target", _conditional_targets(args.draws)),
                             ("joint_target", _joint_targets(args.draws))):
             points = iters = most = evals = most_evals = bad = unmet = 0
             for call, solve in cases:
                 failed.clear()
-                pt = solve()
-                points += 1
-                iters += pt.iterations
-                most = max(most, pt.iterations)
+                out = solve()
                 evals += len(failed)
                 most_evals = max(most_evals, len(failed))
-                if np.isnan([pt.rate, *pt.distortions]).any() or any(failed):
-                    bad += 1
-                    print(f"# bad: {call} -> {pt}", file=sys.stderr)
-                elif not pt.converged:
-                    unmet += 1
-                    print(f"# unmet: {call} -> {pt}", file=sys.stderr)
+                # a sweep point is one evaluation, whose flag it carries
+                judged = ([(pt, not pt.converged) for pt in out.points]
+                          if isinstance(out, RdCurve) else [(out, any(failed))])
+                for pt, fail in judged:
+                    points += 1
+                    iters += pt.iterations
+                    most = max(most, pt.iterations)
+                    if np.isnan([pt.rate, *pt.distortions]).any() or fail:
+                        bad += 1
+                        print(f"# bad: {call} -> {pt}", file=sys.stderr)
+                    elif not pt.converged:
+                        unmet += 1
+                        print(f"# unmet: {call} -> {pt}", file=sys.stderr)
             print(f"{kind},{points},{iters},{most},{evals},{most_evals},{bad},{unmet}")
             total_bad += bad
             total_unmet += unmet

@@ -24,18 +24,18 @@ after ``_NEWTON_AFTER`` (30) iterations leaves that loop for active-set
 Newton on q over its own support rows (``_newton``), which stops on the
 same bracket: at fixed slopes the loop is the EM step of a
 maximum-likelihood mixing-weights problem, and EM crawls near some optima
-where Newton converges in a few steps.  Newton starts from the support the
-state has reached: letters still under the warm start's uniform trace and
-shrinking start outside it.  Newton is the kernel's one rescue for a slow
-state.  An engine remembers which side states any of its solves handed to
-Newton, and every later solve skips the loop for them and starts them in
-Newton from the warm start, where Newton's quadratic convergence pays off
-at once.  A solve's ``iterations`` count both kinds of step, one each,
-under one cap.  Slopes are the Lagrange
-multipliers of the distortion constraints, so a target-distortion solve
-runs a bracketing secant on each slope; with side information the same
-slopes apply to every side state, which is exactly the optimal distortion
-allocation across side states.
+where Newton converges in a few steps.  Newton starts from the letters of
+the q the state has reached above ``_NEWTON_FLOOR`` of the largest, and
+after each step drops a letter under that floor only while it shrinks, so a
+letter that joins its support grows back.  Newton is the kernel's one rescue for a slow state.  An engine
+remembers which side states any of its solves handed to Newton, and every
+later solve skips the loop for them and starts them in Newton from the warm
+start, where Newton's quadratic convergence pays off at once.  A solve's
+``iterations`` count both kinds of step, one each, under one cap.  Slopes
+are the Lagrange multipliers of the distortion constraints, so a
+target-distortion solve runs a bracketing secant on each slope; with side
+information the same slopes apply to every side state, which is exactly the
+optimal distortion allocation across side states.
 Every target solve, with one constraint or several, is the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
 Lagrange dual), each slope search opening at the point the sweep holds.
@@ -48,8 +48,7 @@ lower-bound slope, which is the solution wherever that bound is tight.  A slope
 searched before opens with a Newton step on the gain dD/ds its last search
 measured, so a held point near its target probes near the root instead of
 doubling or halving the slope.  Every solve on one engine is warm-started
-from the reconstruction marginals of the solve before it, mixed with 1e-6
-of the uniform distribution.
+from the reconstruction marginals of the solve before it.
 
 A target point is accepted when its distortion is under the target within
 ``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
@@ -93,12 +92,10 @@ SLACK_TOL = 3e-6
 MAX_ITERS = 10_000
 #: Blahut-Arimoto iterations before a slow state moves to Newton on q.
 _NEWTON_AFTER = 30
-#: Newton drops letters under this fraction of the largest.
+#: Newton drops shrinking letters under this fraction of the largest.
 _NEWTON_FLOOR = 1e-12
 #: Newton merges letters whose columns of A agree to this (rows' maxima are 1).
 _NEWTON_MERGE = 1e-14
-#: Weight of the uniform distribution mixed into every warm start.
-_WARM_TRACE = 1e-6
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
@@ -160,17 +157,18 @@ def squared_error_distortion(k: int) -> np.ndarray:
 
 
 def _check_source(joint: np.ndarray, cards, dists) -> list[np.ndarray]:
-    """Check that ``joint`` is a distribution and that ``dists`` holds one
-    finite, nonnegative distortion matrix per variable, with one row per state
-    (``cards``); returns the matrices as float arrays."""
+    """Check that ``joint`` is a distribution of one or more variables and that
+    ``dists`` holds one finite, nonnegative distortion matrix per variable, of
+    one row per state (``cards``) and some columns; returns them as floats."""
     if not np.isfinite(joint).all() or np.any(joint < 0) or abs(joint.sum() - 1.0) > 1e-9:
         raise InvalidStateError(f"not a distribution (sum {joint.sum():.12g})")
-    if len(dists) != len(cards):
-        raise InvalidStateError(f"{len(dists)} distortion matrices for {len(cards)} variables")
+    if not cards or len(dists) != len(cards):
+        raise InvalidStateError(f"{len(dists)} distortion matrices for {len(cards)} variables; "
+                                "a source needs at least one variable")
     dists = [np.asarray(d, float) for d in dists]
     for k, d in zip(cards, dists):
-        if d.ndim != 2 or d.shape[0] != k:
-            raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows, one per state")
+        if d.ndim != 2 or d.shape[0] != k or d.shape[1] == 0:
+            raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows and a column")
         if not (np.isfinite(d).all() and (d >= 0).all()):
             raise InvalidStateError("distortion matrix entries must be finite and >= 0")
     return dists
@@ -265,9 +263,9 @@ def _ba_slope_core(p, a, q, max_iters, newton):
             # extrapolate to q - 2 am r + am^2 v with am = -b <= -1
             b = max(math.sqrt(rr / vv), 1.0)
             qa = q + (2.0 * b) * r + (b * b) * v
-            # clip at 1e-280 of the largest letter, not at 0: the update q c
-            # revives a letter from there in a few steps, Newton cannot from
-            # 0, and A q stays positive
+            # clip at 1e-280 of the largest letter, not at 0: A q stays
+            # positive on every row, and the update q c revives a letter
+            # from there in a few steps
             np.maximum(qa, 1e-280 * qa.max(), out=qa)
             tot = qa.sum()
             if 0.0 < tot < math.inf:
@@ -291,40 +289,39 @@ def _newton(p, a, q, it, max_iters):
     Blahut-Arimoto step does, on the column A takes for those ratios.  Where
     every c <= 1, p / Aq <= 1 on every row (each row has an entry 1), so the
     merge moves no letter's c by more than rows * ``_NEWTON_MERGE``, far
-    under the stop tolerance.  A letter under ``_WARM_TRACE`` of the largest
-    with c < 1 starts off the support: the uniform trace of a warm start put
-    it there.  Each step works on the support S of the merged q, joined by
-    the letter that most violates c <= 1 off it, and solves the
-    equality-constrained KKT system
+    under the stop tolerance.  Newton starts from the merged letters above
+    ``_NEWTON_FLOOR`` of the largest.  Each step works on the support S of
+    the merged q (every letter above 0), joined by the letter that most
+    violates c <= 1 off it, and solves the equality-constrained KKT system
 
         [H 1; 1^T 0] [d; mu] = [c_S - 1; 0],   H = A_S^T diag(p / (Aq)^2) A_S,
 
     for a step d with sum d = 0 (a letter joining with d <= 0 is left out).
     A ratio test caps the step where the first letter of S reaches 0, and an
     Armijo search on F (its decrease taken by log1p, so it stays exact near
-    the optimum) shortens it; letters the step takes under ``_NEWTON_FLOOR``
-    of the largest drop out of S.  When the search fails, or the KKT system
-    has no finite descent step (H singular on S, as on a flat face of a
-    linear segment of the curve), the state takes the Blahut-Arimoto step
-    instead, stretched along q (c - 1) as far as the search allows.  The stop
-    test is the kernel's bracket over every letter, unmerged, and the state
-    keeps stepping until it closes or the budget runs out.  Returns
+    the optimum) shortens it.  After the step, a letter under the floor drops
+    out of S when it is shrinking (c < 1 where the step started) or rounding
+    left it at or under 0; a letter that joined with c > 1 keeps its first
+    step, however small, and grows.  When the search fails, or the KKT
+    system has no finite descent step (H singular on S, as on a flat face of
+    a linear segment of the curve), the state takes the Blahut-Arimoto step
+    instead, stretched along q (c - 1) as far as the search allows.  The
+    stop test is the kernel's bracket over every letter, unmerged, and the
+    state keeps stepping until it closes or the budget runs out.  Returns
     (q, it, converged): ``it`` counts on from the given count, one per step.
     """
     ids = {}  # letters whose columns of A round alike are one merged letter
     key = np.rint(a * (1.0 / _NEWTON_MERGE)).T.copy()
     group = np.array([ids.setdefault(k.tobytes(), len(ids)) for k in key])
-    mass = np.bincount(group, q)
-    share = np.divide(q, mass[group], out=1.0 / np.bincount(group)[group], where=mass[group] > 0)
+    g = np.bincount(group, q)  # the merged letters' masses
+    share = np.divide(q, g[group], out=1.0 / np.bincount(group)[group], where=g[group] > 0)
     merge = np.zeros((len(q), len(ids)))
     merge[np.arange(len(q)), group] = share
     b = a @ merge  # the merged letters' columns: A q = b g for q = g[group] * share
-    g = mass
-    # the warm start's trace: a letter under it, relative to the largest,
-    # and still shrinking starts off the support
-    g[(g < _WARM_TRACE * g.max()) & ((p / (b @ g)) @ b < 1.0)] = 0.0
+    # letters the loop left under the floor start off S: on S they would cap
+    # the ratio test, or outnumber the rows and leave the KKT system singular
+    g[g <= _NEWTON_FLOOR * g.max()] = 0.0
     while True:
-        g = np.where(g > _NEWTON_FLOOR * g.max(), g, 0.0)
         g /= g.sum()
         q = g[group] * share
         alpha = a @ q
@@ -351,6 +348,9 @@ def _newton(p, a, q, it, max_iters):
             d = g[s] * (c[s] - 1.0)
             t = _search(p, b, alpha, c, g, s, d, False)
         g[s] += t * d
+        # a letter that is shrinking, or that rounding left at or under 0,
+        # leaves S under the floor; a joined one keeps its first small step
+        g[(g <= _NEWTON_FLOOR * g.max()) & ((c < 1.0) | (g < 0.0))] = 0.0
 
 
 def _kkt_step(p, a, alpha, c, s):
@@ -595,13 +595,13 @@ class _MultiSolver:
         the states, ``iters`` the most any state took and ``converged``
         whether every state did.  All-zero slopes give the zero-rate corner
         exactly, with 0 iterations.  A state starts from the uniform q on the
-        first call and from its q of the previous call, mixed with 1e-6 of
-        the uniform distribution, after that: enough to keep a dead letter
-        revivable.  A state that the Blahut-Arimoto loop of any earlier call
-        handed to Newton starts this one in Newton (``newton``): next to an
-        optimum that Newton reached, a few Newton steps close its gap where
-        the loop would spend ``_NEWTON_AFTER`` iterations first.  A state
-        that keeps closing its gap in the loop never leaves it.
+        first call and from its q of the previous call, as it is, after that:
+        a letter at 0 there comes back through the loop's clip or by joining
+        Newton's support.  A state that the Blahut-Arimoto loop of any
+        earlier call handed to Newton starts this one in Newton (``newton``):
+        next to an optimum that Newton reached, a few Newton steps close its
+        gap where the loop would spend ``_NEWTON_AFTER`` iterations first.  A
+        state that keeps closing its gap in the loop never leaves it.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
@@ -613,11 +613,7 @@ class _MultiSolver:
         for k, (p, rows) in enumerate(zip(self.p, self.rows)):
             a = tilt[rows]
             q = self.warm[k]
-            if q is not None and q.min() >= 0.0 and q.sum() > 0.0:
-                # a trace of uniform keeps dead letters revivable without
-                # perturbing the solution when the optimal face is degenerate
-                q = (1.0 - _WARM_TRACE) * (q / q.sum()) + _WARM_TRACE / self.nh
-            else:
+            if q is None or not (q.min() >= 0.0 and q.sum() > 0.0):
                 q = np.full(self.nh, 1.0 / self.nh)
             q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, self.newton[k])
             self.newton[k] |= handed
@@ -685,8 +681,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
         return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
     if init_slopes is not None:
         slopes = np.asarray(init_slopes, float)
-        if not np.isfinite(slopes).all():
-            raise InvalidStateError(f"init_slopes must be finite, got {slopes.tolist()}")
+        if slopes.shape != (solver.m,) or not np.isfinite(slopes).all():
+            raise InvalidStateError(f"init_slopes must be {solver.m} finite slopes, got {slopes.tolist()}")
         slopes = np.minimum(slopes, 0.0)
     else:
         slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else

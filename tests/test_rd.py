@@ -533,10 +533,22 @@ def test_multi_argument_validation():
     lambda: min_distortion([0.2, 0.3, 0.5], HAM2),
     lambda: trivial_distortion([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]]),
     lambda: min_distortion([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]]),
+    lambda: trivial_distortion([0.5, 0.5], np.zeros((2, 0))),
+    lambda: min_distortion([0.5, 0.5], np.zeros((2, 0))),
+    lambda: ba_point([0.5, 0.5], np.zeros((2, 0)), -1.0),
+    lambda: ba_target([0.5, 0.5], np.zeros((2, 0)), 0.1),
+    lambda: ba_conditional_target(np.full((2, 2), 0.25), np.zeros((2, 0)), 0.1),
+    lambda: ba_joint_multi(np.full((2, 2), 0.25), [HAM2, np.zeros((2, 0))], (-1.0, -1.0)),
+    lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, HAM2], (0.1, 0.1), init_slopes=[-1.0]),
+    lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, HAM2], (0.1, 0.1),
+                                  init_slopes=[-1.0, -1.0, -1.0]),
+    lambda: ba_joint_multi_target(np.ones(()), [], []),
 ], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target",
         "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint",
         "trivial_distortion", "min_distortion", "trivial_distortion-nan-entry",
-        "min_distortion-nan-entry"])
+        "min_distortion-nan-entry", "trivial_distortion-no-column", "min_distortion-no-column",
+        "ba_point-no-column", "ba_target-no-column", "ba_conditional_target-no-column",
+        "ba_joint_multi-no-column", "init_slopes-short", "init_slopes-long", "no-variables"])
 def test_distortion_rows_must_match_cardinality(solve):
     with pytest.raises(InvalidStateError):
         solve()
@@ -670,6 +682,24 @@ def test_curve_slope_grid_matches_cold_points():
             assert pt.converged and ref.converged
             obj = pt.rate - pt.slope * pt.distortion
             assert obj == pytest.approx(ref.rate - ref.slope * ref.distortion, abs=1e-8)
+
+
+@pytest.mark.parametrize("p, d", [
+    ([0.005151209655463038, 0.14017013661718242, 0.21726655557757685, 1.724767443492744e-07,
+      0.6374119256730334], squared_error_distortion(5)),
+    ([0.13297041476319094, 0.8586601864379951, 0.00836927359820993, 1.2520060402770306e-07],
+     hamming_distortion(4)),
+], ids=["squared-error", "hamming"])
+def test_a_shallow_first_sweep_keeps_the_rare_letters_its_steep_points_need(p, d):
+    # solved shallow slope first, a state that started in Newton dropped the
+    # letter of a rare source letter while the slope made it shrink, and
+    # could not grow it back once the slope needed it: the -100 point capped
+    # at 10,000 iterations, under the rate of the -30 point
+    for pt in rd_curve(p, d, slopes=[-0.05, -0.3, -1, -3, -10, -30, -100]).points:
+        ref = ba_point(p, d, pt.slope)
+        assert pt.converged and ref.converged
+        obj = pt.rate - pt.slope * pt.distortion
+        assert obj == pytest.approx(ref.rate - ref.slope * ref.distortion, rel=0, abs=1e-8)
 
 
 def test_joint_target_never_resolves_a_held_point(monkeypatch):

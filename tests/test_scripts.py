@@ -30,7 +30,7 @@ def _main(name):
      "entries_touched,stream_bytes", 3),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 10),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
-     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 4),
+     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 5),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
@@ -97,5 +97,6 @@ def test_kernel_stress_exits_1_past_max_unmet(monkeypatch, limit, code):
         assert _main("kernel_stress")(["--sources", "0", "--draws", "1", *limit]) == code
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
     assert [(kind, bad, unmet) for kind, _, _, _, _, _, bad, unmet in rows] == [
-        ("point", "0", "0"), ("target", "0", "0"), ("conditional_target", "0", "0"),
+        ("point", "0", "0"), ("sweep", "0", "0"), ("target", "0", "0"),
+        ("conditional_target", "0", "0"),
         ("joint_target", "0", "1")]
