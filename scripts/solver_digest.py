@@ -3,7 +3,8 @@
 
 Runs the acceptance test 7 grids (Lemma 1 sandwich on random nets), the
 test 8 checks (Lemma 2 decomposition) and a few erasure-distortion target
-solves, and prints one CSV row per case: the number of ``_MultiSolver.eval``
+solves (scalar, conditional, and on the product of two erasure sources),
+and prints one CSV row per case: the number of ``_MultiSolver.eval``
 calls it made and a SHA-256 over each call (slopes in; rate, distortion
 vector, iterations and convergence out) followed by the repr of the returned
 report.  Two trees whose rows all match ran the same solves bit for bit, so a
@@ -23,7 +24,7 @@ import numpy as np
 from semrd import lemma1_bounds, lemma2_check, random_net
 from semrd import rd
 from semrd.nets import doubly_symmetric_chain, doubly_symmetric_fork
-from semrd.rd import ba_conditional_target, ba_target
+from semrd.rd import ba_conditional_target, ba_joint_multi_target, ba_target
 
 #: Uniform bit with an erase letter: R(D) is linear in D above D ~ 0.031.
 ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
@@ -46,6 +47,9 @@ def _cases(size):
     for t in (0.1, 0.3, 0.7):
         yield f"erasure:{t}", lambda t=t: ba_target([0.5, 0.5], ERASURE, t)
     yield "erasure-cond:0.3", lambda: ba_conditional_target(np.full((2, 2), 0.25), ERASURE, 0.3)
+    for t in ((0.3, 0.2), (0.5, 0.5), (0.9, 0.1)):
+        yield (f"erasure-joint:{t[0]}:{t[1]}",
+               lambda t=t: ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], t))
 
 
 def main(argv=None):

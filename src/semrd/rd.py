@@ -24,13 +24,13 @@ after ``_NEWTON_AFTER`` (30) iterations leaves that loop for active-set
 Newton on q over its own support rows (``_newton``), which stops on the
 same bracket: at fixed slopes the loop is the EM step of a
 maximum-likelihood mixing-weights problem, and EM crawls near some optima
-where Newton converges in a few steps.  Newton starts from the letters of
-the q the state has reached above ``_NEWTON_FLOOR`` of the largest, and
-after each step drops a letter under that floor only while it shrinks, so a
-letter that joins its support grows back.  Newton is the kernel's one rescue for a slow state.  An engine
-remembers which side states any of its solves handed to Newton, and every
-later solve skips the loop for them and starts them in Newton from the warm
-start, where Newton's quadratic convergence pays off at once.  A solve's
+where Newton converges in a few steps.  Newton drops a letter under
+``_NEWTON_FLOOR`` of the largest only while it shrinks, and where its step
+fails it steps toward the vertex of the letter with the largest c, which
+brings that letter onto its support.  It is the kernel's one rescue for a
+slow state.  An engine remembers which side states any of its solves handed
+to Newton, and every later solve starts them in Newton from the warm start,
+where Newton's quadratic convergence pays off at once.  A solve's
 ``iterations`` count both kinds of step, one each, under one cap.  Slopes
 are the Lagrange multipliers of the distortion constraints, so a
 target-distortion solve runs a bracketing secant on each slope; with side
@@ -302,11 +302,14 @@ def _newton(p, a, q, it, max_iters):
     the optimum) shortens it.  After the step, a letter under the floor drops
     out of S when it is shrinking (c < 1 where the step started) or rounding
     left it at or under 0; a letter that joined with c > 1 keeps its first
-    step, however small, and grows.  When the search fails, or the KKT
-    system has no finite descent step (H singular on S, as on a flat face of
-    a linear segment of the curve), the state takes the Blahut-Arimoto step
-    instead, stretched along q (c - 1) as far as the search allows.  The
-    stop test is the kernel's bracket over every letter, unmerged, and the
+    step, however small, and grows.  When the KKT system has no finite
+    descent step (H singular on S, as on a flat face of a linear segment of
+    the curve) or the search along it fails, the state steps along e_k - q
+    on S joined by k, the merged letter of largest c, toward its vertex
+    (Lindsay 1983), under the same search: -dF along it is c_k - 1, at least
+    the gap, so it descends while the bracket is open, and it moves k onto
+    S, as the Blahut-Arimoto direction q (c - 1) cannot for a letter at 0.
+    The stop test is the kernel's bracket over every letter, unmerged, and the
     state keeps stepping until it closes or the budget runs out.  Returns
     (q, it, converged): ``it`` counts on from the given count, one per step.
     """
@@ -342,11 +345,14 @@ def _newton(p, a, q, it, max_iters):
         if joined and d is not None and d[np.count_nonzero(s[:j])] <= 0.0:
             s[j] = False
             d = _kkt_step(p, b, alpha, c, s)
-        t = _search(p, b, alpha, c, g, s, d, True) if d is not None else None
-        if t is None:  # the Blahut-Arimoto step g c, stretched as far as the search allows
-            s = on
-            d = g[s] * (c[s] - 1.0)
-            t = _search(p, b, alpha, c, g, s, d, False)
+        t = _search(p, b, alpha, c, g, s, d) if d is not None else 0.0
+        if not t:  # the vertex direction e_k - g toward the letter k of largest c
+            k = int(np.argmax(c))
+            s = on.copy()
+            s[k] = True
+            d = -g[s]
+            d[np.count_nonzero(s[:k])] += 1.0
+            t = _search(p, b, alpha, c, g, s, d)
         g[s] += t * d
         # a letter that is shrinking, or that rounding left at or under 0,
         # leaves S under the floor; a joined one keeps its first small step
@@ -369,29 +375,24 @@ def _kkt_step(p, a, alpha, c, s):
     return d if 0.0 < rhs[:n] @ d < math.inf and np.isfinite(d).all() else None
 
 
-def _search(p, a, alpha, c, q, s, d, newton):
+def _search(p, a, alpha, c, q, s, d):
     """Armijo search of ``_newton`` along d on support s, from the ratio cap
-    (at most 1 for a Newton step d).  Returns the step length; a failed
-    Newton search returns None, and the search along the Blahut-Arimoto
-    direction q (c - 1) returns 1, the plain step, at the latest.  The
+    or 1, whichever is smaller.  Returns the step length, or 0 when
+    ``_SEARCH_HALVINGS`` halvings find no sufficient decrease.  The
     decrease is that of F at the normalized point, so a sum of d that
     rounding leaves off 0 does not count as one."""
     neg = d < 0.0
-    t = float((q[s][neg] / -d[neg]).min()) if neg.any() else math.inf
-    if newton:
-        t = min(t, 1.0)
+    t = min(float((q[s][neg] / -d[neg]).min()), 1.0) if neg.any() else 1.0
     slope = (c[s] - 1.0) @ d  # -dF along d
     rel = (a[:, s] @ d) / alpha  # A(q + t d) = alpha (1 + t rel)
     tot = d.sum()
     for _ in range(_SEARCH_HALVINGS):
-        if not newton and not 1.0 < t < math.inf:
-            break
         with np.errstate(divide="ignore", invalid="ignore"):
             drop = p @ np.log1p(t * rel) - math.log1p(t * tot)  # F(q) - F(q + t d)
         if drop >= 1e-4 * t * slope:
             return t
         t *= 0.5
-    return None if newton else 1.0
+    return 0.0
 
 
 def _accept(s: float, dist: float, target: float, dist_tol: float,

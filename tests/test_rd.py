@@ -273,10 +273,10 @@ def test_a_dead_letter_sums_only_the_positive_bracket_terms():
     assert pt.distortion == pytest.approx(0.0, abs=1e-12)
 
 
-def test_newton_halves_its_step_and_falls_back_to_a_stretched_blahut_arimoto_step():
+def test_newton_halves_its_step_and_falls_back_to_a_vertex_step():
     # at this point Newton's Armijo search halves its step, and where the KKT
-    # system gives no descent step the state takes the stretched
-    # Blahut-Arimoto step instead; the solve still closes its bracket
+    # system gives no descent step the state steps toward the vertex of the
+    # letter with the largest c instead; the solve still closes its bracket
     p = [0.12590647433037896, 0.8709397310797213, 0.0031537945898995924]
     d = [[1.4897911441747005, 1.314453850865906, 1.4537565119424014, 0.4050227923050034],
          [0.0, 0.0, 2.010560460304304, 1.1968042869225923],
@@ -312,13 +312,15 @@ def test_erasure_conditional_target_matches_the_scalar_one():
 
 
 def _counting_evals(monkeypatch):
-    """Patch ``_MultiSolver.eval`` to record the slopes of each call; returns the record."""
+    """Patch ``_MultiSolver.eval`` to record (slopes, iterations, converged)
+    of each call; returns the record."""
     calls = []
     real_eval = rd._MultiSolver.eval
 
     def spy(self, slopes):
-        calls.append(tuple(slopes))
-        return real_eval(self, slopes)
+        out = real_eval(self, slopes)
+        calls.append((tuple(slopes), *out[2:]))
+        return out
 
     monkeypatch.setattr(rd._MultiSolver, "eval", spy)
     return calls
@@ -353,6 +355,18 @@ def test_a_conditional_target_on_a_linear_face_keeps_evaluations_to_spare(monkey
     pt = ba_conditional_target(joint, d, 0.33868576817479557)
     assert pt.converged
     assert len(calls) <= rd._MAX_EVALS // 2
+
+
+@pytest.mark.parametrize("targets", [(0.3, 0.2), (0.5, 0.5), (0.9, 0.1)])
+def test_erasure_product_kernel_evaluations_close_fast(monkeypatch, targets):
+    # a warm state on a flat face that needs a letter off its support, where
+    # the KKT system with that letter is singular: a vertex step adds the
+    # letter (a Blahut-Arimoto fallback left it out and ran (0.9, 0.1) to the
+    # 10,000 cap, and (0.5, 0.5) to 671 iterations)
+    calls = _counting_evals(monkeypatch)
+    ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], targets)
+    assert calls
+    assert all(conv and its <= 100 for _, its, conv in calls)
 
 
 def test_squared_error_target_hits_its_window():
