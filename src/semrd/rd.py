@@ -423,10 +423,9 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     R(target) on the curve, and while the bracket straddles a jump larger
     than ``dist_tol`` the search stops as soon as the timeshare is within
     ``SLACK_TOL`` of the best bound: the guarantee ``_accept`` gives a single
-    point, without closing the bracket.  That budget holds in the coarse
-    phase too, since no later sweep checks a timeshare again.  With several
-    constraints a one-coordinate mix is no joint timeshare, so those
-    searches close the bracket to a width of 1e-13.
+    point, without closing the bracket.  With several constraints a
+    one-coordinate mix is no joint timeshare, so those searches close the
+    bracket to a width of 1e-13.
 
     Every probe is one record ``(slope, rate, D vector, converged)``.
     Returns (record, total_iters, exact, gain).  ``record`` is the point
@@ -692,10 +691,10 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     rate, dvec, total_it, conv = solver.eval(slopes)
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
     gains = [None] * solver.m  # dD_i/ds_i from the last search of slope i
-    # Coarse sweeps localize the slopes with relaxed windows (cheap, avoids
-    # burning iterations deep inside jittery brackets), then precise sweeps
-    # bind each constraint to DIST_TOL from slopes that are already close.
-    for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL)):
+    # Coarse sweeps localize the slopes with relaxed windows, then precise
+    # sweeps bind each constraint to DIST_TOL from slopes already close; one
+    # constraint is met by one search, so it skips the coarse phase.
+    for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL))[solver.m == 1:]:
         for _ in range(_MAX_SWEEPS):
             if all(_accept(slopes[i], dvec[i], targets[i], dtol, stol) for i in range(solver.m)):
                 break
