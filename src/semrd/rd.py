@@ -36,10 +36,16 @@ are the Lagrange multipliers of the distortion constraints, so a
 target-distortion solve runs a bracketing secant on each slope; with side
 information the same slopes apply to every side state, which is exactly the
 optimal distortion allocation across side states.
-Every target solve, with one constraint or several, is the same search
+Every target solve, with one constraint or several, runs the same search
 (``_target_search``): coordinate sweeps (coordinate ascent on the concave
-Lagrange dual), each slope search opening at the point the sweep holds.
-Unless the caller seeds them, the sweep starts each slope whose target lies
+Lagrange dual), each slope search opening at the point the sweep holds.  A
+search with several constraints first takes Newton steps on the whole slope
+vector (``_slope_newton``), with dD/ds taken exactly from the kernel's KKT
+system at its converged q's (``_MultiSolver.jacobian``), and hands the point
+it holds to the sweeps at the first sign of trouble, such as a jump of D(s)
+or a constraint going slack; a one-constraint search goes straight to its
+slope search.
+Unless the caller seeds them, the search starts each slope whose target lies
 below its zero-rate corner where the test channel with a uniform
 reconstruction marginal meets that target under the coordinate's marginal,
 its distortion matrix read as a multiple of the Hamming one
@@ -99,7 +105,8 @@ _NEWTON_MERGE = 1e-14
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
-#: Coordinate sweeps per phase of a target search (coarse, then precise).
+#: Coordinate sweeps per phase of a target search (coarse, then precise),
+#: and probes of its Newton phase on the slope vector.
 _MAX_SWEEPS = 12
 
 
@@ -362,17 +369,23 @@ def _newton(p, a, q, it, max_iters):
 def _kkt_step(p, a, alpha, c, s):
     """The Newton step on support ``s`` (see ``_newton``), or None when the
     KKT system gives no finite descent direction."""
-    As = a[:, s]
-    n = As.shape[1]
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = (As.T * (p / (alpha * alpha))) @ As
-    kkt[n, n] = 0.0
+    kkt = _kkt_matrix(p, a[:, s], alpha)
+    n = len(kkt) - 1
     rhs = np.append(c[s] - 1.0, 0.0)
     try:
         d = np.linalg.solve(kkt, rhs)[:n]
     except np.linalg.LinAlgError:
         return None
     return d if 0.0 < rhs[:n] @ d < math.inf and np.isfinite(d).all() else None
+
+
+def _kkt_matrix(p, a, alpha):
+    """[H 1; 1^T 0] with H = A^T diag(p / alpha^2) A."""
+    n = a.shape[1]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = (a.T * (p / (alpha * alpha))) @ a
+    kkt[n, n] = 0.0
+    return kkt
 
 
 def _search(p, a, alpha, c, q, s, d):
@@ -601,14 +614,15 @@ class _MultiSolver:
         earlier call handed to Newton starts this one in Newton (``newton``):
         next to an optimum that Newton reached, a few Newton steps close its
         gap where the loop would spend ``_NEWTON_AFTER`` iterations first.  A
-        state that keeps closing its gap in the loop never leaves it.
+        state that keeps closing its gap in the loop never leaves it.  The
+        call's tilt matrix stays in ``tilt`` for ``jacobian``.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
         expo = slopes[0] * self.lifted[0]
         for i in range(1, self.m):
             expo = expo + slopes[i] * self.lifted[i]
-        tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+        self.tilt = tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
         parts, iters, converged = [], 0, True
         for k, (p, rows) in enumerate(zip(self.p, self.rows)):
             a = tilt[rows]
@@ -629,11 +643,99 @@ class _MultiSolver:
         total = _state_sum(self.weights, np.array(parts))
         return total[0], total[1:], iters, converged
 
+    def jacobian(self, act) -> np.ndarray:
+        """dD/ds over the coordinates ``act`` (a mask) at the slopes of the
+        last ``eval``, exact at the optimum its converged q's stand for.
+
+        For each side state, with Q the test channel a q / (a q) and
+        delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
+        C_ij = ln2 sum_x p sum_xhat Q delta_i delta_j, and q moves on its
+        KKT-active support S (q > 0 and c = 1; a letter still dying at a
+        zero-rate corner has c < 1 and no say in the optimum) so that c stays
+        1 there: the sensitivity system of the optimum (Fiacco 1976) is
+        ``_kkt_step``'s matrix [H 1; 1^T 0] with the right-hand sides
+        ln2 G, G_ki = sum_x (p / (a q)) a_k delta_i.  Its solution Z gives
+        the state's C + G^T Z, and the p(y)-weighted sum is dD/ds, symmetric
+        and positive semidefinite.  Letters of S whose columns of a agree
+        to ``_NEWTON_MERGE``, as a slope at 0 makes them, would leave the
+        system singular; their rows of G agree on the coordinates whose
+        slopes are below 0, so one of them stands for all, and the dD/ds
+        there is the same.  Raises ``np.linalg.LinAlgError`` where the system
+        is singular all the same.
+        """
+        jac = []
+        lifted = self.lifted[act]
+        for p, rows, q in zip(self.p, self.rows, self.warm):
+            a = self.tilt[rows]
+            alpha = a @ q
+            channel = a * q / alpha[:, None]
+            lift = lifted[:, rows]
+            delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
+            flat = delta.reshape(len(delta), -1)
+            cov = (flat * (p[:, None] * channel).reshape(-1)) @ flat.T
+            s = np.flatnonzero((q > 0.0) & ((p / alpha) @ a > 1.0 - 1e-6))
+            key = np.rint(a[:, s] * (1.0 / _NEWTON_MERGE))
+            s = s[np.unique(key, axis=1, return_index=True)[1]]  # one letter per column
+            grad = np.einsum("x,xk,ixk->ki", p / alpha, a[:, s], delta[:, :, s])
+            rhs = np.vstack([grad, np.zeros(len(delta))])
+            z = np.linalg.solve(_kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
+            jac.append(math.log(2.0) * (cov + grad.T @ z))
+        return _state_sum(self.weights, np.array(jac))
+
 
 def _state_sum(w, x):
     """sum_k w[k] * x[k], added in state order: numpy's pairwise ``sum``
     would group the terms differently from a running sum over the states."""
     return np.add.accumulate(w.reshape((-1,) + (1,) * (x.ndim - 1)) * x, axis=0)[-1]
+
+
+def _slope_newton(solver: _MultiSolver, targets, slopes, held):
+    """Newton on the slope vector of a target search with several constraints.
+
+    The Lagrange dual R(s) - s (D(s) - T) is concave in s <= 0, with
+    gradient T - D and Hessian -dD/ds (Blahut 1972), so from the held exact
+    solve ``held`` = (rate, D vector, converged) at ``slopes`` the phase
+    steps s <- s + J^-1 (T - D) on the coordinates below 0, with J = dD/ds
+    from ``_MultiSolver.jacobian``.  A slope that the step would push past 0
+    stops halfway to 0, and one that it would more than double stops at
+    twice its value.  The phase ends, and reports the point it holds, once
+    every constraint passes ``_accept`` at ``DIST_TOL`` and every coordinate
+    below 0 meets its target within 1e-9: that puts the rate on its dual
+    bound.  It hands the point over to the coordinate sweeps at the first
+    sign of trouble: an unconverged solve, a slope at 0 whose distortion is
+    over its target (where the distortion depends on the warm q), a step
+    that is not finite or not ascent, a probe that lowers the dual bound
+    (which is undone, warm starts included), or ``_MAX_SWEEPS`` probes.
+    Returns (slopes, (rate, D vector, converged), iterations).
+    """
+    rate, dvec, conv = held
+    total = probes = 0
+    while True:
+        act = slopes < 0.0
+        gap = targets - dvec
+        if (np.all(np.abs(gap[act]) <= 1e-9)
+                and all(_accept(s, d, t, DIST_TOL) for s, d, t in zip(slopes, dvec, targets))):
+            break
+        if not conv or np.any(gap[~act] < 0.0) or probes >= _MAX_SWEEPS:
+            break
+        try:
+            step = np.linalg.solve(solver.jacobian(act), gap[act])
+        except np.linalg.LinAlgError:
+            break
+        if not (0.0 < gap[act] @ step < math.inf and np.isfinite(step).all()):
+            break
+        new = slopes[act] + step
+        trial = slopes.copy()
+        trial[act] = np.where(new < 0.0, np.maximum(new, 2.0 * slopes[act]), 0.5 * slopes[act])
+        saved = list(solver.warm), solver.newton.copy()
+        r, d, it, c = solver.eval(trial)
+        total += it
+        probes += 1
+        if r + trial @ (targets - d) < rate + slopes @ gap:  # the dual bound fell
+            solver.warm, solver.newton = saved
+            break
+        slopes, rate, dvec, conv = trial, r, d, c
+    return slopes, (rate, dvec, conv), total
 
 
 def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
@@ -647,6 +749,12 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
     log2(D / ((k - 1)(1 - D))) for Hamming distortion.  Where that
     bound is tight the first solve lands on the target; elsewhere the search
     starts near the root.
+
+    With several constraints, Newton steps on the slope vector come first
+    (``_slope_newton``).  Where they meet every target within 1e-9 the
+    search reports that point, on its dual bound; otherwise they hand the
+    exact point they hold to the coordinate sweeps, which also run alone
+    for one constraint.
 
     Coordinate sweeps adjust one slope at a time to meet its own target (or
     park it at 0 when the constraint goes slack), holding the others — this is
@@ -689,6 +797,9 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                            _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
                            for i in range(solver.m)])
     rate, dvec, total_it, conv = solver.eval(slopes)
+    if solver.m > 1:
+        slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
+        total_it += it
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
     gains = [None] * solver.m  # dD_i/ds_i from the last search of slope i
     # Coarse sweeps localize the slopes with relaxed windows, then precise

@@ -30,6 +30,7 @@ from semrd import (
     rd_curve_conditional,
     squared_error_distortion,
 )
+import semrd.bounds as bounds
 import semrd.rd as rd
 from semrd.cli import run
 from semrd.nets import doubly_symmetric_fork, doubly_symmetric_joint
@@ -794,8 +795,8 @@ def test_warm_sweep_takes_no_more_iterations_than_cold_solves(name, n):
 
 
 def test_scene_joint_target_search_opens_near_the_root(monkeypatch):
-    # re-searched coordinates open with a Newton step on the gain of their
-    # last search, not by doubling or halving the slope (42 evaluations)
+    # the joint search takes Newton steps on the slope vector: 30 evaluations
+    # with coordinate sweeps alone, 42 before they opened with a gain step
     calls = []
     real_eval = rd._MultiSolver.eval
 
@@ -808,4 +809,105 @@ def test_scene_joint_target_search_opens_near_the_root(monkeypatch):
     rep = lemma1_bounds(load_bundled("scene"), (0.16, 0.163, 0.067, 0.103))
     assert rep.converged
     assert rep.lower - 2e-4 <= rep.joint <= rep.upper + 2e-4
-    assert len(calls) < 42
+    assert len(calls) <= 8
+
+
+def _scene_source(side=None):
+    """The bundled scene net as a joint array, given ``side`` if named."""
+    net = load_bundled("scene")
+    ids = [net.id_of(side)] if side else []
+    rest = [v for v in range(net.m) if v not in ids]
+    cards = tuple(net.card(v) for v in ids + rest)
+    arr = marginal_table(net, ids + rest).probs.reshape(cards)
+    return arr, [hamming_distortion(net.card(v)) for v in rest]
+
+
+@pytest.mark.parametrize("side, slopes", [
+    (None, (-3.0, -2.5, -4.0, -3.5)),
+    (None, (-1.0, -0.7, -2.0, -1.5)),
+    ("light", (-3.0, -2.5, -2.0)),
+], ids=["scene-steep", "scene-shallow", "scene-given-light"])
+def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
+    # dD/ds from the sensitivity system of the kernel's optimum, against
+    # central differences of solves closed far below the default gap
+    monkeypatch.setattr(rd, "GAP_TOL_NATS", 1e-14)
+    arr, dists = _scene_source(side)
+    solver = rd._MultiSolver(arr, dists, side=side is not None)
+    s = np.array(slopes)
+    assert solver.eval(s)[3]
+    jac = solver.jacobian(s < 0)
+    h = 1e-5
+    ref = np.empty_like(jac)
+    for j in range(len(s)):
+        e = np.zeros(len(s))
+        e[j] = h
+        ref[:, j] = (solver.eval(s + e)[1] - solver.eval(s - e)[1]) / (2 * h)
+    assert np.abs(jac - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert np.abs(jac - jac.T).max() <= 1e-15
+    assert np.linalg.eigvalsh(jac).min() > 0.0
+
+
+def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
+    # given Y each state sits at its zero-rate corner, where letters still
+    # dying (q > 0, c < 1) must not count as support: counted, they made
+    # dD/ds about 0.06 where it is 0
+    joint = np.moveaxis(fork_given_root(0.1, 0.1).reshape(2, 2, 2), 2, 0)
+    solver = rd._MultiSolver(joint, [HAM2, HAM2], side=True)
+    s = np.array([-3.0, -2.5])
+    assert solver.eval(s)[3]
+    assert np.abs(solver.jacobian(s < 0)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+def test_scene_joint_target_takes_newton_steps_to_its_dual_bound(monkeypatch, seeded):
+    # coordinate sweeps took 30 evaluations seeded with the lower-term slopes
+    # (as Lemma 1 seeds it) and 33 unseeded, and stopped up to 6e-8 bits
+    # off the dual bound
+    targets = (0.16, 0.163, 0.067, 0.103)
+    calls = _counting_evals(monkeypatch)
+    if seeded:
+        points = []
+
+        def joint_spy(*args, **kwargs):
+            points.append(ba_joint_multi_target(*args, **kwargs))
+            return points[-1]
+
+        monkeypatch.setattr(bounds, "ba_joint_multi_target", joint_spy)
+        lemma1_bounds(load_bundled("scene"), targets)
+        (pt,) = points
+    else:
+        pt = ba_joint_multi_target(*_scene_source(), targets)
+    assert pt.converged
+    assert sum(len(slopes) == 4 for slopes, _, _ in calls) <= 8
+    # the report is an exact solve at pt.slopes: its rate against its dual bound
+    assert abs(np.dot(pt.slopes, np.subtract(pt.distortions, targets))) <= 1e-8
+
+
+def _sweeps_only(monkeypatch):
+    """Skip the Newton phase of joint target searches."""
+    monkeypatch.setattr(rd, "_slope_newton", lambda solver, targets, slopes, held: (slopes, held, 0))
+
+
+def test_a_slope_at_zero_over_its_target_hands_over_at_once(monkeypatch):
+    # X1's target is its conditional zero-rate corner, so its slope opens at
+    # 0, where the joint solve puts D_1 over the target: the phase hands the
+    # opening point to the sweeps, which return what they return alone
+    net = doubly_symmetric_fork(0.05, 0.1)
+    calls = _counting_evals(monkeypatch)
+    got = lemma2_check(net, ["Y"], (0.05, 0.05))
+    n = len(calls)
+    _sweeps_only(monkeypatch)
+    assert got == lemma2_check(net, ["Y"], (0.05, 0.05))
+    assert len(calls) == 2 * n
+
+
+@pytest.mark.parametrize("targets", [(0.3, 0.2), (0.5, 0.5), (0.9, 0.1)])
+def test_erasure_product_newton_phase_hands_over_what_the_sweeps_return(monkeypatch, targets):
+    # on the linear face no Newton step raises the dual bound; the phase
+    # undoes its probe, warm starts included, and the sweeps run as alone
+    joint = np.full((2, 2), 0.25)
+    got = ba_joint_multi_target(joint, [ERASURE, ERASURE], targets)
+    _sweeps_only(monkeypatch)
+    ref = ba_joint_multi_target(joint, [ERASURE, ERASURE], targets)
+    assert (got.rate, got.distortions, got.slopes, got.converged) == (
+        ref.rate, ref.distortions, ref.slopes, ref.converged)
