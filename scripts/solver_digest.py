@@ -2,9 +2,11 @@
 """Fingerprint every rate-distortion engine evaluation on a fixed case list.
 
 Runs the acceptance test 7 grids (Lemma 1 sandwich on random nets), the
-test 8 checks (Lemma 2 decomposition) and a few erasure-distortion target
-solves (scalar, conditional, and on the product of two erasure sources),
-and prints one CSV row per case: the number of ``_MultiSolver.eval``
+test 8 checks (Lemma 2 decomposition), a few erasure-distortion target
+solves (scalar, conditional, and on the product of two erasure sources) and
+the Lemma 1 grid on the bundled scene net that is the ``bounds`` benchmark's
+slowest op (row ``bounds-scene``, with a four-variable joint search), and
+prints one CSV row per case: the number of ``_MultiSolver.eval``
 calls it made and a SHA-256 over each call (slopes in; rate, distortion
 vector, iterations and convergence out) followed by the repr of the returned
 report.  Two trees whose rows all match ran the same solves bit for bit, so a
@@ -21,7 +23,7 @@ import time
 
 import numpy as np
 
-from semrd import lemma1_bounds, lemma2_check, random_net
+from semrd import lemma1_bounds, lemma2_check, load_bundled, random_net
 from semrd import rd
 from semrd.nets import doubly_symmetric_chain, doubly_symmetric_fork
 from semrd.rd import ba_conditional_target, ba_joint_multi_target, ba_target
@@ -50,6 +52,7 @@ def _cases(size):
     for t in ((0.3, 0.2), (0.5, 0.5), (0.9, 0.1)):
         yield (f"erasure-joint:{t[0]}:{t[1]}",
                lambda t=t: ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], t))
+    yield "bounds-scene", lambda: lemma1_bounds(load_bundled("scene"), (0.16, 0.163, 0.067, 0.103))
 
 
 def main(argv=None):

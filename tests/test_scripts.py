@@ -28,7 +28,7 @@ def _main(name):
     ("codec_ledger", ["-n", "500"],
      "net,variables,entropy_bits,expected_length_bits,measured_bits_per_sample,"
      "entries_touched,stream_bytes", 3),
-    ("solver_digest", ["--size", "1"], "case,evals,sha256", 13),
+    ("solver_digest", ["--size", "1"], "case,evals,sha256", 14),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
      "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 5),
 ])
