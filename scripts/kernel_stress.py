@@ -11,6 +11,9 @@ before.  Then it runs ``--draws`` seeded draws each of a target
 (``ba_target``), a conditional target (``ba_conditional_target``) and a
 two-variable joint target solve (``ba_joint_multi_target``), with targets
 drawn between each coordinate's distortion floor and its zero-rate corner.
+Last, it solves each joint draw again three times with its first target
+near its floor, a fraction 1e-9, 1e-6 or 1e-3 of the way to its corner,
+and its second in the middle of its span.
 
 Prints one CSV row per kind of solve: the points solved, the iterations they
 took, the most any one took, the kernel evaluations they made, the most any
@@ -39,6 +42,9 @@ from semrd.rd import (RdCurve, ba_conditional_target, ba_joint_multi_target, ba_
                       squared_error_distortion, trivial_distortion)
 
 SLOPES = (-1000.0, -300.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.3, -0.05)
+# how close to its floor the first target of a near-floor joint solve sits,
+# as a fraction of the way to its zero-rate corner
+NEAR_FLOOR = (1e-9, 1e-6, 1e-3)
 
 
 def _source(rng, k):
@@ -104,16 +110,40 @@ def _conditional_targets(draws):
                lambda j=joint, d=d, t=t: ba_conditional_target(j, d, t))
 
 
+def _joint_source(seed):
+    """Joint draw ``seed``: its rng, a two-variable source, the two distortion
+    matrices and each coordinate's (floor, corner)."""
+    rng = np.random.default_rng(300_000 + seed)
+    cards = [int(c) for c in rng.integers(2, 4, size=2)]
+    joint = _source(rng, cards[0] * cards[1]).reshape(cards)
+    dists = [_distortion(rng, (seed + i) % 3, k) for i, k in enumerate(cards)]
+    spans = [(min_distortion(m, d), trivial_distortion(m, d))
+             for m, d in zip((joint.sum(axis=1), joint.sum(axis=0)), dists)]
+    return rng, joint, dists, spans
+
+
+def _joint_call(joint, dists, targets):
+    return (f"ba_joint_multi_target({joint.tolist()}, {[d.tolist() for d in dists]}, {targets})",
+            lambda: ba_joint_multi_target(joint, dists, targets))
+
+
 def _joint_targets(draws):
     for seed in range(draws):
-        rng = np.random.default_rng(300_000 + seed)
-        cards = [int(c) for c in rng.integers(2, 4, size=2)]
-        joint = _source(rng, cards[0] * cards[1]).reshape(cards)
-        dists = [_distortion(rng, (seed + i) % 3, k) for i, k in enumerate(cards)]
-        targets = tuple(_target(rng, min_distortion(m, d), trivial_distortion(m, d))
-                        for m, d in zip((joint.sum(axis=1), joint.sum(axis=0)), dists))
-        yield (f"ba_joint_multi_target({joint.tolist()}, {[d.tolist() for d in dists]}, {targets})",
-               lambda j=joint, ds=dists, t=targets: ba_joint_multi_target(j, ds, t))
+        rng, joint, dists, spans = _joint_source(seed)
+        yield _joint_call(joint, dists, tuple(_target(rng, *span) for span in spans))
+
+
+def near_floor_joint_target(seed, f):
+    """Joint draw ``seed`` with its first target a fraction ``f`` of the way
+    from floor to corner, and its second in the middle of its span."""
+    _, joint, dists, ((floor, corner), span) = _joint_source(seed)
+    return _joint_call(joint, dists, (floor + f * (corner - floor), 0.5 * sum(span)))
+
+
+def _near_floor_joint_targets(draws):
+    for seed in range(draws):
+        for f in NEAR_FLOOR:
+            yield near_floor_joint_target(seed, f)
 
 
 def main(argv=None):
@@ -142,7 +172,8 @@ def main(argv=None):
                             ("sweep", _sweeps(args.sources)),
                             ("target", _targets(args.draws)),
                             ("conditional_target", _conditional_targets(args.draws)),
-                            ("joint_target", _joint_targets(args.draws))):
+                            ("joint_target", _joint_targets(args.draws)),
+                            ("near_floor_joint", _near_floor_joint_targets(args.draws))):
             points = iters = most = evals = most_evals = bad = unmet = 0
             for call, solve in cases:
                 failed.clear()

@@ -18,7 +18,6 @@ seeds, so every function here is safe to call from multiple threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -136,6 +135,8 @@ class BayesNet:
     @cached_property
     def _digest(self) -> bytes:
         # computed once: the dataclass is frozen and its CPT tables are read-only
+        import hashlib  # here, not at the top: most commands never digest a net
+
         return hashlib.sha256(self.canonical_bytes()).digest()[:16]
 
 

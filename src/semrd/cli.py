@@ -13,6 +13,13 @@ lowered with the ``SEMRD_SIZE_GUARD`` environment variable (capped at 2^28);
 a value outside that range is a usage error.
 Network arguments take a file path, or the name of a bundled example
 (fork, chain, scene).
+
+The module imports the network model, the entropy accounting and the bundled
+nets; each command imports what it calls from ``codec``, ``rd`` and
+``bounds`` itself, so ``entropy``, ``sample`` and ``verify`` load none of
+the three and the rate-distortion commands never load ``codec``.  The
+package's public names stay readable here (``semrd.cli.encode`` is
+``semrd.codec.encode``), as ``bench/tracing.py`` reads and wraps them.
 """
 
 from __future__ import annotations
@@ -25,24 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bn import (
-    BayesNet,
-    conditional_partition,
-    enumerate_joint,
-    load_net,
-    marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
-    sample,
-    size_guard,
-)
-from .bounds import _side_first_array, lemma1_bounds, lemma2_check
-from .codec import (
-    Bitstream,
-    build_factorized_codebooks,
-    complexity_report,
-    decode,
-    encode,
-    expected_length,
-)
+from .bn import BayesNet, conditional_partition, enumerate_joint, load_net, sample, size_guard
 from .errors import SizeGuardError
 from .info import (
     conditional_entropies,
@@ -54,18 +44,15 @@ from .info import (
     redundancy_gap,
 )
 from .nets import BUNDLED, bundled_path
-from .rd import (
-    DistortionSpec,
-    _fixed_slope_points,
-    _MultiSolver,
-    ba_joint_multi,
-    ba_joint_multi_target,
-    binary_conditional_rd,
-    default_slope_grid,
-    gaussian_conditional_rd,
-)
 
 _ORACLE_TOL = 1e-9
+
+
+def __getattr__(name):
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x) -> str:
@@ -105,7 +92,9 @@ def _parse_floats(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok]
 
 
-def _dspec(net: BayesNet, name: str) -> DistortionSpec:
+def _dspec(net: BayesNet, name: str):
+    from .rd import DistortionSpec
+
     if name == "hamming":
         return DistortionSpec.hamming(net.cards)
     if name == "squared":
@@ -190,6 +179,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .codec import build_factorized_codebooks, encode
+
     net = _load(args.net)
     arr = _read_samples(args.samples, net.m)
     fcb = build_factorized_codebooks(net)
@@ -200,6 +191,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from .codec import Bitstream, build_factorized_codebooks, decode
+
     net = _load(args.net)
     stream = Bitstream.from_bytes(Path(args.stream).read_bytes())
     fcb = build_factorized_codebooks(net)
@@ -209,6 +202,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_codec_report(args: argparse.Namespace) -> int:
+    from .codec import complexity_report, expected_length
+
     net = _load(args.net)
     t0 = time.perf_counter()
     rep = complexity_report(net)
@@ -235,6 +230,10 @@ def cmd_codec_report(args: argparse.Namespace) -> int:
 
 
 def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
+    from .bounds import _side_first_array
+    from .rd import (_fixed_slope_points, _MultiSolver, ba_joint_multi, ba_joint_multi_target,
+                     default_slope_grid)
+
     net = _load(args.net)
     dspec = _dspec(net, args.distortion)
     if conditional:
@@ -283,6 +282,8 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
 
 
 def cmd_rd_closed_form(args: argparse.Namespace) -> int:
+    from .rd import binary_conditional_rd, gaussian_conditional_rd
+
     if args.family == "binary":
         val = binary_conditional_rd(args.params[0], args.params[1])
     else:
@@ -292,6 +293,8 @@ def cmd_rd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import lemma1_bounds
+
     net = _load(args.net)
     targets = _parse_floats(args.targets)
     rep = lemma1_bounds(net, targets, _dspec(net, args.distortion))
@@ -307,6 +310,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma2(args: argparse.Namespace) -> int:
+    from .bounds import lemma2_check
+
     net = _load(args.net)
     side = _resolve_vars(net, args.side, [])
     if not side:

@@ -31,10 +31,9 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +55,9 @@ from .errors import (
 )
 from .info import parent_marginals
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 MAGIC = b"BNHC"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 8 + 16
@@ -73,6 +75,8 @@ class PrefixCode:
 
     def kraft_sum(self) -> Fraction:
         """Exact sum of 2^-len over codewords (1 for a complete code)."""
+        from fractions import Fraction  # here, not at the top: only checks call this
+
         return sum((Fraction(1, 2 ** len(w)) for w in self.codewords.values()), Fraction(0))
 
     def expected_length(self, p: Sequence[float]) -> float:

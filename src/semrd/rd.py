@@ -614,7 +614,11 @@ class _MultiSolver:
         earlier call handed to Newton starts this one in Newton (``newton``):
         next to an optimum that Newton reached, a few Newton steps close its
         gap where the loop would spend ``_NEWTON_AFTER`` iterations first.  A
-        state that keeps closing its gap in the loop never leaves it.  The
+        state that keeps closing its gap in the loop never leaves it.  A
+        warm q that leaves a row of A q under 1e-12 (a slope search that
+        walked one slope to 0 can leave all but one letter at 0) starts over
+        from the uniform q, outside Newton, for this call: no Armijo search
+        passes from it, and ``_kkt_matrix`` would divide by that row.  The
         call's tilt matrix stays in ``tilt`` for ``jacobian``.
         """
         if not any(slopes):
@@ -626,10 +630,13 @@ class _MultiSolver:
         parts, iters, converged = [], 0, True
         for k, (p, rows) in enumerate(zip(self.p, self.rows)):
             a = tilt[rows]
-            q = self.warm[k]
-            if q is None or not (q.min() >= 0.0 and q.sum() > 0.0):
-                q = np.full(self.nh, 1.0 / self.nh)
-            q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, self.newton[k])
+            q, newton = self.warm[k], self.newton[k]
+            low = -1.0 if q is None else q.min()
+            # each row of the tilt holds a 1, so A q >= min q: only a q with
+            # letters near 0 can leave a row of A q near 0
+            if not (low >= 0.0 and q.sum() > 0.0) or (low < 1e-12 and (a @ q).min() < 1e-12):
+                q, newton = np.full(self.nh, 1.0 / self.nh), False
+            q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, newton)
             self.newton[k] |= handed
             self.warm[k] = q
             iters, converged = max(iters, its), converged and conv
@@ -722,7 +729,7 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
             step = np.linalg.solve(solver.jacobian(act), gap[act])
         except np.linalg.LinAlgError:
             break
-        if not (0.0 < gap[act] @ step < math.inf and np.isfinite(step).all()):
+        if not (np.isfinite(step).all() and 0.0 < gap[act] @ step < math.inf):
             break
         new = slopes[act] + step
         trial = slopes.copy()

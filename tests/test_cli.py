@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semrd
+import semrd.cli
 from semrd.cli import run
 
 
@@ -353,3 +358,51 @@ def test_all_subcommands_byte_stable(tmp_path):
         rc2, out2, _ = invoke(argv)
         assert rc1 == rc2 == 0, argv
         assert out1 == out2, argv
+
+
+_LOADED = """
+import contextlib, io, sys
+from semrd.cli import run
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = run(sys.argv[1:])
+print(rc, *sorted(sys.modules))
+"""
+_HEAVY = {"semrd.rd", "semrd.codec", "semrd.bounds"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["entropy", "fork"], _HEAVY | {"hashlib", "fractions"}),
+    (["verify", "fork"], _HEAVY | {"hashlib", "fractions"}),
+    # numpy.random, which sampling needs, imports hashlib itself
+    (["sample", "fork", "-n", "5"], _HEAVY | {"fractions"}),
+    (["codec-report", "fork"], {"semrd.rd", "semrd.bounds"}),
+    (["rd", "fork", "--vars", "X1", "--targets", "0.1"], {"semrd.codec"}),
+    (["bounds", "fork", "--targets", "0.1,0.05,0.2"], {"semrd.codec"}),
+], ids=["entropy", "verify", "sample", "codec-report", "rd", "bounds"])
+def test_each_command_loads_only_the_modules_it_runs(argv, absent):
+    env = {**os.environ, "PYTHONPATH": str(Path(semrd.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0"
+    assert "semrd.bn" in loaded
+    assert not absent & set(loaded)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in semrd.__all__:
+        value = getattr(semrd, name)
+        home = value.__module__ if callable(value) else "semrd.bn"  # the size guard bounds
+        assert getattr(sys.modules[home], name) is value, name
+    assert set(semrd.__all__) <= set(dir(semrd))
+    with pytest.raises(AttributeError):
+        semrd.no_such_name
+
+
+@pytest.mark.parametrize("name", [
+    "marginal_table", "sample", "joint_entropy_factorized", "build_factorized_codebooks",
+    "expected_length", "encode", "decode", "ba_joint_multi_target", "ba_joint_multi",
+    "lemma1_bounds", "lemma2_check"])
+def test_the_traced_names_read_through_the_cli_module(name):
+    # bench/tracing.py wraps these names where ``semrd.cli`` holds them
+    assert getattr(semrd.cli, name) is getattr(semrd, name)
