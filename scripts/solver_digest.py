@@ -11,9 +11,10 @@ calls it made and a SHA-256 over each call (slopes in; rate, distortion
 vector, iterations and convergence out) followed by the repr of the returned
 report.  Two trees whose rows all match ran the same solves bit for bit, so a
 refactor of the target search can be checked against its parent with
-``diff``.  A census goes to stderr: the evaluations, the iterations they took,
-and the evaluations that returned ``converged=False``.  Exits 1 when any
-evaluation returned ``converged=False``.
+``diff``.  A census goes to stderr: the ``_MultiSolver.jacobian`` calls
+(each slope search opens on dD/ds) on one line, then the evaluations, the
+iterations they took, and the evaluations that returned ``converged=False``.
+Exits 1 when any evaluation returned ``converged=False``.
 """
 
 import argparse
@@ -61,9 +62,9 @@ def main(argv=None):
                     help="run only the first SIZE test 7 nets and test 8 checks")
     args = ap.parse_args(argv)
 
-    real_eval = rd._MultiSolver.eval
+    real_eval, real_jacobian = rd._MultiSolver.eval, rd._MultiSolver.jacobian
     log = []
-    census = [0, 0, 0]  # evaluations, iterations, unconverged evaluations
+    census = [0, 0, 0, 0]  # evaluations, iterations, unconverged evaluations, jacobians
 
     def eval_logged(self, slopes):
         rate, dvec, its, conv = out = real_eval(self, slopes)
@@ -74,10 +75,14 @@ def main(argv=None):
                    + np.asarray(dvec, float).tobytes() + repr((int(its), bool(conv))).encode())
         return out
 
+    def jacobian_counted(self, slopes, act):
+        census[3] += 1
+        return real_jacobian(self, slopes, act)
+
     print("case,evals,sha256")
     t0 = time.perf_counter()
     rows = 0
-    rd._MultiSolver.eval = eval_logged
+    rd._MultiSolver.eval, rd._MultiSolver.jacobian = eval_logged, jacobian_counted
     try:
         for name, solve in _cases(args.size):
             log.clear()
@@ -89,8 +94,9 @@ def main(argv=None):
             print(f"{name},{len(log)},{h.hexdigest()}", flush=True)
             rows += 1
     finally:
-        rd._MultiSolver.eval = real_eval
+        rd._MultiSolver.eval, rd._MultiSolver.jacobian = real_eval, real_jacobian
     print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    print(f"# {census[3]} jacobians", file=sys.stderr)
     print(f"# {census[0]} evaluations, {census[1]} iterations, {census[2]} unconverged",
           file=sys.stderr)
     return 1 if census[2] else 0

@@ -321,8 +321,7 @@ def _newton(p, a, q, it, max_iters):
     (q, it, converged): ``it`` counts on from the given count, one per step.
     """
     ids = {}  # letters whose columns of A round alike are one merged letter
-    key = np.rint(a * (1.0 / _NEWTON_MERGE)).T.copy()
-    group = np.array([ids.setdefault(k.tobytes(), len(ids)) for k in key])
+    group = np.array([ids.setdefault(k, len(ids)) for k in _column_keys(a)])
     g = np.bincount(group, q)  # the merged letters' masses
     share = np.divide(q, g[group], out=1.0 / np.bincount(group)[group], where=g[group] > 0)
     merge = np.zeros((len(q), len(ids)))
@@ -364,6 +363,12 @@ def _newton(p, a, q, it, max_iters):
         # a letter that is shrinking, or that rounding left at or under 0,
         # leaves S under the floor; a joined one keeps its first small step
         g[(g <= _NEWTON_FLOOR * g.max()) & ((c < 1.0) | (g < 0.0))] = 0.0
+
+
+def _column_keys(a):
+    """One key per letter (column of ``a``), shared by the letters whose
+    columns round alike to ``_NEWTON_MERGE``."""
+    return [k.tobytes() for k in np.rint(a * (1.0 / _NEWTON_MERGE)).T.copy()]
 
 
 def _kkt_step(p, a, alpha, c, s):
@@ -413,8 +418,7 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
     return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
 
 
-def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float,
-                held, gain: float | None):
+def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float, held):
     """Move slope i so its own distortion meets the target, the others fixed.
 
     Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; the
@@ -454,16 +458,19 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     total = evals = 0
     pt = (slopes[i], *held)
     start_at_zero = pt[0] == 0.0
-    hi = lo = last = None
+    hi = lo = None
     halvings = 0
-    step = (min(max((target - held[1][i]) / gain, pt[0]), -0.5 * pt[0])
-            if gain and pt[0] < 0.0 else None)
+    step = None
+    if pt[0] < 0.0 and held[2]:
+        try:
+            jac = float(solver.jacobian(slopes, np.arange(len(slopes)) == i)[0, 0])
+        except np.linalg.LinAlgError:
+            jac = 0.0  # no derivative
+        if 0.0 < jac < math.inf:  # 0 at a zero-rate corner
+            # in Python floats: a J_ii near 0 sends the step to +-inf, not to a warning
+            step = min(max((target - float(held[1][i])) / jac, pt[0]), -0.5 * pt[0])
     # the dual bound max_k R_k - s_k (D_k - T) <= R(T) over the probes (with one constraint)
     bound = held[0] - pt[0] * (held[1][i] - target)
-
-    def secant(a, b):
-        g = (b[1] - a[1]) / (b[0] - a[0]) if a and b[0] != a[0] else 0.0
-        return g if 0.0 < g < math.inf else None
 
     def probe(s):
         nonlocal total, evals, bound
@@ -483,20 +490,19 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     while True:
         s, dist = pt[0], pt[2][i]
         if _accept(s, dist, target, dist_tol, slack_tol):
-            return pt, total, True, secant(last, (s, dist))
+            return pt, total, True
         if dist > target:
             hi = pt
             if lo is not None:
                 break
             if -s > 1e18 or evals >= _MAX_EVALS:
                 # cannot reach down to target
-                return pt[:3] + (False,), total, True, secant(last, (s, dist))
+                return pt[:3] + (False,), total, True
         else:
             lo = pt
             if hi is not None:
                 break
-        last = s, dist
-        if step is not None:  # a gain step over the target is negative, so never past 0
+        if step is not None:  # a Newton step over the target is negative, so never past 0
             s, step = min(s + step, 0.0), 2.0 * step
         elif dist > target:
             s = 2.0 * s if s < 0.0 else -1.0
@@ -513,7 +519,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
         # vanishing slope it can't resolve.
         hi = probe(0.0)
         if _accept(0.0, hi[2][i], target, dist_tol, slack_tol):
-            return hi, total, True, secant((lo[0], lo[2][i]), (0.0, hi[2][i]))
+            return hi, total, True
     f_lo, f_hi = lo[2][i] - target, hi[2][i] - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
@@ -521,7 +527,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             # the timeshare is achievable and ``bound`` lies under R(target)
             pt = mix(True)
             if pt[1] - bound <= SLACK_TOL:
-                return pt, total, False, None
+                return pt, total, False
         # f_hi > 0 >= f_lo: hi is over the target, lo at or under it
         mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
         if not lo[0] < mid < hi[0]:  # also a NaN
@@ -529,7 +535,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
         pt = probe(mid)
         dist = pt[2][i]
         if _accept(mid, dist, target, dist_tol, slack_tol):
-            return pt, total, True, secant((lo[0], lo[2][i]), (hi[0], hi[2][i]))
+            return pt, total, True
         if dist > target:
             hi = pt
             f_hi = dist - target
@@ -545,8 +551,8 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     d_lo, d_hi = lo[2][i], hi[2][i]
     if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
         ok = hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0])
-        return mix(ok), total, False, None  # a jump has no gain
-    return lo, total, True, secant((lo[0], d_lo), (hi[0], d_hi))
+        return mix(ok), total, False
+    return lo, total, True
 
 
 class _MultiSolver:
@@ -623,10 +629,7 @@ class _MultiSolver:
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
-        expo = slopes[0] * self.lifted[0]
-        for i in range(1, self.m):
-            expo = expo + slopes[i] * self.lifted[i]
-        self.tilt = tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+        tilt = self._tilt(slopes)
         parts, iters, converged = [], 0, True
         for k, (p, rows) in enumerate(zip(self.p, self.rows)):
             a = tilt[rows]
@@ -650,7 +653,14 @@ class _MultiSolver:
         total = _state_sum(self.weights, np.array(parts))
         return total[0], total[1:], iters, converged
 
-    def jacobian(self, act) -> np.ndarray:
+    def _tilt(self, slopes) -> np.ndarray:
+        """2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum."""
+        expo = slopes[0] * self.lifted[0]
+        for i in range(1, self.m):
+            expo = expo + slopes[i] * self.lifted[i]
+        return np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+
+    def jacobian(self, slopes, act) -> np.ndarray:
         """dD/ds over the coordinates ``act`` (a mask) at the slopes of the
         last ``eval``, exact at the optimum its converged q's stand for.
 
@@ -671,9 +681,10 @@ class _MultiSolver:
         is singular all the same.
         """
         jac = []
+        tilt = self._tilt(slopes)
         lifted = self.lifted[act]
         for p, rows, q in zip(self.p, self.rows, self.warm):
-            a = self.tilt[rows]
+            a = tilt[rows]
             alpha = a @ q
             channel = a * q / alpha[:, None]
             lift = lifted[:, rows]
@@ -681,8 +692,10 @@ class _MultiSolver:
             flat = delta.reshape(len(delta), -1)
             cov = (flat * (p[:, None] * channel).reshape(-1)) @ flat.T
             s = np.flatnonzero((q > 0.0) & ((p / alpha) @ a > 1.0 - 1e-6))
-            key = np.rint(a[:, s] * (1.0 / _NEWTON_MERGE))
-            s = s[np.unique(key, axis=1, return_index=True)[1]]  # one letter per column
+            first = {}  # one letter per merged letter, as in ``_newton``
+            for j, k in zip(s, _column_keys(a[:, s])):
+                first.setdefault(k, j)
+            s = np.fromiter(first.values(), int, len(first))
             grad = np.einsum("x,xk,ixk->ki", p / alpha, a[:, s], delta[:, :, s])
             rhs = np.vstack([grad, np.zeros(len(delta))])
             z = np.linalg.solve(_kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
@@ -726,7 +739,7 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
         if not conv or np.any(gap[~act] < 0.0) or probes >= _MAX_SWEEPS:
             break
         try:
-            step = np.linalg.solve(solver.jacobian(act), gap[act])
+            step = np.linalg.solve(solver.jacobian(slopes, act), gap[act])
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(step).all() and 0.0 < gap[act] @ step < math.inf):
@@ -808,7 +821,6 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
         slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
         total_it += it
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
-    gains = [None] * solver.m  # dD_i/ds_i from the last search of slope i
     # Coarse sweeps localize the slopes with relaxed windows, then precise
     # sweeps bind each constraint to DIST_TOL from slopes already close; one
     # constraint is met by one search, so it skips the coarse phase.
@@ -822,9 +834,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
                 if not exact:
                     rate, dvec, it, conv = solver.eval(slopes)
                     total_it += it
-                (slopes[i], rate, dvec, conv), it, exact, gains[i] = _slope_root(
-                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv), gains[i]
-                )
+                (slopes[i], rate, dvec, conv), it, exact = _slope_root(
+                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv))
                 total_it += it
     ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),

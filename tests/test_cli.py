@@ -242,6 +242,17 @@ def test_target_count_mismatch_is_usage_error():
     assert "targets" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rd", "fork", "--vars", "X1", "--targets", "0.1"],
+    ["bounds", "fork", "--targets", "0.3,0.2,0.2"],
+], ids=["rd", "bounds"])
+def test_squared_error_on_binary_variables_is_hamming(argv):
+    # on two letters (x - xhat)^2 is the Hamming distortion
+    rc, out, _ = invoke(argv)
+    assert rc == 0
+    assert invoke(argv + ["--distortion", "squared"]) == (0, out, "")
+
+
 def test_unparseable_target_is_runtime_error():
     rc, _, err = invoke(["rd", "fork", "--vars", "X1", "--targets", "zz"])
     assert rc == 1
@@ -264,6 +275,13 @@ def test_size_guard_env_blocks_joint_work(monkeypatch):
     rc, _, err = invoke(["bounds", "fork", "--targets", "0.1,0.1,0.1"])
     assert rc == 1
     assert "guard" in err.lower()
+    # the brute-force oracle and the joint code's cost are skipped, not failed
+    rc, out, _ = invoke(["verify", "fork"])
+    assert rc == 0
+    assert "check,entropy-oracle,skipped: joint space over guard\n" in out
+    rc, out, _ = invoke(["codec-report", "fork"])
+    assert rc == 0
+    assert "joint_note,skipped: joint alphabet 8 exceeds size guard 4\n" in out
 
 
 def test_entropy_prints_the_marginal_rows_under_any_guard(monkeypatch):
@@ -312,15 +330,20 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (["rd", "fork", "--vars", "X1", "--sweep", "-3"], 2),
     (["sample", "fork", "-n", "-3"], 2),
     (lambda: semrd.default_slope_grid(-3), None),
+    (["rd-cond", "fork", "--side", ",", "--targets", "0.1"], 2),
+    (["lemma2", "fork", "--side", ",", "--targets", "0.1"], 2),
+    (["rd-cond", "fork", "--side", "Y", "--vars", "Y,X1", "--targets", "0.1,0.1"], 2),
 ], ids=["ba_target-nan", "ba_point-nan", "init_slopes-nan", "gaussian-target-nan",
         "rd-targets-nan", "rd-slopes-inf", "bounds-targets-nan", "closed-form-target-nan",
         "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative",
-        "sample-count-negative", "slope-grid-negative"])
+        "sample-count-negative", "slope-grid-negative", "rd-cond-side-empty",
+        "lemma2-side-empty", "rd-cond-vars-in-side"])
 def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
     # a NaN distortion is neither over nor under its target, so a slope
     # search would probe slope 0 forever; a NaN or infinite slope would run
     # the kernel to its iteration cap and return nan; a negative count is a
-    # usage error, as a bad option value is
+    # usage error, as a bad option value is, and so are an empty side set and
+    # a variable named both in --vars and in --side
     def no_solve(self, slopes):
         raise AssertionError(f"solved at slopes {slopes}")
 

@@ -383,6 +383,35 @@ def test_squared_error_target_hits_its_window():
         assert (-pt.slope) * (target - pt.distortion) <= 3e-6
 
 
+@pytest.mark.parametrize("p, d", [
+    ([0.5, 0.5], HAM2),
+    ([0.2, 0.3, 0.5], squared_error_distortion(3)),
+    ([0.5, 0.5], ERASURE),
+    ([0.1, 0.2, 0.7], np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 3.0, 1.0]])),
+], ids=["hamming", "squared", "erasure", "shifted"])
+def test_a_target_at_the_floor_lands_in_one_evaluation(monkeypatch, p, d):
+    # the floor's root is at -inf; the search opens at -1100 over the
+    # smallest positive excess, where every tilt off the floor underflows,
+    # and the reconstruction is lossless
+    calls = _counting_evals(monkeypatch)
+    pt = ba_target(p, d, min_distortion(p, d))
+    excess = d - d.min(axis=1, keepdims=True)
+    assert [slopes for slopes, _, _ in calls] == [(-1100.0 / excess[excess > 0].min(),)]
+    assert pt.converged
+    assert pt.rate == pytest.approx(-float(np.dot(p, np.log2(p))), abs=1e-9)
+
+
+def test_a_conditional_target_at_the_floor_lands_in_one_evaluation(monkeypatch):
+    joint = np.array([[0.3, 0.1], [0.05, 0.2], [0.15, 0.2]])
+    calls = _counting_evals(monkeypatch)
+    pt = ba_conditional_target(joint, squared_error_distortion(3), 0.0)
+    assert [slopes for slopes, _, _ in calls] == [(-1100.0,)]
+    assert pt.converged
+    cond = -float(np.sum(joint * np.log2(joint / joint.sum(axis=0))))  # H(X | Y)
+    assert cond == pytest.approx(1.4086950, abs=1e-7)
+    assert pt.rate == pytest.approx(cond, abs=1e-9)
+
+
 def test_ba_target_monotone_in_target():
     rates = [ba_target([0.5, 0.5], HAM2, t).rate for t in (0.05, 0.1, 0.2, 0.4)]
     assert all(a > b - 1e-9 for a, b in zip(rates, rates[1:]))
@@ -796,7 +825,7 @@ def test_warm_sweep_takes_no_more_iterations_than_cold_solves(name, n):
 
 def test_scene_joint_target_search_opens_near_the_root(monkeypatch):
     # the joint search takes Newton steps on the slope vector: 30 evaluations
-    # with coordinate sweeps alone, 42 before they opened with a gain step
+    # with coordinate sweeps alone, 17 now that each slope search opens on dD/ds
     calls = []
     real_eval = rd._MultiSolver.eval
 
@@ -835,7 +864,7 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
     solver = rd._MultiSolver(arr, dists, side=side is not None)
     s = np.array(slopes)
     assert solver.eval(s)[3]
-    jac = solver.jacobian(s < 0)
+    jac = solver.jacobian(s, s < 0)
     h = 1e-5
     ref = np.empty_like(jac)
     for j in range(len(s)):
@@ -855,7 +884,23 @@ def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
     solver = rd._MultiSolver(joint, [HAM2, HAM2], side=True)
     s = np.array([-3.0, -2.5])
     assert solver.eval(s)[3]
-    assert np.abs(solver.jacobian(s < 0)).max() <= 1e-8
+    assert np.abs(solver.jacobian(s, s < 0)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
+def test_a_slope_search_opens_with_a_newton_step_on_the_exact_derivative(monkeypatch, target):
+    # the second probe is s0 + (T - D0) / J, J = dD/ds at the first probe
+    # from the kernel's KKT system, clamped to [2 s0, s0 / 2]; searches that
+    # opened by doubling or halving probed -5.157, -3.458 and -0.642 second
+    p, d = [0.2, 0.3, 0.5], squared_error_distortion(3)
+    calls = _counting_evals(monkeypatch)
+    assert ba_target(p, d, target).converged
+    (s0,), (s1,) = calls[0][0], calls[1][0]
+    solver = rd._plain_solver(p, d)
+    s = np.array([s0])
+    d0 = float(solver.eval(s)[1][0])
+    jac = float(solver.jacobian(s, s < 0)[0, 0])
+    assert s1 == s0 + min(max((target - d0) / jac, s0), -0.5 * s0)
 
 
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])

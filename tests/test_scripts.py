@@ -62,11 +62,14 @@ def test_solver_digest_census_counts_every_evaluation():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert _main("solver_digest")(["--size", "1"]) == 0
     evals = sum(int(line.split(",")[1]) for line in out.getvalue().splitlines()[1:])
-    census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged",
-                          err.getvalue().splitlines()[-1])
+    *_, jacobians, census = err.getvalue().splitlines()
+    census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged", census)
     assert census is not None
     assert int(census[1]) == evals
     assert int(census[3]) <= evals
+    # every slope search opens on dD/ds, so the census counts those too
+    jacobians = re.fullmatch(r"# (\d+) jacobians", jacobians)
+    assert jacobians is not None and 0 < int(jacobians[1]) < evals
 
 
 def test_solver_digest_exits_1_on_an_unconverged_evaluation(monkeypatch):
