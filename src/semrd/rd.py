@@ -1,70 +1,27 @@
 """Rate-distortion solvers for discrete sources, alone or with side information.
 
-All rates are in bits.  Every solve here is the same problem: R(D) of a
+All rates are in bits.  ``_MultiSolver`` is the one engine: R(D) of a
 discrete source over a product reconstruction alphabet, with one distortion
-constraint per variable and optionally a side variable known at both ends.
-``_MultiSolver`` is the only engine.  The single-variable entry points
-(``ba_point``, ``ba_target``) are its one-constraint case without a side
-axis, and the conditional ones (``ba_conditional``, ``ba_conditional_target``)
-are its one-constraint case with one; each source (each side state's source,
-with a side axis) is normalized by its sum before solving.
+constraint per variable and optionally a side variable known at both ends,
+whose states are solved one by one (each state's source normalized by its
+sum) and summed with weights p(y).  ``ba_point`` and ``ba_target`` are its
+one-constraint case without a side axis, ``ba_conditional`` and
+``ba_conditional_target`` its one-constraint case with one.
 
-The workhorse is an alternating-minimization loop at a fixed slope vector
-s <= 0: the test channel is tilted as
+A solve at a fixed slope vector s <= 0 tilts the test channel as
 
-    Q(xhat | x)  proportional to  q(xhat) * 2^(sum_i s_i * d_i(x_i, xhat_i)),
+    Q(xhat | x)  proportional to  q(xhat) * 2^(sum_i s_i * d_i(x_i, xhat_i))
 
-and the reconstruction marginal q is refreshed from Q until the classic
-upper/lower bound bracket on the parametric objective closes below
-``GAP_TOL_NATS`` (see ``_ba_slope_core``).  With a side axis, each side
-state's q runs that loop on its own and stops on its own bracket, and the
-rate is the p(y)-weighted sum of the states' rates.  Plain update pairs
-alternate with extrapolated steps, and a state whose bracket is still open
-after ``_NEWTON_AFTER`` (30) iterations leaves that loop for active-set
-Newton on q over its own support rows (``_newton``), which stops on the
-same bracket: at fixed slopes the loop is the EM step of a
-maximum-likelihood mixing-weights problem, and EM crawls near some optima
-where Newton converges in a few steps.  Newton drops a letter under
-``_NEWTON_FLOOR`` of the largest only while it shrinks, and where its step
-fails it steps toward the vertex of the letter with the largest c, which
-brings that letter onto its support.  It is the kernel's one rescue for a
-slow state.  An engine remembers which side states any of its solves handed
-to Newton, and every later solve starts them in Newton from the warm start,
-where Newton's quadratic convergence pays off at once.  A solve's
-``iterations`` count both kinds of step, one each, under one cap.  Slopes
-are the Lagrange multipliers of the distortion constraints, so a
-target-distortion solve runs a bracketing secant on each slope; with side
-information the same slopes apply to every side state, which is exactly the
-optimal distortion allocation across side states.
-Every target solve, with one constraint or several, runs the same search
-(``_target_search``): coordinate sweeps (coordinate ascent on the concave
-Lagrange dual), each slope search opening at the point the sweep holds.  A
-search with several constraints first takes Newton steps on the whole slope
-vector (``_slope_newton``), with dD/ds taken exactly from the kernel's KKT
-system at its converged q's (``_MultiSolver.jacobian``), and hands the point
-it holds to the sweeps at the first sign of trouble, such as a jump of D(s)
-or a constraint going slack; a one-constraint search goes straight to its
-slope search.
-Unless the caller seeds them, the search starts each slope whose target lies
-below its zero-rate corner where the test channel with a uniform
-reconstruction marginal meets that target under the coordinate's marginal,
-its distortion matrix read as a multiple of the Hamming one
-(``_uniform_q_slope``, in closed form): for Hamming distortion the Shannon
-lower-bound slope, which is the solution wherever that bound is tight.  A slope
-searched before opens with a Newton step on the gain dD/ds its last search
-measured, so a held point near its target probes near the root instead of
-doubling or halving the slope.  Every solve on one engine is warm-started
-from the reconstruction marginals of the solve before it.
-
-A target point is accepted when its distortion is under the target within
-``DIST_TOL`` *and* the complementary-slackness defect (-s) * (target - D) is
-below a small rate budget — the defect bounds how far the dual value can sit
-from the true constrained minimum, and it is the right test at zero-rate
-corners and on linear curve segments where D(s) jumps across the target.
-With one constraint, a search whose bracket straddles such a jump stops on
-a dual certificate instead: every probe's R - s (D - target) lies under
-R(target) (Blahut 1972), and once the timeshare of the bracket's ends is
-within ``SLACK_TOL`` of the best of them, the timeshare is returned.
+and refines the reconstruction marginal q (``_ba_slope_core``, ``_newton``)
+until its bound bracket closes below ``GAP_TOL_NATS``.  The slopes are the
+Lagrange multipliers of the distortion constraints, and every target solve
+searches them on the concave Lagrange dual (``_target_search``).  A target
+point is accepted (``_accept``) when its distortion is under the target
+within ``DIST_TOL`` and the complementary-slackness defect
+(-s) * (target - D) is under ``SLACK_TOL``: the defect bounds how far the
+dual value sits from the constrained minimum, so the test also holds at
+zero-rate corners and where D(s) jumps across the target.  The README's
+solver section describes the method and its measured behaviour.
 
 The tolerances and iteration caps are the module constants below, and the
 product test-channel tables of every solve are held to ``size_guard()``;
@@ -230,22 +187,13 @@ def _ba_slope_core(p, a, q, max_iters, newton):
         F(q) + 1 - max_xhat c(xhat)  <=  min F  <=  F(q) - sum qc ln c,
 
     and the loop stops once the bracket is tighter than ``GAP_TOL_NATS``.
-    The bracket holds at any interior q, so plain update pairs are
-    interleaved with extrapolated (Steffensen-type) steps that collapse the
-    slow modes appearing at shallow slopes; an extrapolated q is clipped at
-    1e-280 of its largest letter, so every letter stays revivable by the
-    multiplicative update.
-
-    A bracket still open after ``_NEWTON_AFTER`` iterations hands the state
-    to ``_newton``, which stops on the same bracket; it is the kernel's one
-    rescue for a slow state.  The handoff comes early: a state still open
-    after it is most often a few Newton steps from its optimum.  With
-    ``newton`` set the state skips the loop and starts in ``_newton`` at
-    iteration 0, from ``q``.  A Newton step counts as one iteration, so
-    ``iters`` is the Blahut-Arimoto iterations plus the Newton steps, and
-    all of them share ``max_iters``.  Returns (q, iters, converged, handed):
-    ``handed`` is whether the loop handed the state to Newton after
-    ``_NEWTON_AFTER`` iterations (never for a state that started there).
+    The bracket holds at any interior q, so plain update pairs alternate
+    with extrapolated (Steffensen-type) steps, which collapse the slow modes
+    of shallow slopes.  A bracket still open after ``_NEWTON_AFTER``
+    iterations hands the state to ``_newton``; with ``newton`` set the
+    state starts there, at iteration 0.  Both kinds of step count one
+    iteration under ``max_iters``.  Returns (q, iters, converged, handed):
+    ``handed`` is whether the loop handed the state to Newton.
     """
     if newton:
         return (*_newton(p, a, q, 0, max_iters), False)
@@ -286,39 +234,29 @@ def _ba_slope_core(p, a, q, max_iters, newton):
 def _newton(p, a, q, it, max_iters):
     """Active-set Newton on q for one state: p (rows,), a (rows, nh).
 
-    At fixed tilts the kernel minimizes F(q) = -sum p ln(Aq) over the simplex,
-    the maximum-likelihood mixing-weights problem, whose EM step is the
-    Blahut-Arimoto update q <- q c with c = A^T (p / Aq) = -grad F.  Near a
-    slow optimum EM crawls; Newton does not.  Letters whose columns of A
-    round alike to ``_NEWTON_MERGE`` (equal, as where a slope is 0, or apart
-    only by entries far below their rows' maxima of 1, as on a flat face) are
-    merged: Newton moves their total and keeps their ratios, as the
-    Blahut-Arimoto step does, on the column A takes for those ratios.  Where
-    every c <= 1, p / Aq <= 1 on every row (each row has an entry 1), so the
-    merge moves no letter's c by more than rows * ``_NEWTON_MERGE``, far
-    under the stop tolerance.  Newton starts from the merged letters above
-    ``_NEWTON_FLOOR`` of the largest.  Each step works on the support S of
-    the merged q (every letter above 0), joined by the letter that most
-    violates c <= 1 off it, and solves the equality-constrained KKT system
+    At fixed tilts the kernel minimizes F(q) = -sum p ln(Aq) over the
+    simplex, whose EM step is the Blahut-Arimoto update q <- q c with
+    c = A^T (p / Aq) = -grad F.  Letters whose columns of A round alike to
+    ``_NEWTON_MERGE`` (``_column_keys``) are merged: Newton moves their
+    total and keeps their ratios.  Where every c <= 1, p / Aq <= 1 on every
+    row (each row has an entry 1), so the merge moves no letter's c by more
+    than rows * ``_NEWTON_MERGE``, far under the stop tolerance.  Merged
+    letters under ``_NEWTON_FLOOR`` of the largest start off the support S.
+    Each step joins to S the letter off it that most violates c <= 1 and
+    solves
 
         [H 1; 1^T 0] [d; mu] = [c_S - 1; 0],   H = A_S^T diag(p / (Aq)^2) A_S,
 
-    for a step d with sum d = 0 (a letter joining with d <= 0 is left out).
-    A ratio test caps the step where the first letter of S reaches 0, and an
-    Armijo search on F (its decrease taken by log1p, so it stays exact near
-    the optimum) shortens it.  After the step, a letter under the floor drops
-    out of S when it is shrinking (c < 1 where the step started) or rounding
-    left it at or under 0; a letter that joined with c > 1 keeps its first
-    step, however small, and grows.  When the KKT system has no finite
-    descent step (H singular on S, as on a flat face of a linear segment of
-    the curve) or the search along it fails, the state steps along e_k - q
-    on S joined by k, the merged letter of largest c, toward its vertex
-    (Lindsay 1983), under the same search: -dF along it is c_k - 1, at least
-    the gap, so it descends while the bracket is open, and it moves k onto
-    S, as the Blahut-Arimoto direction q (c - 1) cannot for a letter at 0.
-    The stop test is the kernel's bracket over every letter, unmerged, and the
-    state keeps stepping until it closes or the budget runs out.  Returns
-    (q, it, converged): ``it`` counts on from the given count, one per step.
+    for a step d with sum d = 0 (a letter joining with d <= 0 is left out),
+    capped where the first letter of S reaches 0 and shortened by
+    ``_search``.  Where the system gives no finite descent step, or the
+    search fails, the state steps along e_k - q toward the vertex of the
+    merged letter k of largest c (Lindsay 1983): -dF along it is c_k - 1, at
+    least the gap, and it puts k on S.  After a step a letter under the
+    floor leaves S when it is shrinking (c < 1) or rounding left it at or
+    under 0.  The stop test is the kernel's bracket over every letter,
+    unmerged.  Returns (q, it, converged), ``it`` counting on from the given
+    count, one per step.
     """
     ids = {}  # letters whose columns of A round alike are one merged letter
     group = np.array([ids.setdefault(k, len(ids)) for k in _column_keys(a)])
@@ -421,39 +359,31 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
 def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float, held):
     """Move slope i so its own distortion meets the target, the others fixed.
 
-    Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; the
-    distortion D_i is nondecreasing in the slope.  ``held`` is ``(rate,
-    D vector, converged)`` of an exact solve (not a timeshared mix) at the
-    current ``slopes``, and the search opens there.  With a ``gain``
-    g = dD_i/ds_i from an earlier search of this slope and a start below 0,
-    the opening is the Newton step (target - D_i) / g, clamped so the first
-    probe lies in [2s, s/2]; while the probes do not bracket the target,
-    each step is twice the one before (stopping at slope 0).  Without a gain
-    the search doubles away from 0 while the distortion is over the target
-    (from slope 0 the first step is -1) and halves toward 0 (at most three
-    times, then 0 itself) while it is under.  Either way slope 0 is solved
-    only when the walk reaches it, and the start point is not solved again
-    on the way.  The bracket is closed by an Illinois secant; when the
-    distortion jumps over the target the result timeshares across the
-    bracket, which convexity makes exact.  With one constraint, every probe
-    (the held point too) gives the dual bound R - s (D_i - target) <=
-    R(target) on the curve, and while the bracket straddles a jump larger
-    than ``dist_tol`` the search stops as soon as the timeshare is within
-    ``SLACK_TOL`` of the best bound: the guarantee ``_accept`` gives a single
-    point, without closing the bracket.  With several constraints a
-    one-coordinate mix is no joint timeshare, so those searches close the
-    bracket to a width of 1e-13.
+    Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; D_i is
+    nondecreasing in the slope.  The search opens at ``held``, (rate,
+    D vector, converged) of an exact solve at the current ``slopes``.  A
+    held slope below 0 whose solve converged opens with the Newton step
+    (target - D_i) / J_ii, J_ii = dD_i/ds_i from ``solver.jacobian`` (exact
+    only when the held point is the engine's last solve; unused where it is
+    0, as at a zero-rate corner), clamped so the first probe lies in
+    [2s, s/2]; each later step doubles, stopping at 0.  Without it the
+    search doubles away from 0 while over the target (from slope 0 the
+    first step is -1) and, while under, halves toward 0 at most three
+    times, then solves 0 itself.  An Illinois secant closes the bracket,
+    within ``_MAX_EVALS`` probes in all; across a jump of D_i the result
+    timeshares the bracket's ends, which convexity makes exact.  With one
+    constraint every probe gives the dual bound R - s (D_i - target) <=
+    R(target), and a bracket across a jump over ``dist_tol`` stops once the
+    timeshare is within ``SLACK_TOL`` of the best bound; with several, a
+    one-coordinate mix is no joint timeshare, so the bracket closes to a
+    width of 1e-13.
 
-    Every probe is one record ``(slope, rate, D vector, converged)``.
-    Returns (record, total_iters, exact, gain).  ``record`` is the point
-    found; ``slopes[i]`` holds the last probe, so the caller stores the
-    record's slope there.  ``exact`` is False only for a timeshared mix,
-    which no single solve at the returned slope reproduces; a mix counts as
-    converged when both its ends did and, unless the certificate stopped
-    the search, the bracket closed.  ``gain`` is the secant dD_i/ds_i
-    through the final bracket (through the last two points when the search
-    ends before bracketing; None for a timeshared mix or when the secant is
-    not positive) for the next search of this slope to open with.
+    Returns (record, total_iters, exact): ``record`` = (slope, rate,
+    D vector, converged) is the point found, the engine's last solve unless
+    it is the final ``lo``; ``slopes[i]`` holds the last probe, so the
+    caller stores the record's slope there.  ``exact`` is False only for a
+    timeshared mix, which counts as converged when both its ends did and,
+    unless the certificate stopped the search, the bracket closed.
     """
     total = evals = 0
     pt = (slopes[i], *held)
@@ -513,10 +443,9 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
         pt = probe(s)
     if hi[0] == 0.0 and start_at_zero:
-        # The held slope-0 point came before the probe solves concentrated the
-        # reconstruction marginal; the constraint may now be slack at slope 0
-        # exactly, where convergence is clean — preferable to chasing a
-        # vanishing slope it can't resolve.
+        # the probes have moved the warm q since the held slope-0 point: the
+        # constraint may now be slack at slope 0 itself, where a solve is
+        # clean, rather than at a vanishing slope no search resolves
         hi = probe(0.0)
         if _accept(0.0, hi[2][i], target, dist_tol, slack_tol):
             return hi, total, True
@@ -614,18 +543,13 @@ class _MultiSolver:
         the states, ``iters`` the most any state took and ``converged``
         whether every state did.  All-zero slopes give the zero-rate corner
         exactly, with 0 iterations.  A state starts from the uniform q on the
-        first call and from its q of the previous call, as it is, after that:
-        a letter at 0 there comes back through the loop's clip or by joining
-        Newton's support.  A state that the Blahut-Arimoto loop of any
-        earlier call handed to Newton starts this one in Newton (``newton``):
-        next to an optimum that Newton reached, a few Newton steps close its
-        gap where the loop would spend ``_NEWTON_AFTER`` iterations first.  A
-        state that keeps closing its gap in the loop never leaves it.  A
-        warm q that leaves a row of A q under 1e-12 (a slope search that
-        walked one slope to 0 can leave all but one letter at 0) starts over
-        from the uniform q, outside Newton, for this call: no Armijo search
-        passes from it, and ``_kkt_matrix`` would divide by that row.  The
-        call's tilt matrix stays in ``tilt`` for ``jacobian``.
+        first call and from its q of the previous call after that.  A state
+        that the loop of any earlier call handed to Newton starts this one
+        in Newton (``newton``), where a few steps close a gap next to an
+        optimum Newton reached.  A warm q that leaves a row of A q under
+        1e-12 starts over from the uniform q, outside Newton, for this call:
+        no Armijo search passes from it, and ``_kkt_matrix`` would divide by
+        that row.
         """
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
@@ -661,8 +585,8 @@ class _MultiSolver:
         return np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
 
     def jacobian(self, slopes, act) -> np.ndarray:
-        """dD/ds over the coordinates ``act`` (a mask) at the slopes of the
-        last ``eval``, exact at the optimum its converged q's stand for.
+        """dD/ds over the coordinates ``act`` (a mask) at ``slopes``, exact when
+        the last ``eval`` was at ``slopes`` and converged.
 
         For each side state, with Q the test channel a q / (a q) and
         delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
@@ -673,12 +597,10 @@ class _MultiSolver:
         ``_kkt_step``'s matrix [H 1; 1^T 0] with the right-hand sides
         ln2 G, G_ki = sum_x (p / (a q)) a_k delta_i.  Its solution Z gives
         the state's C + G^T Z, and the p(y)-weighted sum is dD/ds, symmetric
-        and positive semidefinite.  Letters of S whose columns of a agree
-        to ``_NEWTON_MERGE``, as a slope at 0 makes them, would leave the
-        system singular; their rows of G agree on the coordinates whose
-        slopes are below 0, so one of them stands for all, and the dD/ds
-        there is the same.  Raises ``np.linalg.LinAlgError`` where the system
-        is singular all the same.
+        and positive semidefinite.  Letters of S that ``_newton`` would merge,
+        as a slope at 0 makes them, would leave the system singular; their
+        rows of G agree on the coordinates below 0, so the first stands for
+        all.  Raises ``np.linalg.LinAlgError`` where it is singular anyway.
         """
         jac = []
         tilt = self._tilt(slopes)
@@ -713,20 +635,19 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
     """Newton on the slope vector of a target search with several constraints.
 
     The Lagrange dual R(s) - s (D(s) - T) is concave in s <= 0, with
-    gradient T - D and Hessian -dD/ds (Blahut 1972), so from the held exact
-    solve ``held`` = (rate, D vector, converged) at ``slopes`` the phase
-    steps s <- s + J^-1 (T - D) on the coordinates below 0, with J = dD/ds
-    from ``_MultiSolver.jacobian``.  A slope that the step would push past 0
-    stops halfway to 0, and one that it would more than double stops at
-    twice its value.  The phase ends, and reports the point it holds, once
-    every constraint passes ``_accept`` at ``DIST_TOL`` and every coordinate
-    below 0 meets its target within 1e-9: that puts the rate on its dual
-    bound.  It hands the point over to the coordinate sweeps at the first
-    sign of trouble: an unconverged solve, a slope at 0 whose distortion is
-    over its target (where the distortion depends on the warm q), a step
-    that is not finite or not ascent, a probe that lowers the dual bound
-    (which is undone, warm starts included), or ``_MAX_SWEEPS`` probes.
-    Returns (slopes, (rate, D vector, converged), iterations).
+    gradient T - D and Hessian -dD/ds (Blahut 1972).  From the held exact
+    solve ``held`` = (rate, D vector, converged) at ``slopes``, the engine's
+    last, each probe steps s <- s + J^-1 (T - D) on the coordinates below 0,
+    J = dD/ds from ``_MultiSolver.jacobian``; a slope that the step would
+    push past 0 stops halfway to 0, and one it would more than double stops
+    at twice its value.  The phase stops once every constraint passes
+    ``_accept`` at ``DIST_TOL`` and every coordinate below 0 meets its
+    target within 1e-9, which puts the rate on its dual bound.  It also
+    stops, handing its point to the sweeps, on an unconverged solve, a slope
+    at 0 over its target, a step that is not finite or not ascent, a probe
+    that lowers the dual bound (undone, warm starts included), or
+    ``_MAX_SWEEPS`` probes.  Returns (slopes, (rate, D vector, converged),
+    iterations).
     """
     rate, dvec, conv = held
     total = probes = 0
@@ -763,37 +684,17 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
 
     Without ``init_slopes``, a coordinate whose target lies at or above its
     zero-rate corner starts at slope 0 and every other one at
-    ``_uniform_q_slope`` of its p(y)-weighted marginal: the slope where the
-    test channel with a uniform q meets the target for the matrix read as a
-    multiple of the Hamming one, the Shannon lower-bound slope
-    log2(D / ((k - 1)(1 - D))) for Hamming distortion.  Where that
-    bound is tight the first solve lands on the target; elsewhere the search
-    starts near the root.
-
-    With several constraints, Newton steps on the slope vector come first
-    (``_slope_newton``).  Where they meet every target within 1e-9 the
-    search reports that point, on its dual bound; otherwise they hand the
-    exact point they hold to the coordinate sweeps, which also run alone
-    for one constraint.
-
-    Coordinate sweeps adjust one slope at a time to meet its own target (or
-    park it at 0 when the constraint goes slack), holding the others — this is
-    coordinate ascent on the concave Lagrange dual, warm-started between
-    evaluations.  Each adjustment opens its slope search at the point the
-    sweep holds for the current slope vector, so that point is not solved
-    again and slope 0 is solved only when the search walks to it; a held
-    timeshared mix is first re-solved at the slopes it sits at.  The search
-    keeps one gain per coordinate, g_i = dD_i/ds_i, the secant through the
-    final bracket of that slope's last search: a coordinate searched again
-    (in a later sweep, or in the precise phase) first probes the Newton
-    point s_i - (D_i - target_i) / g_i rather than doubling or halving its
-    slope, so a held point that is already close probes near the root and
-    the next warm start stays close too.  A phase stops sweeping once all
-    constraints check out (or after ``_MAX_SWEEPS`` sweeps), and the point
-    the sweep holds then is the one reported: an exact solve, or a
-    timeshared mix across a jump of D(s).  It counts as converged when its
-    solves closed their brackets and every constraint passes ``_accept`` at
-    ``DIST_TOL``.
+    ``_uniform_q_slope`` of its p(y)-weighted marginal.  With several
+    constraints ``_slope_newton`` runs first, and where it meets every
+    target within 1e-9 its point, on the dual bound, is reported.
+    Otherwise coordinate sweeps (coordinate ascent on the concave Lagrange
+    dual) move one slope at a time by ``_slope_root``, each search opening
+    at the point the sweep holds; a held timeshared mix is first solved
+    again at its slopes, so every search opens at the engine's last solve.
+    At most ``_MAX_SWEEPS`` sweeps run per phase.  The point the sweep holds
+    at the end is reported: an exact solve, or a timeshared mix across a
+    jump of D(s).  It counts as converged when its solves closed their
+    brackets and every constraint passes ``_accept`` at ``DIST_TOL``.
     """
     targets = np.asarray(targets, float)
     if not np.all(targets >= 0):  # also a NaN
@@ -821,9 +722,8 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
         slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
         total_it += it
     exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
-    # Coarse sweeps localize the slopes with relaxed windows, then precise
-    # sweeps bind each constraint to DIST_TOL from slopes already close; one
-    # constraint is met by one search, so it skips the coarse phase.
+    # Coarse sweeps (windows 1e-4) localize the slopes, then precise ones bind
+    # each constraint from slopes already close; one search meets one constraint.
     for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL))[solver.m == 1:]:
         for _ in range(_MAX_SWEEPS):
             if all(_accept(slopes[i], dvec[i], targets[i], dtol, stol) for i in range(solver.m)):
