@@ -11,9 +11,11 @@ calls it made and a SHA-256 over each call (slopes in; rate, distortion
 vector, iterations and convergence out) followed by the repr of the returned
 report.  Two trees whose rows all match ran the same solves bit for bit, so a
 refactor of the target search can be checked against its parent with
-``diff``.  A census goes to stderr: the ``_MultiSolver.jacobian`` calls
-(each slope search opens on dD/ds) on one line, then the evaluations, the
-iterations they took, and the evaluations that returned ``converged=False``.
+``diff``.  A census goes to stderr: the evaluations of each case group
+(the name before the first colon) on one line, the ``_MultiSolver.jacobian``
+calls (each slope search opens on dD/ds) on the next, then the evaluations,
+the iterations they took, and the evaluations that returned
+``converged=False``.
 Exits 1 when any evaluation returned ``converged=False``.
 """
 
@@ -82,6 +84,7 @@ def main(argv=None):
     print("case,evals,sha256")
     t0 = time.perf_counter()
     rows = 0
+    groups = {}  # evaluations per case group, in case order
     rd._MultiSolver.eval, rd._MultiSolver.jacobian = eval_logged, jacobian_counted
     try:
         for name, solve in _cases(args.size):
@@ -92,10 +95,14 @@ def main(argv=None):
                 h.update(record)
             h.update(repr(report).encode())
             print(f"{name},{len(log)},{h.hexdigest()}", flush=True)
+            group = name.split(":")[0]
+            groups[group] = groups.get(group, 0) + len(log)
             rows += 1
     finally:
         rd._MultiSolver.eval, rd._MultiSolver.jacobian = real_eval, real_jacobian
     print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    print("# evaluations by group: " + ", ".join(f"{g} {n}" for g, n in groups.items()),
+          file=sys.stderr)
     print(f"# {census[3]} jacobians", file=sys.stderr)
     print(f"# {census[0]} evaluations, {census[1]} iterations, {census[2]} unconverged",
           file=sys.stderr)

@@ -209,28 +209,40 @@ def make_net(
 ) -> BayesNet:
     """Build a network from (name, cardinality) pairs and (child, parents, rows) CPTs.
 
+    A cardinality is an integer or an integral float; every variable needs
+    exactly one CPT, and every name a CPT gives must be a declared variable.
     The topological order is computed from the parent structure; if the edges
     contain a cycle the declaration order is kept so that ``validate`` can
     report it.
     """
-    vs = tuple(Variable(i, name, int(card)) for i, (name, card) in enumerate(variables))
+    vs = []
+    for i, (name, card) in enumerate(variables):
+        if isinstance(card, float) and card.is_integer():
+            card = int(card)
+        if not isinstance(card, (int, np.integer)):
+            raise SchemaError(f"variables[{i}].cardinality must be an integer, got {card!r}")
+        vs.append(Variable(i, name, int(card)))
     by_name = {v.name: v.id for v in vs}
     if len(by_name) != len(vs):
         raise SchemaError("variable names must be unique")
     cpt_map: dict[int, Cpt] = {}
     for child, parents, rows in cpts:
         for name in (child, *parents):
-            if name not in by_name:
+            if not isinstance(name, str) or name not in by_name:
                 raise SchemaError(f"cpt references unknown variable {name!r}")
         cid = by_name[child]
-        pids = tuple(by_name[p] for p in parents)
+        if cid in cpt_map:
+            raise SchemaError(f"duplicate cpt for variable {child!r}")
         table = np.array(rows, dtype=float)  # a copy: the net freezes its tables
         if table.ndim == 1:
             table = table.reshape(1, -1)
-        cpt_map[cid] = Cpt(cid, pids, table)
-    ordered = tuple(cpt_map.get(i) or Cpt(i, (), np.zeros((1, vs[i].cardinality))) for i in range(len(vs)))
+        cpt_map[cid] = Cpt(cid, tuple(by_name[p] for p in parents), table)
+    for v in vs:
+        if v.id not in cpt_map:
+            raise SchemaError(f"missing cpt for variable {v.name!r}")
+    ordered = tuple(cpt_map[i] for i in range(len(vs)))
     order = _kahn(ordered, len(vs))
-    return BayesNet(vs, ordered, tuple(order) if len(order) == len(vs) else tuple(range(len(vs))))
+    return BayesNet(tuple(vs), ordered, tuple(order) if len(order) == len(vs) else tuple(range(len(vs))))
 
 
 def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
@@ -525,36 +537,15 @@ def net_from_dict(doc: dict) -> BayesNet:
     for key in ("variables", "edges", "cpts"):
         if key not in doc:
             raise SchemaError(f"missing top-level key {key!r}")
-    names: list[str] = []
-    cards: list[int] = []
+    variables = []
     for k, v in enumerate(_list(doc["variables"], "variables")):
         if not isinstance(v, dict) or "name" not in v or "cardinality" not in v:
             raise SchemaError(f"variables[{k}] must have 'name' and 'cardinality'")
-        names.append(str(v["name"]))
-        card = v["cardinality"]
-        if isinstance(card, float) and card.is_integer():
-            card = int(card)
-        if not isinstance(card, int):
-            raise SchemaError(f"variables[{k}].cardinality must be an integer, got {card!r}")
-        cards.append(int(card))
-    if len(set(names)) != len(names):
-        raise SchemaError("variable names must be unique")
-    by_name = {n: i for i, n in enumerate(names)}
-
-    def _resolve(name, where):
-        if not isinstance(name, str) or name not in by_name:
-            raise SchemaError(f"{where} references unknown variable {name!r}")
-        return by_name[name]
-
-    cpt_specs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+        variables.append((str(v["name"]), v["cardinality"]))
+    cpts = []
     for k, c in enumerate(_list(doc["cpts"], "cpts")):
         if not isinstance(c, dict) or not {"child", "parents", "rows"} <= set(c):
             raise SchemaError(f"cpts[{k}] must have 'child', 'parents', 'rows'")
-        cid = _resolve(c["child"], f"cpts[{k}]")
-        if cid in cpt_specs:
-            raise SchemaError(f"duplicate cpt for variable {names[cid]!r}")
-        pids = tuple(_resolve(p, f"cpts[{k}].parents")
-                     for p in _list(c["parents"], f"cpts[{k}].parents"))
         try:
             table = np.array(c["rows"], dtype=float)
         except (TypeError, ValueError) as e:
@@ -565,25 +556,23 @@ def net_from_dict(doc: dict) -> BayesNet:
             sums = table.sum(axis=1)
         near = np.abs(sums - 1.0) <= _LOAD_RENORM_TOL
         table[near] /= sums[near, None]
-        cpt_specs[cid] = (pids, table)
-    missing = [names[i] for i in range(len(names)) if i not in cpt_specs]
-    if missing:
-        raise SchemaError(f"missing cpts entry for {missing[0]!r}")
+        cpts.append((c["child"], _list(c["parents"], f"cpts[{k}].parents"), table))
+    net = make_net(variables, cpts)
 
-    declared = set()
+    names, declared = net.names, set()
     for k, e in enumerate(_list(doc["edges"], "edges")):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edges[{k}] must be a [parent, child] pair")
-        declared.add((_resolve(e[0], f"edges[{k}]"), _resolve(e[1], f"edges[{k}]")))
-    implied = {(p, cid) for cid, (pids, _) in cpt_specs.items() for p in pids}
+        for name in e:
+            if not isinstance(name, str) or name not in names:
+                raise SchemaError(f"edges[{k}] references unknown variable {name!r}")
+        declared.add(tuple(e))
+    implied = {(names[p], names[c.child]) for c in net.cpts for p in c.parents}
     if declared != implied:
         raise SchemaError(
             f"edges disagree with cpt parent lists: declared {sorted(declared)}, "
             f"implied {sorted(implied)}"
         )
-
-    net = make_net(list(zip(names, cards)), [(names[i], [names[p] for p in pids], table)
-                                             for i, (pids, table) in cpt_specs.items()])
     rep = validate(net)
     if not rep.ok:
         raise SchemaError(rep.violations[0])

@@ -92,8 +92,7 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
         lo = up if not cpt.parents else ba_conditional_target(
             (p_pa[:, None] * cpt.table).T, d, targets[i])  # p(x_i, parent config)
         terms.append((up, lo))
-    jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)],
-                               targets, init_slopes=[lo.slope for _, lo in terms])
+    jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)], targets)
     upper_terms = tuple(up.rate for up, _ in terms)
     lower_terms = tuple(lo.rate for _, lo in terms)
     lower = float(sum(lower_terms))

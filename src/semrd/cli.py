@@ -272,6 +272,10 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
     else:
         if args.sweep < 0:
             raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
+        guard = size_guard()
+        if args.sweep * len(vars_) > guard:  # as ``sample`` holds its n x m table
+            raise SizeGuardError(f"--sweep {args.sweep}: {args.sweep}x{len(vars_)} slope table "
+                                 f"exceeds guard {guard}")
         # one solver for the whole grid: each slope warm-starts from the last
         solver = _MultiSolver(arr, dists, side=True)
         grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]

@@ -25,7 +25,7 @@ solver section describes the method and its measured behaviour.
 
 The tolerances and iteration caps are the module constants below, and the
 product test-channel tables of every solve are held to ``size_guard()``;
-the one option is ``init_slopes`` of the multi-constraint target solve.
+the solvers take no options.
 Targets must be numbers and slopes finite: a NaN target or an infinite
 slope is refused before any solve.
 
@@ -679,14 +679,14 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
     return slopes, (rate, dvec, conv), total
 
 
-def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
+def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     """Rate at per-variable distortion targets: the one target search.
 
-    Without ``init_slopes``, a coordinate whose target lies at or above its
-    zero-rate corner starts at slope 0 and every other one at
-    ``_uniform_q_slope`` of its p(y)-weighted marginal.  With several
-    constraints ``_slope_newton`` runs first, and where it meets every
-    target within 1e-9 its point, on the dual bound, is reported.
+    A coordinate whose target lies at or above its zero-rate corner starts
+    at slope 0 and every other one at ``_uniform_q_slope`` of its
+    p(y)-weighted marginal.  With several constraints ``_slope_newton``
+    runs first, and where it meets every target within 1e-9 its point, on
+    the dual bound, is reported.
     Otherwise coordinate sweeps (coordinate ascent on the concave Lagrange
     dual) move one slope at a time by ``_slope_root``, each search opening
     at the point the sweep holds; a held timeshared mix is first solved
@@ -708,15 +708,9 @@ def _target_search(solver: _MultiSolver, targets, init_slopes=None) -> RdPoint:
             )
     if np.all(targets >= solver.trivs - 1e-15):
         return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
-    if init_slopes is not None:
-        slopes = np.asarray(init_slopes, float)
-        if slopes.shape != (solver.m,) or not np.isfinite(slopes).all():
-            raise InvalidStateError(f"init_slopes must be {solver.m} finite slopes, got {slopes.tolist()}")
-        slopes = np.minimum(slopes, 0.0)
-    else:
-        slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
-                           _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
-                           for i in range(solver.m)])
+    slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
+                       _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
+                       for i in range(solver.m)])
     rate, dvec, total_it, conv = solver.eval(slopes)
     if solver.m > 1:
         slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
@@ -809,12 +803,10 @@ def ba_joint_multi(joint, dists, slopes, *, side: bool = False) -> RdPoint:
     return _fixed_slope_points(_MultiSolver(joint, dists, side), [slopes])[0]
 
 
-def ba_joint_multi_target(joint, dists, targets, *, side: bool = False,
-                          init_slopes: Sequence[float] | None = None) -> RdPoint:
+def ba_joint_multi_target(joint, dists, targets, *, side: bool = False) -> RdPoint:
     """Joint rate at per-variable distortion targets, by the target search
-    that every target solve runs (see ``_target_search``).  ``init_slopes``
-    can seed the sweep, e.g. with slopes from per-variable solves."""
-    return _target_search(_MultiSolver(joint, dists, side), targets, init_slopes)
+    that every target solve runs (see ``_target_search``)."""
+    return _target_search(_MultiSolver(joint, dists, side), targets)
 
 
 # ---------------------------------------------------------------------------

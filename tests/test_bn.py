@@ -252,6 +252,29 @@ def test_make_net_copies_the_rows_it_is_given():
     assert net.cpts[0].table.tolist() == [[0.5, 0.5]]
 
 
+@pytest.mark.parametrize("variables, cpts", [
+    ([("A", 2)], [("A", [], [[0.5, 0.5]]), ("A", [], [[0.9, 0.1]])]),
+    ([("A", 2), ("B", 2)], [("A", [], [[0.5, 0.5]])]),
+    ([("A", 2.7)], [("A", [], [[0.5, 0.5]])]),
+    ([("A", "2")], [("A", [], [[0.5, 0.5]])]),
+], ids=["duplicate-cpt", "missing-cpt", "fractional-cardinality", "string-cardinality"])
+def test_make_net_rejects_what_net_from_dict_rejects(variables, cpts):
+    # one builder holds every rule, so a net built in code passes the same checks
+    with pytest.raises(SchemaError):
+        make_net(variables, cpts)
+
+
+def test_make_net_reads_an_integral_float_cardinality():
+    assert make_net([("A", 2.0)], [("A", [], [[0.5, 0.5]])]).cards == (2,)
+
+
+def test_an_edge_naming_an_unknown_variable_is_a_schema_error():
+    doc = _one_var_doc()
+    for edge in (["A", "Z"], [["A"], "A"]):
+        with pytest.raises(SchemaError, match="unknown variable"):
+            net_from_dict({**doc, "edges": [edge]})
+
+
 def test_make_net_rejects_duplicate_names():
     with pytest.raises(SchemaError):
         make_net([("A", 2), ("A", 2)], [("A", [], [[0.5, 0.5]])])

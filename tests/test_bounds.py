@@ -155,6 +155,20 @@ def test_bounds_refuse_a_net_over_the_guard_before_any_solve(monkeypatch, scene_
         lemma1_bounds(scene_net, (0.1, 0.1, 0.1, 0.1))
 
 
+@pytest.mark.parametrize("name, targets", [
+    ("fork", (0.1, 0.05, 0.2)),
+    ("chain", (0.1, 0.05, 0.2)),
+    ("scene", (0.16, 0.163, 0.067, 0.103)),
+])
+def test_lemma1_joint_rate_is_the_joint_solve_of_the_source(request, name, targets):
+    # R(D_1..D_m) depends on the source alone: the sandwich's middle term is
+    # the joint target solve on the cut, not one seeded by the outer terms
+    net = request.getfixturevalue(f"{name}_net")
+    joint = _side_first_array(net, [], range(net.m))[0]
+    dists = [hamming_distortion(k) for k in net.cards]
+    assert lemma1_bounds(net, targets).joint == ba_joint_multi_target(joint, dists, targets).rate
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=5_000))
 def test_sandwich_holds_on_random_nets(seed):

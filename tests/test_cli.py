@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import semrd
@@ -221,6 +220,24 @@ def test_bounds_subcommand(tmp_path):
     assert vals[-1] == "true"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fork", "--targets", "0.1,0.05,0.2"],
+    ["chain", "--targets", "0.1,0.05,0.2"],
+    ["scene", "--targets", "0.16,0.163,0.067,0.103"],
+], ids=["fork", "chain", "scene"])
+def test_bounds_prints_the_joint_rate_that_rd_prints(argv):
+    rc, bounds_out, _ = invoke(["bounds", *argv])
+    assert rc == 0
+    rc, rd_out, _ = invoke(["rd", *argv])
+    assert rc == 0
+
+    def column(out, name):
+        header, row = out.strip().splitlines()
+        return row.split(",")[header.split(",").index(name)]
+
+    assert column(bounds_out, "joint_bits") == column(rd_out, "rate_bits")
+
+
 def test_lemma2_subcommand():
     rc, out, _ = invoke(["lemma2", "fork", "--side", "Y", "--targets", "0.05,0.05"])
     assert rc == 0
@@ -284,6 +301,20 @@ def test_size_guard_env_blocks_joint_work(monkeypatch):
     assert "joint_note,skipped: joint alphabet 8 exceeds size guard 4\n" in out
 
 
+@pytest.mark.parametrize("command", ["rd", "rd-cond"])
+def test_slope_sweeps_obey_the_size_guard(monkeypatch, command):
+    # an N x k slope table is held to the guard as ``sample``'s n x m table is
+    side = ["--side", "Y"] if command == "rd-cond" else []
+    argv = [command, "fork", *side, "--vars", "X1", "--sweep"]
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "16")
+    rc, out, err = invoke(argv + ["40"])
+    assert (rc, out) == (1, "")
+    assert "40x1 slope table exceeds guard 16" in err
+    rc, out, _ = invoke(argv + ["16"])
+    assert rc == 0
+    assert len(out.strip().splitlines()) == 1 + 16
+
+
 def test_entropy_prints_the_marginal_rows_under_any_guard(monkeypatch):
     # both rows come from the per-node marginals: no joint table is built
     _, full, _ = invoke(["entropy", "fork"])
@@ -318,8 +349,6 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
 @pytest.mark.parametrize("call, code", [
     (lambda: semrd.ba_target([0.5, 0.5], _HAM2, _NAN), None),
     (lambda: semrd.ba_point([0.5, 0.5], _HAM2, _NAN), None),
-    (lambda: semrd.ba_joint_multi_target(np.full((2, 2), 0.25), [_HAM2, _HAM2], (0.1, 0.1),
-                                         init_slopes=[_NAN, -1.0]), None),
     (lambda: semrd.gaussian_conditional_rd(1.0, 0.0, _NAN), None),
     (["rd", "fork", "--vars", "X1", "--targets", "nan"], 1),
     (["rd", "fork", "--vars", "X1", "--slopes=-inf"], 1),
@@ -333,7 +362,7 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (["rd-cond", "fork", "--side", ",", "--targets", "0.1"], 2),
     (["lemma2", "fork", "--side", ",", "--targets", "0.1"], 2),
     (["rd-cond", "fork", "--side", "Y", "--vars", "Y,X1", "--targets", "0.1,0.1"], 2),
-], ids=["ba_target-nan", "ba_point-nan", "init_slopes-nan", "gaussian-target-nan",
+], ids=["ba_target-nan", "ba_point-nan", "gaussian-target-nan",
         "rd-targets-nan", "rd-slopes-inf", "bounds-targets-nan", "closed-form-target-nan",
         "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative",
         "sample-count-negative", "slope-grid-negative", "rd-cond-side-empty",

@@ -583,16 +583,13 @@ def test_multi_argument_validation():
     lambda: ba_target([0.5, 0.5], np.zeros((2, 0)), 0.1),
     lambda: ba_conditional_target(np.full((2, 2), 0.25), np.zeros((2, 0)), 0.1),
     lambda: ba_joint_multi(np.full((2, 2), 0.25), [HAM2, np.zeros((2, 0))], (-1.0, -1.0)),
-    lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, HAM2], (0.1, 0.1), init_slopes=[-1.0]),
-    lambda: ba_joint_multi_target(np.full((2, 2), 0.25), [HAM2, HAM2], (0.1, 0.1),
-                                  init_slopes=[-1.0, -1.0, -1.0]),
     lambda: ba_joint_multi_target(np.ones(()), [], []),
 ], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target",
         "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint",
         "trivial_distortion", "min_distortion", "trivial_distortion-nan-entry",
         "min_distortion-nan-entry", "trivial_distortion-no-column", "min_distortion-no-column",
         "ba_point-no-column", "ba_target-no-column", "ba_conditional_target-no-column",
-        "ba_joint_multi-no-column", "init_slopes-short", "init_slopes-long", "no-variables"])
+        "ba_joint_multi-no-column", "no-variables"])
 def test_distortion_rows_must_match_cardinality(solve):
     with pytest.raises(InvalidStateError):
         solve()

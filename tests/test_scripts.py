@@ -62,10 +62,17 @@ def test_solver_digest_census_counts_every_evaluation():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert _main("solver_digest")(["--size", "1"]) == 0
     evals = sum(int(line.split(",")[1]) for line in out.getvalue().splitlines()[1:])
-    *_, jacobians, census = err.getvalue().splitlines()
+    *_, groups, jacobians, census = err.getvalue().splitlines()
     census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged", census)
     assert census is not None
     assert int(census[1]) == evals
+    # the per-group totals split the same count, one entry per case group
+    groups = re.fullmatch(r"# evaluations by group: (.*)", groups)
+    assert groups is not None
+    by_group = dict(entry.rsplit(" ", 1) for entry in groups[1].split(", "))
+    assert list(by_group) == ["test7", "test8", "erasure", "erasure-cond", "erasure-joint",
+                              "bounds-scene"]
+    assert sum(map(int, by_group.values())) == int(census[1])
     assert int(census[3]) <= evals
     # every slope search opens on dD/ds, so the census counts those too
     jacobians = re.fullmatch(r"# (\d+) jacobians", jacobians)
