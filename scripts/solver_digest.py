@@ -12,10 +12,11 @@ vector, iterations and convergence out) followed by the repr of the returned
 report.  Two trees whose rows all match ran the same solves bit for bit, so a
 refactor of the target search can be checked against its parent with
 ``diff``.  A census goes to stderr: the evaluations of each case group
-(the name before the first colon) on one line, the ``_MultiSolver.jacobian``
-calls (each slope search opens on dD/ds) on the next, then the evaluations,
-the iterations they took, and the evaluations that returned
-``converged=False``.
+(the name before the first colon) on one line, the side-state starts that
+opened at the closed-form optimum and those that fell back to the uniform q
+on the next, then the ``_MultiSolver.jacobian`` calls (each slope search
+opens on dD/ds), then the evaluations, the iterations they took, and the
+evaluations that returned ``converged=False``.
 Exits 1 when any evaluation returned ``converged=False``.
 """
 
@@ -65,8 +66,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     real_eval, real_jacobian = rd._MultiSolver.eval, rd._MultiSolver.jacobian
+    real_closed_form = rd._closed_form_q
     log = []
     census = [0, 0, 0, 0]  # evaluations, iterations, unconverged evaluations, jacobians
+    starts = [0, 0]  # state starts at the closed form, at the uniform q
 
     def eval_logged(self, slopes):
         rate, dvec, its, conv = out = real_eval(self, slopes)
@@ -81,11 +84,17 @@ def main(argv=None):
         census[3] += 1
         return real_jacobian(self, slopes, act)
 
+    def closed_form_counted(p, a):
+        q = real_closed_form(p, a)
+        starts[q is None] += 1
+        return q
+
     print("case,evals,sha256")
     t0 = time.perf_counter()
     rows = 0
     groups = {}  # evaluations per case group, in case order
     rd._MultiSolver.eval, rd._MultiSolver.jacobian = eval_logged, jacobian_counted
+    rd._closed_form_q = closed_form_counted
     try:
         for name, solve in _cases(args.size):
             log.clear()
@@ -100,9 +109,11 @@ def main(argv=None):
             rows += 1
     finally:
         rd._MultiSolver.eval, rd._MultiSolver.jacobian = real_eval, real_jacobian
+        rd._closed_form_q = real_closed_form
     print(f"# {rows} cases in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     print("# evaluations by group: " + ", ".join(f"{g} {n}" for g, n in groups.items()),
           file=sys.stderr)
+    print(f"# state starts: {starts[0]} closed form, {starts[1]} uniform", file=sys.stderr)
     print(f"# {census[3]} jacobians", file=sys.stderr)
     print(f"# {census[0]} evaluations, {census[1]} iterations, {census[2]} unconverged",
           file=sys.stderr)

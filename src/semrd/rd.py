@@ -13,15 +13,19 @@ A solve at a fixed slope vector s <= 0 tilts the test channel as
     Q(xhat | x)  proportional to  q(xhat) * 2^(sum_i s_i * d_i(x_i, xhat_i))
 
 and refines the reconstruction marginal q (``_ba_slope_core``, ``_newton``)
-until its bound bracket closes below ``GAP_TOL_NATS``.  The slopes are the
-Lagrange multipliers of the distortion constraints, and every target solve
-searches them on the concave Lagrange dual (``_target_search``).  A target
-point is accepted (``_accept``) when its distortion is under the target
-within ``DIST_TOL`` and the complementary-slackness defect
-(-s) * (target - D) is under ``SLACK_TOL``: the defect bounds how far the
-dual value sits from the constrained minimum, so the test also holds at
-zero-rate corners and where D(s) jumps across the target.  The README's
-solver section describes the method and its measured behaviour.
+until its bound bracket closes below ``GAP_TOL_NATS``.  Each side state
+starts from its q of the engine's previous solve; a state that starts over
+opens at the closed-form optimum (``_closed_form_q``) where its tilt is
+small and square and every letter is active, else at the uniform q.  The
+slopes are the Lagrange multipliers of the distortion constraints, and
+every target solve searches them on the concave Lagrange dual
+(``_target_search``).  A target point is accepted (``_accept``) when its
+distortion is under the target within ``DIST_TOL`` and the
+complementary-slackness defect (-s) * (target - D) is under ``SLACK_TOL``:
+the defect bounds how far the dual value sits from the constrained
+minimum, so the test also holds at zero-rate corners and where D(s) jumps
+across the target.  The README's solver section describes the method and
+its measured behaviour.
 
 The tolerances and iteration caps are the module constants below, and the
 product test-channel tables of every solve are held to ``size_guard()``;
@@ -172,6 +176,34 @@ def _uniform_q_slope(p, d, target: float) -> float:
         unit = float(p @ g.sum(axis=1)) / (n - 1)  # c for c times Hamming
         return math.log2(t / ((n - 1) * (unit - t))) / unit
     return -1100.0 / float(np.min(g, where=g > 0.0, initial=math.inf))
+
+
+def _closed_form_q(p, a):
+    """The kernel's optimum q in closed form where every letter is active
+    there, else None.
+
+    With a square tilt A, c = A^T (p / Aq) = 1 on every letter at
+    q = A^-1 (p / r), r = A^-T 1: the backward-channel solution behind the
+    Shannon lower bound (Berger 1971, 2.5; Blahut 1972), the optimum when
+    r > 0 and q > 0.  Only tilts of at most 2 ``_NEWTON_AFTER`` letters are
+    inverted, where the O(n^3) inverse costs less than the Blahut-Arimoto
+    steps it saves.  None also where A is singular or q is not finite.  An
+    inexact q costs the kernel iterations, not its answer: the bracket
+    still decides where it stops.
+    """
+    n = a.shape[1]
+    if a.shape[0] != n or n > 2 * _NEWTON_AFTER:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return None
+        r = inv.sum(axis=0)
+        q = inv @ (p / r)
+        if (r > 0.0).all() and (q > 0.0).all() and q.sum() < math.inf:  # also a NaN
+            return q / q.sum()
+    return None
 
 
 def _ba_slope_core(p, a, q, max_iters, newton):
@@ -522,6 +554,7 @@ class _MultiSolver:
         self.p = [c[rows] for c, rows in zip(conds, self.rows)]
         self.warm = [None] * len(ys)
         self.newton = np.zeros(len(ys), bool)  # the states any solve handed to Newton
+        self.solved = None  # the last eval's slopes and each state's (a, A q, channel)
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
@@ -542,19 +575,22 @@ class _MultiSolver:
         rows; the rate and the distortions are the p(y)-weighted sums over
         the states, ``iters`` the most any state took and ``converged``
         whether every state did.  All-zero slopes give the zero-rate corner
-        exactly, with 0 iterations.  A state starts from the uniform q on the
-        first call and from its q of the previous call after that.  A state
-        that the loop of any earlier call handed to Newton starts this one
-        in Newton (``newton``), where a few steps close a gap next to an
-        optimum Newton reached.  A warm q that leaves a row of A q under
-        1e-12 starts over from the uniform q, outside Newton, for this call:
-        no Armijo search passes from it, and ``_kkt_matrix`` would divide by
-        that row.
+        exactly, with 0 iterations.  A state starts from its q of the
+        previous call, and a state that the loop of any earlier call handed
+        to Newton starts this one in Newton (``newton``), where a few steps
+        close a gap next to an optimum Newton reached.  A state starts over,
+        outside Newton, on its first call and where its warm q leaves a row
+        of A q under 1e-12 (no Armijo search passes from such a q, and
+        ``_kkt_matrix`` would divide by that row): from ``_closed_form_q``,
+        the optimum itself where every letter is active there, else from the
+        uniform q.  The slopes and each state's tilt, A q and test channel
+        are kept in ``solved`` for ``jacobian``.
         """
+        self.solved = None
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
         tilt = self._tilt(slopes)
-        parts, iters, converged = [], 0, True
+        parts, states, iters, converged = [], [], 0, True
         for k, (p, rows) in enumerate(zip(self.p, self.rows)):
             a = tilt[rows]
             q, newton = self.warm[k], self.newton[k]
@@ -562,12 +598,15 @@ class _MultiSolver:
             # each row of the tilt holds a 1, so A q >= min q: only a q with
             # letters near 0 can leave a row of A q near 0
             if not (low >= 0.0 and q.sum() > 0.0) or (low < 1e-12 and (a @ q).min() < 1e-12):
-                q, newton = np.full(self.nh, 1.0 / self.nh), False
+                q, newton = _closed_form_q(p, a), False
+                if q is None:
+                    q = np.full(self.nh, 1.0 / self.nh)
             q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, newton)
             self.newton[k] |= handed
             self.warm[k] = q
             iters, converged = max(iters, its), converged and conv
-            channel = a * q / (a @ q)[:, None]
+            alpha, channel = _test_channel(a, q)
+            states.append((a, alpha, channel))
             qm = p @ channel
             pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
             info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
@@ -575,6 +614,7 @@ class _MultiSolver:
             parts.append([rate, *(p @ np.add.reduce(channel * lift[rows], axis=1)
                                   for lift in self.lifted)])
         total = _state_sum(self.weights, np.array(parts))
+        self.solved = tuple(map(float, slopes)), states
         return total[0], total[1:], iters, converged
 
     def _tilt(self, slopes) -> np.ndarray:
@@ -586,7 +626,8 @@ class _MultiSolver:
 
     def jacobian(self, slopes, act) -> np.ndarray:
         """dD/ds over the coordinates ``act`` (a mask) at ``slopes``, exact when
-        the last ``eval`` was at ``slopes`` and converged.
+        the last ``eval`` was at ``slopes`` and converged; it then reuses that
+        solve's tilts, A q and channels (``solved``).
 
         For each side state, with Q the test channel a q / (a q) and
         delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
@@ -602,13 +643,15 @@ class _MultiSolver:
         rows of G agree on the coordinates below 0, so the first stands for
         all.  Raises ``np.linalg.LinAlgError`` where it is singular anyway.
         """
+        if self.solved is not None and self.solved[0] == tuple(map(float, slopes)):
+            states = self.solved[1]
+        else:
+            tilt = self._tilt(slopes)
+            states = [(tilt[rows], *_test_channel(tilt[rows], q))
+                      for rows, q in zip(self.rows, self.warm)]
         jac = []
-        tilt = self._tilt(slopes)
         lifted = self.lifted[act]
-        for p, rows, q in zip(self.p, self.rows, self.warm):
-            a = tilt[rows]
-            alpha = a @ q
-            channel = a * q / alpha[:, None]
+        for p, rows, q, (a, alpha, channel) in zip(self.p, self.rows, self.warm, states):
             lift = lifted[:, rows]
             delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
             flat = delta.reshape(len(delta), -1)
@@ -623,6 +666,12 @@ class _MultiSolver:
             z = np.linalg.solve(_kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
             jac.append(math.log(2.0) * (cov + grad.T @ z))
         return _state_sum(self.weights, np.array(jac))
+
+
+def _test_channel(a, q):
+    """A q and the test channel a q / (A q) of one state at tilt ``a``."""
+    alpha = a @ q
+    return alpha, a * q / alpha[:, None]
 
 
 def _state_sum(w, x):
@@ -673,7 +722,7 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
         total += it
         probes += 1
         if r + trial @ (targets - d) < rate + slopes @ gap:  # the dual bound fell
-            solver.warm, solver.newton = saved
+            solver.warm, solver.newton, solver.solved = *saved, None
             break
         slopes, rate, dvec, conv = trial, r, d, c
     return slopes, (rate, dvec, conv), total

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from semrd.nets import doubly_symmetric_fork, doubly_symmetric_joint
 from semrd.rd import min_distortion, trivial_distortion
 
 HAM2 = hamming_distortion(2)
+#: Uniform bit with an erase letter: R(D) = c (1 - D) on [~0.031, 1], c ~ 0.994192.
+ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
 
 
 def fork_given_root(p1, p2):
@@ -204,14 +207,97 @@ def test_a_letter_the_optimum_needs_is_not_lost_at_the_handoff():
     assert pt.rate == pytest.approx(0.2570029103, abs=1e-8)
 
 
-def test_slow_blahut_arimoto_point_closes_in_the_newton_phase():
-    # Blahut-Arimoto steps alone converge sublinearly here (2,131 iterations,
-    # extrapolation included); Newton on q takes over after _NEWTON_AFTER
-    # iterations and closes the bracket in a few steps
+def _uniform_start(monkeypatch):
+    """Open every cold kernel solve at the uniform q, not at its closed form."""
+    monkeypatch.setattr(rd, "_closed_form_q", lambda p, a: None)
+
+
+def test_slow_blahut_arimoto_point_closes_in_the_newton_phase(monkeypatch):
+    # from the uniform q, Blahut-Arimoto steps alone converge sublinearly
+    # here (2,131 iterations, extrapolation included); Newton on q takes over
+    # after _NEWTON_AFTER iterations and closes the bracket in a few steps
+    # (the closed-form start, which every letter's being active allows,
+    # closes this solve in one iteration)
+    _uniform_start(monkeypatch)
     pt = ba_point([0.2516, 0.4544, 0.2940], hamming_distortion(3), -1.0)
+    assert pt.iterations > rd._NEWTON_AFTER
     assert pt.converged
     assert pt.iterations <= 300
     assert pt.rate == pytest.approx(0.0372126420, abs=1e-8)
+
+
+def test_a_cold_solve_with_every_letter_active_opens_at_its_optimum(monkeypatch):
+    # at slope -4 every letter is active, so the backward-channel solution
+    # q = A^-1 (p / A^-T 1) is the optimum: D = 2 * 2^-4 / (1 + 2 * 2^-4)
+    p, d = [0.2, 0.3, 0.5], hamming_distortion(3)
+    pt = ba_point(p, d, -4.0)
+    assert pt.converged
+    assert pt.iterations == 1
+    assert pt.distortion == pytest.approx(1 / 9, rel=0, abs=1e-15)
+    _uniform_start(monkeypatch)
+    ref = ba_point(p, d, -4.0)
+    assert ref.converged and ref.iterations > 1
+    assert pt.rate == pytest.approx(ref.rate, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, d, slope", [
+    ([0.5, 0.5], ERASURE, -1.0),  # a tilt of 2 rows and 3 letters
+    ([0.232, 0.498, 0.27], hamming_distortion(3), -1.0),  # a letter inactive at the optimum
+    ([0.2, 0.3, 0.5], hamming_distortion(3), -1e-12),  # a nearly singular tilt
+    ([0.0001, 0.398, 0.003, 0.3984, 0.0614, 0.1391],  # A^-T 1 has a -1
+     [[6.0, 8.9, 5.3, 4.7, 7.5, 4.5], [6.3, 0.0, 7.6, 9.6, 0.0, 0.0],
+      [4.7, 0.0, 4.9, 1.1, 0.3, 3.5], [8.4, 0.0, 1.1, 0.0, 0.0, 0.0],
+      [0.0, 3.0, 4.4, 0.0, 4.1, 5.7], [0.0, 1.0, 0.0, 0.0, 1.5, 0.0]], -1000.0),
+    ([0.2, 0.3, 0.5], [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], -1.0),  # singular
+], ids=["non-square", "inactive-letter", "slope-1e-12", "slope-1000", "equal-columns"])
+def test_a_cold_solve_the_closed_form_refuses_opens_at_the_uniform_q(monkeypatch, p, d, slope):
+    starts = []
+    real = rd._closed_form_q
+
+    def spy(p, a):
+        starts.append(real(p, a))
+        return starts[-1]
+
+    monkeypatch.setattr(rd, "_closed_form_q", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pt = ba_point(p, d, slope)
+    assert pt.converged
+    assert starts == [None]
+
+
+@pytest.mark.parametrize("extra, inverses", [(0, 1), (1, 0)], ids=["at-the-rule", "past-it"])
+def test_the_closed_form_inverts_tilts_of_at_most_twice_the_newton_handoff(monkeypatch, extra,
+                                                                            inverses):
+    # the inverse costs O(n^3): past 2 _NEWTON_AFTER letters it could cost
+    # more than the Blahut-Arimoto steps it saves, so none is taken there
+    n = 2 * rd._NEWTON_AFTER + extra
+    calls = []
+    real = np.linalg.inv
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    p = np.arange(n, 2.0 * n)  # every letter active at slope -8
+    pt = ba_point(p / p.sum(), hamming_distortion(n), -8.0)
+    assert pt.converged
+    assert len(calls) == inverses
+    assert (pt.iterations == 1) == bool(inverses)
+
+
+def test_the_conditional_solver_meets_the_binary_closed_form_to_rounding():
+    # every state of a doubly symmetric source opens at its optimum, so on
+    # test 5's grid the solver agrees with h_b(p) - h_b(D) to rounding
+    d = hamming_distortion(2)
+    for p in (0.05, 0.1, 0.2, 0.3):
+        joint = doubly_symmetric_joint(p)
+        for target in np.linspace(p / 9, p, 9):
+            got = ba_conditional_target(joint, d, float(target))
+            assert got.converged
+            assert got.rate == pytest.approx(binary_conditional_rd(p, float(target)),
+                                             rel=0, abs=1e-12)
 
 
 def _slow_side_source():
@@ -222,11 +308,12 @@ def _slow_side_source():
 
 
 @pytest.mark.parametrize("source, side, handed", [
-    ([0.2516, 0.4544, 0.2940], False, [True]),
+    ([0.232, 0.498, 0.27], False, [True]),
     (_slow_side_source(), True, [False, True, False, True]),
 ], ids=["plain", "side"])
 def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, handed):
-    # the slow point above: its first solve spends _NEWTON_AFTER iterations in
+    # slow points whose letters are not all active at the optimum, so a cold
+    # solve opens at the uniform q and spends _NEWTON_AFTER iterations in
     # the Blahut-Arimoto loop before Newton closes it; the engine starts the
     # states it handed over in Newton on every later solve, a slope away or
     # more, and each such solve lands where a fresh engine's does
@@ -248,7 +335,9 @@ def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, ha
 def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypatch, fork_net):
     # every side state of the fork's Lemma 2 solves closes its gap in the
     # Blahut-Arimoto loop, so no solve starts a state in Newton, and the
-    # check takes the iterations it took before solves could start there
+    # check takes the iterations it took before solves could start there:
+    # one each, as every state opens at its closed-form optimum (18, 9 and 9
+    # from the uniform q)
     started, iters = [], []
     real_eval = rd._MultiSolver.eval
 
@@ -261,7 +350,7 @@ def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypat
     monkeypatch.setattr(rd._MultiSolver, "eval", spy)
     assert lemma2_check(fork_net, ["Y"], (0.05, 0.05)).converged
     assert not any(started)
-    assert iters == [18, 9, 9]
+    assert iters == [1, 1, 1]
 
 
 def test_a_dead_letter_sums_only_the_positive_bracket_terms():
@@ -285,10 +374,6 @@ def test_newton_halves_its_step_and_falls_back_to_a_vertex_step():
     pt = ba_point(p, d, -30.0)
     assert pt.converged
     assert pt.rate == pytest.approx(0.5762337798556905, abs=1e-9)
-
-
-#: Uniform bit with an erase letter: R(D) = c (1 - D) on [~0.031, 1], c ~ 0.994192.
-ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
 
 
 def test_erasure_targets_timeshare_on_the_linear_segment():
@@ -793,13 +878,16 @@ def test_scene_sweep_rows_all_converge():
 
 
 @pytest.mark.parametrize("name, n", [("fork", 25), ("chain", 5)])
-def test_warm_sweep_takes_no_more_iterations_than_cold_solves(name, n):
+def test_warm_sweep_takes_no_more_iterations_than_cold_solves(monkeypatch, name, n):
     # a warm start mixed with too much of the uniform distribution revives
     # dead letters that must decay back before the gap closes: with 0.5 %
-    # uniform these sweeps took 293 and 51 iterations warm, 199 and 37 cold
+    # uniform these sweeps took 293 and 51 iterations warm, 199 and 37 cold;
+    # the cold reference solves open at the uniform q, the start that mix
+    # was about (at their closed form, chain takes 17 cold)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(["rd-cond", name, "--side", "Y", "--sweep", str(n)]) == 0
+    _uniform_start(monkeypatch)
     rows = [row.split(",") for row in out.getvalue().strip().split("\n")[1:]]
     net = load_bundled(name)
     side = net.id_of("Y")
@@ -871,6 +959,21 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
     assert np.abs(jac - ref).max() <= 1e-8 * np.abs(ref).max()
     assert np.abs(jac - jac.T).max() <= 1e-15
     assert np.linalg.eigvalsh(jac).min() > 0.0
+
+
+def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
+    # at the last eval's slopes dD/ds is built from that solve's tilts, A q
+    # and channels, bit for bit what a rebuild gives; elsewhere it rebuilds
+    arr, dists = _scene_source("light")
+    solver = rd._MultiSolver(arr, dists, side=True)
+    s, other = np.array([-3.0, -2.5, -2.0]), np.array([-2.0, -2.5, -2.0])
+    assert solver.eval(s)[3]
+    held = solver.solved
+    for at in (s, other):
+        got = solver.jacobian(at, at < 0)
+        solver.solved = None
+        np.testing.assert_array_equal(got, solver.jacobian(at, at < 0))
+        solver.solved = held
 
 
 def test_slope_jacobian_is_zero_at_a_zero_rate_corner():

@@ -62,7 +62,7 @@ def test_solver_digest_census_counts_every_evaluation():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert _main("solver_digest")(["--size", "1"]) == 0
     evals = sum(int(line.split(",")[1]) for line in out.getvalue().splitlines()[1:])
-    *_, groups, jacobians, census = err.getvalue().splitlines()
+    *_, groups, starts, jacobians, census = err.getvalue().splitlines()
     census = re.fullmatch(r"# (\d+) evaluations, (\d+) iterations, (\d+) unconverged", census)
     assert census is not None
     assert int(census[1]) == evals
@@ -77,6 +77,20 @@ def test_solver_digest_census_counts_every_evaluation():
     # every slope search opens on dD/ds, so the census counts those too
     jacobians = re.fullmatch(r"# (\d+) jacobians", jacobians)
     assert jacobians is not None and 0 < int(jacobians[1]) < evals
+    # the test 7 and test 8 sources open states at the closed form, the
+    # erasure ones (two rows, three letters) at the uniform q
+    starts = re.fullmatch(r"# state starts: (\d+) closed form, (\d+) uniform", starts)
+    assert starts is not None and int(starts[1]) > 0 and int(starts[2]) > 0
+
+
+def test_solver_digest_counts_no_closed_form_start_where_none_is_taken(monkeypatch):
+    monkeypatch.setattr(rd, "_closed_form_q", lambda p, a: None)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert _main("solver_digest")(["--size", "1"]) == 0
+    starts = re.fullmatch(r"# state starts: (\d+) closed form, (\d+) uniform",
+                          err.getvalue().splitlines()[-3])
+    assert starts is not None and int(starts[1]) == 0 and int(starts[2]) > 0
 
 
 def test_solver_digest_exits_1_on_an_unconverged_evaluation(monkeypatch):
