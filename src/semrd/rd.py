@@ -30,8 +30,8 @@ its measured behaviour.
 The tolerances and iteration caps are the module constants below, and the
 product test-channel tables of every solve are held to ``size_guard()``;
 the solvers take no options.
-Targets must be numbers and slopes finite: a NaN target or an infinite
-slope is refused before any solve.
+Targets must be numbers and slopes finite: a NaN target, an infinite slope
+or slopes that overflow the tilt are refused before any solve.
 
 Conventions: a 2-d conditional source is passed as ``joint[x, y]`` (side
 variable last); a multi-variable source has one axis per variable with an
@@ -393,11 +393,11 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
 
     Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; D_i is
     nondecreasing in the slope.  The search opens at ``held``, (rate,
-    D vector, converged) of an exact solve at the current ``slopes``.  A
-    held slope below 0 whose solve converged opens with the Newton step
-    (target - D_i) / J_ii, J_ii = dD_i/ds_i from ``solver.jacobian`` (exact
-    only when the held point is the engine's last solve; unused where it is
-    0, as at a zero-rate corner), clamped so the first probe lies in
+    D vector, converged) of the engine's last solve, at the current
+    ``slopes``.  A held slope below 0 whose solve converged opens with the
+    Newton step (target - D_i) / J_ii, J_ii = dD_i/ds_i from
+    ``solver.jacobian`` at that solve (unused where it is 0, as at a
+    zero-rate corner), clamped so the first probe lies in
     [2s, s/2]; each later step doubles, stopping at 0.  Without it the
     search doubles away from 0 while over the target (from slope 0 the
     first step is -1) and, while under, halves toward 0 at most three
@@ -411,14 +411,15 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     width of 1e-13.
 
     Returns (record, total_iters, exact): ``record`` = (slope, rate,
-    D vector, converged) is the point found, the engine's last solve unless
-    it is the final ``lo``; ``slopes[i]`` holds the last probe, so the
-    caller stores the record's slope there.  ``exact`` is False only for a
-    timeshared mix, which counts as converged when both its ends did and,
-    unless the certificate stopped the search, the bracket closed.
+    D vector, converged) is the point found; ``slopes[i]`` holds the last
+    probe, so the caller stores the record's slope there.  ``exact`` is
+    whether the record is the engine's last solve: False for a timeshared
+    mix, which counts as converged when both its ends did and, unless the
+    certificate stopped the search, the bracket closed, and for a final
+    ``lo`` that a later probe followed.
     """
     total = evals = 0
-    pt = (slopes[i], *held)
+    pt = last = (slopes[i], *held)  # ``last``: the engine's last solve
     start_at_zero = pt[0] == 0.0
     hi = lo = None
     halvings = 0
@@ -435,13 +436,14 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     bound = held[0] - pt[0] * (held[1][i] - target)
 
     def probe(s):
-        nonlocal total, evals, bound
+        nonlocal total, evals, bound, last
         slopes[i] = s
         rate, dvec, it, conv = solver.eval(slopes)
         total += it
         evals += 1
         bound = max(bound, rate - s * (dvec[i] - target))
-        return s, rate, dvec, conv
+        last = s, rate, dvec, conv
+        return last
 
     def mix(ok):
         """The timeshare of lo and hi that meets the target."""
@@ -513,7 +515,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
         ok = hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0])
         return mix(ok), total, False
-    return lo, total, True
+    return lo, total, lo is last
 
 
 class _MultiSolver:
@@ -552,9 +554,8 @@ class _MultiSolver:
         conds = flat[ys] / py[ys, None]
         self.rows = [np.flatnonzero(c) for c in conds]  # each state's support rows
         self.p = [c[rows] for c, rows in zip(conds, self.rows)]
-        self.warm = [None] * len(ys)
-        self.newton = np.zeros(len(ys), bool)  # the states any solve handed to Newton
-        self.solved = None  # the last eval's slopes and each state's (a, A q, channel)
+        self.states = [(None, False)] * len(ys)  # the records of ``eval``
+        self.slopes = None  # the last solve's slopes; None after all-zero slopes
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
@@ -575,25 +576,31 @@ class _MultiSolver:
         rows; the rate and the distortions are the p(y)-weighted sums over
         the states, ``iters`` the most any state took and ``converged``
         whether every state did.  All-zero slopes give the zero-rate corner
-        exactly, with 0 iterations.  A state starts from its q of the
-        previous call, and a state that the loop of any earlier call handed
-        to Newton starts this one in Newton (``newton``), where a few steps
-        close a gap next to an optimum Newton reached.  A state starts over,
-        outside Newton, on its first call and where its warm q leaves a row
-        of A q under 1e-12 (no Armijo search passes from such a q, and
+        exactly, with 0 iterations, and keep the records.  A state starts
+        from its q of the previous call, and in Newton once the loop of any
+        call has handed it there (``handed``), where a few steps close a gap
+        next to an optimum Newton reached.  A state starts over, outside
+        Newton, on its first call and where its warm q leaves a row of A q
+        under 1e-12 (no Armijo search passes from such a q, and
         ``_kkt_matrix`` would divide by that row): from ``_closed_form_q``,
         the optimum itself where every letter is active there, else from the
-        uniform q.  The slopes and each state's tilt, A q and test channel
-        are kept in ``solved`` for ``jacobian``.
+        uniform q.  The solve sets ``slopes`` and a new list ``states`` of
+        one record (q, handed, a, A q, test channel) per state, which
+        ``jacobian`` reads and ``_slope_newton`` restores.
         """
-        self.solved = None
+        self.slopes = None
         if not any(slopes):
             return 0.0, self.trivs.copy(), 0, True
-        tilt = self._tilt(slopes)
+        # 2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum
+        expo = slopes[0] * self.lifted[0]
+        for i in range(1, self.m):
+            expo = expo + slopes[i] * self.lifted[i]
+        tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
         parts, states, iters, converged = [], [], 0, True
-        for k, (p, rows) in enumerate(zip(self.p, self.rows)):
+        for p, rows, state in zip(self.p, self.rows, self.states):
             a = tilt[rows]
-            q, newton = self.warm[k], self.newton[k]
+            q, handed = state[:2]
+            newton = handed
             low = -1.0 if q is None else q.min()
             # each row of the tilt holds a 1, so A q >= min q: only a q with
             # letters near 0 can leave a row of A q near 0
@@ -601,12 +608,11 @@ class _MultiSolver:
                 q, newton = _closed_form_q(p, a), False
                 if q is None:
                     q = np.full(self.nh, 1.0 / self.nh)
-            q, its, conv, handed = _ba_slope_core(p, a, q, MAX_ITERS, newton)
-            self.newton[k] |= handed
-            self.warm[k] = q
+            q, its, conv, newly = _ba_slope_core(p, a, q, MAX_ITERS, newton)
             iters, converged = max(iters, its), converged and conv
-            alpha, channel = _test_channel(a, q)
-            states.append((a, alpha, channel))
+            alpha = a @ q
+            channel = a * q / alpha[:, None]
+            states.append((q, handed or newly, a, alpha, channel))
             qm = p @ channel
             pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
             info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
@@ -614,20 +620,13 @@ class _MultiSolver:
             parts.append([rate, *(p @ np.add.reduce(channel * lift[rows], axis=1)
                                   for lift in self.lifted)])
         total = _state_sum(self.weights, np.array(parts))
-        self.solved = tuple(map(float, slopes)), states
+        self.states, self.slopes = states, tuple(map(float, slopes))
         return total[0], total[1:], iters, converged
 
-    def _tilt(self, slopes) -> np.ndarray:
-        """2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum."""
-        expo = slopes[0] * self.lifted[0]
-        for i in range(1, self.m):
-            expo = expo + slopes[i] * self.lifted[i]
-        return np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
-
     def jacobian(self, slopes, act) -> np.ndarray:
-        """dD/ds over the coordinates ``act`` (a mask) at ``slopes``, exact when
-        the last ``eval`` was at ``slopes`` and converged; it then reuses that
-        solve's tilts, A q and channels (``solved``).
+        """dD/ds over the coordinates ``act`` (a mask) at the last solve, from
+        its records; exact when that solve converged.  Raises
+        ``InvalidStateError`` when ``slopes`` are not the last solve's.
 
         For each side state, with Q the test channel a q / (a q) and
         delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
@@ -643,15 +642,11 @@ class _MultiSolver:
         rows of G agree on the coordinates below 0, so the first stands for
         all.  Raises ``np.linalg.LinAlgError`` where it is singular anyway.
         """
-        if self.solved is not None and self.solved[0] == tuple(map(float, slopes)):
-            states = self.solved[1]
-        else:
-            tilt = self._tilt(slopes)
-            states = [(tilt[rows], *_test_channel(tilt[rows], q))
-                      for rows, q in zip(self.rows, self.warm)]
+        if self.slopes != tuple(map(float, slopes)):  # also None, after all-zero slopes
+            raise InvalidStateError(f"dD/ds asked at {tuple(slopes)}, not the last solve")
         jac = []
         lifted = self.lifted[act]
-        for p, rows, q, (a, alpha, channel) in zip(self.p, self.rows, self.warm, states):
+        for p, rows, (q, _, a, alpha, channel) in zip(self.p, self.rows, self.states):
             lift = lifted[:, rows]
             delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
             flat = delta.reshape(len(delta), -1)
@@ -666,12 +661,6 @@ class _MultiSolver:
             z = np.linalg.solve(_kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
             jac.append(math.log(2.0) * (cov + grad.T @ z))
         return _state_sum(self.weights, np.array(jac))
-
-
-def _test_channel(a, q):
-    """A q and the test channel a q / (A q) of one state at tilt ``a``."""
-    alpha = a @ q
-    return alpha, a * q / alpha[:, None]
 
 
 def _state_sum(w, x):
@@ -694,9 +683,9 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
     target within 1e-9, which puts the rate on its dual bound.  It also
     stops, handing its point to the sweeps, on an unconverged solve, a slope
     at 0 over its target, a step that is not finite or not ascent, a probe
-    that lowers the dual bound (undone, warm starts included), or
-    ``_MAX_SWEEPS`` probes.  Returns (slopes, (rate, D vector, converged),
-    iterations).
+    that lowers the dual bound (undone: the engine's records go back to the
+    held solve), or ``_MAX_SWEEPS`` probes.  Returns (slopes, (rate,
+    D vector, converged), iterations).
     """
     rate, dvec, conv = held
     total = probes = 0
@@ -717,12 +706,12 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
         new = slopes[act] + step
         trial = slopes.copy()
         trial[act] = np.where(new < 0.0, np.maximum(new, 2.0 * slopes[act]), 0.5 * slopes[act])
-        saved = list(solver.warm), solver.newton.copy()
+        saved = solver.states, solver.slopes
         r, d, it, c = solver.eval(trial)
         total += it
         probes += 1
         if r + trial @ (targets - d) < rate + slopes @ gap:  # the dual bound fell
-            solver.warm, solver.newton, solver.solved = *saved, None
+            solver.states, solver.slopes = saved
             break
         slopes, rate, dvec, conv = trial, r, d, c
     return slopes, (rate, dvec, conv), total
@@ -738,8 +727,10 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     the dual bound, is reported.
     Otherwise coordinate sweeps (coordinate ascent on the concave Lagrange
     dual) move one slope at a time by ``_slope_root``, each search opening
-    at the point the sweep holds; a held timeshared mix is first solved
-    again at its slopes, so every search opens at the engine's last solve.
+    at the point the sweep holds; a held record that is not the engine's
+    last solve (a timeshared mix, or a bracket end that a later probe
+    followed) is first solved again at its slopes, so every search opens at
+    the engine's last solve.
     At most ``_MAX_SWEEPS`` sweeps run per phase.  The point the sweep holds
     at the end is reported: an exact solve, or a timeshared mix across a
     jump of D(s).  It counts as converged when its solves closed their
@@ -764,7 +755,7 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     if solver.m > 1:
         slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
         total_it += it
-    exact = True  # (rate, dvec, conv) is a solve at exactly these slopes
+    exact = True  # (rate, dvec, conv) is the engine's last solve, at these slopes
     # Coarse sweeps (windows 1e-4) localize the slopes, then precise ones bind
     # each constraint from slopes already close; one search meets one constraint.
     for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL))[solver.m == 1:]:
@@ -803,14 +794,19 @@ def _conditional_solver(joint, d) -> _MultiSolver:
 
 def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:
     """Points at each slope vector of ``grid``, solved in order on the one
-    solver, so each solve is warm-started from the one before it."""
-    points = []
+    solver, so each solve is warm-started from the one before it.  Every
+    vector is checked before the first solve: one finite slope <= 0 per
+    variable, with sum_i |s_i| max d_i finite, so no tilt exponent overflows."""
+    grid = [tuple(float(s) for s in slopes) for slopes in grid]
     for slopes in grid:
-        slopes = tuple(float(s) for s in slopes)
         if not all(-math.inf < s <= 0 for s in slopes):  # also a NaN
             raise InvalidStateError(f"slopes must be finite and <= 0, got {slopes}")
         if len(slopes) != solver.m:
             raise InvalidStateError(f"{len(slopes)} slopes for {solver.m} variables")
+        if sum(-s * float(d.max()) for s, d in zip(slopes, solver.dists)) == math.inf:
+            raise InvalidStateError(f"slopes {slopes} overflow the tilt exponents")
+    points = []
+    for slopes in grid:
         rate, dvec, it, conv = solver.eval(slopes)
         # The zero-rate corner (rate 0, distortions ``trivs``) is feasible at
         # every slope.  Where it is optimal, a warm-started solve can stop up

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -352,6 +353,9 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (lambda: semrd.gaussian_conditional_rd(1.0, 0.0, _NAN), None),
     (["rd", "fork", "--vars", "X1", "--targets", "nan"], 1),
     (["rd", "fork", "--vars", "X1", "--slopes=-inf"], 1),
+    (lambda: semrd.ba_point([0.5, 0.5], [[2, 3], [3, 2]], -1e308), None),
+    (["rd", "fork", "--slopes=-1e308,-1e308,-1e308"], 1),
+    (lambda: semrd.rd_curve([0.5, 0.5], _HAM2, slopes=[-1.0, -2.0, -math.inf]), None),
     (["bounds", "fork", "--targets", "nan,0.1,0.1"], 1),
     (["rd-closed-form", "gaussian", "1", "0", "nan"], 1),
     (["rd-closed-form", "gaussian", "nan", "0", "0.1"], 1),
@@ -363,14 +367,16 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (["lemma2", "fork", "--side", ",", "--targets", "0.1"], 2),
     (["rd-cond", "fork", "--side", "Y", "--vars", "Y,X1", "--targets", "0.1,0.1"], 2),
 ], ids=["ba_target-nan", "ba_point-nan", "gaussian-target-nan",
-        "rd-targets-nan", "rd-slopes-inf", "bounds-targets-nan", "closed-form-target-nan",
+        "rd-targets-nan", "rd-slopes-inf", "ba_point-slope-overflow",
+        "rd-slopes-overflow", "rd_curve-last-slope-inf", "bounds-targets-nan", "closed-form-target-nan",
         "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative",
         "sample-count-negative", "slope-grid-negative", "rd-cond-side-empty",
         "lemma2-side-empty", "rd-cond-vars-in-side"])
 def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
     # a NaN distortion is neither over nor under its target, so a slope
-    # search would probe slope 0 forever; a NaN or infinite slope would run
-    # the kernel to its iteration cap and return nan; a negative count is a
+    # search would probe slope 0 forever; a NaN or infinite slope, or finite
+    # slopes whose sum_i |s_i| max d_i overflows the tilt, would run the
+    # kernel to its iteration cap and return nan; a negative count is a
     # usage error, as a bad option value is, and so are an empty side set and
     # a variable named both in --vars and in --side
     def no_solve(self, slopes):

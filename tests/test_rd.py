@@ -1,7 +1,9 @@
 """Rate-distortion solvers: single, conditional, and multi-constraint paths."""
 
 import contextlib
+import copy
 import io
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from semrd import (
     lemma2_check,
     load_bundled,
     marginal_table,
+    random_net,
     rd_curve,
     rd_curve_conditional,
     squared_error_distortion,
@@ -320,7 +323,7 @@ def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, ha
     d = [hamming_distortion(3)]
     solver = rd._MultiSolver(source, d, side=side)
     assert solver.eval((-1.0,))[2] > rd._NEWTON_AFTER
-    assert solver.newton.tolist() == handed
+    assert [state[1] for state in solver.states] == handed
     for slope in (-1.01, -1.05):
         rate, dvec, iters, conv = solver.eval((slope,))
         fresh = rd._MultiSolver(source, d, side=side).eval((slope,))
@@ -329,7 +332,7 @@ def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, ha
         assert rate == pytest.approx(fresh[0], rel=0, abs=1e-9)
         assert dvec == pytest.approx(fresh[1], rel=0, abs=1e-9)
         # a state that started in Newton stays flagged for the solve after
-        assert solver.newton.tolist() == handed
+        assert [state[1] for state in solver.states] == handed
 
 
 def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypatch, fork_net):
@@ -342,7 +345,7 @@ def test_states_that_close_in_the_loop_keep_their_blahut_arimoto_steps(monkeypat
     real_eval = rd._MultiSolver.eval
 
     def spy(self, slopes):
-        started.append(bool(self.newton.any()))
+        started.append(any(state[1] for state in self.states))
         out = real_eval(self, slopes)
         iters.append(out[2])
         return out
@@ -962,18 +965,30 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
 
 
 def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
-    # at the last eval's slopes dD/ds is built from that solve's tilts, A q
-    # and channels, bit for bit what a rebuild gives; elsewhere it rebuilds
+    # dD/ds is built from the last solve's records, whose tilts, A q and
+    # channels are bit for bit what a rebuild from its q's gives; asked at
+    # any other slopes, or after an all-zero-slope solve, it raises
     arr, dists = _scene_source("light")
     solver = rd._MultiSolver(arr, dists, side=True)
     s, other = np.array([-3.0, -2.5, -2.0]), np.array([-2.0, -2.5, -2.0])
     assert solver.eval(s)[3]
-    held = solver.solved
-    for at in (s, other):
-        got = solver.jacobian(at, at < 0)
-        solver.solved = None
-        np.testing.assert_array_equal(got, solver.jacobian(at, at < 0))
-        solver.solved = held
+    got = solver.jacobian(s, s < 0)
+    expo = sum(si * lift for si, lift in zip(s, solver.lifted))  # as ``eval`` adds them
+    tilt = np.exp2(expo - expo.max(axis=1, keepdims=True))
+    rebuilt = []
+    for rows, (q, handed, *held) in zip(solver.rows, solver.states):
+        a = tilt[rows]
+        rebuilt.append((q, handed, a, a @ q, a * q / (a @ q)[:, None]))
+        for x, y in zip(held, rebuilt[-1][2:]):
+            np.testing.assert_array_equal(x, y)
+    solver.states = rebuilt
+    np.testing.assert_array_equal(got, solver.jacobian(s, s < 0))
+    with pytest.raises(InvalidStateError):
+        solver.jacobian(other, other < 0)
+    for at in (other, np.zeros(3)):
+        solver.eval(at)
+        with pytest.raises(InvalidStateError):
+            solver.jacobian(s, s < 0)
 
 
 def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
@@ -985,6 +1000,72 @@ def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
     s = np.array([-3.0, -2.5])
     assert solver.eval(s)[3]
     assert np.abs(solver.jacobian(s, s < 0)).max() <= 1e-8
+
+
+def _test7_grid(seed, g):
+    """Acceptance test 7's grid g on net 1000 + seed: (net, targets)."""
+    rng = np.random.default_rng(1000 + seed)
+    net = random_net(1000 + seed, int(rng.integers(2, 5)), max_card=3)
+    for _ in range(g + 1):
+        targets = tuple(float(t) for t in rng.uniform(0.03, 0.45, size=net.m))
+    return net, targets
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: ba_joint_multi_target(
+        [[0.09038997973911726, 0.045761647655521126], [0.795357697498223, 0.06849067510713862]],
+        [HAM2, HAM2], (0.12679148356311762, 0.09927632069576907)),
+    lambda: lemma1_bounds(*_test7_grid(4, 1)),
+], ids=["kernel-stress-joint-24", "test7-grid-4-1"])
+def test_an_undone_slope_newton_probe_restores_the_records(monkeypatch, solve):
+    # each solve's Newton phase on the slopes ends on a probe that lowers the
+    # dual bound; undoing it puts back the records and slopes of the held
+    # solve, so the slope search that follows opens on that exact solve
+    undone, before = [], []
+    real_eval, real_newton = rd._MultiSolver.eval, rd._slope_newton
+
+    def eval_spy(self, slopes):
+        before.append((copy.deepcopy(self.states), self.slopes, tuple(map(float, slopes))))
+        return real_eval(self, slopes)
+
+    def newton_spy(solver, targets, slopes, held):
+        before.clear()
+        out = real_newton(solver, targets, slopes, held)
+        if before and before[-1][2] != tuple(map(float, out[0])):  # the last probe was undone
+            undone.append((before[-1][:2], (solver.states, solver.slopes)))
+        return out
+
+    monkeypatch.setattr(rd._MultiSolver, "eval", eval_spy)
+    monkeypatch.setattr(rd, "_slope_newton", newton_spy)
+    assert solve().converged
+    assert undone
+    for (states, slopes), (got_states, got_slopes) in undone:
+        assert slopes is not None and got_slopes == slopes
+        for state, got in zip(states, got_states, strict=True):
+            for x, y in zip(state, got, strict=True):
+                np.testing.assert_array_equal(x, y)
+
+
+def test_a_bracket_end_that_a_later_probe_followed_is_not_exact():
+    # a probe whose distortion is NaN is neither over the target nor
+    # accepted, so it stands as ``lo`` while the bisection moves ``hi`` to it;
+    # ``lo`` is then no longer the engine's last solve and comes back inexact
+    class Scripted:
+        def __init__(self):
+            self.probed = []
+
+        def eval(self, slopes):
+            self.probed.append(float(slopes[0]))
+            dist = math.nan if slopes[0] <= -2.0 else 0.9
+            return 0.1, np.array([dist]), 1, True
+
+    solver = Scripted()
+    slopes = np.array([-1.0])
+    (slope, _, dvec, _), _, exact = rd._slope_root(
+        solver, slopes, 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL, (0.1, np.array([0.8]), False))
+    assert slope == solver.probed[0] == -2.0 and math.isnan(dvec[0])
+    assert solver.probed[-1] != slope  # the bisection probed on after lo
+    assert not exact
 
 
 @pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
