@@ -80,9 +80,9 @@ def main(argv=None):
                    + np.asarray(dvec, float).tobytes() + repr((int(its), bool(conv))).encode())
         return out
 
-    def jacobian_counted(self, slopes, act):
+    def jacobian_counted(self, act):
         census[3] += 1
-        return real_jacobian(self, slopes, act)
+        return real_jacobian(self, act)
 
     def closed_form_counted(p, a):
         q = real_closed_form(p, a)

@@ -388,80 +388,80 @@ def _accept(s: float, dist: float, target: float, dist_tol: float,
     return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
 
 
-def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float, held):
+def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float):
     """Move slope i so its own distortion meets the target, the others fixed.
 
     Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; D_i is
-    nondecreasing in the slope.  The search opens at ``held``, (rate,
-    D vector, converged) of the engine's last solve, at the current
-    ``slopes``.  A held slope below 0 whose solve converged opens with the
-    Newton step (target - D_i) / J_ii, J_ii = dD_i/ds_i from
-    ``solver.jacobian`` at that solve (unused where it is 0, as at a
-    zero-rate corner), clamped so the first probe lies in
+    nondecreasing in the slope.  The search opens at ``solver.held``, the
+    engine's last solve, at the current ``slopes``.  A held slope below 0
+    whose solve converged opens with the Newton step (target - D_i) / J_ii,
+    J_ii = dD_i/ds_i from ``solver.jacobian`` at that solve (unused where it
+    is 0, as at a zero-rate corner), clamped so the first probe lies in
     [2s, s/2]; each later step doubles, stopping at 0.  Without it the
     search doubles away from 0 while over the target (from slope 0 the
     first step is -1) and, while under, halves toward 0 at most three
     times, then solves 0 itself.  An Illinois secant closes the bracket,
-    within ``_MAX_EVALS`` probes in all; across a jump of D_i the result
-    timeshares the bracket's ends, which convexity makes exact.  With one
-    constraint every probe gives the dual bound R - s (D_i - target) <=
-    R(target), and a bracket across a jump over ``dist_tol`` stops once the
-    timeshare is within ``SLACK_TOL`` of the best bound; with several, a
-    one-coordinate mix is no joint timeshare, so the bracket closes to a
-    width of 1e-13.
+    within ``_MAX_EVALS`` probes in all; a search that reaches that cap
+    before its bracket forms returns its last probe, over the target.  A
+    bracket left open ends across a jump of D_i, and the result timeshares
+    its ends, which convexity makes exact.  With one constraint every probe
+    gives the dual bound R - s (D_i - target) <= R(target), and a bracket
+    across a jump over ``dist_tol`` stops once the timeshare is within
+    ``SLACK_TOL`` of the best bound; with several, a one-coordinate mix is
+    no joint timeshare, so the bracket closes to a width of 1e-13.
 
-    Returns (record, total_iters, exact): ``record`` = (slope, rate,
-    D vector, converged) is the point found; ``slopes[i]`` holds the last
-    probe, so the caller stores the record's slope there.  ``exact`` is
-    whether the record is the engine's last solve: False for a timeshared
+    Returns (slope, point): ``point`` = (rate, D vector, converged) is
+    either ``solver.held`` itself, the solve at ``slope``, or a timeshared
     mix, which counts as converged when both its ends did and, unless the
-    certificate stopped the search, the bracket closed, and for a final
-    ``lo`` that a later probe followed.
+    certificate stopped the search, the bracket closed.  ``slopes[i]`` holds
+    the last probe, so the caller stores ``slope`` there.
     """
-    total = evals = 0
-    pt = last = (slopes[i], *held)  # ``last``: the engine's last solve
+    evals = 0
+    pt = (slopes[i], solver.held)  # (slope, point) pairs
     start_at_zero = pt[0] == 0.0
     hi = lo = None
     halvings = 0
     step = None
-    if pt[0] < 0.0 and held[2]:
+    rate, dvec, conv = solver.held
+    if pt[0] < 0.0 and conv:
         try:
-            jac = float(solver.jacobian(slopes, np.arange(len(slopes)) == i)[0, 0])
+            jac = float(solver.jacobian(np.arange(len(slopes)) == i)[0, 0])
         except np.linalg.LinAlgError:
             jac = 0.0  # no derivative
         if 0.0 < jac < math.inf:  # 0 at a zero-rate corner
             # in Python floats: a J_ii near 0 sends the step to +-inf, not to a warning
-            step = min(max((target - float(held[1][i])) / jac, pt[0]), -0.5 * pt[0])
+            step = min(max((target - float(dvec[i])) / jac, pt[0]), -0.5 * pt[0])
     # the dual bound max_k R_k - s_k (D_k - T) <= R(T) over the probes (with one constraint)
-    bound = held[0] - pt[0] * (held[1][i] - target)
+    bound = rate - pt[0] * (dvec[i] - target)
 
     def probe(s):
-        nonlocal total, evals, bound, last
+        nonlocal evals, bound
         slopes[i] = s
-        rate, dvec, it, conv = solver.eval(slopes)
-        total += it
+        solver.eval(slopes)
         evals += 1
+        rate, dvec, _ = solver.held
         bound = max(bound, rate - s * (dvec[i] - target))
-        last = s, rate, dvec, conv
-        return last
+        return s, solver.held
+
+    def di(pt):
+        return pt[1][1][i]
 
     def mix(ok):
         """The timeshare of lo and hi that meets the target."""
-        lam = (target - lo[2][i]) / (hi[2][i] - lo[2][i])
-        return (lo[0], (1 - lam) * lo[1] + lam * hi[1], (1 - lam) * lo[2] + lam * hi[2],
-                bool(ok and lo[3] and hi[3]))
+        (r0, d0, c0), (r1, d1, c1) = lo[1], hi[1]
+        lam = (target - d0[i]) / (d1[i] - d0[i])
+        return lo[0], ((1 - lam) * r0 + lam * r1, (1 - lam) * d0 + lam * d1, bool(ok and c0 and c1))
 
     while True:
-        s, dist = pt[0], pt[2][i]
+        s, dist = pt[0], di(pt)
         if _accept(s, dist, target, dist_tol, slack_tol):
-            return pt, total, True
+            return pt
         if dist > target:
             hi = pt
             if lo is not None:
                 break
             if -s > 1e18 or evals >= _MAX_EVALS:
-                # cannot reach down to target
-                return pt[:3] + (False,), total, True
+                return pt  # cannot reach down to target
         else:
             lo = pt
             if hi is not None:
@@ -481,24 +481,24 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
         # constraint may now be slack at slope 0 itself, where a solve is
         # clean, rather than at a vanishing slope no search resolves
         hi = probe(0.0)
-        if _accept(0.0, hi[2][i], target, dist_tol, slack_tol):
-            return hi, total, True
-    f_lo, f_hi = lo[2][i] - target, hi[2][i] - target
+        if _accept(0.0, di(hi), target, dist_tol, slack_tol):
+            return hi
+    f_lo, f_hi = di(lo) - target, di(hi) - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
-        if len(slopes) == 1 and hi[2][i] - lo[2][i] > dist_tol:
+        if len(slopes) == 1 and di(hi) - di(lo) > dist_tol:
             # the timeshare is achievable and ``bound`` lies under R(target)
             pt = mix(True)
-            if pt[1] - bound <= SLACK_TOL:
-                return pt, total, False
+            if pt[1][0] - bound <= SLACK_TOL:
+                return pt
         # f_hi > 0 >= f_lo: hi is over the target, lo at or under it
         mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
         if not lo[0] < mid < hi[0]:  # also a NaN
             mid = 0.5 * (lo[0] + hi[0])
         pt = probe(mid)
-        dist = pt[2][i]
+        dist = di(pt)
         if _accept(mid, dist, target, dist_tol, slack_tol):
-            return pt, total, True
+            return pt
         if dist > target:
             hi = pt
             f_hi = dist - target
@@ -511,11 +511,9 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             if side == -1:
                 f_hi *= 0.5
             side = -1
-    d_lo, d_hi = lo[2][i], hi[2][i]
-    if d_hi - d_lo > dist_tol:  # distortion jumped: linear segment, timeshare is exact
-        ok = hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0])
-        return mix(ok), total, False
-    return lo, total, lo is last
+    # every bracket end was refused, so D_i jumps across the target by over
+    # ``dist_tol``: the ends lie on a linear segment, where the timeshare is exact
+    return mix(hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0]))
 
 
 class _MultiSolver:
@@ -556,6 +554,8 @@ class _MultiSolver:
         self.p = [c[rows] for c, rows in zip(conds, self.rows)]
         self.states = [(None, False)] * len(ys)  # the records of ``eval``
         self.slopes = None  # the last solve's slopes; None after all-zero slopes
+        self.held = None  # the last solve's (rate, D vector, converged)
+        self.iters = 0  # the iterations of every solve so far
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
         arr = conds.reshape(-1, *cards)
@@ -584,13 +584,15 @@ class _MultiSolver:
         under 1e-12 (no Armijo search passes from such a q, and
         ``_kkt_matrix`` would divide by that row): from ``_closed_form_q``,
         the optimum itself where every letter is active there, else from the
-        uniform q.  The solve sets ``slopes`` and a new list ``states`` of
-        one record (q, handed, a, A q, test channel) per state, which
-        ``jacobian`` reads and ``_slope_newton`` restores.
+        uniform q.  The solve keeps (rate, D vector, converged) as ``held``,
+        adds ``iters`` to ``self.iters``, and sets ``slopes`` and a new list
+        ``states`` of one record (q, handed, a, A q, test channel) per
+        state, which ``jacobian`` reads and ``_slope_newton`` restores.
         """
         self.slopes = None
         if not any(slopes):
-            return 0.0, self.trivs.copy(), 0, True
+            self.held = (0.0, self.trivs.copy(), True)
+            return 0.0, self.held[1], 0, True
         # 2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum
         expo = slopes[0] * self.lifted[0]
         for i in range(1, self.m):
@@ -621,12 +623,15 @@ class _MultiSolver:
                                   for lift in self.lifted)])
         total = _state_sum(self.weights, np.array(parts))
         self.states, self.slopes = states, tuple(map(float, slopes))
+        self.held = (total[0], total[1:], converged)
+        self.iters += iters
         return total[0], total[1:], iters, converged
 
-    def jacobian(self, slopes, act) -> np.ndarray:
+    def jacobian(self, act) -> np.ndarray:
         """dD/ds over the coordinates ``act`` (a mask) at the last solve, from
         its records; exact when that solve converged.  Raises
-        ``InvalidStateError`` when ``slopes`` are not the last solve's.
+        ``InvalidStateError`` after an all-zero-slope solve, which keeps no
+        records of its own.
 
         For each side state, with Q the test channel a q / (a q) and
         delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
@@ -642,8 +647,8 @@ class _MultiSolver:
         rows of G agree on the coordinates below 0, so the first stands for
         all.  Raises ``np.linalg.LinAlgError`` where it is singular anyway.
         """
-        if self.slopes != tuple(map(float, slopes)):  # also None, after all-zero slopes
-            raise InvalidStateError(f"dD/ds asked at {tuple(slopes)}, not the last solve")
+        if self.slopes is None:
+            raise InvalidStateError("dD/ds asked after an all-zero-slope solve")
         jac = []
         lifted = self.lifted[act]
         for p, rows, (q, _, a, alpha, channel) in zip(self.p, self.rows, self.states):
@@ -669,27 +674,27 @@ def _state_sum(w, x):
     return np.add.accumulate(w.reshape((-1,) + (1,) * (x.ndim - 1)) * x, axis=0)[-1]
 
 
-def _slope_newton(solver: _MultiSolver, targets, slopes, held):
+def _slope_newton(solver: _MultiSolver, targets, slopes):
     """Newton on the slope vector of a target search with several constraints.
 
     The Lagrange dual R(s) - s (D(s) - T) is concave in s <= 0, with
-    gradient T - D and Hessian -dD/ds (Blahut 1972).  From the held exact
-    solve ``held`` = (rate, D vector, converged) at ``slopes``, the engine's
-    last, each probe steps s <- s + J^-1 (T - D) on the coordinates below 0,
-    J = dD/ds from ``_MultiSolver.jacobian``; a slope that the step would
-    push past 0 stops halfway to 0, and one it would more than double stops
-    at twice its value.  The phase stops once every constraint passes
-    ``_accept`` at ``DIST_TOL`` and every coordinate below 0 meets its
-    target within 1e-9, which puts the rate on its dual bound.  It also
-    stops, handing its point to the sweeps, on an unconverged solve, a slope
-    at 0 over its target, a step that is not finite or not ascent, a probe
-    that lowers the dual bound (undone: the engine's records go back to the
-    held solve), or ``_MAX_SWEEPS`` probes.  Returns (slopes, (rate,
-    D vector, converged), iterations).
+    gradient T - D and Hessian -dD/ds (Blahut 1972).  From the engine's last
+    solve, ``solver.held`` at ``slopes``, each probe steps
+    s <- s + J^-1 (T - D) on the coordinates below 0, J = dD/ds from
+    ``_MultiSolver.jacobian``; a slope that the step would push past 0 stops
+    halfway to 0, and one it would more than double stops at twice its
+    value.  The phase stops once every constraint passes ``_accept`` at
+    ``DIST_TOL`` and every coordinate below 0 meets its target within 1e-9,
+    which puts the rate on its dual bound.  It also stops, handing its point
+    to the sweeps, on an unconverged solve, a slope at 0 over its target, a
+    step that is not finite or not ascent, a probe that lowers the dual
+    bound (undone: the engine's records, slopes and held solve go back to
+    the solve before it), or ``_MAX_SWEEPS`` probes.  Returns the slopes of
+    ``solver.held``, the point it hands over.
     """
-    rate, dvec, conv = held
-    total = probes = 0
+    probes = 0
     while True:
+        rate, dvec, conv = solver.held
         act = slopes < 0.0
         gap = targets - dvec
         if (np.all(np.abs(gap[act]) <= 1e-9)
@@ -698,7 +703,7 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
         if not conv or np.any(gap[~act] < 0.0) or probes >= _MAX_SWEEPS:
             break
         try:
-            step = np.linalg.solve(solver.jacobian(slopes, act), gap[act])
+            step = np.linalg.solve(solver.jacobian(act), gap[act])
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(step).all() and 0.0 < gap[act] @ step < math.inf):
@@ -706,15 +711,14 @@ def _slope_newton(solver: _MultiSolver, targets, slopes, held):
         new = slopes[act] + step
         trial = slopes.copy()
         trial[act] = np.where(new < 0.0, np.maximum(new, 2.0 * slopes[act]), 0.5 * slopes[act])
-        saved = solver.states, solver.slopes
-        r, d, it, c = solver.eval(trial)
-        total += it
+        saved = solver.states, solver.slopes, solver.held
+        r, d, _, _ = solver.eval(trial)
         probes += 1
         if r + trial @ (targets - d) < rate + slopes @ gap:  # the dual bound fell
-            solver.states, solver.slopes = saved
+            solver.states, solver.slopes, solver.held = saved
             break
-        slopes, rate, dvec, conv = trial, r, d, c
-    return slopes, (rate, dvec, conv), total
+        slopes = trial
+    return slopes
 
 
 def _target_search(solver: _MultiSolver, targets) -> RdPoint:
@@ -727,14 +731,14 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     the dual bound, is reported.
     Otherwise coordinate sweeps (coordinate ascent on the concave Lagrange
     dual) move one slope at a time by ``_slope_root``, each search opening
-    at the point the sweep holds; a held record that is not the engine's
-    last solve (a timeshared mix, or a bracket end that a later probe
-    followed) is first solved again at its slopes, so every search opens at
-    the engine's last solve.
+    at the point the sweep holds; a held timeshared mix, which is no solve
+    of the engine, is first solved again at its slopes, so every search
+    opens at the engine's last solve.
     At most ``_MAX_SWEEPS`` sweeps run per phase.  The point the sweep holds
-    at the end is reported: an exact solve, or a timeshared mix across a
-    jump of D(s).  It counts as converged when its solves closed their
-    brackets and every constraint passes ``_accept`` at ``DIST_TOL``.
+    at the end is reported, with the iterations of every solve the search
+    made: an exact solve, or a timeshared mix across a jump of D(s).  It
+    counts as converged when its solves closed their brackets and every
+    constraint passes ``_accept`` at ``DIST_TOL``.
     """
     targets = np.asarray(targets, float)
     if not np.all(targets >= 0):  # also a NaN
@@ -751,29 +755,27 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
                        _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
                        for i in range(solver.m)])
-    rate, dvec, total_it, conv = solver.eval(slopes)
+    start = solver.iters
+    solver.eval(slopes)
     if solver.m > 1:
-        slopes, (rate, dvec, conv), it = _slope_newton(solver, targets, slopes, (rate, dvec, conv))
-        total_it += it
-    exact = True  # (rate, dvec, conv) is the engine's last solve, at these slopes
+        slopes = _slope_newton(solver, targets, slopes)
+    point = solver.held
     # Coarse sweeps (windows 1e-4) localize the slopes, then precise ones bind
     # each constraint from slopes already close; one search meets one constraint.
     for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL))[solver.m == 1:]:
         for _ in range(_MAX_SWEEPS):
-            if all(_accept(slopes[i], dvec[i], targets[i], dtol, stol) for i in range(solver.m)):
+            if all(_accept(slopes[i], point[1][i], targets[i], dtol, stol) for i in range(solver.m)):
                 break
             for i in range(solver.m):
-                if _accept(slopes[i], dvec[i], targets[i], dtol, stol):
+                if _accept(slopes[i], point[1][i], targets[i], dtol, stol):
                     continue
-                if not exact:
-                    rate, dvec, it, conv = solver.eval(slopes)
-                    total_it += it
-                (slopes[i], rate, dvec, conv), it, exact = _slope_root(
-                    solver, slopes, i, float(targets[i]), dtol, stol, (rate, dvec, conv))
-                total_it += it
+                if point is not solver.held:
+                    solver.eval(slopes)
+                slopes[i], point = _slope_root(solver, slopes, i, float(targets[i]), dtol, stol)
+    rate, dvec, conv = point
     ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
     return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
-                   total_it, bool(ok and conv))
+                   solver.iters - start, bool(ok and conv))
 
 
 def _side_first(joint) -> np.ndarray:

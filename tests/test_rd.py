@@ -952,7 +952,7 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
     solver = rd._MultiSolver(arr, dists, side=side is not None)
     s = np.array(slopes)
     assert solver.eval(s)[3]
-    jac = solver.jacobian(s, s < 0)
+    jac = solver.jacobian(s < 0)
     h = 1e-5
     ref = np.empty_like(jac)
     for j in range(len(s)):
@@ -966,29 +966,26 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
 
 def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
     # dD/ds is built from the last solve's records, whose tilts, A q and
-    # channels are bit for bit what a rebuild from its q's gives; asked at
-    # any other slopes, or after an all-zero-slope solve, it raises
+    # channels are bit for bit what a rebuild from its q's gives; after an
+    # all-zero-slope solve, which keeps no records of its own, it raises
     arr, dists = _scene_source("light")
     solver = rd._MultiSolver(arr, dists, side=True)
-    s, other = np.array([-3.0, -2.5, -2.0]), np.array([-2.0, -2.5, -2.0])
+    s = np.array([-3.0, -2.5, -2.0])
     assert solver.eval(s)[3]
-    got = solver.jacobian(s, s < 0)
+    got = solver.jacobian(s < 0)
     expo = sum(si * lift for si, lift in zip(s, solver.lifted))  # as ``eval`` adds them
     tilt = np.exp2(expo - expo.max(axis=1, keepdims=True))
     rebuilt = []
-    for rows, (q, handed, *held) in zip(solver.rows, solver.states):
+    for rows, (q, handed, *kept) in zip(solver.rows, solver.states):
         a = tilt[rows]
         rebuilt.append((q, handed, a, a @ q, a * q / (a @ q)[:, None]))
-        for x, y in zip(held, rebuilt[-1][2:]):
+        for x, y in zip(kept, rebuilt[-1][2:]):
             np.testing.assert_array_equal(x, y)
     solver.states = rebuilt
-    np.testing.assert_array_equal(got, solver.jacobian(s, s < 0))
+    np.testing.assert_array_equal(got, solver.jacobian(s < 0))
+    solver.eval(np.zeros(3))
     with pytest.raises(InvalidStateError):
-        solver.jacobian(other, other < 0)
-    for at in (other, np.zeros(3)):
-        solver.eval(at)
-        with pytest.raises(InvalidStateError):
-            solver.jacobian(s, s < 0)
+        solver.jacobian(s < 0)
 
 
 def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
@@ -999,7 +996,7 @@ def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
     solver = rd._MultiSolver(joint, [HAM2, HAM2], side=True)
     s = np.array([-3.0, -2.5])
     assert solver.eval(s)[3]
-    assert np.abs(solver.jacobian(s, s < 0)).max() <= 1e-8
+    assert np.abs(solver.jacobian(s < 0)).max() <= 1e-8
 
 
 def _test7_grid(seed, g):
@@ -1019,53 +1016,73 @@ def _test7_grid(seed, g):
 ], ids=["kernel-stress-joint-24", "test7-grid-4-1"])
 def test_an_undone_slope_newton_probe_restores_the_records(monkeypatch, solve):
     # each solve's Newton phase on the slopes ends on a probe that lowers the
-    # dual bound; undoing it puts back the records and slopes of the held
-    # solve, so the slope search that follows opens on that exact solve
+    # dual bound; undoing it puts back the records, slopes and held point of
+    # the solve before it, so the slope search that follows opens on that
+    # exact solve
     undone, before = [], []
     real_eval, real_newton = rd._MultiSolver.eval, rd._slope_newton
 
     def eval_spy(self, slopes):
-        before.append((copy.deepcopy(self.states), self.slopes, tuple(map(float, slopes))))
+        before.append((copy.deepcopy(self.states), self.slopes, self.held,
+                       tuple(map(float, slopes))))
         return real_eval(self, slopes)
 
-    def newton_spy(solver, targets, slopes, held):
+    def newton_spy(solver, targets, slopes):
         before.clear()
-        out = real_newton(solver, targets, slopes, held)
-        if before and before[-1][2] != tuple(map(float, out[0])):  # the last probe was undone
-            undone.append((before[-1][:2], (solver.states, solver.slopes)))
+        out = real_newton(solver, targets, slopes)
+        if before and before[-1][3] != tuple(map(float, out)):  # the last probe was undone
+            undone.append((before[-1][:3], (solver.states, solver.slopes, solver.held)))
         return out
 
     monkeypatch.setattr(rd._MultiSolver, "eval", eval_spy)
     monkeypatch.setattr(rd, "_slope_newton", newton_spy)
     assert solve().converged
     assert undone
-    for (states, slopes), (got_states, got_slopes) in undone:
+    for (states, slopes, held), (got_states, got_slopes, got_held) in undone:
         assert slopes is not None and got_slopes == slopes
+        assert got_held is held
         for state, got in zip(states, got_states, strict=True):
             for x, y in zip(state, got, strict=True):
                 np.testing.assert_array_equal(x, y)
 
 
+class _Scripted:
+    """A stand-in engine for ``_slope_root``: distortion ``dist(slope)`` and
+    rate 0.1 at every slope vector, opening at a held unconverged solve."""
+
+    def __init__(self, dist, held_dist):
+        self.dist, self.probed = dist, []
+        self.held = (0.1, np.array([held_dist]), False)
+
+    def eval(self, slopes):
+        self.probed.append(float(slopes[0]))
+        self.held = (0.1, np.array([self.dist(slopes[0])]), True)
+        return *self.held[:2], 1, True
+
+
 def test_a_bracket_end_that_a_later_probe_followed_is_not_exact():
     # a probe whose distortion is NaN is neither over the target nor
     # accepted, so it stands as ``lo`` while the bisection moves ``hi`` to it;
-    # ``lo`` is then no longer the engine's last solve and comes back inexact
-    class Scripted:
-        def __init__(self):
-            self.probed = []
-
-        def eval(self, slopes):
-            self.probed.append(float(slopes[0]))
-            dist = math.nan if slopes[0] <= -2.0 else 0.9
-            return 0.1, np.array([dist]), 1, True
-
-    solver = Scripted()
-    slopes = np.array([-1.0])
-    (slope, _, dvec, _), _, exact = rd._slope_root(
-        solver, slopes, 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL, (0.1, np.array([0.8]), False))
+    # the search ends on a timeshare from ``lo``, which is no solve of the
+    # engine, so the caller solves it again
+    solver = _Scripted(lambda s: math.nan if s <= -2.0 else 0.9, 0.8)
+    slope, (_, dvec, _) = point = rd._slope_root(
+        solver, np.array([-1.0]), 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL)
     assert slope == solver.probed[0] == -2.0 and math.isnan(dvec[0])
     assert solver.probed[-1] != slope  # the bisection probed on after lo
-    assert not exact
+    assert point is not solver.held
+
+
+def test_a_slope_search_stops_at_its_evaluation_cap():
+    # a distortion that stays over the target at every slope: the search
+    # doubles its slope away from 0 and stops after ``_MAX_EVALS`` probes on
+    # its last one, which ``_accept`` refuses, so the target goes unmet
+    solver = _Scripted(lambda s: 0.9, 0.9)
+    slope, (_, dvec, _) = rd._slope_root(
+        solver, np.array([-1.0]), 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL)
+    assert len(solver.probed) == rd._MAX_EVALS
+    assert slope == solver.probed[-1] == -2.0 ** rd._MAX_EVALS
+    assert not rd._accept(slope, dvec[0], 0.5, rd.DIST_TOL)
 
 
 @pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
@@ -1080,7 +1097,7 @@ def test_a_slope_search_opens_with_a_newton_step_on_the_exact_derivative(monkeyp
     solver = rd._plain_solver(p, d)
     s = np.array([s0])
     d0 = float(solver.eval(s)[1][0])
-    jac = float(solver.jacobian(s, s < 0)[0, 0])
+    jac = float(solver.jacobian(s < 0)[0, 0])
     assert s1 == s0 + min(max((target - d0) / jac, s0), -0.5 * s0)
 
 
@@ -1111,7 +1128,7 @@ def test_scene_joint_target_takes_newton_steps_to_its_dual_bound(monkeypatch, se
 
 def _sweeps_only(monkeypatch):
     """Skip the Newton phase of joint target searches."""
-    monkeypatch.setattr(rd, "_slope_newton", lambda solver, targets, slopes, held: (slopes, held, 0))
+    monkeypatch.setattr(rd, "_slope_newton", lambda solver, targets, slopes: slopes)
 
 
 def test_a_slope_at_zero_over_its_target_hands_over_at_once(monkeypatch):
