@@ -397,18 +397,18 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     whose solve converged opens with the Newton step (target - D_i) / J_ii,
     J_ii = dD_i/ds_i from ``solver.jacobian`` at that solve (unused where it
     is 0, as at a zero-rate corner), clamped so the first probe lies in
-    [2s, s/2]; each later step doubles, stopping at 0.  Without it the
-    search doubles away from 0 while over the target (from slope 0 the
-    first step is -1) and, while under, halves toward 0 at most three
-    times, then solves 0 itself.  An Illinois secant closes the bracket,
-    within ``_MAX_EVALS`` probes in all; a search that reaches that cap
-    before its bracket forms returns its last probe, over the target.  A
-    bracket left open ends across a jump of D_i, and the result timeshares
-    its ends, which convexity makes exact.  With one constraint every probe
-    gives the dual bound R - s (D_i - target) <= R(target), and a bracket
-    across a jump over ``dist_tol`` stops once the timeshare is within
-    ``SLACK_TOL`` of the best bound; with several, a one-coordinate mix is
-    no joint timeshare, so the bracket closes to a width of 1e-13.
+    [2s, s/2]; each later step has the same length, stopping at 0.  Without
+    it the search doubles away from 0 while over the target (from slope 0
+    the first step is -1) and, while under, solves 0 itself.  An Illinois
+    secant closes the bracket, within ``_MAX_EVALS`` probes in all; a
+    search that reaches that cap before its bracket forms returns its last
+    probe, over the target.  A bracket left open ends across a jump of D_i,
+    and the result timeshares its ends, which convexity makes exact.  With
+    one constraint every probe gives the dual bound R - s (D_i - target) <=
+    R(target), and a bracket across a jump over ``dist_tol`` stops once the
+    timeshare is within ``SLACK_TOL`` of the best bound; with several, a
+    one-coordinate mix is no joint timeshare, so the bracket closes to a
+    width of 1e-13.
 
     Returns (slope, point): ``point`` = (rate, D vector, converged) is
     either ``solver.held`` itself, the solve at ``slope``, or a timeshared
@@ -420,7 +420,6 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     pt = (slopes[i], solver.held)  # (slope, point) pairs
     start_at_zero = pt[0] == 0.0
     hi = lo = None
-    halvings = 0
     step = None
     rate, dvec, conv = solver.held
     if pt[0] < 0.0 and conv:
@@ -467,14 +466,11 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             if hi is not None:
                 break
         if step is not None:  # a Newton step over the target is negative, so never past 0
-            s, step = min(s + step, 0.0), 2.0 * step
+            s = min(s + step, 0.0)
         elif dist > target:
             s = 2.0 * s if s < 0.0 else -1.0
-        else:
-            # under the target at a warm slope: walk toward 0 by halving
-            # and solve slope 0 itself only once the walk gets there
-            halvings += 1
-            s = 0.5 * s if halvings <= 3 and s < -2e-3 else 0.0
+        else:  # under the target
+            s = 0.0
         pt = probe(s)
     if hi[0] == 0.0 and start_at_zero:
         # the probes have moved the warm q since the held slope-0 point: the
