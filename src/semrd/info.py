@@ -19,8 +19,6 @@ import numpy as np
 from .bn import BayesNet, JointTable, marginal_table
 from .errors import InvalidStateError
 
-_CLAMP_TOL = 1e-9
-
 
 def _plogp(p) -> np.ndarray:
     """p * log2(p) entrywise, with 0*log2(0) = 0."""

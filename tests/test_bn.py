@@ -141,8 +141,14 @@ def _one_var_doc(**cpt):
     _one_var_doc(rows=[[None, 1.0]]),
     _one_var_doc(rows=[[1e308, 1e308]]),
     _one_var_doc(rows=[[float("inf"), float("-inf")]]),
+    {**_one_var_doc(parents=["A"], rows=[[0.5, 0.5]] * 2), "edges": [["A", "A"]]},
+    {"variables": [{"name": "A", "cardinality": 2}, {"name": "B", "cardinality": 2}],
+     "edges": [["A", "B"]],
+     "cpts": [{"child": "A", "parents": [], "rows": [[0.5, 0.5]]},
+              {"child": "B", "parents": ["A", "A"], "rows": [[0.5, 0.5]] * 4}]},
 ], ids=["variables", "edges", "cpts", "parents", "cardinality", "fractional-cardinality",
-        "child", "rows", "null-entry", "overflowing-row-sum", "inf-minus-inf-row-sum"])
+        "child", "rows", "null-entry", "overflowing-row-sum", "inf-minus-inf-row-sum",
+        "own-parent", "duplicate-parents"])
 def test_net_from_dict_rejects_malformed_fields(doc):
     with pytest.raises(SchemaError):
         net_from_dict(doc)

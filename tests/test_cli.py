@@ -366,12 +366,13 @@ _NAN, _HAM2 = float("nan"), semrd.hamming_distortion(2)
     (["rd-cond", "fork", "--side", ",", "--targets", "0.1"], 2),
     (["lemma2", "fork", "--side", ",", "--targets", "0.1"], 2),
     (["rd-cond", "fork", "--side", "Y", "--vars", "Y,X1", "--targets", "0.1,0.1"], 2),
+    (["rd", "fork", "--slopes=-1,-1"], 2),
 ], ids=["ba_target-nan", "ba_point-nan", "gaussian-target-nan",
         "rd-targets-nan", "rd-slopes-inf", "ba_point-slope-overflow",
         "rd-slopes-overflow", "rd_curve-last-slope-inf", "bounds-targets-nan", "closed-form-target-nan",
         "closed-form-sigma-nan", "closed-form-sigma-inf", "rd-sweep-negative",
         "sample-count-negative", "slope-grid-negative", "rd-cond-side-empty",
-        "lemma2-side-empty", "rd-cond-vars-in-side"])
+        "lemma2-side-empty", "rd-cond-vars-in-side", "rd-slope-count"])
 def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
     # a NaN distortion is neither over nor under its target, so a slope
     # search would probe slope 0 forever; a NaN or infinite slope, or finite

@@ -650,6 +650,10 @@ def test_multi_argument_validation():
         ba_joint_multi_target(pj, [shifted, HAM2], (0.2, 0.1))
     with pytest.raises(InvalidStateError):
         ba_joint_multi(pj, [HAM2, HAM2], (0.5, -1.0))
+    with pytest.raises(InvalidStateError):  # side=True on a source without a side axis
+        ba_joint_multi([0.5, 0.5], [HAM2], (-1.0,), side=True)
+    with pytest.raises(InvalidStateError):  # one slope for two variables
+        ba_joint_multi(pj, [HAM2, HAM2], (-1.0,))
 
 
 @pytest.mark.parametrize("solve", [
