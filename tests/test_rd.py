@@ -1158,3 +1158,22 @@ def test_erasure_product_newton_phase_hands_over_what_the_sweeps_return(monkeypa
     ref = ba_joint_multi_target(joint, [ERASURE, ERASURE], targets)
     assert (got.rate, got.distortions, got.slopes, got.converged) == (
         ref.rate, ref.distortions, ref.slopes, ref.converged)
+
+
+def test_every_slope_search_opens_at_the_engines_last_solve(monkeypatch):
+    # a slope search that ends on a timeshare leaves the engine at its last
+    # probe, not at the mix's slopes; the sweep solves the mix's slopes again
+    # before the next search, which reads dD/ds and its opening point there
+    real_root = rd._slope_root
+    opened, mixes = [], []
+
+    def root_spy(solver, slopes, *args):
+        opened.append(solver.slopes == tuple(map(float, slopes)))
+        out = real_root(solver, slopes, *args)
+        mixes.append(out[1] is not solver.held)
+        return out
+
+    monkeypatch.setattr(rd, "_slope_root", root_spy)
+    ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], (0.3, 0.2))
+    assert any(mixes[:-1])  # some search ended on a mix and another followed
+    assert opened and all(opened)
