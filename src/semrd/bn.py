@@ -118,7 +118,7 @@ class BayesNet:
                 {
                     "child": self.variables[c.child].name,
                     "parents": [self.variables[p].name for p in c.parents],
-                    "rows": [[float(x) for x in row] for row in c.table],
+                    "rows": c.table.astype(float, copy=False).tolist(),
                 }
                 for c in self.cpts
             ],

@@ -17,17 +17,26 @@ from importlib import resources
 import numpy as np
 
 from .bn import BayesNet, load_net, make_net
+from .errors import InvalidStateError
 
 BUNDLED = ("fork", "chain", "scene")
 
 
+def _check_flip(p: float) -> None:
+    """Refuse a flip probability that is not a number in [0, 1]."""
+    if not 0.0 <= p <= 1.0:  # also a NaN
+        raise InvalidStateError(f"flip probability {p} outside [0, 1]")
+
+
 def bsc_rows(p: float) -> list[list[float]]:
     """Symmetric flip channel as CPT rows."""
+    _check_flip(p)
     return [[1.0 - p, p], [p, 1.0 - p]]
 
 
 def doubly_symmetric_joint(p: float) -> np.ndarray:
     """2x2 joint of a uniform bit observed through a symmetric flip channel."""
+    _check_flip(p)
     return np.array([[(1.0 - p) / 2.0, p / 2.0], [p / 2.0, (1.0 - p) / 2.0]])
 
 
@@ -57,9 +66,12 @@ def doubly_symmetric_chain(p1: float, p2: float) -> BayesNet:
 
 def binary_chain(m: int, p: float = 0.3) -> BayesNet:
     """Markov chain of m bits, each flipping the previous with probability p."""
+    if not m >= 1:
+        raise InvalidStateError(f"a chain needs m >= 1 bits, got {m}")
+    rows = bsc_rows(p)  # built here, so that one bit, which takes none, checks p too
     variables = [(f"X{i}", 2) for i in range(m)]
     cpts = [("X0", [], [[0.5, 0.5]])]
-    cpts += [(f"X{i}", [f"X{i - 1}"], bsc_rows(p)) for i in range(1, m)]
+    cpts += [(f"X{i}", [f"X{i - 1}"], rows) for i in range(1, m)]
     return make_net(variables, cpts)
 
 

@@ -128,8 +128,9 @@ def _check_source(joint: np.ndarray, cards, dists) -> list[np.ndarray]:
     """Check that ``joint`` is a distribution of one or more variables and that
     ``dists`` holds one finite, nonnegative distortion matrix per variable, of
     one row per state (``cards``) and some columns; returns them as floats."""
-    if not np.isfinite(joint).all() or np.any(joint < 0) or abs(joint.sum() - 1.0) > 1e-9:
-        raise InvalidStateError(f"not a distribution (sum {joint.sum():.12g})")
+    total = joint.sum()  # tested first: an empty source has no minimum
+    if not (abs(total - 1.0) <= 1e-9 and joint.min() >= 0.0):  # also a NaN or an inf
+        raise InvalidStateError(f"not a distribution (sum {total:.12g})")
     if not cards or len(dists) != len(cards):
         raise InvalidStateError(f"{len(dists)} distortion matrices for {len(cards)} variables; "
                                 "a source needs at least one variable")
@@ -137,7 +138,7 @@ def _check_source(joint: np.ndarray, cards, dists) -> list[np.ndarray]:
     for k, d in zip(cards, dists):
         if d.ndim != 2 or d.shape[0] != k or d.shape[1] == 0:
             raise InvalidStateError(f"distortion matrix of shape {d.shape} needs {k} rows and a column")
-        if not (np.isfinite(d).all() and (d >= 0).all()):
+        if not (d.min() >= 0.0 and d.max() < math.inf):  # also a NaN
             raise InvalidStateError("distortion matrix entries must be finite and >= 0")
     return dists
 
@@ -201,8 +202,9 @@ def _closed_form_q(p, a):
             return None
         r = inv.sum(axis=0)
         q = inv @ (p / r)
-        if (r > 0.0).all() and (q > 0.0).all() and q.sum() < math.inf:  # also a NaN
-            return q / q.sum()
+        tot = q.sum()
+        if r.min() > 0.0 and q.min() > 0.0 and tot < math.inf:  # also a NaN
+            return q / tot
     return None
 
 
@@ -236,9 +238,9 @@ def _ba_slope_core(p, a, q, max_iters, newton):
             c = (p / (a @ qs[-1])) @ a
             qc = qs[-1] * c
             pos = qc > 0  # a dead letter adds no term
-            gap = (c.max() - 1.0) - np.add.reduce(qc[pos] * np.log(c[pos]))
+            gap = (np.maximum.reduce(c) - 1.0) - np.add.reduce(qc[pos] * np.log(c[pos]))
             it += 1
-            qs.append(qc / qc.sum())
+            qs.append(qc / np.add.reduce(qc))
             if gap < GAP_TOL_NATS:
                 return qs[-1], it, True, False
         q, q1, q2 = qs
@@ -253,8 +255,8 @@ def _ba_slope_core(p, a, q, max_iters, newton):
             # clip at 1e-280 of the largest letter, not at 0: A q stays
             # positive on every row, and the update q c revives a letter
             # from there in a few steps
-            np.maximum(qa, 1e-280 * qa.max(), out=qa)
-            tot = qa.sum()
+            np.maximum(qa, 1e-280 * np.maximum.reduce(qa), out=qa)
+            tot = np.add.reduce(qa)
             if 0.0 < tot < math.inf:
                 q2 = qa / tot
         q = q2
@@ -301,19 +303,19 @@ def _newton(p, a, q, it, max_iters):
     # the ratio test, or outnumber the rows and leave the KKT system singular
     g[g <= _NEWTON_FLOOR * g.max()] = 0.0
     while True:
-        g /= g.sum()
+        g /= np.add.reduce(g)
         q = g[group] * share
         alpha = a @ q
         cq = (p / alpha) @ a
         qc = q * cq
         pos = qc > 0
-        gap = (cq.max() - 1.0) - qc[pos] @ np.log(cq[pos])  # the bracket over every letter
+        gap = (np.maximum.reduce(cq) - 1.0) - qc[pos] @ np.log(cq[pos])  # the bracket over every letter
         if gap < GAP_TOL_NATS or it >= max_iters:
             return q, it, bool(gap < GAP_TOL_NATS)
         it += 1
         c = cq @ merge
         on = g > 0
-        j = int(np.argmax(np.where(on, -np.inf, c)))
+        j = int(np.where(on, -np.inf, c).argmax())
         joined = not on[j] and c[j] > 1.0
         s = on.copy()
         s[j] |= joined
@@ -323,7 +325,7 @@ def _newton(p, a, q, it, max_iters):
             d = _kkt_step(p, b, alpha, c, s)
         t = _search(p, b, alpha, c, g, s, d) if d is not None else 0.0
         if not t:  # the vertex direction e_k - g toward the letter k of largest c
-            k = int(np.argmax(c))
+            k = int(c.argmax())
             s = on.copy()
             s[k] = True
             d = -g[s]
@@ -332,7 +334,7 @@ def _newton(p, a, q, it, max_iters):
         g[s] += t * d
         # a letter that is shrinking, or that rounding left at or under 0,
         # leaves S under the floor; a joined one keeps its first small step
-        g[(g <= _NEWTON_FLOOR * g.max()) & ((c < 1.0) | (g < 0.0))] = 0.0
+        g[(g <= _NEWTON_FLOOR * np.maximum.reduce(g)) & ((c < 1.0) | (g < 0.0))] = 0.0
 
 
 def _column_keys(a):
@@ -345,13 +347,13 @@ def _kkt_step(p, a, alpha, c, s):
     """The Newton step on support ``s`` (see ``_newton``), or None when the
     KKT system gives no finite descent direction."""
     kkt = _kkt_matrix(p, a[:, s], alpha)
-    n = len(kkt) - 1
-    rhs = np.append(c[s] - 1.0, 0.0)
+    rhs = np.zeros(len(kkt))
+    rhs[:-1] = c[s] - 1.0
     try:
-        d = np.linalg.solve(kkt, rhs)[:n]
+        d = np.linalg.solve(kkt, rhs)[:-1]
     except np.linalg.LinAlgError:
         return None
-    return d if 0.0 < rhs[:n] @ d < math.inf and np.isfinite(d).all() else None
+    return d if 0.0 < rhs[:-1] @ d < math.inf and np.isfinite(d).all() else None
 
 
 def _kkt_matrix(p, a, alpha):
@@ -543,11 +545,13 @@ class _MultiSolver:
         self.lifted = np.array([d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)])
         flat = joint.reshape(ny, nx)
         py = flat.sum(axis=1)
-        ys = np.flatnonzero(py > 0)
+        ys = (py > 0).nonzero()[0]
         self.weights = py[ys]
         conds = flat[ys] / py[ys, None]
-        self.rows = [np.flatnonzero(c) for c in conds]  # each state's support rows
+        # each state's support rows; all of them as a slice, which takes views, not copies
+        self.rows = [r if len(r) < nx else slice(None) for r in (c.nonzero()[0] for c in conds)]
         self.p = [c[rows] for c, rows in zip(conds, self.rows)]
+        self.lifts = [self.lifted[:, rows] for rows in self.rows]  # (m, rows, nh) per state
         self.states = [(None, False)] * len(ys)  # the records of ``eval``
         self.slopes = None  # the last solve's slopes; None after all-zero slopes
         self.held = None  # the last solve's (rate, D vector, converged)
@@ -558,11 +562,10 @@ class _MultiSolver:
         corner = np.empty((len(ys), 2, self.m))
         self.margs = []
         for i, d in enumerate(dists):
-            other = tuple(a + 1 for a in range(self.m) if a != i)
-            marg = (arr.sum(axis=other) if other else arr)[:, None, :]
-            corner[:, 0, i] = np.minimum.reduce(marg @ d, axis=2)[:, 0]
-            corner[:, 1, i] = (marg @ d.min(axis=1)[:, None])[:, 0, 0]
-            self.margs.append(_state_sum(self.weights, marg[:, 0, :]))
+            marg = arr.sum(axis=tuple(a + 1 for a in range(self.m) if a != i))  # (states, k_i)
+            corner[:, 0, i] = (marg @ d).min(axis=1)
+            corner[:, 1, i] = marg @ d.min(axis=1)
+            self.margs.append(_state_sum(self.weights, marg))
         self.trivs, self.floors = _state_sum(self.weights, corner)
 
     def eval(self, slopes) -> tuple[float, np.ndarray, int, bool]:
@@ -595,7 +598,7 @@ class _MultiSolver:
             expo = expo + slopes[i] * self.lifted[i]
         tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
         parts, states, iters, converged = [], [], 0, True
-        for p, rows, state in zip(self.p, self.rows, self.states):
+        for p, rows, lifts, state in zip(self.p, self.rows, self.lifts, self.states):
             a = tilt[rows]
             q, handed = state[:2]
             newton = handed
@@ -613,10 +616,9 @@ class _MultiSolver:
             states.append((q, handed or newly, a, alpha, channel))
             qm = p @ channel
             pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
-            info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
+            info = channel * np.log2(np.divide(channel, qm, out=np.ones(channel.shape), where=pos))
             rate = max(p @ np.add.reduce(info, axis=1), 0.0)
-            parts.append([rate, *(p @ np.add.reduce(channel * lift[rows], axis=1)
-                                  for lift in self.lifted)])
+            parts.append([rate, *(p @ np.add.reduce(channel * lift, axis=1) for lift in lifts)])
         total = _state_sum(self.weights, np.array(parts))
         self.states, self.slopes = states, tuple(map(float, slopes))
         self.held = (total[0], total[1:], converged)
@@ -646,21 +648,20 @@ class _MultiSolver:
         if self.slopes is None:
             raise InvalidStateError("dD/ds asked after an all-zero-slope solve")
         jac = []
-        lifted = self.lifted[act]
-        for p, rows, (q, _, a, alpha, channel) in zip(self.p, self.rows, self.states):
-            lift = lifted[:, rows]
+        for p, lifts, (q, _, a, alpha, channel) in zip(self.p, self.lifts, self.states):
+            lift = lifts[act]
             delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
             flat = delta.reshape(len(delta), -1)
             cov = (flat * (p[:, None] * channel).reshape(-1)) @ flat.T
-            s = np.flatnonzero((q > 0.0) & ((p / alpha) @ a > 1.0 - 1e-6))
+            s = ((q > 0.0) & ((p / alpha) @ a > 1.0 - 1e-6)).nonzero()[0]
             first = {}  # one letter per merged letter, as in ``_newton``
             for j, k in zip(s, _column_keys(a[:, s])):
                 first.setdefault(k, j)
             s = np.fromiter(first.values(), int, len(first))
-            grad = np.einsum("x,xk,ixk->ki", p / alpha, a[:, s], delta[:, :, s])
-            rhs = np.vstack([grad, np.zeros(len(delta))])
+            rhs = np.zeros((len(s) + 1, len(delta)))  # G over a row of zeros
+            rhs[:-1] = np.einsum("x,xk,ixk->ki", p / alpha, a[:, s], delta[:, :, s])
             z = np.linalg.solve(_kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
-            jac.append(math.log(2.0) * (cov + grad.T @ z))
+            jac.append(math.log(2.0) * (cov + rhs[:-1].T @ z))
         return _state_sum(self.weights, np.array(jac))
 
 
@@ -693,10 +694,10 @@ def _slope_newton(solver: _MultiSolver, targets, slopes):
         rate, dvec, conv = solver.held
         act = slopes < 0.0
         gap = targets - dvec
-        if (np.all(np.abs(gap[act]) <= 1e-9)
+        if ((np.abs(gap[act]) <= 1e-9).all()
                 and all(_accept(s, d, t, DIST_TOL) for s, d, t in zip(slopes, dvec, targets))):
             break
-        if not conv or np.any(gap[~act] < 0.0) or probes >= _MAX_SWEEPS:
+        if not conv or (gap[~act] < 0.0).any() or probes >= _MAX_SWEEPS:
             break
         try:
             step = np.linalg.solve(solver.jacobian(act), gap[act])
@@ -736,8 +737,11 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     counts as converged when its solves closed their brackets and every
     constraint passes ``_accept`` at ``DIST_TOL``.
     """
-    targets = np.asarray(targets, float)
-    if not np.all(targets >= 0):  # also a NaN
+    try:
+        targets = np.asarray(targets, float)
+    except (TypeError, ValueError) as exc:  # a target that is not a number
+        raise InvalidStateError(f"targets must be numbers, got {targets!r}") from exc
+    if not (targets >= 0).all():  # also a NaN
         raise InvalidStateError(f"targets must be >= 0, got {targets.tolist()}")
     if targets.shape != (solver.m,):
         raise InvalidStateError(f"{targets.size} targets for {solver.m} variables")
@@ -746,10 +750,10 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
             raise InvalidStateError(
                 f"target {targets[i]} for variable {i} below floor {solver.floors[i]:.12g}"
             )
-    if np.all(targets >= solver.trivs - 1e-15):
-        return RdPoint(0.0, tuple(float(t) for t in solver.trivs), (0.0,) * solver.m, 0, True)
-    slopes = np.array([0.0 if targets[i] >= solver.trivs[i] - 1e-15 else
-                       _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
+    corner = targets >= solver.trivs - 1e-15  # at or above the zero-rate corner
+    if corner.all():
+        return RdPoint(0.0, tuple(solver.trivs.tolist()), (0.0,) * solver.m, 0, True)
+    slopes = np.array([0.0 if corner[i] else _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
                        for i in range(solver.m)])
     start = solver.iters
     solver.eval(slopes)
@@ -770,16 +774,8 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
                 slopes[i], point = _slope_root(solver, slopes, i, float(targets[i]), dtol, stol)
     rate, dvec, conv = point
     ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
-    return RdPoint(float(rate), tuple(float(d) for d in dvec), tuple(float(s) for s in slopes),
+    return RdPoint(float(rate), tuple(dvec.tolist()), tuple(slopes.tolist()),
                    solver.iters - start, bool(ok and conv))
-
-
-def _side_first(joint) -> np.ndarray:
-    """A 2-d conditional source ``joint[x, y]`` with its side axis moved first."""
-    joint = np.asarray(joint, float)
-    if joint.ndim != 2:
-        raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
-    return joint.T
 
 
 def _plain_solver(p, d) -> _MultiSolver:
@@ -787,7 +783,11 @@ def _plain_solver(p, d) -> _MultiSolver:
 
 
 def _conditional_solver(joint, d) -> _MultiSolver:
-    return _MultiSolver(_side_first(joint), [d], side=True)
+    """The solver of a 2-d conditional source ``joint[x, y]``, its side axis moved first."""
+    joint = np.asarray(joint, float)
+    if joint.ndim != 2:
+        raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
+    return _MultiSolver(joint.T, [d], side=True)
 
 
 def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:

@@ -594,3 +594,59 @@ def test_random_net_is_valid_and_seed_stable(seed):
     assert validate(net).ok
     again = random_net(seed, 4, max_card=3)
     assert net.digest() == again.digest()
+
+
+def _reference_canonical_bytes(net):
+    """The canonical serialization built entry by entry, each CPT entry
+    through ``float``."""
+    doc = {
+        "variables": [{"name": v.name, "cardinality": v.cardinality} for v in net.variables],
+        "edges": [[net.variables[p].name, net.variables[c.child].name]
+                  for c in net.cpts for p in c.parents],
+        "cpts": [{"child": net.variables[c.child].name,
+                  "parents": [net.variables[p].name for p in c.parents],
+                  "rows": [[float(x) for x in row] for row in c.table]} for c in net.cpts],
+    }
+    return doc, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_canonical_bytes_equal_the_per_entry_reference(tmp_path, fork_net, chain_net, scene_net):
+    nets = [fork_net, chain_net, scene_net]
+    nets += [random_net(seed, 8, max_card=4, max_parents=3) for seed in range(20)]
+    for k, net in enumerate(nets):
+        doc, want = _reference_canonical_bytes(net)
+        assert net.canonical_bytes() == want
+        assert net.digest() == hashlib.sha256(want).digest()[:16]
+        path = tmp_path / f"net{k}.json"
+        save_net(net, path)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: semrd.nets.binary_chain(3, p),
+    lambda p: semrd.nets.binary_chain(1, p),
+    lambda p: semrd.nets.doubly_symmetric_fork(p, 0.1),
+    lambda p: semrd.nets.doubly_symmetric_fork(0.1, p),
+    lambda p: semrd.nets.doubly_symmetric_chain(p, 0.1),
+    lambda p: semrd.nets.doubly_symmetric_chain(0.1, p),
+    lambda p: semrd.nets.doubly_symmetric_joint(p),
+], ids=["binary_chain", "binary_chain-one-bit", "fork-first", "fork-second", "chain-first",
+        "chain-second", "doubly_symmetric_joint"])
+@pytest.mark.parametrize("p", [2.0, -0.1, float("nan"), float("inf")], ids=["2", "-0.1", "nan", "inf"])
+def test_flip_probabilities_outside_the_unit_interval_are_refused(build, p):
+    with pytest.raises(errors.InvalidStateError, match="flip probability"):
+        build(p)
+
+
+def test_flip_probabilities_at_the_ends_build_valid_nets():
+    for p in (0.0, 1.0):
+        for net in (semrd.nets.binary_chain(3, p), semrd.nets.doubly_symmetric_fork(p, 1.0 - p),
+                    semrd.nets.doubly_symmetric_chain(p, p)):
+            assert validate(net).ok
+        assert semrd.nets.doubly_symmetric_joint(p).sum() == 1.0
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_binary_chain_needs_at_least_one_bit(m):
+    with pytest.raises(errors.InvalidStateError, match="m >= 1"):
+        semrd.nets.binary_chain(m)

@@ -654,6 +654,8 @@ def test_multi_argument_validation():
         ba_joint_multi([0.5, 0.5], [HAM2], (-1.0,), side=True)
     with pytest.raises(InvalidStateError):  # one slope for two variables
         ba_joint_multi(pj, [HAM2, HAM2], (-1.0,))
+    with pytest.raises(InvalidStateError, match="numbers"):  # a target that is not a number
+        ba_joint_multi_target(pj, [HAM2, HAM2], ["a", 0.1])
 
 
 @pytest.mark.parametrize("solve", [
@@ -676,12 +678,13 @@ def test_multi_argument_validation():
     lambda: ba_conditional_target(np.full((2, 2), 0.25), np.zeros((2, 0)), 0.1),
     lambda: ba_joint_multi(np.full((2, 2), 0.25), [HAM2, np.zeros((2, 0))], (-1.0, -1.0)),
     lambda: ba_joint_multi_target(np.ones(()), [], []),
+    lambda: ba_target([], HAM2, 0.1),
 ], ids=["ba_point", "ba_target", "ba_conditional", "ba_conditional_target",
         "nan-entry", "inf-entry", "negative-entry", "negative-entry-joint",
         "trivial_distortion", "min_distortion", "trivial_distortion-nan-entry",
         "min_distortion-nan-entry", "trivial_distortion-no-column", "min_distortion-no-column",
         "ba_point-no-column", "ba_target-no-column", "ba_conditional_target-no-column",
-        "ba_joint_multi-no-column", "no-variables"])
+        "ba_joint_multi-no-column", "no-variables", "empty-source"])
 def test_distortion_rows_must_match_cardinality(solve):
     with pytest.raises(InvalidStateError):
         solve()
@@ -990,6 +993,110 @@ def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
     solver.eval(np.zeros(3))
     with pytest.raises(InvalidStateError):
         solver.jacobian(s < 0)
+
+
+def _reference_lifted(dists, cards):
+    """d_i(x_i, xhat_i) over the flat product alphabets, one table per variable."""
+    m, nh = len(dists), [d.shape[1] for d in dists]
+    tables = []
+    for i, d in enumerate(dists):
+        shape = [1] * (2 * m)
+        shape[i], shape[m + i] = cards[i], nh[i]
+        tables.append(np.broadcast_to(d.reshape(shape), (*cards, *nh)).reshape(math.prod(cards), -1))
+    return np.array(tables)
+
+
+def _reference_eval(joint, dists, side, slopes, qs):
+    """The rate and D vector of a solve at ``slopes`` whose side states end at
+    the reconstruction marginals ``qs``, rebuilt state by state from the
+    source: the tilt from the lifted tables, each state's rows of them, its
+    test channel, rate and per-coordinate distortions.  Returns (rate, D
+    vector, one (p(y), p, q, a, A q, channel, lifted rows) per state)."""
+    joint = np.asarray(joint, float)
+    joint = joint if side else joint[None]
+    lifted = _reference_lifted(dists, joint.shape[1:])
+    expo = slopes[0] * lifted[0]
+    for s, lift in zip(slopes[1:], lifted[1:]):
+        expo = expo + s * lift
+    tilt = np.exp2(expo - expo.max(axis=1, keepdims=True))
+    total, states = None, []
+    for row in joint.reshape(len(joint), -1):
+        w = row.sum()
+        if not w > 0:
+            continue
+        cond = row / w
+        rows = np.flatnonzero(cond)
+        p, q, a = cond[rows], qs[len(states)], tilt[rows]
+        alpha = a @ q
+        channel = a * q / alpha[:, None]
+        qm = p @ channel
+        pos = (channel > 0) & (qm > 0)
+        info = channel * np.log2(np.divide(channel, qm, out=np.ones_like(channel), where=pos))
+        part = np.array([max(p @ np.add.reduce(info, axis=1), 0.0),
+                         *(p @ np.add.reduce(channel * lift[rows], axis=1) for lift in lifted)])
+        total = w * part if total is None else total + w * part
+        states.append((w, p, q, a, alpha, channel, lifted[:, rows]))
+    return total[0], total[1:], states
+
+
+def _reference_jacobian(states, act):
+    """dD/ds over the mask ``act`` from ``_reference_eval``'s states, by the
+    sensitivity system of ``_MultiSolver.jacobian``."""
+    total = None
+    for w, p, q, a, alpha, channel, lifts in states:
+        lift = lifts[act]
+        delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
+        flat = delta.reshape(len(delta), -1)
+        cov = (flat * (p[:, None] * channel).reshape(-1)) @ flat.T
+        s = np.flatnonzero((q > 0.0) & ((p / alpha) @ a > 1.0 - 1e-6))
+        first = {}
+        for j, k in zip(s, rd._column_keys(a[:, s])):
+            first.setdefault(k, j)
+        s = np.fromiter(first.values(), int, len(first))
+        grad = np.einsum("x,xk,ixk->ki", p / alpha, a[:, s], delta[:, :, s])
+        rhs = np.vstack([grad, np.zeros(len(delta))])
+        z = np.linalg.solve(rd._kkt_matrix(p, a[:, s], alpha), rhs)[:-1]
+        part = w * (math.log(2.0) * (cov + grad.T @ z))
+        total = part if total is None else total + part
+    return total
+
+
+def _random_engine_source(rng, side, zero_state):
+    """A source of one or two variables of 2 or 3 letters, about a fifth of
+    its cells 0, with 2 or 3 side states when ``side`` (the first of them of
+    zero weight when ``zero_state``), and one Hamming or U(0, 3) distortion
+    matrix of 2 or 3 columns per variable."""
+    cards = tuple(int(k) for k in rng.integers(2, 4, size=int(rng.integers(1, 3))))
+    shape = ((int(rng.integers(2, 4)),) if side else ()) + cards
+    joint = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    joint *= rng.random(shape) < 0.8
+    if zero_state:
+        joint[0] = 0.0
+    joint.reshape(-1)[int(rng.integers(joint.size // 2, joint.size))] += 0.1  # never all 0
+    dists = [hamming_distortion(k) if rng.random() < 0.5
+             else rng.uniform(0.0, 3.0, (k, int(rng.integers(2, 4)))) for k in cards]
+    return joint / joint.sum(), dists
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_engine_solve_and_jacobian_equal_the_reference_bit_for_bit(seed):
+    # each solve's rate and D vector, and dD/ds over every mask at it, equal
+    # a rebuild from the source at the q's the solve ended at, to the bit
+    rng = np.random.default_rng(7000 + seed)
+    side = seed % 3 != 0
+    joint, dists = _random_engine_source(rng, side, zero_state=side and seed % 3 == 1)
+    solver = rd._MultiSolver(joint, dists, side=side)
+    masks = [np.array(mask) for mask in ([True], [True, True], [True, False], [False, True])
+             if len(mask) == solver.m]
+    for _ in range(3):  # the first cold, the others warm-started
+        slopes = rng.uniform(-4.0, -0.3, size=solver.m)
+        rate, dvec, _, _ = solver.eval(slopes)
+        want_rate, want_dvec, states = _reference_eval(joint, dists, side, slopes,
+                                                       [q for q, *_ in solver.states])
+        assert rate == want_rate
+        np.testing.assert_array_equal(dvec, want_dvec)
+        for mask in masks:
+            np.testing.assert_array_equal(solver.jacobian(mask), _reference_jacobian(states, mask))
 
 
 def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
