@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Compare codec cost accounting against empirical bitrates.
 
-For each bundled network: build the per-node codebooks, encode a large batch
-of samples, and line up three numbers per network -- the factorized entropy,
-the analytic expected code length, and the measured bits per sample.  The
+For each bundled network and a 120-node binary chain: build the per-node
+codebooks, encode a large batch of samples, and line up three numbers per
+network -- the factorized entropy, the analytic expected code length, and the
+measured bits per sample.  The
 measured rate should track the analytic expectation to within sampling noise,
-and both stay inside [H, H + m).  Sample, encode and decode speeds, in
+and both stay inside [H, H + m).  Equal CPT rows share one code, so the
+distinct codes can be far fewer than the table entries touched.  Sample, encode and decode speeds, in
 symbols per second, go to stderr.
 """
 
@@ -24,7 +26,7 @@ from semrd import (
     load_bundled,
     sample,
 )
-from semrd.nets import BUNDLED
+from semrd.nets import BUNDLED, binary_chain
 
 
 def main(argv=None):
@@ -34,9 +36,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     print("net,variables,entropy_bits,expected_length_bits,measured_bits_per_sample,"
-          "entries_touched,stream_bytes")
-    for name in BUNDLED:
-        net = load_bundled(name)
+          "entries_touched,distinct_codes,stream_bytes")
+    nets = [(name, load_bundled(name)) for name in BUNDLED] + [("chain120", binary_chain(120, 0.2))]
+    for name, net in nets:
         fcb = build_factorized_codebooks(net)
         t = time.perf_counter()
         draws = sample(net, args.n, seed=args.seed)
@@ -55,8 +57,9 @@ def main(argv=None):
         measured = 8 * len(stream.payload) / args.n
         h = joint_entropy_factorized(net)
         e_len = expected_length(fcb, net)
+        distinct = len({id(code) for per_var in fcb.codes for code in per_var})
         print(f"{name},{net.m},{h:.6f},{e_len:.6f},{measured:.6f},"
-              f"{fcb.entries_touched},{len(stream.payload)}")
+              f"{fcb.entries_touched},{distinct},{len(stream.payload)}")
         if not h - 1e-9 <= e_len < h + net.m:
             print(f"# {name}: expected length outside [H, H+m)", file=sys.stderr)
             return 1

@@ -4,7 +4,8 @@ Two routes are provided on purpose:
 
 * a *factorized* codebook with one Huffman code per (variable, parent
   configuration), built straight from the CPT rows — the table work is
-  bounded by m * k^L * k entries instead of the k^m-sized joint alphabet;
+  bounded by m * k^L * k entries instead of the k^m-sized joint alphabet.
+  Equal rows share one code object, built once;
 * a single Huffman code over the dense joint alphabet, the oracle used to
   measure what factorization gives up (at most one bit per variable).
 
@@ -18,10 +19,10 @@ Streams are framed as: 4-byte magic, 1-byte version, 8-byte big-endian count,
 16-byte network digest, then payload bits MSB-first, zero-padded to a byte.
 ``encode`` finds the codes of 2^14 symbols at a time in one numpy step over
 ``row_layout``, gathers their codewords from the codebook's flat table and
-packs the bits once.  ``decode`` walks one binary trie over all the codes:
-pass 1 finds where each sample starts, decoding in Python only the variables
-whose codeword lengths vary and their ancestors; pass 2 decodes each
-variable for all samples in one numpy walk.
+packs the bits once.  ``decode`` walks one binary trie over all the codes,
+one subtrie per distinct code: pass 1 finds where each sample starts,
+decoding in Python only the variables whose codeword lengths vary and their
+ancestors; pass 2 decodes each variable for all samples in one numpy walk.
 """
 
 from __future__ import annotations
@@ -131,26 +132,40 @@ class FactorizedCodebook:
         return sum(len(per) for per in self.codes)
 
     @cached_property
-    def table(self) -> tuple[np.ndarray, ...]:
-        """Codeword offsets into ``pool`` and lengths (-1: none), (codes, k) for
-        the widest cardinality k; the pool of all codeword bits; and each
-        variable's first code.  Codes are in (variable, parent config) order."""
+    def _distinct(self) -> tuple[np.ndarray, ...]:
+        """``table``'s offsets, lengths and pool over the distinct codes (by
+        identity, in first-use order), and the distinct index of each code."""
         k = max(self.net.cards, default=1)
-        words = [code.codewords.get(s) for per_var in self.codes for code in per_var for s in range(k)]
+        flat = [code for per_var in self.codes for code in per_var]
+        distinct = {id(code): code for code in flat}  # in first-use order
+        slot = {key: d for d, key in enumerate(distinct)}
+        which = [slot[id(code)] for code in flat]
+        words = [code.codewords.get(s) for code in distinct.values() for s in range(k)]
         lengths = np.array([-1 if w is None else len(w) for w in words], dtype=np.int64).reshape(-1, k)
         size = np.maximum(lengths, 0)
         pool = np.frombuffer("".join(filter(None, words)).encode("ascii"), dtype=np.uint8) - ord("0")
+        return np.cumsum(size).reshape(size.shape) - size, lengths, pool, np.array(which)
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, ...]:
+        """Codeword offsets into ``pool`` and lengths (-1: none), (codes, k) for
+        the widest cardinality k; the pool of all codeword bits; and each
+        variable's first code.  Codes are in (variable, parent config) order;
+        equal code objects share their pool bits."""
+        offsets, lengths, pool, which = self._distinct
         first = np.cumsum([0] + [len(per_var) for per_var in self.codes])
-        return (np.cumsum(size).reshape(size.shape) - size, lengths, pool, first)
+        return offsets[which], lengths[which], pool, first
 
     @cached_property
     def trie(self) -> tuple[np.ndarray, ...]:
         """All codes as one binary trie: node arrays kid (the two children),
         sym and depth, and the root of each code in ``encode``'s order.  Node 0
         is the dead node (sym -2) where a missing child leads; inner nodes have
-        sym -1; a leaf is its own child.  A walk stops at the first leaf, so of
-        two codewords where one extends the other, the shorter one matches."""
-        offsets, lengths, pool, _ = self.table
+        sym -1; a leaf is its own child.  Each distinct code gets one subtrie,
+        its nodes in one run that starts at its root.  A walk stops at the
+        first leaf, so of two codewords where one extends the other, the
+        shorter one matches."""
+        offsets, lengths, pool, which = self._distinct
         kid, sym, depth, roots, bits = [[0, 0]], [-2], [0], [], pool.tolist()
         for offs, lens in zip(offsets.tolist(), lengths.tolist()):
             roots.append(len(kid))
@@ -166,16 +181,25 @@ class FactorizedCodebook:
                     v = kid[v][b]
                 else:
                     sym[v], kid[v] = s, [v, v]
-        return np.array(kid), np.array(sym), np.array(depth), np.array(roots)
+        return np.array(kid), np.array(sym), np.array(depth), np.array(roots)[which]
 
 
 def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
     """Build conditional Huffman codes from the CPT rows.
 
     Touches exactly sum_i (parent configs of i) * card(i) table entries,
-    which is at most m * k^L * k — independent of the joint alphabet.
+    which is at most m * k^L * k — independent of the joint alphabet.  Equal
+    rows share one code object, built once per call.
     """
-    codes = tuple(tuple(huffman_code(row) for row in c.table) for c in net.cpts)
+    memo: dict[bytes, PrefixCode] = {}
+
+    def code(row: np.ndarray) -> PrefixCode:
+        key = row.tobytes()
+        if key not in memo:
+            memo[key] = huffman_code(row)
+        return memo[key]
+
+    codes = tuple(tuple(map(code, c.table)) for c in net.cpts)
     return FactorizedCodebook(net, codes, sum(c.table.size for c in net.cpts))
 
 
@@ -303,12 +327,19 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         )
     kid, sym, depth, roots = fcb.trie
     base = fcb.table[3]
-    # per variable, over its nodes: the shortest and the longest codeword, and
-    # whether it is fixed-length: complete codes (no dead child), one length
-    first = roots[base[:-1]]
-    lo = np.minimum.reduceat(np.where(sym >= 0, depth, 2**62), first)
-    hi = np.maximum.reduceat(depth, first)
-    fixed = ~np.logical_or.reduceat(kid.min(axis=1) == 0, first) & (lo == hi)
+    # per subtrie, over its nodes, then per variable, over its codes: the
+    # shortest and the longest codeword, and whether it is fixed-length:
+    # complete codes (no dead child), one length
+    tops = np.zeros(len(sym), dtype=bool)
+    tops[roots] = True
+    tops = np.flatnonzero(tops)  # the subtries' roots, in node order
+    at = np.zeros((3, len(sym)), dtype=np.int64)  # each subtrie's facts at its root
+    at[:, tops] = (np.minimum.reduceat(np.where(sym >= 0, depth, 2**62), tops),
+                   np.maximum.reduceat(depth, tops),
+                   np.logical_or.reduceat(kid.min(axis=1) == 0, tops))
+    lo, hi, dead = at[:, roots]
+    lo, hi = np.minimum.reduceat(lo, base[:-1]), np.maximum.reduceat(hi, base[:-1])
+    fixed = (np.maximum.reduceat(dead, base[:-1]) == 0) & (lo == hi)
     lo, hi = lo.tolist(), hi.tolist()
     # every sample spends at least the shortest codeword of each variable, so a
     # header count the payload cannot hold is refused before allocating for it

@@ -54,12 +54,16 @@ def parent_marginals(net: BayesNet) -> list[np.ndarray]:
     One walk over ``net.order``: when the family of i's last parent u holds
     Parent(X_i) (no other parent's family can), it is summed out of
     p(Parent(u)) * CPT_u by one einsum, else ``marginal_table`` computes it.
+    A single parent u takes the einsum straight on the flat CPT rows.
     """
     rank = {v: k for k, v in enumerate(net.order)}
     out = [np.ones(1)] * net.m
     for i in net.order:
         pa = net.cpts[i].parents
         if not pa:
+            continue
+        if len(pa) == 1:
+            out[i] = np.einsum(out[pa[0]], [0], net.cpts[pa[0]].table, [0, 1], [1])
             continue
         u = max(pa, key=rank.__getitem__)
         fam = (*net.cpts[u].parents, u)

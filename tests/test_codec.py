@@ -316,6 +316,7 @@ GOLDEN_STREAMS = {
     "chain": "0ff579b66c9905504b21bcb979c445b8d54b95115a3b02174c12fa4acecf222f",
     "scene": "f46b5716b2cd2b960b318005a6e345209f9b95c92557fc6981fd8666c1934a76",
     "random40": "6169925b1fa82b08837dae4d7f0d54422d0d271f201a5d7d3da902d4cdd848f2",
+    "chain120": "e268d6f6cd694722aa122396eb576c5b2b95348b16d5d199fce3b67dacdfd342",
 }
 
 
@@ -323,6 +324,8 @@ GOLDEN_STREAMS = {
 def test_stream_bytes_are_pinned(name):
     if name == "random40":
         net, n, seed = random_net(40, 40, max_card=4, max_parents=3), 2_000, 41
+    elif name == "chain120":  # 239 codes, 3 distinct
+        net, n, seed = binary_chain(120, 0.2), 600, 21
     else:
         net, n, seed = load_bundled(name), 5_000, 21
     fcb = build_factorized_codebooks(net)
@@ -367,6 +370,69 @@ def test_decodes_with_one_codebook_build_its_trie_once(scene_net):
     for stream, out, s in zip(streams, outs, (5, 6)):
         np.testing.assert_array_equal(out, sample(scene_net, 700, seed=s))
         assert encode(fcb, out).to_bytes() == stream.to_bytes()
+
+
+# A's row recurs twice in B's CPT, and C's first two rows are equal
+_EQUAL_ROWS = semrd.make_net(
+    [("A", 3), ("B", 3), ("C", 2)],
+    [("A", [], [[0.5, 0.3, 0.2]]),
+     ("B", ["A"], [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]),
+     ("C", ["B"], [[0.4, 0.6], [0.4, 0.6], [1.0, 0.0]])],
+)
+
+
+def _unshared_twin(net):
+    """A codebook of one ``huffman_code`` call per CPT row: no code is shared."""
+    codes = tuple(tuple(huffman_code(row) for row in cpt.table) for cpt in net.cpts)
+    return semrd.FactorizedCodebook(net, codes, sum(cpt.table.size for cpt in net.cpts))
+
+
+def _distinct_codes(fcb):
+    return len({id(code) for per_var in fcb.codes for code in per_var})
+
+
+def test_equal_rows_share_one_code_and_code_as_unshared_ones():
+    for net, n, distinct, nodes in ((binary_chain(120, 0.2), 600, 3, (10, 718)),
+                                    (_EQUAL_ROWS, 2_000, 4, (15, 28))):
+        fcb, twin = build_factorized_codebooks(net), _unshared_twin(net)
+        assert (_distinct_codes(fcb), _distinct_codes(twin)) == (distinct, twin.n_codes())
+        assert [c.codewords for per in fcb.codes for c in per] == [
+            c.codewords for per in twin.codes for c in per]
+        assert (fcb.n_codes(), fcb.entries_touched) == (twin.n_codes(), twin.entries_touched)
+        report = complexity_report(net)
+        assert (report.factorized_codes_built, report.factorized_entries_touched) == (
+            twin.n_codes(), twin.entries_touched)
+        assert (len(fcb.trie[0]), len(twin.trie[0])) == nodes
+        assert expected_length(fcb, net) == expected_length(twin, net)
+        draws = sample(net, n, seed=8)
+        stream = encode(fcb, draws)
+        assert stream.to_bytes() == encode(twin, draws).to_bytes()
+        for book in (fcb, twin):
+            np.testing.assert_array_equal(decode(book, stream), draws)
+    codes = build_factorized_codebooks(_EQUAL_ROWS).codes
+    assert codes[0][0] is codes[1][0] is codes[1][2] and codes[2][0] is codes[2][1]
+
+
+def test_shared_codes_refuse_damaged_streams_as_unshared_ones():
+    # the per-variable shortest and longest codewords bound the header count,
+    # the truncation and the trailing-bits checks
+    want = {
+        "chain": ["header claims 6000 samples of >= 120 bits; payload has 72000 bits",
+                  "header claims 600 samples of >= 120 bits; payload has 71992 bits",
+                  "8 unread bits after 600 samples"],
+        "equal rows": ["header claims 6000 samples of >= 2 bits; payload has 2208 bits",
+                       "stream truncated inside sample 597",
+                       "8 unread bits after 600 samples"],
+    }
+    for name, net in (("chain", binary_chain(120, 0.2)), ("equal rows", _EQUAL_ROWS)):
+        fcb, twin = build_factorized_codebooks(net), _unshared_twin(net)
+        stream = encode(fcb, sample(net, 600, seed=21))
+        damaged = [semrd.Bitstream(10 * stream.n, stream.digest, stream.payload),
+                   semrd.Bitstream(stream.n, stream.digest, stream.payload[:-1]),
+                   semrd.Bitstream(stream.n, stream.digest, stream.payload + bytes(1))]
+        for bad, message in zip(damaged, want[name]):
+            assert _outcome(decode, twin, bad) == (CorruptStreamError, message)
+            assert _assert_decodes_as_reference(fcb, bad) == (CorruptStreamError, message)
 
 
 def test_decode_rejects_other_nets_stream(fork_net, chain_net):

@@ -92,6 +92,8 @@ V_STRUCTURE = make_net(
 def test_parent_marginals_equal_per_node_elimination(fork_net, chain_net, scene_net):
     nets = [fork_net, chain_net, scene_net, binary_chain(50), TRIANGLE, V_STRUCTURE]
     nets += [random_net(seed, 30 + seed, max_card=3, max_parents=2) for seed in range(20)]
+    # single parents of up to 5 states: the flat one-parent step
+    nets += [random_net(seed, 40, max_card=5, max_parents=1) for seed in range(20)]
     for net in nets:
         got = parent_marginals(net)
         assert len(got) == net.m

@@ -31,7 +31,7 @@ def _main(name):
      "p,target,solver_bits,closed_form_bits,abs_error,iterations", 2),
     ("codec_ledger", ["-n", "500"],
      "net,variables,entropy_bits,expected_length_bits,measured_bits_per_sample,"
-     "entries_touched,stream_bytes", 3),
+     "entries_touched,distinct_codes,stream_bytes", 4),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 14),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
      "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 6),
@@ -52,7 +52,7 @@ def test_codec_ledger_reports_sample_encode_and_decode_speeds():
         assert _main("codec_ledger")(["-n", "500"]) == 0
     speed = r"[0-9.e+]+ symbols/s"
     lines = err.getvalue().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all(re.fullmatch(rf"# \w+: sample {speed}, encode {speed}, decode {speed}", line)
                for line in lines)
 
