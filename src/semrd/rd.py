@@ -403,8 +403,8 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     it the search doubles away from 0 while over the target (from slope 0
     the first step is -1) and, while under, solves 0 itself.  An Illinois
     secant closes the bracket, within ``_MAX_EVALS`` probes in all; a
-    search that reaches that cap before its bracket forms returns its last
-    probe, over the target.  A bracket left open ends across a jump of D_i,
+    search that reaches that cap before its bracket forms, on either side
+    of the target, returns its last probe.  A bracket left open ends across a jump of D_i,
     and the result timeshares its ends, which convexity makes exact.  With
     one constraint every probe gives the dual bound R - s (D_i - target) <=
     R(target), and a bracket across a jump over ``dist_tol`` stops once the
@@ -461,12 +461,14 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             hi = pt
             if lo is not None:
                 break
-            if -s > 1e18 or evals >= _MAX_EVALS:
+            if -s > 1e18:
                 return pt  # cannot reach down to target
         else:
             lo = pt
             if hi is not None:
                 break
+        if evals >= _MAX_EVALS:
+            return pt
         if step is not None:  # a Newton step over the target is negative, so never past 0
             s = min(s + step, 0.0)
         elif dist > target:

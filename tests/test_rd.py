@@ -1159,16 +1159,22 @@ def test_an_undone_slope_newton_probe_restores_the_records(monkeypatch, solve):
 
 class _Scripted:
     """A stand-in engine for ``_slope_root``: distortion ``dist(slope)`` and
-    rate 0.1 at every slope vector, opening at a held unconverged solve."""
+    rate 0.1 at every slope vector, opening at a held solve, unconverged
+    unless dD/ds ``jac`` is given.  A search that probes 10 times past
+    ``_MAX_EVALS`` fails the test instead of running on."""
 
-    def __init__(self, dist, held_dist):
-        self.dist, self.probed = dist, []
-        self.held = (0.1, np.array([held_dist]), False)
+    def __init__(self, dist, held_dist, jac=None):
+        self.dist, self.probed, self.jac = dist, [], jac
+        self.held = (0.1, np.array([held_dist]), jac is not None)
 
     def eval(self, slopes):
         self.probed.append(float(slopes[0]))
+        assert len(self.probed) <= 10 * rd._MAX_EVALS, "the slope search ran past its cap"
         self.held = (0.1, np.array([self.dist(slopes[0])]), True)
         return *self.held[:2], 1, True
+
+    def jacobian(self, act):
+        return np.array([[self.jac]])
 
 
 def test_a_bracket_end_that_a_later_probe_followed_is_not_exact():
@@ -1193,6 +1199,19 @@ def test_a_slope_search_stops_at_its_evaluation_cap():
         solver, np.array([-1.0]), 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL)
     assert len(solver.probed) == rd._MAX_EVALS
     assert slope == solver.probed[-1] == -2.0 ** rd._MAX_EVALS
+    assert not rd._accept(slope, dvec[0], 0.5, rd.DIST_TOL)
+
+
+def test_a_slope_search_under_its_target_stops_at_its_evaluation_cap():
+    # held at slope -1 under the target, with a dD/ds so large that the
+    # opening Newton step is about 1e-16: the walk toward 0 moves by an ulp
+    # or so per probe, and stops after ``_MAX_EVALS`` probes on a point
+    # that ``_accept`` refuses
+    solver = _Scripted(lambda s: 0.6 if s > -0.5 else 0.4, 0.4, jac=1e15)
+    slope, (_, dvec, _) = rd._slope_root(
+        solver, np.array([-1.0]), 0, 0.5, rd.DIST_TOL, rd.SLACK_TOL)
+    assert len(solver.probed) == rd._MAX_EVALS
+    assert -1.0 < slope < -0.99 and dvec[0] == 0.4
     assert not rd._accept(slope, dvec[0], 0.5, rd.DIST_TOL)
 
 
