@@ -28,7 +28,7 @@ on a linear segment of the surface), not of the kernel.  Each bad point and
 unmet target goes to stderr with the call that reproduces it.  Exits 1 when
 any point is bad, or when more targets are unmet than ``--max-unmet``.
 
-    python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 3
+    python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 1
 """
 
 import argparse

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -345,25 +346,45 @@ def validate(net: BayesNet) -> ValidationReport:
     return rep
 
 
-def _check_states(net: BayesNet, assignment: Sequence[int]) -> None:
+def _state(v) -> int | None:
+    """``v`` as a state index, or None when it is not an integer (a NaN, an
+    infinity, a fractional float, a string, ...); integral floats count."""
+    if isinstance(v, (float, np.floating, np.bool_)):
+        return int(v) if float(v).is_integer() else None
+    if isinstance(v, (str, bytes)):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
+def _check_states(net: BayesNet, assignment: Sequence[int]) -> list[int]:
+    """The assignment's states as ints; raises ``InvalidStateError`` on a
+    wrong length, a state that is not an integer (see ``_state``) or one
+    out of range."""
     if len(assignment) != net.m:
         raise InvalidStateError(f"assignment length {len(assignment)} != {net.m} variables")
-    for i, s in enumerate(assignment):
-        if not 0 <= int(s) < net.card(i):
+    states = [_state(v) for v in assignment]
+    for i, (v, s) in enumerate(zip(assignment, states)):
+        name = net.variables[i].name
+        if s is None:
+            raise InvalidStateError(f"state {v!r} of variable {name!r} is not an integer")
+        if not 0 <= s < net.card(i):
             raise InvalidStateError(
-                f"state {s} out of range for variable {net.variables[i].name!r} "
-                f"(cardinality {net.card(i)})"
+                f"state {s} out of range for variable {name!r} (cardinality {net.card(i)})"
             )
+    return states
 
 
 def joint_probability(net: BayesNet, assignment: Sequence[int]) -> float:
     """Probability of a full assignment: product of CPT entries along the order."""
-    _check_states(net, assignment)
+    states = _check_states(net, assignment)
     p = 1.0
     for i in net.order:
         c = net.cpts[i]
-        cfg = config_index([assignment[q] for q in c.parents], [net.card(q) for q in c.parents])
-        p *= c.table[cfg, int(assignment[i])]
+        cfg = config_index([states[q] for q in c.parents], [net.card(q) for q in c.parents])
+        p *= c.table[cfg, states[i]]
     return p
 
 

@@ -121,6 +121,8 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
     """
     part = conditional_partition(net, side)
     rest = [v for v in range(net.m) if v not in part.side]
+    if not rest:
+        raise InvalidStateError("no non-side variables: the side set holds every variable")
     targets = tuple(float(t) for t in targets)
     if len(targets) != len(rest):
         raise InvalidStateError(f"{len(targets)} targets for {len(rest)} non-side variables")

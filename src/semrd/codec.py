@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,6 +40,7 @@ import numpy as np
 from .bn import (
     BayesNet,
     JointTable,
+    _state,
     config_index,
     enumerate_joint,
     marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
@@ -234,25 +234,16 @@ class Bitstream:
         return cls(n, data[13:29], data[29:])
 
 
-def _state(v) -> int | None:
-    """``v`` as a state index, or None when it is not an integer (a NaN, an
-    infinity, a fractional float, a string, ...); integral floats count."""
-    if isinstance(v, (float, np.floating, np.bool_)):
-        return int(v) if float(v).is_integer() else None
-    if isinstance(v, (str, bytes)):
-        return None
-    try:
-        return operator.index(v)
-    except TypeError:
-        return None
-
-
 def _reject(fcb: FactorizedCodebook, n0: int, rows) -> None:
     """Raise the error of the first bad sample in ``rows``, numbered from ``n0``."""
     net = fcb.net
     for n, vec in enumerate(rows, n0):
-        if len(vec) != net.m:
-            raise InvalidStateError(f"sample {n} has {len(vec)} entries, expected {net.m}")
+        try:
+            k = len(vec)
+        except TypeError:  # a scalar, as when a single vector is passed as the samples
+            raise InvalidStateError(f"sample {n} is not a vector of {net.m} states") from None
+        if k != net.m:
+            raise InvalidStateError(f"sample {n} has {k} entries, expected {net.m}")
         states = [0] * net.m
         for i in net.order:
             s = states[i] = _state(vec[i])

@@ -66,8 +66,8 @@ _NEWTON_MERGE = 1e-14
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
 _MAX_EVALS = 48
-#: Coordinate sweeps per phase of a target search (coarse, then precise),
-#: and probes of its Newton phase on the slope vector.
+#: Coordinate sweeps of a one-constraint target search (twice as many with
+#: several), and probes of each Newton phase on the slope vector.
 _MAX_SWEEPS = 12
 
 
@@ -385,12 +385,11 @@ def _search(p, a, alpha, c, q, s, d):
     return 0.0
 
 
-def _accept(s: float, dist: float, target: float, dist_tol: float,
-            slack_tol: float = SLACK_TOL) -> bool:
-    return dist <= target + dist_tol and (-s) * (target - dist) <= slack_tol
+def _accept(s: float, dist: float, target: float) -> bool:
+    return dist <= target + DIST_TOL and (-s) * (target - dist) <= SLACK_TOL
 
 
-def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: float):
+def _slope_root(solver, slopes, i, target: float):
     """Move slope i so its own distortion meets the target, the others fixed.
 
     Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; D_i is
@@ -404,13 +403,13 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
     the first step is -1) and, while under, solves 0 itself.  An Illinois
     secant closes the bracket, within ``_MAX_EVALS`` probes in all; a
     search that reaches that cap before its bracket forms, on either side
-    of the target, returns its last probe.  A bracket left open ends across a jump of D_i,
-    and the result timeshares its ends, which convexity makes exact.  With
-    one constraint every probe gives the dual bound R - s (D_i - target) <=
-    R(target), and a bracket across a jump over ``dist_tol`` stops once the
-    timeshare is within ``SLACK_TOL`` of the best bound; with several, a
-    one-coordinate mix is no joint timeshare, so the bracket closes to a
-    width of 1e-13.
+    of the target, returns its last probe.  A bracket left open ends across
+    a jump of D_i, and the result timeshares its ends, which convexity makes
+    exact.  With one constraint every probe gives the dual bound
+    R - s (D_i - target) <= R(target), and a bracket across a jump over
+    ``DIST_TOL`` stops once the timeshare is within ``SLACK_TOL`` of the
+    best bound; with several, a one-coordinate mix is no joint timeshare, so
+    the bracket closes to a width of 1e-13.
 
     Returns (slope, point): ``point`` = (rate, D vector, converged) is
     either ``solver.held`` itself, the solve at ``slope``, or a timeshared
@@ -455,20 +454,16 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
 
     while True:
         s, dist = pt[0], di(pt)
-        if _accept(s, dist, target, dist_tol, slack_tol):
+        if _accept(s, dist, target):
             return pt
         if dist > target:
             hi = pt
-            if lo is not None:
-                break
-            if -s > 1e18:
-                return pt  # cannot reach down to target
         else:
             lo = pt
-            if hi is not None:
-                break
-        if evals >= _MAX_EVALS:
-            return pt
+        if hi is not None and lo is not None:
+            break
+        if evals >= _MAX_EVALS or (dist > target and -s > 1e18):
+            return pt  # out of probes, or cannot reach down to the target
         if step is not None:  # a Newton step over the target is negative, so never past 0
             s = min(s + step, 0.0)
         elif dist > target:
@@ -481,12 +476,12 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
         # constraint may now be slack at slope 0 itself, where a solve is
         # clean, rather than at a vanishing slope no search resolves
         hi = probe(0.0)
-        if _accept(0.0, di(hi), target, dist_tol, slack_tol):
+        if _accept(0.0, di(hi), target):
             return hi
     f_lo, f_hi = di(lo) - target, di(hi) - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
-        if len(slopes) == 1 and di(hi) - di(lo) > dist_tol:
+        if len(slopes) == 1 and di(hi) - di(lo) > DIST_TOL:
             # the timeshare is achievable and ``bound`` lies under R(target)
             pt = mix(True)
             if pt[1][0] - bound <= SLACK_TOL:
@@ -497,7 +492,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
             mid = 0.5 * (lo[0] + hi[0])
         pt = probe(mid)
         dist = di(pt)
-        if _accept(mid, dist, target, dist_tol, slack_tol):
+        if _accept(mid, dist, target):
             return pt
         if dist > target:
             hi = pt
@@ -512,7 +507,7 @@ def _slope_root(solver, slopes, i, target: float, dist_tol: float, slack_tol: fl
                 f_hi *= 0.5
             side = -1
     # every bracket end was refused, so D_i jumps across the target by over
-    # ``dist_tol``: the ends lie on a linear segment, where the timeshare is exact
+    # ``DIST_TOL``: the ends lie on a linear segment, where the timeshare is exact
     return mix(hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0]))
 
 
@@ -682,10 +677,10 @@ def _slope_newton(solver: _MultiSolver, targets, slopes):
     s <- s + J^-1 (T - D) on the coordinates below 0, J = dD/ds from
     ``_MultiSolver.jacobian``; a slope that the step would push past 0 stops
     halfway to 0, and one it would more than double stops at twice its
-    value.  The phase stops once every constraint passes ``_accept`` at
-    ``DIST_TOL`` and every coordinate below 0 meets its target within 1e-9,
-    which puts the rate on its dual bound.  It also stops, handing its point
-    to the sweeps, on an unconverged solve, a slope at 0 over its target, a
+    value.  The phase stops once every constraint passes ``_accept`` and
+    every coordinate below 0 meets its target within 1e-9, which puts the
+    rate on its dual bound.  It also stops, handing its point to the
+    sweeps, on an unconverged solve, a slope at 0 over its target, a
     step that is not finite or not ascent, a probe that lowers the dual
     bound (undone: the engine's records, slopes and held solve go back to
     the solve before it), or ``_MAX_SWEEPS`` probes.  Returns the slopes of
@@ -697,7 +692,7 @@ def _slope_newton(solver: _MultiSolver, targets, slopes):
         act = slopes < 0.0
         gap = targets - dvec
         if ((np.abs(gap[act]) <= 1e-9).all()
-                and all(_accept(s, d, t, DIST_TOL) for s, d, t in zip(slopes, dvec, targets))):
+                and all(_accept(s, d, t) for s, d, t in zip(slopes, dvec, targets))):
             break
         if not conv or (gap[~act] < 0.0).any() or probes >= _MAX_SWEEPS:
             break
@@ -725,19 +720,20 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
 
     A coordinate whose target lies at or above its zero-rate corner starts
     at slope 0 and every other one at ``_uniform_q_slope`` of its
-    p(y)-weighted marginal.  With several constraints ``_slope_newton``
-    runs first, and where it meets every target within 1e-9 its point, on
-    the dual bound, is reported.
-    Otherwise coordinate sweeps (coordinate ascent on the concave Lagrange
-    dual) move one slope at a time by ``_slope_root``, each search opening
-    at the point the sweep holds; a held timeshared mix, which is no solve
-    of the engine, is first solved again at its slopes, so every search
-    opens at the engine's last solve.
-    At most ``_MAX_SWEEPS`` sweeps run per phase.  The point the sweep holds
-    at the end is reported, with the iterations of every solve the search
-    made: an exact solve, or a timeshared mix across a jump of D(s).  It
-    counts as converged when its solves closed their brackets and every
-    constraint passes ``_accept`` at ``DIST_TOL``.
+    p(y)-weighted marginal.  Coordinate sweeps (coordinate ascent on the
+    concave Lagrange dual) move one slope at a time by ``_slope_root``.
+    With several constraints ``_slope_newton`` runs before the first sweep
+    and again before the second; where it meets every target within 1e-9
+    its point lies on the dual bound.  Each slope search and Newton phase
+    opens at the point the search holds; a held timeshared mix, which is no
+    solve of the engine, is first solved again at its slopes, so each opens
+    at the engine's last solve.  The search stops, before a sweep, on a
+    point whose solves converged and that passes ``_accept`` on every
+    constraint, or after ``_MAX_SWEEPS`` sweeps, twice as many with several
+    constraints.  The point held then is reported, with the iterations of
+    every solve the search made: an exact solve, or a timeshared mix across
+    a jump of D(s).  It counts as converged when its solves closed their
+    brackets and every constraint passes ``_accept``.
     """
     try:
         targets = np.asarray(targets, float)
@@ -759,23 +755,24 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
                        for i in range(solver.m)])
     start = solver.iters
     solver.eval(slopes)
-    if solver.m > 1:
-        slopes = _slope_newton(solver, targets, slopes)
     point = solver.held
-    # Coarse sweeps (windows 1e-4) localize the slopes, then precise ones bind
-    # each constraint from slopes already close; one search meets one constraint.
-    for dtol, stol in ((1e-4, 1e-4), (DIST_TOL, SLACK_TOL))[solver.m == 1:]:
-        for _ in range(_MAX_SWEEPS):
-            if all(_accept(slopes[i], point[1][i], targets[i], dtol, stol) for i in range(solver.m)):
-                break
-            for i in range(solver.m):
-                if _accept(slopes[i], point[1][i], targets[i], dtol, stol):
-                    continue
-                if point is not solver.held:
-                    solver.eval(slopes)
-                slopes[i], point = _slope_root(solver, slopes, i, float(targets[i]), dtol, stol)
+    newton = solver.m > 1
+    for sweep in range((1 + newton) * _MAX_SWEEPS):
+        if point[2] and all(_accept(slopes[i], point[1][i], targets[i]) for i in range(solver.m)):
+            break
+        if newton and sweep < 2:
+            if point is not solver.held:
+                solver.eval(slopes)
+            slopes = _slope_newton(solver, targets, slopes)
+            point = solver.held
+        for i in range(solver.m):
+            if _accept(slopes[i], point[1][i], targets[i]):
+                continue
+            if point is not solver.held:
+                solver.eval(slopes)
+            slopes[i], point = _slope_root(solver, slopes, i, float(targets[i]))
     rate, dvec, conv = point
-    ok = all(_accept(slopes[i], dvec[i], targets[i], DIST_TOL) for i in range(solver.m))
+    ok = all(_accept(slopes[i], dvec[i], targets[i]) for i in range(solver.m))
     return RdPoint(float(rate), tuple(dvec.tolist()), tuple(slopes.tolist()),
                    solver.iters - start, bool(ok and conv))
 

@@ -124,6 +124,11 @@ def test_decomposition_rejects_unknown_side(fork_net):
         lemma2_check(fork_net, ["nope"], (0.05, 0.05))
 
 
+def test_decomposition_refuses_a_side_set_of_every_variable(fork_net):
+    with pytest.raises(InvalidStateError, match="^no non-side variables"):
+        lemma2_check(fork_net, ["Y", "X1", "X2"], ())
+
+
 def test_sources_are_cut_from_one_table(monkeypatch, scene_net):
     calls = []
 

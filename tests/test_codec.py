@@ -218,6 +218,14 @@ def test_encode_rejects_non_integer_states(fork_net, bad, shown):
             encode(fcb, np.array([[0, 0, 0], [0, 0, bad], [0, 0, 7]]))
 
 
+@pytest.mark.parametrize("samples", [[0, 1, 0], np.array([0, 1, 0])], ids=["list", "ndarray"])
+def test_encode_refuses_a_single_vector_as_the_samples(fork_net, samples):
+    # each entry is read as a sample, and a scalar is no vector of states
+    fcb = build_factorized_codebooks(fork_net)
+    with pytest.raises(InvalidStateError, match=r"^sample 0 is not a vector of 3 states$"):
+        encode(fcb, samples)
+
+
 def test_encode_first_bad_sample_wins_over_a_later_non_integer(fork_net):
     fcb = build_factorized_codebooks(fork_net)
     with pytest.raises(InvalidStateError, match=r"^sample 0: state 7 out of range for 'X2'$"):
