@@ -360,11 +360,16 @@ def _state(v) -> int | None:
 
 
 def _check_states(net: BayesNet, assignment: Sequence[int]) -> list[int]:
-    """The assignment's states as ints; raises ``InvalidStateError`` on a
-    wrong length, a state that is not an integer (see ``_state``) or one
-    out of range."""
-    if len(assignment) != net.m:
-        raise InvalidStateError(f"assignment length {len(assignment)} != {net.m} variables")
+    """The assignment's states as ints; raises ``InvalidStateError`` on an
+    assignment that is no vector of one state per variable, a state that is
+    not an integer (see ``_state``) or one out of range."""
+    try:
+        k = len(assignment)
+    except TypeError:  # a scalar or None
+        raise InvalidStateError(
+            f"assignment {assignment!r} is not a vector of {net.m} states") from None
+    if k != net.m:
+        raise InvalidStateError(f"assignment length {k} != {net.m} variables")
     states = [_state(v) for v in assignment]
     for i, (v, s) in enumerate(zip(assignment, states)):
         name = net.variables[i].name

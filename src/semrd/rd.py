@@ -722,18 +722,19 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     at slope 0 and every other one at ``_uniform_q_slope`` of its
     p(y)-weighted marginal.  Coordinate sweeps (coordinate ascent on the
     concave Lagrange dual) move one slope at a time by ``_slope_root``.
-    With several constraints ``_slope_newton`` runs before the first sweep
-    and again before the second; where it meets every target within 1e-9
-    its point lies on the dual bound.  Each slope search and Newton phase
-    opens at the point the search holds; a held timeshared mix, which is no
-    solve of the engine, is first solved again at its slopes, so each opens
-    at the engine's last solve.  The search stops, before a sweep, on a
-    point whose solves converged and that passes ``_accept`` on every
-    constraint, or after ``_MAX_SWEEPS`` sweeps, twice as many with several
-    constraints.  The point held then is reported, with the iterations of
-    every solve the search made: an exact solve, or a timeshared mix across
-    a jump of D(s).  It counts as converged when its solves closed their
-    brackets and every constraint passes ``_accept``.
+    The search stops, before a sweep, on a point whose solves converged and
+    that passes ``_accept`` on every constraint, or after ``_MAX_SWEEPS``
+    sweeps, twice as many with several constraints.  With several,
+    ``_slope_newton`` runs before the first sweep and, unless the search
+    stops there, before the second; where it meets every target within
+    1e-9 its point lies on the dual bound.  Each slope search and Newton
+    phase opens at the point the search holds; a held timeshared mix, which
+    is no solve of the engine, is first solved again at its slopes, so each
+    opens at the engine's last solve.  The point held at the end is
+    reported, with the iterations of every solve the search made: an exact
+    solve, or a timeshared mix across a jump of D(s).  It counts as
+    converged when its solves closed their brackets and every constraint
+    passes ``_accept``.
     """
     try:
         targets = np.asarray(targets, float)

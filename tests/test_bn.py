@@ -77,16 +77,18 @@ def test_fork_joint_probability(fork_net):
     (["a", 0, 0], "state 'a' of variable 'Y' is not an integer"),
     ([0, 0, 2], r"state 2 out of range for variable 'X2' \(cardinality 2\)"),
     ([0, 0], "assignment length 2 != 3 variables"),
+    (5, "assignment 5 is not a vector of 3 states"),
 ])
 def test_joint_probability_refuses_states_that_are_not_state_indices(fork_net, assignment, message):
-    # the same rule as ``encode``'s: an integral float is a state, a fraction,
-    # a NaN or a string is not (a fraction was once truncated, or indexed a row)
+    # the same rule as ``encode``'s: an integral float is a state; a
+    # fraction, a NaN or a string is not
     with pytest.raises(errors.InvalidStateError, match=rf"^{message}$"):
         joint_probability(fork_net, assignment)
 
 
 def test_joint_probability_takes_integral_floats(fork_net):
-    assert joint_probability(fork_net, [1.0, 0, np.float64(1)]) == joint_probability(fork_net, [1, 0, 1])
+    want = joint_probability(fork_net, [1, 0, 1])
+    assert joint_probability(fork_net, [1.0, 0, np.float64(1)]) == want
 
 
 def test_validate_bundled_nets(fork_net, chain_net, scene_net):
