@@ -1,8 +1,10 @@
 """Discrete Bayesian-network sources.
 
-A network is a list of categorical variables with dense ids 0..m-1, one
-conditional probability table (CPT) per variable, and a topological order in
-which parents precede children.  Parent configurations are indexed in
+A network is a list of categorical variables and one conditional probability
+table (CPT) per variable.  A variable's id is its position in the list, and
+the CPT at position i is the one for variable i.  The topological order, in
+which parents precede children, is derived from the parent lists when the
+network is built; it is never an input.  Parent configurations are indexed in
 mixed-radix order with the *last listed parent varying fastest*, i.e. the
 row for parent states (s_1, .., s_L) with cardinalities (c_1, .., c_L) is
 
@@ -42,20 +44,19 @@ _LOAD_RENORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Variable:
-    id: int
     name: str
     cardinality: int
 
 
 @dataclass(frozen=True)
 class Cpt:
-    """Conditional distribution of one variable given its parents.
+    """Conditional distribution of one variable given its parents; the
+    variable is the one at the CPT's position in ``BayesNet.cpts``.
 
     ``table`` has shape (n_parent_configs, cardinality); each row is the
     distribution of the child for one parent configuration.
     """
 
-    child: int
     parents: tuple[int, ...]
     table: np.ndarray
 
@@ -65,9 +66,18 @@ class Cpt:
 
 @dataclass(frozen=True)
 class BayesNet:
+    """Variables and their CPTs.  ``order`` is derived at construction: the
+    ids in Kahn order, or in declaration order when the parents form a cycle
+    (``validate`` reports it)."""
+
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
-    order: tuple[int, ...]
+    order: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        m = len(self.variables)
+        order = _kahn(self.cpts, m)
+        object.__setattr__(self, "order", tuple(order) if len(order) == m else tuple(range(m)))
 
     @property
     def m(self) -> int:
@@ -99,9 +109,9 @@ class BayesNet:
             if not 0 <= name_or_id < self.m:
                 raise InvalidStateError(f"no variable with id {name_or_id}")
             return name_or_id
-        for v in self.variables:
+        for i, v in enumerate(self.variables):
             if v.name == name_or_id:
-                return v.id
+                return i
         raise InvalidStateError(f"no variable named {name_or_id!r}")
 
     def to_dict(self) -> dict:
@@ -111,17 +121,17 @@ class BayesNet:
                 {"name": v.name, "cardinality": v.cardinality} for v in self.variables
             ],
             "edges": [
-                [self.variables[p].name, self.variables[c.child].name]
-                for c in self.cpts
+                [self.variables[p].name, self.variables[i].name]
+                for i, c in enumerate(self.cpts)
                 for p in c.parents
             ],
             "cpts": [
                 {
-                    "child": self.variables[c.child].name,
+                    "child": self.variables[i].name,
                     "parents": [self.variables[p].name for p in c.parents],
                     "rows": c.table.astype(float, copy=False).tolist(),
                 }
-                for c in self.cpts
+                for i, c in enumerate(self.cpts)
             ],
         }
 
@@ -212,9 +222,7 @@ def make_net(
 
     A cardinality is an integer or an integral float; every variable needs
     exactly one CPT, and every name a CPT gives must be a declared variable.
-    The topological order is computed from the parent structure; if the edges
-    contain a cycle the declaration order is kept so that ``validate`` can
-    report it.
+    Rows are taken as given; ``validate`` reports a table of the wrong shape.
     """
     vs = []
     for i, (name, card) in enumerate(variables):
@@ -222,8 +230,8 @@ def make_net(
             card = int(card)
         if not isinstance(card, (int, np.integer)):
             raise SchemaError(f"variables[{i}].cardinality must be an integer, got {card!r}")
-        vs.append(Variable(i, name, int(card)))
-    by_name = {v.name: v.id for v in vs}
+        vs.append(Variable(name, int(card)))
+    by_name = {v.name: i for i, v in enumerate(vs)}
     if len(by_name) != len(vs):
         raise SchemaError("variable names must be unique")
     cpt_map: dict[int, Cpt] = {}
@@ -235,15 +243,11 @@ def make_net(
         if cid in cpt_map:
             raise SchemaError(f"duplicate cpt for variable {child!r}")
         table = np.array(rows, dtype=float)  # a copy: the net freezes its tables
-        if table.ndim == 1:
-            table = table.reshape(1, -1)
-        cpt_map[cid] = Cpt(cid, tuple(by_name[p] for p in parents), table)
-    for v in vs:
-        if v.id not in cpt_map:
+        cpt_map[cid] = Cpt(tuple(by_name[p] for p in parents), table)
+    for i, v in enumerate(vs):
+        if i not in cpt_map:
             raise SchemaError(f"missing cpt for variable {v.name!r}")
-    ordered = tuple(cpt_map[i] for i in range(len(vs)))
-    order = _kahn(ordered, len(vs))
-    return BayesNet(tuple(vs), ordered, tuple(order) if len(order) == len(vs) else tuple(range(len(vs))))
+    return BayesNet(tuple(vs), tuple(cpt_map[i] for i in range(len(vs))))
 
 
 def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
@@ -251,13 +255,11 @@ def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
     a cycle or downstream of one."""
     children: dict[int, list[int]] = {i: [] for i in range(m)}
     indeg = [0] * m
-    for c in cpts:
-        if not 0 <= c.child < m:
-            continue
+    for child, c in enumerate(cpts[:m]):
         for p in c.parents:
             if 0 <= p < m:
-                children[p].append(c.child)
-                indeg[c.child] += 1
+                children[p].append(child)
+                indeg[child] += 1
     ready = sorted(i for i in range(m) if indeg[i] == 0)
     out: list[int] = []
     while ready:
@@ -272,24 +274,21 @@ def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
 
 
 def validate(net: BayesNet) -> ValidationReport:
-    """Check structural and probabilistic invariants; never raises."""
+    """Check what a caller supplies, never raising: at least one variable,
+    cardinalities >= 2, one CPT per variable, distinct in-range parent ids,
+    table shapes, finite non-negative entries, unit row sums, no cycle."""
     rep = ValidationReport()
     m = len(net.variables)
     if not m:
         rep.violations.append("network has no variables")
-    for i, v in enumerate(net.variables):
-        if v.id != i:
-            rep.violations.append(f"variable ids must be dense 0..{m - 1}; got {v.id} at position {i}")
+    for v in net.variables:
         if v.cardinality < 2:
             rep.violations.append(f"variable {v.name!r} has cardinality {v.cardinality} < 2")
     if len(net.cpts) != m:
         rep.violations.append(f"expected {m} cpts, got {len(net.cpts)}")
         return rep
     for i, c in enumerate(net.cpts):
-        name = net.variables[i].name if i < m else str(i)
-        if c.child != i:
-            rep.violations.append(f"cpt at position {i} is for variable {c.child}")
-            continue
+        name = net.variables[i].name
         if len(set(c.parents)) != len(c.parents):
             rep.violations.append(f"{name!r}: duplicate parents {c.parents}")
         bad_parent = False
@@ -318,11 +317,10 @@ def validate(net: BayesNet) -> ValidationReport:
             sums = c.table.sum(axis=1)
         for cfg in np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             rep.violations.append(f"{name!r}: row sum {sums[cfg]:.12g} != 1 at parent config {cfg}")
-    # acyclicity first: the cycle line covers the edges into the vertices it leaves out
     left = set(range(m)).difference(_kahn(net.cpts, m))
     if left:
         # every unplaced vertex has an unplaced parent: climb until one repeats
-        up = {c.child: p for c in net.cpts for p in c.parents if p in left}
+        up = {i: p for i, c in enumerate(net.cpts) for p in c.parents if p in left}
         seen: dict[int, int] = {}
         v = min(left)
         while v not in seen:
@@ -330,19 +328,6 @@ def validate(net: BayesNet) -> ValidationReport:
             v = up[v]
         cyc = [u for u in seen if seen[u] >= seen[v]][::-1]  # parent -> child order
         rep.violations.append("cycle: " + " -> ".join(map(str, cyc + cyc[:1])))
-    if sorted(net.order) != list(range(m)):
-        rep.violations.append(f"order {net.order} is not a permutation of 0..{m - 1}")
-    else:
-        pos = {v: k for k, v in enumerate(net.order)}
-        for c in net.cpts:
-            if not 0 <= c.child < m or c.child in left:
-                continue  # reported with the cpt positions or the cycle above
-            for p in c.parents:
-                if 0 <= p < m and p != c.child and pos[p] > pos[c.child]:
-                    rep.violations.append(
-                        f"order places parent {net.variables[p].name!r} after child "
-                        f"{net.variables[c.child].name!r}"
-                    )
     return rep
 
 
@@ -522,8 +507,8 @@ def conditional_partition(net: BayesNet, side: Sequence[int]) -> Partition:
             root[v] = v = root[root[v]]
         return v
 
-    for c in net.cpts:
-        family = [v for v in (c.child, *c.parents) if v not in side_ids]
+    for i, c in enumerate(net.cpts):
+        family = [v for v in (i, *c.parents) if v not in side_ids]
         for v in family[1:]:
             root[find(v)] = find(family[0])
     blocks: dict[int, list[int]] = {}
@@ -593,7 +578,7 @@ def net_from_dict(doc: dict) -> BayesNet:
             if not isinstance(name, str) or name not in names:
                 raise SchemaError(f"edges[{k}] references unknown variable {name!r}")
         declared.add(tuple(e))
-    implied = {(names[p], names[c.child]) for c in net.cpts for p in c.parents}
+    implied = {(names[p], names[i]) for i, c in enumerate(net.cpts) for p in c.parents}
     if declared != implied:
         raise SchemaError(
             f"edges disagree with cpt parent lists: declared {sorted(declared)}, "

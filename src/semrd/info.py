@@ -129,12 +129,11 @@ def conditional_mutual_information(
     a: Sequence[int],
     b: Sequence[int],
     c: Sequence[int] = (),
-    clamp: bool = True,
 ) -> float:
     """I(A; B | C) in bits from a dense table whose scope covers A, B, C.
 
-    Computed as H(AC) + H(BC) - H(C) - H(ABC).  Tiny negatives from float
-    cancellation are clamped to 0 unless ``clamp`` is false.
+    Computed as H(AC) + H(BC) - H(C) - H(ABC), as is: float cancellation can
+    leave the value a few ulps under 0.
     """
     pos = {v: k for k, v in enumerate(table.scope)}
     groups = [list(a), list(b), list(c)]
@@ -146,12 +145,9 @@ def conditional_mutual_information(
             raise InvalidStateError(f"variable {v} not in table scope {table.scope}")
     ax = [[pos[v] for v in g] for g in groups]
     arr = table.as_array()
-    val = (
+    return (
         _subset_entropy(arr, ax[0] + ax[2])
         + _subset_entropy(arr, ax[1] + ax[2])
         - _subset_entropy(arr, ax[2])
         - _subset_entropy(arr, ax[0] + ax[1] + ax[2])
     )
-    if clamp and val < 0:
-        return 0.0
-    return val

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,23 +122,74 @@ def test_validate_reports_cycle():
     assert cycles == ["cycle: 1 -> 2 -> 3 -> 1"]
 
 
-def test_validate_lists_the_cycle_first_and_order_lines_only_off_it():
-    # A <-> B is a cycle; C lists its parent D after itself, off the cycle
+def test_validate_lists_only_the_cycle_when_a_parent_is_declared_after_its_child():
+    # A <-> B is a cycle; C lists its parent D after itself, off the cycle,
+    # which the derived order places first
     half = [[0.5, 0.5]]
     net = make_net(
         [("A", 2), ("B", 2), ("C", 2), ("D", 2)],
         [("A", ["B"], half * 2), ("B", ["A"], half * 2), ("C", ["D"], half * 2), ("D", [], half)],
     )
-    assert validate(net).violations == ["cycle: 1 -> 0 -> 1", "order places parent 'D' after child 'C'"]
+    assert validate(net).violations == ["cycle: 1 -> 0 -> 1"]
 
 
-@pytest.mark.parametrize("child", [5, -1])
-def test_validate_reports_out_of_range_cpt_child(child):
-    # make_net cannot build this; a hand-built net must still get a report
-    half, two = np.full((1, 2), 0.5), np.full((2, 2), 0.5)
-    net = BayesNet((Variable(0, "A", 2), Variable(1, "B", 2)),
-                   (Cpt(0, (), half), Cpt(child, (0,), two)), (0, 1))
-    assert validate(net).violations == [f"cpt at position 1 is for variable {child}"]
+def test_a_net_is_its_variables_and_cpts_and_its_order_is_derived(chain_net):
+    # a variable's id and a CPT's child are positions; the order is no input
+    assert [f.name for f in dataclasses.fields(Variable)] == ["name", "cardinality"]
+    assert [f.name for f in dataclasses.fields(Cpt)] == ["parents", "table"]
+    assert BayesNet(chain_net.variables, chain_net.cpts).order == chain_net.order == (0, 1, 2)
+    with pytest.raises(TypeError):
+        BayesNet(chain_net.variables, chain_net.cpts, (0, 1, 2))
+    with pytest.raises(ValueError):
+        dataclasses.replace(chain_net, order=(2, 1, 0))
+
+
+def test_a_replaced_net_orders_and_samples_by_its_own_cpts():
+    # the chain reversed, X1 <- Y <- X2: an order kept from the chain drew X1
+    # before Y and Y before X2, so the flips went unseen (0.824 and 0.503)
+    flip, half = np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[0.5, 0.5]])
+    net = dataclasses.replace(load_bundled("chain"),
+                              cpts=(Cpt((1,), flip), Cpt((2,), flip), Cpt((), half)))
+    assert net.order == (2, 1, 0)
+    assert validate(net).ok
+    x = sample(net, 20000, 0)
+    assert np.mean(x[:, 0] == x[:, 1]) == pytest.approx(0.9, abs=0.01)
+    assert np.mean(x[:, 1] == x[:, 2]) == pytest.approx(0.9, abs=0.01)
+
+
+@pytest.mark.parametrize("rows, report", [
+    ([0.5, 0.5], "'A': table shape (2,) != (1, 2)"),
+    ([[0.3, 0.3]], "'A': row sum 0.6 != 1 at parent config 0"),
+], ids=["flat-rows", "row-sum"])
+def test_validate_reports_read(rows, report):
+    # make_net takes rows as given: a flat list is no one-row matrix
+    assert str(validate(make_net([("A", 2)], [("A", [], rows)]))) == report
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return semrd.load_net(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda net, tmp: sample(net, -1, 0), errors.InvalidStateError,
+     "sample count must be >= 0, got -1"),
+    (lambda net, tmp: marginal_table(net, []), errors.InvalidStateError,
+     "ids must be a non-empty set of distinct variables, got []"),
+    (lambda net, tmp: marginal_table(net, [0, 0]), errors.InvalidStateError,
+     "ids must be a non-empty set of distinct variables, got [0, 0]"),
+    (lambda net, tmp: net.id_of(99), errors.InvalidStateError, "no variable with id 99"),
+    (lambda net, tmp: net_from_dict([]), SchemaError, "network document must be a JSON object"),
+    (lambda net, tmp: _load_text(tmp, "{not json"), SchemaError,
+     "bad.json: invalid JSON at line 1 col 2: Expecting property name enclosed in double quotes"),
+    (lambda net, tmp: enumerate_joint(make_net([("A", 2)], [("A", [], [[0.3, 0.3]])])),
+     SchemaError, "joint table sums to 0.6, not 1; network is inconsistent"),
+], ids=["sample-negative", "marginal-empty", "marginal-repeated", "id-out-of-range",
+        "document-not-object", "invalid-json", "joint-sum"])
+def test_refusals_name_their_cause(fork_net, tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(fork_net, tmp_path)
 
 
 def test_validate_reports_non_finite_cpt_entries():
@@ -426,7 +478,7 @@ def test_conditional_partition_blocks_are_independent_given_side():
         table = enumerate_joint(net)
         for k, a in enumerate(part.blocks):
             for b in part.blocks[k + 1:]:
-                assert conditional_mutual_information(table, a, b, side, clamp=False) <= 1e-9
+                assert conditional_mutual_information(table, a, b, side) <= 1e-9
 
 
 def test_sample_deterministic_and_in_range(fork_net):
@@ -597,7 +649,7 @@ def test_digest_is_computed_once_and_follows_the_cpts(chain_net):
     assert chain_net.digest() == fresh
     assert chain_net.digest() is chain_net.digest()
     cpts = list(chain_net.cpts)
-    cpts[1] = Cpt(cpts[1].child, cpts[1].parents, cpts[1].table[::-1].copy())
+    cpts[1] = Cpt(cpts[1].parents, cpts[1].table[::-1].copy())
     other = dataclasses.replace(chain_net, cpts=tuple(cpts))
     assert other.digest() == hashlib.sha256(other.canonical_bytes()).digest()[:16]
     assert other.digest() != chain_net.digest()
@@ -622,11 +674,12 @@ def _reference_canonical_bytes(net):
     through ``float``."""
     doc = {
         "variables": [{"name": v.name, "cardinality": v.cardinality} for v in net.variables],
-        "edges": [[net.variables[p].name, net.variables[c.child].name]
-                  for c in net.cpts for p in c.parents],
-        "cpts": [{"child": net.variables[c.child].name,
+        "edges": [[net.variables[p].name, net.variables[i].name]
+                  for i, c in enumerate(net.cpts) for p in c.parents],
+        "cpts": [{"child": net.variables[i].name,
                   "parents": [net.variables[p].name for p in c.parents],
-                  "rows": [[float(x) for x in row] for row in c.table]} for c in net.cpts],
+                  "rows": [[float(x) for x in row] for row in c.table]}
+                 for i, c in enumerate(net.cpts)],
     }
     return doc, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 

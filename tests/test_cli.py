@@ -206,6 +206,23 @@ def test_rd_closed_form_gaussian():
     assert out == "1.000000\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rd-closed-form", "binary", "0.2"], "binary needs 2 parameters"),
+    (["rd-closed-form", "gaussian", "1", "0.5"], "gaussian needs 3 parameters"),
+], ids=["binary", "gaussian"])
+def test_rd_closed_form_refuses_a_parameter_count(argv, message):
+    rc, out, err = invoke(argv)
+    assert (rc, out, err) == (2, "", f"semrd: {message}\n")
+
+
+def test_encode_names_the_line_of_a_short_sample(tmp_path):
+    # line 2 is blank and skipped; line 3 has two of fork's three states
+    samples = tmp_path / "draws.csv"
+    samples.write_text("0,1,0\n\n0,1\n")
+    rc, out, err = invoke(["encode", "fork", str(samples), "-o", str(tmp_path / "draws.bnhc")])
+    assert (rc, out, err) == (1, "", "semrd: line 3: expected 3 states, got 2\n")
+
+
 def test_bounds_subcommand(tmp_path):
     out_path = tmp_path / "bounds.csv"
     rc, out, _ = invoke(

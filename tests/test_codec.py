@@ -111,6 +111,19 @@ def test_huffman_refuses_non_finite_weights(bad, fork_net):
         build_joint_huffman(dataclasses.replace(jt, probs=w))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda net, jt: huffman_code([0.0, 0.0]), InvalidStateError, "distribution has empty support"),
+    (lambda net, jt: build_joint_huffman(jt), SizeGuardError, "joint alphabet 8 exceeds guard 4"),
+    (lambda net, jt: expected_length(object(), net), InvalidStateError,
+     "cannot compute expected length for object"),
+], ids=["empty-support", "joint-over-guard", "unknown-code"])
+def test_refusals_name_their_cause(fork_net, monkeypatch, call, error, message):
+    jt = enumerate_joint(fork_net)  # built under the default guard
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "4")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(fork_net, jt)
+
+
 def test_huffman_uniform_eight():
     code = huffman_code([0.125] * 8)
     assert sorted(code.length(s) for s in range(8)) == [3] * 8

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ import semrd.bounds
 import semrd.cli
 import semrd.info
 from semrd import (
+    InvalidStateError,
     binary_chain,
     binary_entropy,
     build_factorized_codebooks,
@@ -43,6 +45,19 @@ def test_entropy_bits_basics():
     assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
     assert entropy_bits([1.0, 0.0]) == 0.0
     assert entropy_bits([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda table: binary_entropy(1.5), "binary entropy argument 1.5 outside [0, 1]"),
+    (lambda table: binary_entropy(math.nan), "binary entropy argument nan outside [0, 1]"),
+    (lambda table: conditional_mutual_information(table, [0], [0]),
+     "variable groups must be disjoint, got [[0], [0], []]"),
+    (lambda table: conditional_mutual_information(table, [0], [5]),
+     "variable 5 not in table scope (0, 1, 2)"),
+], ids=["entropy-over-1", "entropy-nan", "cmi-overlapping-groups", "cmi-outside-scope"])
+def test_refusals_name_their_cause(fork_net, call, message):
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+        call(enumerate_joint(fork_net))
 
 
 def test_binary_entropy_reference_values():

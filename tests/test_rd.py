@@ -114,6 +114,12 @@ def test_entry_points_reject_non_finite_sources(solve, bad):
         solve(np.array([bad, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("d", [-0.1, math.nan], ids=["negative", "nan"])
+def test_binary_conditional_rd_refuses_a_target_under_0(d):
+    with pytest.raises(InvalidStateError, match=f"^target distortion must be >= 0, got {d}$"):
+        binary_conditional_rd(0.1, d)
+
+
 def test_ba_target_uniform_binary_reference():
     pt = ba_target([0.5, 0.5], HAM2, 0.1)
     assert pt.converged

@@ -35,6 +35,7 @@ def _main(name):
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 14),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
      "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 6),
+    ("cli_digest", [], "case,exit,sha256", 41),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
