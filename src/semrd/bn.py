@@ -20,6 +20,7 @@ seeds, so every function here is safe to call from multiple threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
@@ -260,16 +261,15 @@ def _kahn(cpts: Sequence[Cpt], m: int) -> list[int]:
             if 0 <= p < m:
                 children[p].append(child)
                 indeg[child] += 1
-    ready = sorted(i for i in range(m) if indeg[i] == 0)
+    ready = [i for i in range(m) if indeg[i] == 0]  # ascending, so a heap
     out: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         out.append(v)
-        for w in sorted(children[v]):
+        for w in children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
+                heapq.heappush(ready, w)
     return out
 
 

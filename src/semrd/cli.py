@@ -95,11 +95,7 @@ def _parse_floats(spec: str) -> list[float]:
 def _dspec(net: BayesNet, name: str):
     from .rd import DistortionSpec
 
-    if name == "hamming":
-        return DistortionSpec.hamming(net.cards)
-    if name == "squared":
-        return DistortionSpec.squared_error(net.cards)
-    raise argparse.ArgumentTypeError(f"unknown distortion {name!r}")
+    return {"hamming": DistortionSpec.hamming, "squared": DistortionSpec.squared_error}[name](net.cards)
 
 
 def _read_samples(path, m: int) -> np.ndarray:
@@ -112,8 +108,8 @@ def _read_samples(path, m: int) -> np.ndarray:
         vals = line.split(",")
         if len(vals) != m:
             raise ValueError(f"line {k + 1}: expected {m} states, got {len(vals)}")
-        rows.append([int(v) for v in vals])
-    return np.array(rows, dtype=np.int64).reshape(-1, m)
+        rows.append([float(v) for v in vals])  # ``encode`` holds them to the state rule
+    return np.array(rows, dtype=float).reshape(-1, m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Two routes are provided on purpose:
 
 * a *factorized* codebook with one Huffman code per (variable, parent
-  configuration), built straight from the CPT rows — the table work is
+  configuration), built from its net's CPT rows alone — the table work is
   bounded by m * k^L * k entries instead of the k^m-sized joint alphabet.
-  Equal rows share one code object, built once;
+  Every code is complete; equal rows share one code object, built once;
 * a single Huffman code over the dense joint alphabet, the oracle used to
   measure what factorization gives up (at most one bit per variable).
 
@@ -122,11 +122,28 @@ def huffman_code(p: Sequence[float]) -> PrefixCode:
 
 @dataclass(frozen=True)
 class FactorizedCodebook:
-    """One PrefixCode per (variable, parent configuration)."""
+    """One Huffman code per (variable, parent configuration), built from the
+    net's CPT rows: sum_i (parent configs of i) * card(i) table entries, at
+    most m * k^L * k, independent of the joint alphabet.  Equal rows share one
+    code object, built once per codebook."""
 
     net: BayesNet
-    codes: tuple[tuple[PrefixCode, ...], ...]
-    entries_touched: int
+    codes: tuple[tuple[PrefixCode, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        memo: dict[bytes, PrefixCode] = {}
+
+        def code(row: np.ndarray) -> PrefixCode:
+            key = row.tobytes()
+            if key not in memo:
+                memo[key] = huffman_code(row)
+            return memo[key]
+
+        object.__setattr__(self, "codes", tuple(tuple(map(code, c.table)) for c in self.net.cpts))
+
+    @property
+    def entries_touched(self) -> int:
+        return sum(c.table.size for c in self.net.cpts)
 
     def n_codes(self) -> int:
         return sum(len(per) for per in self.codes)
@@ -160,11 +177,10 @@ class FactorizedCodebook:
     def trie(self) -> tuple[np.ndarray, ...]:
         """All codes as one binary trie: node arrays kid (the two children),
         sym and depth, and the root of each code in ``encode``'s order.  Node 0
-        is the dead node (sym -2) where a missing child leads; inner nodes have
-        sym -1; a leaf is its own child.  Each distinct code gets one subtrie,
-        its nodes in one run that starts at its root.  A walk stops at the
-        first leaf, so of two codewords where one extends the other, the
-        shorter one matches."""
+        is a dead node (sym -2) that no walk reaches, since every Huffman code
+        is complete; inner nodes have sym -1; a leaf is its own child.  Each
+        distinct code gets one subtrie, its nodes in one run that starts at its
+        root."""
         offsets, lengths, pool, which = self._distinct
         kid, sym, depth, roots, bits = [[0, 0]], [-2], [0], [], pool.tolist()
         for offs, lens in zip(offsets.tolist(), lengths.tolist()):
@@ -173,34 +189,17 @@ class FactorizedCodebook:
             for s in (s for s, n in enumerate(lens) if n >= 0):
                 v = roots[-1]
                 for b in bits[offs[s]:offs[s] + lens[s]]:
-                    if sym[v] >= 0:
-                        break
                     if not kid[v][b]:
                         kid[v][b] = len(kid)
                         kid.append([0, 0]), sym.append(-1), depth.append(depth[v] + 1)
                     v = kid[v][b]
-                else:
-                    sym[v], kid[v] = s, [v, v]
+                sym[v], kid[v] = s, [v, v]
         return np.array(kid), np.array(sym), np.array(depth), np.array(roots)[which]
 
 
 def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
-    """Build conditional Huffman codes from the CPT rows.
-
-    Touches exactly sum_i (parent configs of i) * card(i) table entries,
-    which is at most m * k^L * k — independent of the joint alphabet.  Equal
-    rows share one code object, built once per call.
-    """
-    memo: dict[bytes, PrefixCode] = {}
-
-    def code(row: np.ndarray) -> PrefixCode:
-        key = row.tobytes()
-        if key not in memo:
-            memo[key] = huffman_code(row)
-        return memo[key]
-
-    codes = tuple(tuple(map(code, c.table)) for c in net.cpts)
-    return FactorizedCodebook(net, codes, sum(c.table.size for c in net.cpts))
+    """The factorized codebook of ``net``: ``FactorizedCodebook(net)``."""
+    return FactorizedCodebook(net)
 
 
 def build_joint_huffman(table: JointTable) -> PrefixCode:
@@ -317,20 +316,12 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
             f"stream digest {stream.digest.hex()} != codebook digest {net.digest().hex()}"
         )
     kid, sym, depth, roots = fcb.trie
-    base = fcb.table[3]
-    # per subtrie, over its nodes, then per variable, over its codes: the
-    # shortest and the longest codeword, and whether it is fixed-length:
-    # complete codes (no dead child), one length
-    tops = np.zeros(len(sym), dtype=bool)
-    tops[roots] = True
-    tops = np.flatnonzero(tops)  # the subtries' roots, in node order
-    at = np.zeros((3, len(sym)), dtype=np.int64)  # each subtrie's facts at its root
-    at[:, tops] = (np.minimum.reduceat(np.where(sym >= 0, depth, 2**62), tops),
-                   np.maximum.reduceat(depth, tops),
-                   np.logical_or.reduceat(kid.min(axis=1) == 0, tops))
-    lo, hi, dead = at[:, roots]
-    lo, hi = np.minimum.reduceat(lo, base[:-1]), np.maximum.reduceat(hi, base[:-1])
-    fixed = (np.maximum.reduceat(dead, base[:-1]) == 0) & (lo == hi)
+    _, lengths, _, base = fcb.table
+    # per variable, over its codes: the shortest and the longest codeword; a
+    # variable whose codewords all have one length is fixed-length
+    lo = np.minimum.reduceat(np.where(lengths >= 0, lengths, 2**62).min(axis=1), base[:-1])
+    hi = np.maximum.reduceat(lengths.max(axis=1), base[:-1])
+    fixed = lo == hi
     lo, hi = lo.tolist(), hi.tolist()
     # every sample spends at least the shortest codeword of each variable, so a
     # header count the payload cannot hold is refused before allocating for it
@@ -378,9 +369,6 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
                 while syms[v] == -1:
                     v = kids[v][bits[pos]]
                     pos += 1
-                if not v:  # dead: on the payload's own bits, or past its end
-                    raise CorruptStreamError(f"invalid codeword bits in sample {t}" if pos <= nbits
-                                             else f"stream truncated inside sample {t}")
                 row[i] = syms[v]
             pos += skip
             if pos > nbits:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semrd
-from semrd import errors
+from semrd import bn, errors
 from semrd import (
     SchemaError,
     SizeGuardError,
@@ -164,6 +164,52 @@ def test_a_replaced_net_orders_and_samples_by_its_own_cpts():
 def test_validate_reports_read(rows, report):
     # make_net takes rows as given: a flat list is no one-row matrix
     assert str(validate(make_net([("A", 2)], [("A", [], rows)]))) == report
+
+
+@pytest.mark.parametrize("variables, cpts, report", [
+    ((Variable("A", 2), Variable("B", 2)), (Cpt((), np.array([[0.5, 0.5]])),),
+     "expected 2 cpts, got 1"),
+    ((Variable("A", 2),), (Cpt((5,), np.full((2, 2), 0.5)),), "'A': parent id 5 out of range"),
+    ((Variable("A", 2),), (Cpt((-1,), np.full((2, 2), 0.5)),), "'A': parent id -1 out of range"),
+], ids=["cpt-count", "parent-5", "parent-minus-1"])
+def test_validate_reports_a_directly_built_net(variables, cpts, report):
+    assert str(validate(BayesNet(variables, cpts))) == report
+
+
+def _reference_kahn(cpts, m):
+    """Kahn's walk on a sorted ready list: pop its head, re-sort after each step."""
+    children, indeg = {i: [] for i in range(m)}, [0] * m
+    for child, c in enumerate(cpts):
+        for p in c.parents:
+            children[p].append(child)
+            indeg[child] += 1
+    ready, out = sorted(i for i in range(m) if indeg[i] == 0), []
+    while ready:
+        v = ready.pop(0)
+        out.append(v)
+        for w in sorted(children[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    return out
+
+
+def test_kahn_matches_a_sorted_list_walk_on_shuffled_nets():
+    # 40 variables declared in a random order, up to 3 parents each from
+    # earlier in a hidden topological order; every fourth net gains one
+    # edge that may close a cycle, whose ids the walk leaves out
+    rng = np.random.default_rng(40)
+    for t in range(300):
+        topo, parents = rng.permutation(40).tolist(), [[] for _ in range(40)]
+        for j, v in enumerate(topo):
+            k = int(rng.integers(0, min(j, 3) + 1))
+            parents[v] = [topo[int(a)] for a in rng.choice(j, size=k, replace=False)] if k else []
+        if t % 4 == 0:
+            a, b = sorted(rng.choice(40, size=2, replace=False).tolist())
+            parents[topo[a]].append(topo[b])
+        cpts = [Cpt(tuple(pa), np.full((2 ** len(pa), 2), 0.5)) for pa in parents]
+        assert bn._kahn(cpts, 40) == _reference_kahn(cpts, 40)
 
 
 def _load_text(tmp_path, text):

@@ -223,6 +223,21 @@ def test_encode_names_the_line_of_a_short_sample(tmp_path):
     assert (rc, out, err) == (1, "", "semrd: line 3: expected 3 states, got 2\n")
 
 
+@pytest.mark.parametrize("line, rc, err", [
+    ("1.0,0,1", 0, "encoded 1 samples into 1 payload bytes\n"),
+    ("1.5,0,1", 1, "semrd: sample 0: state 1.5 of 'Y' is not an integer\n"),
+    ("a,0,1", 1, "semrd: could not convert string to float: 'a'\n"),
+], ids=["integral-float", "fractional", "not-a-number"])
+def test_encode_reads_csv_states_by_the_state_rule(tmp_path, line, rc, err):
+    # an integral float is a state, as in ``encode``; a fractional one gets
+    # the library's message
+    samples, stream = tmp_path / "draws.csv", tmp_path / "draws.bnhc"
+    samples.write_text(line + "\n")
+    assert invoke(["encode", "fork", str(samples), "-o", str(stream)]) == (rc, "", err)
+    if rc == 0:
+        assert invoke(["decode", "fork", str(stream)]) == (0, "1,0,1\n", "")
+
+
 def test_bounds_subcommand(tmp_path):
     out_path = tmp_path / "bounds.csv"
     rc, out, _ = invoke(

@@ -116,7 +116,9 @@ def test_huffman_refuses_non_finite_weights(bad, fork_net):
     (lambda net, jt: build_joint_huffman(jt), SizeGuardError, "joint alphabet 8 exceeds guard 4"),
     (lambda net, jt: expected_length(object(), net), InvalidStateError,
      "cannot compute expected length for object"),
-], ids=["empty-support", "joint-over-guard", "unknown-code"])
+    (lambda net, jt: semrd.Bitstream.from_bytes(semrd.codec.MAGIC + bytes([2]) + bytes(24)),
+     CorruptStreamError, "unsupported version 2"),
+], ids=["empty-support", "joint-over-guard", "unknown-code", "unknown-version"])
 def test_refusals_name_their_cause(fork_net, monkeypatch, call, error, message):
     jt = enumerate_joint(fork_net)  # built under the default guard
     monkeypatch.setenv("SEMRD_SIZE_GUARD", "4")
@@ -402,39 +404,49 @@ _EQUAL_ROWS = semrd.make_net(
 )
 
 
-def _unshared_twin(net):
-    """A codebook of one ``huffman_code`` call per CPT row: no code is shared."""
-    codes = tuple(tuple(huffman_code(row) for row in cpt.table) for cpt in net.cpts)
-    return semrd.FactorizedCodebook(net, codes, sum(cpt.table.size for cpt in net.cpts))
-
-
 def _distinct_codes(fcb):
     return len({id(code) for per_var in fcb.codes for code in per_var})
 
 
+def _reference_payload(net, words, draws):
+    """Each sample's codewords, looked up in ``words`` (per variable, per CPT
+    row) in the net's order, packed MSB-first and zero-padded to a byte."""
+    bits = "".join(words[i][config_index([x[p] for p in net.cpts[i].parents],
+                                         [net.card(p) for p in net.cpts[i].parents])][x[i]]
+                   for x in draws.tolist() for i in net.order)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[j:j + 8], 2) for j in range(0, len(bits), 8))
+
+
 def test_equal_rows_share_one_code_and_code_as_unshared_ones():
-    for net, n, distinct, nodes in ((binary_chain(120, 0.2), 600, 3, (10, 718)),
-                                    (_EQUAL_ROWS, 2_000, 4, (15, 28))):
-        fcb, twin = build_factorized_codebooks(net), _unshared_twin(net)
-        assert (_distinct_codes(fcb), _distinct_codes(twin)) == (distinct, twin.n_codes())
-        assert [c.codewords for per in fcb.codes for c in per] == [
-            c.codewords for per in twin.codes for c in per]
-        assert (fcb.n_codes(), fcb.entries_touched) == (twin.n_codes(), twin.entries_touched)
+    for net, n, distinct, nodes in ((binary_chain(120, 0.2), 600, 3, 10),
+                                    (_EQUAL_ROWS, 2_000, 4, 15)):
+        fcb = build_factorized_codebooks(net)
+        # the reference: one huffman_code call per CPT row, none shared
+        words = [[huffman_code(row).codewords for row in cpt.table] for cpt in net.cpts]
+        rows = sum(len(cpt.table) for cpt in net.cpts)
+        entries = sum(cpt.table.size for cpt in net.cpts)
+        assert _distinct_codes(fcb) == distinct
+        assert [[c.codewords for c in per] for per in fcb.codes] == words
+        assert (fcb.n_codes(), fcb.entries_touched) == (rows, entries)
         report = complexity_report(net)
-        assert (report.factorized_codes_built, report.factorized_entries_touched) == (
-            twin.n_codes(), twin.entries_touched)
-        assert (len(fcb.trie[0]), len(twin.trie[0])) == nodes
-        assert expected_length(fcb, net) == expected_length(twin, net)
+        assert (report.factorized_codes_built, report.factorized_entries_touched) == (rows, entries)
+        assert len(fcb.trie[0]) == nodes
+        want = sum(float(w) * sum(row[s] * len(word) for s, word in per_row.items())
+                   for per_var, cpt, p_pa in zip(words, net.cpts, parent_marginals(net))
+                   for per_row, row, w in zip(per_var, cpt.table, p_pa))
+        assert expected_length(fcb, net) == pytest.approx(want, rel=1e-12, abs=0)
         draws = sample(net, n, seed=8)
         stream = encode(fcb, draws)
-        assert stream.to_bytes() == encode(twin, draws).to_bytes()
-        for book in (fcb, twin):
-            np.testing.assert_array_equal(decode(book, stream), draws)
+        assert (stream.n, stream.digest) == (n, net.digest())
+        assert stream.payload == _reference_payload(net, words, draws)
+        np.testing.assert_array_equal(decode(fcb, stream), draws)
+        np.testing.assert_array_equal(_reference_decode(fcb, stream), draws)
     codes = build_factorized_codebooks(_EQUAL_ROWS).codes
     assert codes[0][0] is codes[1][0] is codes[1][2] and codes[2][0] is codes[2][1]
 
 
-def test_shared_codes_refuse_damaged_streams_as_unshared_ones():
+def test_shared_codes_refuse_damaged_streams_as_the_reference():
     # the per-variable shortest and longest codewords bound the header count,
     # the truncation and the trailing-bits checks
     want = {
@@ -446,14 +458,36 @@ def test_shared_codes_refuse_damaged_streams_as_unshared_ones():
                        "8 unread bits after 600 samples"],
     }
     for name, net in (("chain", binary_chain(120, 0.2)), ("equal rows", _EQUAL_ROWS)):
-        fcb, twin = build_factorized_codebooks(net), _unshared_twin(net)
+        fcb = build_factorized_codebooks(net)
         stream = encode(fcb, sample(net, 600, seed=21))
         damaged = [semrd.Bitstream(10 * stream.n, stream.digest, stream.payload),
                    semrd.Bitstream(stream.n, stream.digest, stream.payload[:-1]),
                    semrd.Bitstream(stream.n, stream.digest, stream.payload + bytes(1))]
         for bad, message in zip(damaged, want[name]):
-            assert _outcome(decode, twin, bad) == (CorruptStreamError, message)
             assert _assert_decodes_as_reference(fcb, bad) == (CorruptStreamError, message)
+
+
+# one 3-state variable whose row is reversed between the two nets
+_ROW_A, _ROW_B = (semrd.make_net([("X", 3)], [("X", [], [row])])
+                  for row in ([0.6, 0.3, 0.1], [0.1, 0.3, 0.6]))
+
+
+def test_codebook_takes_only_its_net():
+    assert [f.name for f in dataclasses.fields(semrd.FactorizedCodebook) if f.init] == ["net"]
+    fcb = build_factorized_codebooks(_ROW_A)
+    with pytest.raises(ValueError):
+        dataclasses.replace(fcb, codes=build_factorized_codebooks(_ROW_B).codes)
+
+
+def test_a_replaced_net_brings_its_own_codes():
+    a, b = _ROW_A, _ROW_B
+    replaced = dataclasses.replace(build_factorized_codebooks(a), net=b)
+    assert [[c.codewords for c in per] for per in replaced.codes] == [
+        [c.codewords for c in per] for per in build_factorized_codebooks(b).codes]
+    assert replaced.entries_touched == 3
+    draws = sample(b, 10_000, seed=2)
+    stream = encode(replaced, draws)
+    np.testing.assert_array_equal(decode(build_factorized_codebooks(b), stream), draws)
 
 
 def test_decode_rejects_other_nets_stream(fork_net, chain_net):
@@ -696,15 +730,9 @@ _MIXED = semrd.make_net(
 )
 
 
-# _MIXED's codebook with A's code made incomplete: no word 111
-_INCOMPLETE = semrd.FactorizedCodebook(
-    _MIXED, ((semrd.PrefixCode({0: "0", 1: "10", 2: "110"}),),
-             *build_factorized_codebooks(_MIXED).codes[1:]), 0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    name=st.sampled_from(["fork", "chain", "scene", "mixed", "incomplete"]),
+    name=st.sampled_from(["fork", "chain", "scene", "mixed"]),
     n=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=1_000),
     flips=st.lists(st.integers(min_value=0, max_value=2**20), max_size=3),
@@ -712,8 +740,7 @@ _INCOMPLETE = semrd.FactorizedCodebook(
     claimed=st.integers(min_value=-2, max_value=2),
 )
 def test_damaged_streams_decode_as_the_reference(name, n, seed, flips, cut, claimed):
-    fcb = {"mixed": build_factorized_codebooks(_MIXED), "incomplete": _INCOMPLETE}.get(name)
-    fcb = fcb or _bundled_codebook(name)
+    fcb = build_factorized_codebooks(_MIXED) if name == "mixed" else _bundled_codebook(name)
     stream = encode(fcb, sample(fcb.net, n, seed=seed))
     payload = bytearray(stream.payload)
     for bit in flips:
@@ -742,35 +769,6 @@ def test_cut_inside_a_trailing_fixed_length_run():
     cut = semrd.Bitstream(stream.n, stream.digest, stream.payload[:3])
     assert _assert_decodes_as_reference(fcb, cut) == (
         CorruptStreamError, "stream truncated inside sample 6")
-
-
-def test_incomplete_hand_built_codes_raise_invalid_bits():
-    # C's code has no word 1x, A's none for 11; a missing child read as index
-    # -1 would land on the last trie node, a leaf, and decode on silently
-    net = semrd.make_net([("C", 2), ("A", 3)],
-                         [("C", [], [[0.5, 0.5]]), ("A", [], [[0.5, 0.3, 0.2]])])
-    fcb = semrd.FactorizedCodebook(
-        net, ((semrd.PrefixCode({0: "00", 1: "01"}),), (semrd.PrefixCode({0: "0", 1: "10"}),)), 0)
-    good = encode(fcb, [[0, 1], [1, 0]])
-    assert _assert_decodes_as_reference(fcb, good) == ((2, 2), [[0, 1], [1, 0]])
-    cases = [
-        (1, [0b11000000], "invalid codeword bits in sample 0"),  # C = 1x
-        (2, [0b00100111], "invalid codeword bits in sample 1"),  # A = 11
-        # samples of 4, 4, 4 and 3 bits, then C = 1 on the payload's last bit
-        (5, [0b00100010, 0b00100001], "invalid codeword bits in sample 4"),
-        (5, [0b00100010, 0b00100000], "stream truncated inside sample 4"),
-    ]
-    for n, payload, message in cases:
-        bad = semrd.Bitstream(n, good.digest, bytes(payload))
-        assert _assert_decodes_as_reference(fcb, bad) == (CorruptStreamError, message)
-
-
-@pytest.mark.parametrize("words", [{0: "0", 1: "01", 2: "1"}, {1: "01", 0: "0", 2: "1"}])
-def test_hand_built_code_with_a_prefix_matches_the_shorter_word(words):
-    net = semrd.make_net([("A", 3)], [("A", [], [[0.5, 0.3, 0.2]])])
-    fcb = semrd.FactorizedCodebook(net, ((semrd.PrefixCode(words),),), 0)
-    stream = semrd.Bitstream(3, net.digest(), bytes([0b01100000]))  # 0 1 1
-    assert _assert_decodes_as_reference(fcb, stream) == ((3, 1), [[0], [2], [2]])
 
 
 def test_all_fixed_length_net_with_a_short_payload():

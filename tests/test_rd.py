@@ -1183,6 +1183,32 @@ class _Scripted:
         return np.array([[self.jac]])
 
 
+class _Singular(_Scripted):
+    """A stand-in engine whose dD/ds solve fails."""
+
+    def jacobian(self, act):
+        raise np.linalg.LinAlgError("singular KKT system")
+
+
+def test_a_slope_search_without_a_derivative_doubles():
+    # held converged at slope -1 over the target: a jacobian of 1 would open
+    # with the Newton step to -1.4; with none the search doubles to -2, -4
+    solver = _Singular(lambda s: 0.9 if s > -3.0 else 0.4, 0.9, jac=1.0)
+    rd._slope_root(solver, np.array([-1.0]), 0, 0.5)
+    assert solver.probed[:2] == [-2.0, -4.0]
+
+
+def test_curve_flags_a_point_above_its_chord(monkeypatch):
+    # rates 1, 0.9, 0 at distortions 0, 0.5, 1: the middle point sits 0.4
+    # bits above the chord of its neighbours, and the rates still fall
+    rates = {0.0: 1.0, 0.5: 0.9, 1.0: 0.0}
+    monkeypatch.setattr(rd, "_target_search",
+                        lambda solver, t: rd.RdPoint(rates[t[0]], (t[0],), (-1.0,), 0, True))
+    curve = rd._curve(lambda source, d: None, None, None, None, [0.0, 0.5, 1.0])
+    assert [pt.rate for pt in curve.points] == [1.0, 0.9, 0.0]
+    assert curve.monotone and not curve.convex
+
+
 def test_a_bracket_end_that_a_later_probe_followed_is_not_exact():
     # a probe whose distortion is NaN is neither over the target nor
     # accepted, so it stands as ``lo`` while the bisection moves ``hi`` to it;
