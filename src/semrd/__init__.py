@@ -68,7 +68,7 @@ _LAZY = {name: module for module, names in (
     ("bounds", "BoundReport DecompositionReport lemma1_bounds lemma2_check"),
     ("codec", "Bitstream ComplexityReport FactorizedCodebook PrefixCode build_factorized_codebooks "
               "build_joint_huffman complexity_report decode encode expected_length huffman_code"),
-    ("rd", "DistortionSpec RdCurve RdPoint ba_conditional ba_conditional_target ba_joint_multi "
+    ("rd", "RdCurve RdPoint ba_conditional ba_conditional_target ba_joint_multi "
            "ba_joint_multi_target ba_point ba_target binary_conditional_rd default_slope_grid "
            "gaussian_conditional_rd hamming_distortion rd_curve rd_curve_conditional "
            "squared_error_distortion"),

@@ -105,11 +105,14 @@ class BayesNet:
         return math.prod(self.cards)
 
     def id_of(self, name_or_id: str | int) -> int:
-        """Resolve a variable name (or id passed through) to its id."""
-        if isinstance(name_or_id, int):
-            if not 0 <= name_or_id < self.m:
-                raise InvalidStateError(f"no variable with id {name_or_id}")
-            return name_or_id
+        """Resolve a variable name to its id, or check an id and pass it
+        through as an ``int``: an id is anything ``operator.index`` takes (a
+        numpy integer too), and anything else is looked up as a name."""
+        if not isinstance(name_or_id, str) and hasattr(type(name_or_id), "__index__"):
+            i = operator.index(name_or_id)
+            if not 0 <= i < self.m:
+                raise InvalidStateError(f"no variable with id {i}")
+            return i
         for i, v in enumerate(self.variables):
             if v.name == name_or_id:
                 return i

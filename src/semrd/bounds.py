@@ -25,12 +25,7 @@ import numpy as np
 from .bn import BayesNet, Partition, conditional_partition, marginal_table
 from .errors import InvalidStateError
 from .info import parent_marginals
-from .rd import (
-    DistortionSpec,
-    ba_conditional_target,
-    ba_joint_multi_target,
-    ba_target,
-)
+from .rd import ba_conditional_target, ba_joint_multi_target, ba_target, hamming_distortion
 
 
 @dataclass(frozen=True)
@@ -71,28 +66,38 @@ def _side_first_array(net: BayesNet, side: Sequence[int], targets_vars: Sequence
     return jt.probs.reshape(-1, *(net.card(v) for v in targets_vars))
 
 
+def _per_variable(net: BayesNet, dists: Sequence[np.ndarray] | None) -> list[np.ndarray]:
+    """One distortion matrix per variable of ``net``, in id order: Hamming
+    unless ``dists`` gives them."""
+    if dists is None:
+        return [hamming_distortion(k) for k in net.cards]
+    dists = list(dists)
+    if len(dists) != net.m:
+        raise InvalidStateError(f"{len(dists)} distortion matrices for {net.m} variables")
+    return dists
+
+
 def lemma1_bounds(net: BayesNet, targets: Sequence[float],
-                  dspec: DistortionSpec | None = None) -> BoundReport:
+                  dists: Sequence[np.ndarray] | None = None) -> BoundReport:
     """Evaluate the sandwich at one per-variable target vector.
 
-    Hamming distortion per variable unless ``dspec`` says otherwise.
+    ``dists`` holds one distortion matrix per variable, in id order;
+    Hamming distortion per variable when it is None.
     """
     targets = tuple(float(t) for t in targets)
     if len(targets) != net.m:
         raise InvalidStateError(f"{len(targets)} targets for {net.m} variables")
-    if dspec is None:
-        dspec = DistortionSpec.hamming(net.cards)
+    dists = _per_variable(net, dists)
     # the joint first: a net over the guard is refused before any solve, and
     # every source below is a marginal of it, so none is larger
     joint_arr = _side_first_array(net, [], range(net.m))[0]
     terms = []  # (upper point, lower point) per variable
-    for i, (cpt, p_pa) in enumerate(zip(net.cpts, parent_marginals(net))):
-        d = dspec.for_var(i)
+    for i, (cpt, p_pa, d) in enumerate(zip(net.cpts, parent_marginals(net), dists)):
         up = ba_target(p_pa @ cpt.table, d, targets[i])  # p(x_i)
         lo = up if not cpt.parents else ba_conditional_target(
             (p_pa[:, None] * cpt.table).T, d, targets[i])  # p(x_i, parent config)
         terms.append((up, lo))
-    jp = ba_joint_multi_target(joint_arr, [dspec.for_var(i) for i in range(net.m)], targets)
+    jp = ba_joint_multi_target(joint_arr, dists, targets)
     upper_terms = tuple(up.rate for up, _ in terms)
     lower_terms = tuple(lo.rate for _, lo in terms)
     lower = float(sum(lower_terms))
@@ -111,10 +116,12 @@ def lemma1_bounds(net: BayesNet, targets: Sequence[float],
 
 
 def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[float],
-                 dspec: DistortionSpec | None = None) -> DecompositionReport:
+                 dists: Sequence[np.ndarray] | None = None) -> DecompositionReport:
     """Compare the joint conditional rate against the per-block sum.
 
-    ``targets`` aligns with the non-side variables in ascending id order.
+    ``targets`` aligns with the non-side variables in ascending id order;
+    ``dists`` holds one distortion matrix per variable of the net, side
+    variables included, in id order, and is Hamming when it is None.
     Both sides are solved at the same per-variable targets; when the blocks
     really are conditionally independent given the side set the difference is
     solver noise only.
@@ -126,19 +133,18 @@ def lemma2_check(net: BayesNet, side: Sequence[int | str], targets: Sequence[flo
     targets = tuple(float(t) for t in targets)
     if len(targets) != len(rest):
         raise InvalidStateError(f"{len(targets)} targets for {len(rest)} non-side variables")
-    if dspec is None:
-        dspec = DistortionSpec.hamming(net.cards)
+    dists = _per_variable(net, dists)
     by_var = dict(zip(rest, targets))
 
     arr = _side_first_array(net, part.side, rest)
-    jp = ba_joint_multi_target(arr, [dspec.for_var(v) for v in rest],
+    jp = ba_joint_multi_target(arr, [dists[v] for v in rest],
                                [by_var[v] for v in rest], side=True)
     conv = jp.converged
     block_rates: list[float] = []
     for block in part.blocks:
         # p(side, block): sum the other blocks' axes out of the one cut table
         barr = arr.sum(axis=tuple(1 + k for k, v in enumerate(rest) if v not in block))
-        bp = ba_joint_multi_target(barr, [dspec.for_var(v) for v in block],
+        bp = ba_joint_multi_target(barr, [dists[v] for v in block],
                                    [by_var[v] for v in block], side=True)
         block_rates.append(bp.rate)
         conv = conv and bp.converged

@@ -92,10 +92,12 @@ def _parse_floats(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok]
 
 
-def _dspec(net: BayesNet, name: str):
-    from .rd import DistortionSpec
+def _dspec(net: BayesNet, name: str) -> list[np.ndarray]:
+    """One distortion matrix per variable of ``net``, in id order."""
+    from .rd import hamming_distortion, squared_error_distortion
 
-    return {"hamming": DistortionSpec.hamming, "squared": DistortionSpec.squared_error}[name](net.cards)
+    make = {"hamming": hamming_distortion, "squared": squared_error_distortion}[name]
+    return [make(k) for k in net.cards]
 
 
 def _read_samples(path, m: int) -> np.ndarray:
@@ -225,8 +227,7 @@ def cmd_codec_report(args: argparse.Namespace) -> int:
 
 def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
     from .bounds import _side_first_array
-    from .rd import (_fixed_slope_points, _MultiSolver, ba_joint_multi, ba_joint_multi_target,
-                     default_slope_grid)
+    from .rd import _fixed_slope_points, _MultiSolver, ba_joint_multi_target, default_slope_grid
 
     net = _load(args.net)
     dspec = _dspec(net, args.distortion)
@@ -242,7 +243,7 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
     if not vars_ or len(set(vars_)) != len(vars_) or set(vars_) & set(side):
         raise argparse.ArgumentTypeError("--vars must be distinct and disjoint from --side")
     arr = _side_first_array(net, side, vars_)
-    dists = [dspec.for_var(v) for v in vars_]
+    dists = [dspec[v] for v in vars_]
     names = [net.variables[v].name for v in vars_]
     header = _csv_line(
         *[f"slope_{n}" for n in names], "rate_bits",
@@ -258,22 +259,21 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
         if len(targets) != len(vars_):
             raise argparse.ArgumentTypeError(f"{len(targets)} targets for {len(vars_)} variables")
         add_point(ba_joint_multi_target(arr, dists, targets, side=True))
-    elif args.slopes is not None:
-        slopes = _parse_floats(args.slopes)
-        if len(slopes) != len(vars_):
-            raise argparse.ArgumentTypeError(f"{len(slopes)} slopes for {len(vars_)} variables")
-        add_point(ba_joint_multi(arr, dists, slopes, side=True))
     else:
-        if args.sweep < 0:
-            raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
-        guard = size_guard()
-        if args.sweep * len(vars_) > guard:  # as ``sample`` holds its n x m table
-            raise SizeGuardError(f"--sweep {args.sweep}: {args.sweep}x{len(vars_)} slope table "
-                                 f"exceeds guard {guard}")
+        if args.slopes is not None:
+            grid = [_parse_floats(args.slopes)]
+            if len(grid[0]) != len(vars_):
+                raise argparse.ArgumentTypeError(f"{len(grid[0])} slopes for {len(vars_)} variables")
+        else:
+            if args.sweep < 0:
+                raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
+            guard = size_guard()
+            if args.sweep * len(vars_) > guard:  # as ``sample`` holds its n x m table
+                raise SizeGuardError(f"--sweep {args.sweep}: {args.sweep}x{len(vars_)} slope table "
+                                     f"exceeds guard {guard}")
+            grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]
         # one solver for the whole grid: each slope warm-starts from the last
-        solver = _MultiSolver(arr, dists, side=True)
-        grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]
-        for pt in _fixed_slope_points(solver, grid):
+        for pt in _fixed_slope_points(_MultiSolver(arr, dists), grid):
             add_point(pt)
     _emit(lines, args.output)
     return 0
@@ -282,11 +282,11 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
 def cmd_rd_closed_form(args: argparse.Namespace) -> int:
     from .rd import binary_conditional_rd, gaussian_conditional_rd
 
-    if args.family == "binary":
-        val = binary_conditional_rd(args.params[0], args.params[1])
-    else:
-        val = gaussian_conditional_rd(*args.params)
-    print(f"{val:.6f}")
+    fn, n_params = {"binary": (binary_conditional_rd, 2),
+                    "gaussian": (gaussian_conditional_rd, 3)}[args.family]
+    if len(args.params) != n_params:
+        raise argparse.ArgumentTypeError(f"{args.family} needs {n_params} parameters")
+    print(f"{fn(*args.params):.6f}")
     return 0
 
 
@@ -428,11 +428,6 @@ def run(argv=None) -> int:
         print(f"semrd: {e}", file=sys.stderr)
         return 2
     try:
-        n_params = {"binary": 2, "gaussian": 3}
-        if args.command == "rd-closed-form" and len(args.params) != n_params[args.family]:
-            raise argparse.ArgumentTypeError(
-                f"{args.family} needs {n_params[args.family]} parameters"
-            )
         return args.fn(args)
     except argparse.ArgumentTypeError as e:
         print(f"semrd: {e}", file=sys.stderr)

@@ -33,9 +33,13 @@ the solvers take no options.
 Targets must be numbers and slopes finite: a NaN target, an infinite slope
 or slopes that overflow the tilt are refused before any solve.
 
-Conventions: a 2-d conditional source is passed as ``joint[x, y]`` (side
-variable last); a multi-variable source has one axis per variable with an
-optional side axis *first*.
+Conventions: the engine takes a source with the side axis first and then
+one axis per variable (a source without side information is a single side
+state), and a list of one distortion matrix per variable.  The public
+multi-variable names take the same layout, with the side axis present only
+under ``side=True``.  Only the 2-d conditional wrappers (``ba_conditional``,
+``ba_conditional_target``, ``rd_curve_conditional``) take ``joint[x, y]``,
+side variable last, and transpose it.
 """
 
 from __future__ import annotations
@@ -95,24 +99,6 @@ class RdCurve:
     points: tuple[RdPoint, ...]
     monotone: bool
     convex: bool
-
-
-@dataclass(frozen=True)
-class DistortionSpec:
-    """Per-variable distortion matrices d_i(x_i, xhat_i)."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    @classmethod
-    def hamming(cls, cards: Sequence[int]) -> "DistortionSpec":
-        return cls(tuple(hamming_distortion(k) for k in cards))
-
-    @classmethod
-    def squared_error(cls, cards: Sequence[int]) -> "DistortionSpec":
-        return cls(tuple(squared_error_distortion(k) for k in cards))
-
-    def for_var(self, i: int) -> np.ndarray:
-        return self.matrices[i]
 
 
 def hamming_distortion(k: int) -> np.ndarray:
@@ -208,7 +194,7 @@ def _closed_form_q(p, a):
     return None
 
 
-def _ba_slope_core(p, a, q, max_iters, newton):
+def _ba_slope_core(p, a, q):
     """Alternating minimization at fixed tilts for one source.
 
     ``p`` is (rows,): a side state's source on its support; ``a`` is
@@ -224,15 +210,12 @@ def _ba_slope_core(p, a, q, max_iters, newton):
     The bracket holds at any interior q, so plain update pairs alternate
     with extrapolated (Steffensen-type) steps, which collapse the slow modes
     of shallow slopes.  A bracket still open after ``_NEWTON_AFTER``
-    iterations hands the state to ``_newton``; with ``newton`` set the
-    state starts there, at iteration 0.  Both kinds of step count one
-    iteration under ``max_iters``.  Returns (q, iters, converged, handed):
-    ``handed`` is whether the loop handed the state to Newton.
+    iterations hands the state to ``_newton``.  Both kinds of step count
+    one iteration under ``MAX_ITERS``.  Returns (q, iters, converged,
+    handed): ``handed`` is whether the loop handed the state to Newton.
     """
-    if newton:
-        return (*_newton(p, a, q, 0, max_iters), False)
     it = 0
-    while it < min(max_iters, _NEWTON_AFTER):
+    while it < min(MAX_ITERS, _NEWTON_AFTER):
         qs = [q]  # q and its two plain updates q1, q2
         for _ in range(2):
             c = (p / (a @ qs[-1])) @ a
@@ -260,12 +243,12 @@ def _ba_slope_core(p, a, q, max_iters, newton):
             if 0.0 < tot < math.inf:
                 q2 = qa / tot
         q = q2
-    if it < max_iters:
-        return (*_newton(p, a, q, it, max_iters), True)
+    if it < MAX_ITERS:
+        return (*_newton(p, a, q, it), True)
     return q, it, False, False  # capped
 
 
-def _newton(p, a, q, it, max_iters):
+def _newton(p, a, q, it):
     """Active-set Newton on q for one state: p (rows,), a (rows, nh).
 
     At fixed tilts the kernel minimizes F(q) = -sum p ln(Aq) over the
@@ -290,7 +273,7 @@ def _newton(p, a, q, it, max_iters):
     floor leaves S when it is shrinking (c < 1) or rounding left it at or
     under 0.  The stop test is the kernel's bracket over every letter,
     unmerged.  Returns (q, it, converged), ``it`` counting on from the given
-    count, one per step.
+    count, one per step, up to ``MAX_ITERS``.
     """
     ids = {}  # letters whose columns of A round alike are one merged letter
     group = np.array([ids.setdefault(k, len(ids)) for k in _column_keys(a)])
@@ -310,7 +293,7 @@ def _newton(p, a, q, it, max_iters):
         qc = q * cq
         pos = qc > 0
         gap = (np.maximum.reduce(cq) - 1.0) - qc[pos] @ np.log(cq[pos])  # the bracket over every letter
-        if gap < GAP_TOL_NATS or it >= max_iters:
+        if gap < GAP_TOL_NATS or it >= MAX_ITERS:
             return q, it, bool(gap < GAP_TOL_NATS)
         it += 1
         c = cq @ merge
@@ -513,22 +496,15 @@ def _slope_root(solver, slopes, i, target: float):
 
 class _MultiSolver:
     """The rate-distortion engine: m per-variable constraints over the product
-    reconstruction alphabet, optionally given a side variable (axis 0 of the
-    joint array).  Everything that does not depend on the slopes is worked out
-    once here; ``eval`` solves the side states one after another, each in its
-    own kernel call and warm-started from its previous q."""
+    reconstruction alphabet, given a side variable on axis 0 of the joint
+    array (one state of it for a source without side information).
+    Everything that does not depend on the slopes is worked out once here;
+    ``eval`` solves the side states one after another, each in its own
+    kernel call and warm-started from its previous q."""
 
-    def __init__(self, joint, dists, side: bool = False):
+    def __init__(self, joint, dists):
         joint = np.asarray(joint, float)
-        if side:
-            if joint.ndim < 2:
-                raise InvalidStateError("side=True needs a leading side axis")
-            ny = joint.shape[0]
-            cards = joint.shape[1:]
-        else:
-            ny = 1
-            cards = joint.shape
-            joint = joint[None, ...]
+        ny, *cards = joint.shape
         self.m = len(cards)
         self.dists = dists = _check_source(joint, cards, dists)
         nx = math.prod(cards)
@@ -568,22 +544,23 @@ class _MultiSolver:
     def eval(self, slopes) -> tuple[float, np.ndarray, int, bool]:
         """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
 
-        Each side state is its own ``_ba_slope_core`` call on its support
-        rows; the rate and the distortions are the p(y)-weighted sums over
-        the states, ``iters`` the most any state took and ``converged``
-        whether every state did.  All-zero slopes give the zero-rate corner
-        exactly, with 0 iterations, and keep the records.  A state starts
-        from its q of the previous call, and in Newton once the loop of any
-        call has handed it there (``handed``), where a few steps close a gap
-        next to an optimum Newton reached.  A state starts over, outside
-        Newton, on its first call and where its warm q leaves a row of A q
-        under 1e-12 (no Armijo search passes from such a q, and
-        ``_kkt_matrix`` would divide by that row): from ``_closed_form_q``,
-        the optimum itself where every letter is active there, else from the
-        uniform q.  The solve keeps (rate, D vector, converged) as ``held``,
-        adds ``iters`` to ``self.iters``, and sets ``slopes`` and a new list
-        ``states`` of one record (q, handed, a, A q, test channel) per
-        state, which ``jacobian`` reads and ``_slope_newton`` restores.
+        Each side state is its own kernel call on its support rows; the
+        rate and the distortions are the p(y)-weighted sums over the states,
+        ``iters`` the most any state took and ``converged`` whether every
+        state did.  All-zero slopes give the zero-rate corner exactly, with 0
+        iterations, and keep the records.  A state starts from its q of the
+        previous call, in ``_ba_slope_core``, or in ``_newton`` at iteration
+        0 once the loop of any call has handed it there (``handed``), where
+        a few steps close a gap next to an optimum Newton reached.  A state
+        starts over, outside Newton, on its first call and where its warm q
+        leaves a row of A q under 1e-12 (no Armijo search passes from such a
+        q, and ``_kkt_matrix`` would divide by that row): from
+        ``_closed_form_q``, the optimum itself where every letter is active
+        there, else from the uniform q.  The solve keeps (rate, D vector,
+        converged) as ``held``, adds ``iters`` to ``self.iters``, and sets
+        ``slopes`` and a new list ``states`` of one record (q, handed, a,
+        A q, test channel) per state, which ``jacobian`` reads and
+        ``_slope_newton`` restores.
         """
         self.slopes = None
         if not any(slopes):
@@ -606,7 +583,7 @@ class _MultiSolver:
                 q, newton = _closed_form_q(p, a), False
                 if q is None:
                     q = np.full(self.nh, 1.0 / self.nh)
-            q, its, conv, newly = _ba_slope_core(p, a, q, MAX_ITERS, newton)
+            q, its, conv, newly = (*_newton(p, a, q, 0), True) if newton else _ba_slope_core(p, a, q)
             iters, converged = max(iters, its), converged and conv
             alpha = a @ q
             channel = a * q / alpha[:, None]
@@ -778,16 +755,23 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
                    solver.iters - start, bool(ok and conv))
 
 
-def _plain_solver(p, d) -> _MultiSolver:
-    return _MultiSolver(np.asarray(p, float).reshape(-1), [d])
+def _solver(joint, dists, side: bool = False) -> _MultiSolver:
+    """The engine of ``joint``: its leading axis is the side variable with
+    ``side`` set, else the whole array is the one side state's source."""
+    joint = np.asarray(joint, float)
+    if not side:
+        return _MultiSolver(joint[None, ...], dists)
+    if joint.ndim < 2:
+        raise InvalidStateError("side=True needs a leading side axis")
+    return _MultiSolver(joint, dists)
 
 
-def _conditional_solver(joint, d) -> _MultiSolver:
-    """The solver of a 2-d conditional source ``joint[x, y]``, its side axis moved first."""
+def _side_first(joint) -> np.ndarray:
+    """A 2-d conditional source ``joint[x, y]`` with its side axis moved first."""
     joint = np.asarray(joint, float)
     if joint.ndim != 2:
         raise InvalidStateError("conditional source must be a 2-d joint[x, y]")
-    return _MultiSolver(joint.T, [d], side=True)
+    return joint.T
 
 
 def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:
@@ -822,34 +806,34 @@ def ba_point(p, d, slope: float) -> RdPoint:
     ``slope == 0`` returns the zero-rate corner (best constant guess), the
     limit the iteration approaches but never reaches.
     """
-    return _fixed_slope_points(_plain_solver(p, d), [(slope,)])[0]
+    return _fixed_slope_points(_solver(np.ravel(p), [d]), [(slope,)])[0]
 
 
 def ba_target(p, d, target: float) -> RdPoint:
     """R(D) at a target distortion for a plain source."""
-    return _target_search(_plain_solver(p, d), [target])
+    return _target_search(_solver(np.ravel(p), [d]), [target])
 
 
 def ba_conditional(joint, d, slope: float) -> RdPoint:
     """One curve point at a fixed slope when the side variable is known at
     both encoder and decoder.  ``joint[x, y]``; rate is sum_y p(y) R_y."""
-    return _fixed_slope_points(_conditional_solver(joint, d), [(slope,)])[0]
+    return _fixed_slope_points(_solver(_side_first(joint), [d], side=True), [(slope,)])[0]
 
 
 def ba_conditional_target(joint, d, target: float) -> RdPoint:
     """Conditional R(D) at a target aggregate distortion."""
-    return _target_search(_conditional_solver(joint, d), [target])
+    return _target_search(_solver(_side_first(joint), [d], side=True), [target])
 
 
 def ba_joint_multi(joint, dists, slopes, *, side: bool = False) -> RdPoint:
     """One point on the multi-constraint surface at a fixed slope vector."""
-    return _fixed_slope_points(_MultiSolver(joint, dists, side), [slopes])[0]
+    return _fixed_slope_points(_solver(joint, dists, side), [slopes])[0]
 
 
 def ba_joint_multi_target(joint, dists, targets, *, side: bool = False) -> RdPoint:
     """Joint rate at per-variable distortion targets, by the target search
     that every target solve runs (see ``_target_search``)."""
-    return _target_search(_MultiSolver(joint, dists, side), targets)
+    return _target_search(_solver(joint, dists, side), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -889,16 +873,17 @@ def gaussian_conditional_rd(sigma: float, r: float, target: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curve(make_solver, source, d, slopes, targets) -> RdCurve:
-    """Solve every grid point, sort by distortion, and flag monotonicity and
+def _curve(source, d, side: bool, slopes, targets) -> RdCurve:
+    """Solve every grid point of the one-variable ``source`` (side axis first
+    with ``side`` set), sort by distortion, and flag monotonicity and
     convexity of the result.  A slope grid is solved in the given order on one
     warm-started solver; each target gets a fresh one."""
     if (slopes is None) == (targets is None):
         raise InvalidStateError("provide exactly one of slopes= or targets=")
     if slopes is not None:
-        pts = _fixed_slope_points(make_solver(source, d), [(s,) for s in slopes])
+        pts = _fixed_slope_points(_solver(source, [d], side), [(s,) for s in slopes])
     else:
-        pts = [_target_search(make_solver(source, d), [t]) for t in targets]
+        pts = [_target_search(_solver(source, [d], side), [t]) for t in targets]
     pts = tuple(sorted(pts, key=lambda pt: pt.distortion))
     monotone = all(
         pts[k + 1].rate <= pts[k].rate + 1e-9 for k in range(len(pts) - 1)
@@ -925,10 +910,10 @@ def default_slope_grid(n: int = 25) -> tuple[float, ...]:
 def rd_curve(p, d, *, slopes: Sequence[float] | None = None,
              targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a plain source over a slope grid or a target-distortion list."""
-    return _curve(_plain_solver, p, d, slopes, targets)
+    return _curve(np.ravel(p), d, False, slopes, targets)
 
 
 def rd_curve_conditional(joint, d, *, slopes: Sequence[float] | None = None,
                          targets: Sequence[float] | None = None) -> RdCurve:
     """Sweep a conditional source (side known both ends) the same way."""
-    return _curve(_conditional_solver, joint, d, slopes, targets)
+    return _curve(_side_first(joint), d, True, slopes, targets)

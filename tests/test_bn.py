@@ -500,6 +500,18 @@ def test_conditional_partition_chain(chain_net):
     assert given_x1.blocks == ((chain_net.id_of("Y"), chain_net.id_of("X2")),)
 
 
+def test_numpy_integer_ids_resolve_as_int_ids(fork_net, scene_net):
+    assert fork_net.id_of(np.int64(2)) == 2 and type(fork_net.id_of(np.int32(1))) is int
+    with pytest.raises(errors.InvalidStateError, match="no variable with id 3$"):
+        fork_net.id_of(np.int64(3))
+    for ids in ([0, 1], [2, 0]):
+        want = marginal_table(scene_net, ids)
+        got = marginal_table(scene_net, np.array(ids))
+        assert got.scope == want.scope
+        np.testing.assert_array_equal(got.probs, want.probs)
+    assert conditional_partition(scene_net, np.array([1, 2])) == conditional_partition(scene_net, [1, 2])
+
+
 @pytest.mark.parametrize("side, blocks", [
     (["scene"], ((1, 3), (2,))),
     (["sky"], ((0, 2), (3,))),

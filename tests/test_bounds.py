@@ -13,7 +13,6 @@ import semrd.bounds
 import semrd.cli
 import semrd.info
 from semrd import (
-    DistortionSpec,
     InvalidStateError,
     SizeGuardError,
     binary_entropy,
@@ -26,7 +25,8 @@ from semrd import (
 from semrd.info import parent_marginals, redundancy_gap
 from semrd.nets import doubly_symmetric_fork
 from semrd.bounds import _side_first_array
-from semrd.rd import ba_conditional_target, ba_joint_multi_target, hamming_distortion
+from semrd.rd import (ba_conditional_target, ba_joint_multi_target, hamming_distortion,
+                      squared_error_distortion)
 
 TWO_SIDED_RATE = 0.36519727294664994  # 2 * (h_b(0.1) - h_b(0.05))
 
@@ -73,9 +73,24 @@ def test_bounds_target_length_checked(fork_net):
         lemma1_bounds(fork_net, (0.1, 0.1))
 
 
+@pytest.mark.parametrize("check", [
+    lambda net, dists: lemma1_bounds(net, (0.1, 0.1, 0.1), dists=dists),
+    lambda net, dists: lemma2_check(net, ["Y"], (0.1, 0.1), dists=dists),
+], ids=["lemma1", "lemma2"])
+def test_bounds_take_one_distortion_matrix_per_variable(fork_net, check):
+    for dists in ([hamming_distortion(2)], [hamming_distortion(2)] * 4):
+        with pytest.raises(InvalidStateError, match=f"^{len(dists)} distortion matrices for 3 variables$"):
+            check(fork_net, dists)
+    assert check(fork_net, [hamming_distortion(2)] * 3) == check(fork_net, None)
+
+
+def test_lemma2_takes_numpy_integer_side_ids(fork_net):
+    assert lemma2_check(fork_net, np.array([0]), (0.05, 0.05)) == lemma2_check(fork_net, [0], (0.05, 0.05))
+
+
 def test_bounds_with_squared_error(scene_net):
-    spec = DistortionSpec.squared_error(scene_net.cards)
-    rep = lemma1_bounds(scene_net, (0.2, 0.3, 0.2, 0.2), dspec=spec)
+    dists = [squared_error_distortion(k) for k in scene_net.cards]
+    rep = lemma1_bounds(scene_net, (0.2, 0.3, 0.2, 0.2), dists=dists)
     if rep.converged:
         assert rep.lower - 2e-4 <= rep.joint <= rep.upper + 2e-4
 
@@ -251,7 +266,7 @@ def test_joint_solve_meets_the_tight_shannon_lower_bound():
         if not exact:
             continue
         tight += 1
-        pt = ba_joint_multi_target(arr, DistortionSpec.hamming(net.cards).matrices, targets)
+        pt = ba_joint_multi_target(arr, [hamming_distortion(k) for k in net.cards], targets)
         assert pt.converged, targets
         assert abs(pt.rate - bound) <= 1e-6, targets
     print(f"Shannon lower bound: {tight} of 300 joint draws tight")

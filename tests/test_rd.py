@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semrd import (
-    DistortionSpec,
     InvalidStateError,
     SizeGuardError,
     ba_conditional,
@@ -63,14 +62,6 @@ def test_distortion_matrices():
     np.testing.assert_array_equal(
         squared_error_distortion(3), [[0, 1, 4], [1, 0, 1], [4, 1, 0]]
     )
-
-
-def test_distortion_spec_per_variable():
-    spec = DistortionSpec.hamming((2, 3))
-    np.testing.assert_array_equal(spec.for_var(0), HAM2)
-    np.testing.assert_array_equal(spec.for_var(1), hamming_distortion(3))
-    sq = DistortionSpec.squared_error((3,))
-    np.testing.assert_array_equal(sq.for_var(0), squared_error_distortion(3))
 
 
 def test_trivial_and_floor():
@@ -327,12 +318,12 @@ def test_a_warm_solve_next_to_a_newton_optimum_starts_in_newton(source, side, ha
     # states it handed over in Newton on every later solve, a slope away or
     # more, and each such solve lands where a fresh engine's does
     d = [hamming_distortion(3)]
-    solver = rd._MultiSolver(source, d, side=side)
+    solver = rd._solver(source, d, side)
     assert solver.eval((-1.0,))[2] > rd._NEWTON_AFTER
     assert [state[1] for state in solver.states] == handed
     for slope in (-1.01, -1.05):
         rate, dvec, iters, conv = solver.eval((slope,))
-        fresh = rd._MultiSolver(source, d, side=side).eval((slope,))
+        fresh = rd._solver(source, d, side).eval((slope,))
         assert conv and fresh[3]
         assert iters < rd._NEWTON_AFTER < fresh[2]
         assert rate == pytest.approx(fresh[0], rel=0, abs=1e-9)
@@ -702,10 +693,10 @@ def _side_evals_as_separate_solves(joint, d):
     separate solves of its states, and yield (slopes, iters, converged, the
     separate solves' iterations)."""
     py = joint.sum(axis=1)
-    side = rd._MultiSolver(joint, d, side=True)
+    side = rd._MultiSolver(joint, d)
     # the slow solves move by more than 1e-12 when p(x|y) moves by an ulp,
     # so solve the rows exactly as the side solver normalizes them
-    alone = [(w, rd._MultiSolver(row / w, d)) for row, w in zip(joint, py) if w > 0]
+    alone = [(w, rd._solver(row / w, d)) for row, w in zip(joint, py) if w > 0]
     for slopes in [(-1.0,), (-2.0,), (-0.5,)]:
         rate, dvec, iters, conv = side.eval(slopes)
         parts = [(w, s.eval(slopes)) for w, s in alone]
@@ -855,7 +846,7 @@ def test_joint_target_never_resolves_a_held_point(monkeypatch):
     monkeypatch.setattr(rd._MultiSolver, "eval", spy)
     net = load_bundled("scene")
     arr = marginal_table(net, list(range(net.m))).probs.reshape(net.cards)
-    dists = DistortionSpec.hamming(net.cards).matrices
+    dists = [hamming_distortion(k) for k in net.cards]
     pt = ba_joint_multi_target(arr, dists, (0.16, 0.163, 0.067, 0.103))
     assert pt.converged
     # no slope vector is solved twice, consecutively or otherwise
@@ -962,7 +953,7 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
     # central differences of solves closed far below the default gap
     monkeypatch.setattr(rd, "GAP_TOL_NATS", 1e-14)
     arr, dists = _scene_source(side)
-    solver = rd._MultiSolver(arr, dists, side=side is not None)
+    solver = rd._solver(arr, dists, side is not None)
     s = np.array(slopes)
     assert solver.eval(s)[3]
     jac = solver.jacobian(s < 0)
@@ -982,7 +973,7 @@ def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
     # channels are bit for bit what a rebuild from its q's gives; after an
     # all-zero-slope solve, which keeps no records of its own, it raises
     arr, dists = _scene_source("light")
-    solver = rd._MultiSolver(arr, dists, side=True)
+    solver = rd._MultiSolver(arr, dists)
     s = np.array([-3.0, -2.5, -2.0])
     assert solver.eval(s)[3]
     got = solver.jacobian(s < 0)
@@ -1091,7 +1082,7 @@ def test_engine_solve_and_jacobian_equal_the_reference_bit_for_bit(seed):
     rng = np.random.default_rng(7000 + seed)
     side = seed % 3 != 0
     joint, dists = _random_engine_source(rng, side, zero_state=side and seed % 3 == 1)
-    solver = rd._MultiSolver(joint, dists, side=side)
+    solver = rd._solver(joint, dists, side)
     masks = [np.array(mask) for mask in ([True], [True, True], [True, False], [False, True])
              if len(mask) == solver.m]
     for _ in range(3):  # the first cold, the others warm-started
@@ -1110,7 +1101,7 @@ def test_slope_jacobian_is_zero_at_a_zero_rate_corner():
     # dying (q > 0, c < 1) must not count as support: counted, they made
     # dD/ds about 0.06 where it is 0
     joint = np.moveaxis(fork_given_root(0.1, 0.1).reshape(2, 2, 2), 2, 0)
-    solver = rd._MultiSolver(joint, [HAM2, HAM2], side=True)
+    solver = rd._MultiSolver(joint, [HAM2, HAM2])
     s = np.array([-3.0, -2.5])
     assert solver.eval(s)[3]
     assert np.abs(solver.jacobian(s < 0)).max() <= 1e-8
@@ -1198,13 +1189,23 @@ def test_a_slope_search_without_a_derivative_doubles():
     assert solver.probed[:2] == [-2.0, -4.0]
 
 
+def test_a_newton_search_along_an_ascent_direction_gives_up():
+    # at q = (1/2, 1/2) on an identity tilt with p = (0.8, 0.2), moving mass
+    # to the second letter raises F = -sum p ln(Aq): -dF along d is -1.2, and
+    # no halving of the step finds a sufficient decrease
+    p, a, q = np.array([0.8, 0.2]), np.eye(2), np.array([0.5, 0.5])
+    alpha = a @ q
+    c = (p / alpha) @ a
+    assert rd._search(p, a, alpha, c, q, np.array([True, True]), np.array([-1.0, 1.0])) == 0.0
+
+
 def test_curve_flags_a_point_above_its_chord(monkeypatch):
     # rates 1, 0.9, 0 at distortions 0, 0.5, 1: the middle point sits 0.4
     # bits above the chord of its neighbours, and the rates still fall
     rates = {0.0: 1.0, 0.5: 0.9, 1.0: 0.0}
     monkeypatch.setattr(rd, "_target_search",
                         lambda solver, t: rd.RdPoint(rates[t[0]], (t[0],), (-1.0,), 0, True))
-    curve = rd._curve(lambda source, d: None, None, None, None, [0.0, 0.5, 1.0])
+    curve = rd_curve([0.5, 0.5], HAM2, targets=[0.0, 0.5, 1.0])
     assert [pt.rate for pt in curve.points] == [1.0, 0.9, 0.0]
     assert curve.monotone and not curve.convex
 
@@ -1253,7 +1254,7 @@ def test_a_slope_search_opens_with_a_newton_step_on_the_exact_derivative(monkeyp
     calls = _counting_evals(monkeypatch)
     assert ba_target(p, d, target).converged
     (s0,), (s1,) = calls[0][0], calls[1][0]
-    solver = rd._plain_solver(p, d)
+    solver = rd._solver(p, [d])
     s = np.array([s0])
     d0 = float(solver.eval(s)[1][0])
     jac = float(solver.jacobian(s < 0)[0, 0])
