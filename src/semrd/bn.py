@@ -350,18 +350,21 @@ def _state(v) -> int | None:
 def _check_states(net: BayesNet, assignment: Sequence[int]) -> list[int]:
     """The assignment's states as ints; raises ``InvalidStateError`` on an
     assignment that is no vector of one state per variable, a state that is
-    not an integer (see ``_state``) or one out of range."""
+    not an integer (see ``_state``) or one out of range, the first in id
+    order.  Numpy scalars are shown by value.  The package's one state scan:
+    ``joint_probability`` and ``encode`` both read states through it."""
     try:
         k = len(assignment)
     except TypeError:  # a scalar or None
-        raise InvalidStateError(
-            f"assignment {assignment!r} is not a vector of {net.m} states") from None
+        v = assignment.item() if isinstance(assignment, np.generic) else assignment
+        raise InvalidStateError(f"{v!r} is not a vector of {net.m} states") from None
     if k != net.m:
-        raise InvalidStateError(f"assignment length {k} != {net.m} variables")
+        raise InvalidStateError(f"{k} states for {net.m} variables")
     states = [_state(v) for v in assignment]
     for i, (v, s) in enumerate(zip(assignment, states)):
         name = net.variables[i].name
         if s is None:
+            v = v.item() if isinstance(v, np.generic) else v
             raise InvalidStateError(f"state {v!r} of variable {name!r} is not an integer")
         if not 0 <= s < net.card(i):
             raise InvalidStateError(

@@ -88,8 +88,13 @@ def _resolve_vars(net: BayesNet, spec: str | None, default):
     return [net.id_of(tok if not tok.isdigit() else int(tok)) for tok in spec.split(",") if tok]
 
 
-def _parse_floats(spec: str) -> list[float]:
-    return [float(tok) for tok in spec.split(",") if tok]
+def _floats(spec: str, n: int, what: str) -> list[float]:
+    """The comma list ``spec`` as floats; a usage error unless it holds ``n``
+    (an unparseable number stays a ``ValueError``)."""
+    vals = [float(tok) for tok in spec.split(",") if tok]
+    if len(vals) != n:
+        raise argparse.ArgumentTypeError(f"{len(vals)} {what} for {n} variables")
+    return vals
 
 
 def _dspec(net: BayesNet, name: str) -> list[np.ndarray]:
@@ -133,13 +138,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         good = red >= -_ORACLE_TOL
         lines.append(_csv_line("check", "redundancy-nonnegative", "ok" if good else f"fail {_fmt(red)}"))
         ok &= good
+        # the blocks given v are mutually independent iff, by the chain rule,
+        # I(B_k; B_{k+1} u ... u B_K | v) = 0 for every k < K
         worst = 0.0
         for v in range(net.m):
-            part = conditional_partition(net, [v])
-            for a_idx in range(len(part.blocks)):
-                for b_idx in range(a_idx + 1, len(part.blocks)):
-                    worst = max(worst, conditional_mutual_information(
-                        jt, part.blocks[a_idx], part.blocks[b_idx], [v]))
+            blocks = conditional_partition(net, [v]).blocks
+            for k in range(len(blocks) - 1):
+                rest = [u for b in blocks[k + 1:] for u in b]
+                worst = max(worst, conditional_mutual_information(jt, blocks[k], rest, [v]))
         good = worst <= _ORACLE_TOL
         lines.append(_csv_line("check", "partition-independence",
                                "ok" if good else f"fail cmi {_fmt(worst)}"))
@@ -255,15 +261,11 @@ def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
         lines.append(_csv_line(*pt.slopes, pt.rate, *pt.distortions, pt.iterations, pt.converged))
 
     if args.targets is not None:
-        targets = _parse_floats(args.targets)
-        if len(targets) != len(vars_):
-            raise argparse.ArgumentTypeError(f"{len(targets)} targets for {len(vars_)} variables")
+        targets = _floats(args.targets, len(vars_), "targets")
         add_point(ba_joint_multi_target(arr, dists, targets, side=True))
     else:
         if args.slopes is not None:
-            grid = [_parse_floats(args.slopes)]
-            if len(grid[0]) != len(vars_):
-                raise argparse.ArgumentTypeError(f"{len(grid[0])} slopes for {len(vars_)} variables")
+            grid = [_floats(args.slopes, len(vars_), "slopes")]
         else:
             if args.sweep < 0:
                 raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
@@ -294,7 +296,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import lemma1_bounds
 
     net = _load(args.net)
-    targets = _parse_floats(args.targets)
+    targets = _floats(args.targets, net.m, "targets")
     rep = lemma1_bounds(net, targets, _dspec(net, args.distortion))
     names = net.names
     lines = [
@@ -314,7 +316,7 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     side = _resolve_vars(net, args.side, [])
     if not side:
         raise argparse.ArgumentTypeError("--side must name at least one variable")
-    targets = _parse_floats(args.targets)
+    targets = _floats(args.targets, net.m - len(set(side)), "targets")
     rep = lemma2_check(net, side, targets, _dspec(net, args.distortion))
     blocks = "|".join("+".join(net.variables[v].name for v in blk) for blk in rep.partition.blocks)
     lines = [

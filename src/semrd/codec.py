@@ -40,7 +40,7 @@ import numpy as np
 from .bn import (
     BayesNet,
     JointTable,
-    _state,
+    _check_states,
     config_index,
     enumerate_joint,
     marginal_table,  # noqa: F401  no longer called here; bench/tracing.py wraps the name
@@ -234,28 +234,18 @@ class Bitstream:
 
 
 def _reject(fcb: FactorizedCodebook, n0: int, rows) -> None:
-    """Raise the error of the first bad sample in ``rows``, numbered from ``n0``."""
-    net = fcb.net
+    """Raise the error of the first bad sample in ``rows``, numbered from ``n0``:
+    ``_check_states``'s, else its first state without a codeword in coding order."""
+    net, (_, lengths, _, first) = fcb.net, fcb.table
     for n, vec in enumerate(rows, n0):
         try:
-            k = len(vec)
-        except TypeError:  # a scalar, as when a single vector is passed as the samples
-            raise InvalidStateError(f"sample {n} is not a vector of {net.m} states") from None
-        if k != net.m:
-            raise InvalidStateError(f"sample {n} has {k} entries, expected {net.m}")
-        states = [0] * net.m
-        for i in net.order:
-            s = states[i] = _state(vec[i])
-            name = net.variables[i].name
-            if s is None:
-                v = vec[i].item() if isinstance(vec[i], np.generic) else vec[i]
-                raise InvalidStateError(f"sample {n}: state {v!r} of {name!r} is not an integer")
-            if not 0 <= s < net.card(i):
-                raise InvalidStateError(f"sample {n}: state {s} out of range for {name!r}")
+            states = _check_states(net, vec)
+        except InvalidStateError as e:
+            raise InvalidStateError(f"sample {n}: {e}") from None
         for i in net.order:
             pa, s = net.cpts[i].parents, states[i]
             cfg = config_index([states[p] for p in pa], [net.card(p) for p in pa])
-            if s not in fcb.codes[i][cfg].codewords:
+            if lengths[first[i] + cfg, s] < 0:
                 raise UncodableSampleError(f"sample {n}: state {s} of {net.variables[i].name!r} "
                                            f"has zero probability under parent config {cfg}")
 
@@ -266,7 +256,8 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     Raises an uncodable-sample error when a vector hits a zero-probability
     state (no codeword exists for it), and an invalid-state error on
     out-of-range or non-integer entries (integral floats such as 1.0 are
-    states); the error names the first bad sample.
+    states), with ``joint_probability``'s message after ``sample n: ``, for
+    the first bad sample.
     """
     net, (pa, w) = fcb.net, row_layout(fcb.net)
     offsets, lengths, pool, first = fcb.table

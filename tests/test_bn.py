@@ -20,8 +20,10 @@ from semrd import bn, errors
 from semrd import (
     SchemaError,
     SizeGuardError,
+    build_factorized_codebooks,
     conditional_mutual_information,
     conditional_partition,
+    encode,
     enumerate_joint,
     joint_probability,
     load_bundled,
@@ -77,14 +79,18 @@ def test_fork_joint_probability(fork_net):
     ([np.nan, 0, 0], "state nan of variable 'Y' is not an integer"),
     (["a", 0, 0], "state 'a' of variable 'Y' is not an integer"),
     ([0, 0, 2], r"state 2 out of range for variable 'X2' \(cardinality 2\)"),
-    ([0, 0], "assignment length 2 != 3 variables"),
-    (5, "assignment 5 is not a vector of 3 states"),
+    ([0, 0], "2 states for 3 variables"),
+    (5, "5 is not a vector of 3 states"),
+    (np.array([np.nan, 0, 0]), "state nan of variable 'Y' is not an integer"),
 ])
 def test_joint_probability_refuses_states_that_are_not_state_indices(fork_net, assignment, message):
-    # the same rule as ``encode``'s: an integral float is a state; a
-    # fraction, a NaN or a string is not
+    # ``encode``'s rule too, with the sample's number in front: an integral
+    # float is a state; a fraction, a NaN or a string is not
     with pytest.raises(errors.InvalidStateError, match=rf"^{message}$"):
         joint_probability(fork_net, assignment)
+    fcb = build_factorized_codebooks(fork_net)
+    with pytest.raises(errors.InvalidStateError, match=rf"^sample 0: {message}$"):
+        encode(fcb, [assignment])
 
 
 def test_joint_probability_takes_integral_floats(fork_net):

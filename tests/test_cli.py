@@ -37,6 +37,30 @@ def test_verify_bundled_nets_pass():
         assert out.startswith("check,structure,ok")
 
 
+def test_verify_checks_that_the_blocks_are_independent_jointly_not_pairwise(tmp_path, monkeypatch):
+    # A and B are fair coins and C = A xor B: given V each pair is
+    # independent, but I(A; B, C | V) is 1 bit
+    half = [[0.5, 0.5]]
+    net = semrd.make_net(
+        [("V", 2), ("A", 2), ("B", 2), ("C", 2)],
+        [("V", [], half), ("A", [], half), ("B", [], half),
+         ("C", ["A", "B"], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])],
+    )
+    path = tmp_path / "xor.json"
+    semrd.save_net(net, path)
+    real = semrd.cli.conditional_partition
+
+    def singletons_given_v(net, side):
+        if list(side) != [0]:
+            return real(net, side)
+        return semrd.Partition((0,), ((1,), (2,), (3,)))
+
+    monkeypatch.setattr(semrd.cli, "conditional_partition", singletons_given_v)
+    rc, out, _ = invoke(["verify", str(path)])
+    assert rc == 1
+    assert out.splitlines()[-1] == "check,partition-independence,fail cmi 1"
+
+
 def test_verify_reports_broken_net(tmp_path):
     bad = {"variables": [{"name": "A", "cardinality": 2}],
            "edges": [],
@@ -225,7 +249,7 @@ def test_encode_names_the_line_of_a_short_sample(tmp_path):
 
 @pytest.mark.parametrize("line, rc, err", [
     ("1.0,0,1", 0, "encoded 1 samples into 1 payload bytes\n"),
-    ("1.5,0,1", 1, "semrd: sample 0: state 1.5 of 'Y' is not an integer\n"),
+    ("1.5,0,1", 1, "semrd: sample 0: state 1.5 of variable 'Y' is not an integer\n"),
     ("a,0,1", 1, "semrd: could not convert string to float: 'a'\n"),
 ], ids=["integral-float", "fractional", "not-a-number"])
 def test_encode_reads_csv_states_by_the_state_rule(tmp_path, line, rc, err):
@@ -290,6 +314,16 @@ def test_target_count_mismatch_is_usage_error():
     rc, _, err = invoke(["rd", "fork", "--vars", "X1", "--targets", "0.1,0.2"])
     assert rc == 2
     assert "targets" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rd", "fork", "--vars", "X1", "--targets", "0.1,0.2"], "2 targets for 1 variables"),
+    (["rd-cond", "fork", "--side", "Y", "--targets", "0.1"], "1 targets for 2 variables"),
+    (["bounds", "fork", "--targets", "0.1,0.1"], "2 targets for 3 variables"),
+    (["lemma2", "fork", "--side", "Y", "--targets", "0.1"], "1 targets for 2 variables"),
+], ids=["rd", "rd-cond", "bounds", "lemma2"])
+def test_a_wrong_number_of_targets_is_a_usage_error_in_every_subcommand(argv, message):
+    assert invoke(argv) == (2, "", f"semrd: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -225,7 +225,7 @@ def test_encode_rejects_out_of_range_state(fork_net):
 ])
 def test_encode_rejects_non_integer_states(fork_net, bad, shown):
     fcb = build_factorized_codebooks(fork_net)
-    message = rf"^sample 1: state {re.escape(shown)} of 'X2' is not an integer$"
+    message = rf"^sample 1: state {re.escape(shown)} of variable 'X2' is not an integer$"
     with pytest.raises(InvalidStateError, match=message):
         encode(fcb, [[0, 0, 0], [0, 0, bad], [0, 0, 7]])
     if isinstance(bad, float):  # the same through the float-array path
@@ -237,13 +237,14 @@ def test_encode_rejects_non_integer_states(fork_net, bad, shown):
 def test_encode_refuses_a_single_vector_as_the_samples(fork_net, samples):
     # each entry is read as a sample, and a scalar is no vector of states
     fcb = build_factorized_codebooks(fork_net)
-    with pytest.raises(InvalidStateError, match=r"^sample 0 is not a vector of 3 states$"):
+    with pytest.raises(InvalidStateError, match=r"^sample 0: 0 is not a vector of 3 states$"):
         encode(fcb, samples)
 
 
 def test_encode_first_bad_sample_wins_over_a_later_non_integer(fork_net):
     fcb = build_factorized_codebooks(fork_net)
-    with pytest.raises(InvalidStateError, match=r"^sample 0: state 7 out of range for 'X2'$"):
+    with pytest.raises(InvalidStateError,
+                       match=r"^sample 0: state 7 out of range for variable 'X2' \(cardinality 2\)$"):
         encode(fcb, np.array([[0, 0, 7], [0, 0, np.nan]]))
 
 
@@ -302,22 +303,44 @@ def test_encode_reports_the_first_bad_sample():
     with pytest.raises(UncodableSampleError,
                        match=r"^sample 3: state 1 of 'B' has zero probability under parent config 1$"):
         encode(fcb, rows)
-    with pytest.raises(InvalidStateError, match=r"^sample 1: state 7 out of range for 'A'$"):
+    with pytest.raises(InvalidStateError,
+                       match=r"^sample 1: state 7 out of range for variable 'A' \(cardinality 3\)$"):
         encode(fcb, [[0, 0], [0, 7], [1, 1]])
 
 
 def test_encode_length_and_range_errors_win_within_a_sample():
     fcb = build_factorized_codebooks(_gated_net())
     # A = 2 is uncodable and comes first in the order, but B = 5 is out of range
-    with pytest.raises(InvalidStateError, match=r"^sample 0: state 5 out of range for 'B'$"):
+    with pytest.raises(InvalidStateError,
+                       match=r"^sample 0: state 5 out of range for variable 'B' \(cardinality 2\)$"):
         encode(fcb, [[5, 2]])
-    with pytest.raises(InvalidStateError, match=r"^sample 1 has 3 entries, expected 2$"):
+    with pytest.raises(InvalidStateError, match=r"^sample 1: 3 states for 2 variables$"):
         encode(fcb, [[0, 0], [1, 2, 0]])
+
+
+def test_a_sample_is_judged_in_id_order_then_coded_in_coding_order():
+    # ids (B, A), coding order (A, B): B's fraction is named before A's
+    # out-of-range state, by ``joint_probability`` and ``encode`` alike
+    gated = _gated_net()
+    message = "state 0.5 of variable 'B' is not an integer"
+    with pytest.raises(InvalidStateError, match=rf"^{message}$"):
+        semrd.joint_probability(gated, [0.5, 7])
+    with pytest.raises(InvalidStateError, match=rf"^sample 0: {message}$"):
+        encode(build_factorized_codebooks(gated), [[0.5, 7]])
+    # both states of (B, A) = (1, 2) lack a codeword; A's comes first in coding order
+    net = semrd.make_net(
+        [("B", 2), ("A", 3)],
+        [("B", ["A"], [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]),
+         ("A", [], [[0.5, 0.5, 0.0]])],
+    )
+    with pytest.raises(UncodableSampleError,
+                       match=r"^sample 0: state 2 of 'A' has zero probability under parent config 0$"):
+        encode(build_factorized_codebooks(net), [[1, 2]])
 
 
 def test_encode_rejects_ragged_rows(fork_net):
     fcb = build_factorized_codebooks(fork_net)
-    with pytest.raises(InvalidStateError, match=r"^sample 1 has 2 entries, expected 3$"):
+    with pytest.raises(InvalidStateError, match=r"^sample 1: 2 states for 3 variables$"):
         encode(fcb, [[0, 0, 0], [0, 0], [1, 1, 1]])
 
 
