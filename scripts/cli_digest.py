@@ -9,9 +9,13 @@ encode -> decode round trip in a temporary directory, whose stream bytes get
 a row of their own; then the README's two ``rd-closed-form`` lines.  Prints
 one CSV row per case: its exit code and a SHA-256 of its stdout.  Two trees
 whose rows all match print the same bytes, so a change meant to keep the CLI
-output can be checked against its parent with ``diff``.  The commands'
-stderr (timings, messages) is dropped; a count of rows and of non-zero exits
-goes to stderr.  Exits 1 when any command exits non-zero.
+output can be checked against its parent with ``diff``.  Each CSV case
+(all but ``encode``, its stream and ``rd-closed-form``) is run again with
+``-o`` into the temporary directory, and must exit with the same code,
+print nothing and write the bytes it printed.  The commands' stderr
+(timings, messages) is dropped; a count of rows and of non-zero exits, and
+of the CSV cases whose ``-o`` file matches, goes to stderr.  Exits 1 when
+any command exits non-zero or any ``-o`` file differs.
 """
 
 import argparse
@@ -56,6 +60,7 @@ def main(argv=None):
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
     codes = []  # the exit code on each row
+    parity = []  # per CSV case, whether its -o run wrote what it printed
 
     def row(case, code, data):
         codes.append(code)
@@ -63,22 +68,32 @@ def main(argv=None):
 
     print("case,exit,sha256")
     with tempfile.TemporaryDirectory() as workdir:
+        output = Path(workdir, "output.csv")
+
+        def csv_row(case, argv):
+            code, data = _run(argv)
+            row(case, code, data)
+            output.unlink(missing_ok=True)
+            parity.append(_run([*argv, "-o", str(output)]) == (code, b"")
+                          and output.exists() and output.read_bytes() == data)
+            return data
+
         for name in BUNDLED:
             for case, cmd in _commands(name):
-                row(case, *_run(cmd))
+                csv_row(case, cmd)
             samples, stream = Path(workdir, f"{name}.csv"), Path(workdir, f"{name}.bnhc")
-            code, draws = _run(["sample", name, "-n", "1000", "--seed", "7"])
-            row(f"sample:{name}", code, draws)
-            samples.write_bytes(draws)
+            samples.write_bytes(csv_row(f"sample:{name}", ["sample", name, "-n", "1000", "--seed", "7"]))
             code, out = _run(["encode", name, str(samples), "-o", str(stream)])
             row(f"encode:{name}", code, out)
             row(f"stream:{name}", code, stream.read_bytes() if stream.exists() else b"")
-            row(f"decode:{name}", *_run(["decode", name, str(stream)]))
+            csv_row(f"decode:{name}", ["decode", name, str(stream)])
     row("rd-closed-form:binary", *_run(["rd-closed-form", "binary", "0.1", "0.05"]))
     row("rd-closed-form:gaussian", *_run(["rd-closed-form", "gaussian", "1.0", "0.0", "0.25"]))
     failed = sum(code != 0 for code in codes)
     print(f"# {len(codes)} rows, {failed} with a non-zero exit", file=sys.stderr)
-    return 1 if failed else 0
+    print(f"# {sum(parity)} of {len(parity)} CSV cases write with -o the bytes they print",
+          file=sys.stderr)
+    return 1 if failed or not all(parity) else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Machine output goes to stdout as deterministic CSV: fixed column order,
 '.' decimal separator, 12 significant digits, LF line endings — identical
 inputs and flags always produce byte-identical bytes.  Timing diagnostics go
-to stderr so they never perturb the CSV surface.
+to stderr so they never perturb the CSV surface.  Every CSV subcommand takes
+``-o FILE``, which writes those bytes to FILE instead; ``encode``'s ``-o`` is
+its required bitstream path, and ``rd-closed-form`` prints one number.
 
 Exit codes: 0 success, 1 validation failure (bad network file, uncodable
 sample, corrupt stream, guard violation, failed check), 2 usage error.
@@ -11,8 +13,10 @@ sample, corrupt stream, guard violation, failed check), 2 usage error.
 The dense-table size guard defaults to 2^24 entries and may be raised or
 lowered with the ``SEMRD_SIZE_GUARD`` environment variable (capped at 2^28);
 a value outside that range is a usage error.
-Network arguments take a file path, or the name of a bundled example
-(fork, chain, scene).
+
+The arguments several subcommands share (the network, a file path or the
+name of a bundled example; ``-o``; ``--distortion``; ``--side``) are each
+declared once, as an argparse parent parser.
 
 The module imports the network model, the entropy accounting and the bundled
 nets; each command imports what it calls from ``codec``, ``rd`` and
@@ -67,7 +71,7 @@ def _csv_line(*cells) -> str:
     return ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
 
 
-def _emit(lines, out=None):
+def _emit(lines, out):
     text = "\n".join(lines) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -82,9 +86,7 @@ def _load(netarg: str) -> BayesNet:
     return load_net(p)
 
 
-def _resolve_vars(net: BayesNet, spec: str | None, default):
-    if spec is None:
-        return list(default)
+def _resolve_vars(net: BayesNet, spec: str) -> list[int]:
     return [net.id_of(tok if not tok.isdigit() else int(tok)) for tok in spec.split(",") if tok]
 
 
@@ -131,13 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if net.joint_states() <= size_guard():
         jt = enumerate_joint(net)
         gap = abs(joint_entropy_factorized(net) - joint_entropy_bruteforce(jt))
-        good = gap <= _ORACLE_TOL
-        lines.append(_csv_line("check", "entropy-oracle", "ok" if good else f"fail gap {_fmt(gap)}"))
-        ok &= good
         red = redundancy_gap(net)
-        good = red >= -_ORACLE_TOL
-        lines.append(_csv_line("check", "redundancy-nonnegative", "ok" if good else f"fail {_fmt(red)}"))
-        ok &= good
         # the blocks given v are mutually independent iff, by the chain rule,
         # I(B_k; B_{k+1} u ... u B_K | v) = 0 for every k < K
         worst = 0.0
@@ -146,13 +142,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for k in range(len(blocks) - 1):
                 rest = [u for b in blocks[k + 1:] for u in b]
                 worst = max(worst, conditional_mutual_information(jt, blocks[k], rest, [v]))
-        good = worst <= _ORACLE_TOL
-        lines.append(_csv_line("check", "partition-independence",
-                               "ok" if good else f"fail cmi {_fmt(worst)}"))
-        ok &= good
+        checks = [("entropy-oracle", gap <= _ORACLE_TOL, f"fail gap {_fmt(gap)}"),
+                  ("redundancy-nonnegative", red >= -_ORACLE_TOL, f"fail {_fmt(red)}"),
+                  ("partition-independence", worst <= _ORACLE_TOL, f"fail cmi {_fmt(worst)}")]
+        lines += [_csv_line("check", name, "ok" if good else fail) for name, good, fail in checks]
+        ok = all(good for _, good, _ in checks)
     else:
         lines.append(_csv_line("check", "entropy-oracle", "skipped: joint space over guard"))
-    _emit(lines)
+    _emit(lines, args.output)
     return 0 if ok else 1
 
 
@@ -221,41 +218,40 @@ def cmd_codec_report(args: argparse.Namespace) -> int:
                                expected_length(rep.joint_code, rep.joint_table)))
     if rep.joint_note:
         lines.append(_csv_line("joint_note", rep.joint_note))
-    _emit(lines)
+    _emit(lines, args.output)
     joint_s = "-" if rep.joint_build_seconds is None else f"{rep.joint_build_seconds:.6f}"
-    print(
-        f"timings: factorized build {rep.factorized_build_seconds:.6f}s, joint build {joint_s}s, "
-        f"report total {time.perf_counter() - t0:.6f}s",
-        file=sys.stderr,
-    )
+    print(f"timings: factorized build {rep.factorized_build_seconds:.6f}s, joint build {joint_s}s, "
+          f"report total {time.perf_counter() - t0:.6f}s", file=sys.stderr)
     return 0
 
 
-def _rd_common(args: argparse.Namespace, conditional: bool) -> int:
+def _side(net: BayesNet, args: argparse.Namespace) -> list[int]:
+    """The ``--side`` variables: none for a subcommand without ``--side``, and
+    a usage error when ``--side`` names none."""
+    if getattr(args, "side", None) is None:
+        return []
+    side = _resolve_vars(net, args.side)
+    if not side:
+        raise argparse.ArgumentTypeError("--side must name at least one variable")
+    return side
+
+
+def cmd_rd(args: argparse.Namespace) -> int:
     from .bounds import _side_first_array
     from .rd import _fixed_slope_points, _MultiSolver, ba_joint_multi_target, default_slope_grid
 
     net = _load(args.net)
     dspec = _dspec(net, args.distortion)
-    if conditional:
-        side = _resolve_vars(net, args.side, [])
-        if not side:
-            raise argparse.ArgumentTypeError("--side must name at least one variable")
-        default_vars = [v for v in range(net.m) if v not in side]
-    else:
-        side = []
-        default_vars = list(range(net.m))
-    vars_ = _resolve_vars(net, args.vars, default_vars)
+    side = _side(net, args)
+    rest = [v for v in range(net.m) if v not in side]
+    vars_ = rest if args.vars is None else _resolve_vars(net, args.vars)
     if not vars_ or len(set(vars_)) != len(vars_) or set(vars_) & set(side):
         raise argparse.ArgumentTypeError("--vars must be distinct and disjoint from --side")
     arr = _side_first_array(net, side, vars_)
     dists = [dspec[v] for v in vars_]
     names = [net.variables[v].name for v in vars_]
-    header = _csv_line(
-        *[f"slope_{n}" for n in names], "rate_bits",
-        *[f"distortion_{n}" for n in names], "iterations", "converged",
-    )
-    lines = [header]
+    lines = [_csv_line(*[f"slope_{n}" for n in names], "rate_bits",
+                       *[f"distortion_{n}" for n in names], "iterations", "converged")]
 
     def add_point(pt):
         lines.append(_csv_line(*pt.slopes, pt.rate, *pt.distortions, pt.iterations, pt.converged))
@@ -313,10 +309,9 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
     from .bounds import lemma2_check
 
     net = _load(args.net)
-    side = _resolve_vars(net, args.side, [])
-    if not side:
-        raise argparse.ArgumentTypeError("--side must name at least one variable")
-    targets = _floats(args.targets, net.m - len(set(side)), "targets")
+    side = _side(net, args)
+    rest = net.m - len(set(side))  # none: ``lemma2_check`` names that, whatever the targets
+    targets = _floats(args.targets, rest, "targets") if rest else []
     rep = lemma2_check(net, side, targets, _dspec(net, args.distortion))
     blocks = "|".join("+".join(net.variables[v].name for v in blk) for blk in rep.partition.blocks)
     lines = [
@@ -333,86 +328,62 @@ def cmd_lemma2(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="semrd",
-        description="Compression limits for Bayesian-network sources: entropy, "
-                    "lossless codec, and (conditional) rate-distortion.",
-    )
+    ap = argparse.ArgumentParser(prog="semrd", description="Compression limits for Bayesian-network "
+                                 "sources: entropy, lossless codec, and (conditional) rate-distortion.")
     ap.add_argument("--version", action="version", version=f"semrd {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def netarg(p):
-        p.add_argument("net", help=f"network JSON file or bundled name ({', '.join(BUNDLED)})")
+    def parent(*args, parents=(), **kw):
+        p = argparse.ArgumentParser(add_help=False, parents=parents)
+        p.add_argument(*args, **kw)
+        return p
 
-    p = sub.add_parser("verify", help="validate a network and run self-consistency checks")
-    netarg(p)
-    p.set_defaults(fn=cmd_verify)
+    net = parent("net", help=f"network JSON file or bundled name ({', '.join(BUNDLED)})")
+    csv = parent("-o", "--output", parents=[net], default=None, help="write CSV here instead of stdout")
+    distortion = parent("--distortion", default="hamming", choices=["hamming", "squared"])
+    side = parent("--side", required=True, help="comma-separated side variables")
 
-    p = sub.add_parser("entropy", help="per-node conditional entropies, joint entropy, redundancy")
-    netarg(p)
-    p.add_argument("-o", "--output", default=None, help="write CSV here instead of stdout")
-    p.set_defaults(fn=cmd_entropy)
+    def command(name, fn, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sample", help="draw ancestral samples as CSV state vectors")
-    netarg(p)
+    command("verify", cmd_verify, "validate a network and run self-consistency checks", csv)
+    command("entropy", cmd_entropy, "per-node conditional entropies, joint entropy, redundancy", csv)
+
+    p = command("sample", cmd_sample, "draw ancestral samples as CSV state vectors", csv)
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("encode", help="compress a samples file with the factorized codebook")
-    netarg(p)
+    p = command("encode", cmd_encode, "compress a samples file with the factorized codebook", net)
     p.add_argument("samples", help="CSV samples file ('-' for stdin)")
     p.add_argument("-o", "--output", required=True, help="output bitstream file")
-    p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("decode", help="decompress a bitstream back to samples")
-    netarg(p)
+    p = command("decode", cmd_decode, "decompress a bitstream back to samples", csv)
     p.add_argument("stream", help="bitstream file")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("codec-report", help="joint vs factorized codebook cost accounting")
-    netarg(p)
-    p.set_defaults(fn=cmd_codec_report)
+    command("codec-report", cmd_codec_report, "joint vs factorized codebook cost accounting", csv)
 
-    for name, cond in (("rd", False), ("rd-cond", True)):
-        p = sub.add_parser(
-            name,
-            help="rate-distortion " + ("with a side set known at both ends" if cond else "of selected variables"),
-        )
-        netarg(p)
-        if cond:
-            p.add_argument("--side", required=True, help="comma-separated side variables")
+    for name, help, *sides in (("rd", "of selected variables"),
+                               ("rd-cond", "with a side set known at both ends", side)):
+        p = command(name, cmd_rd, f"rate-distortion {help}", csv, *sides, distortion)
         p.add_argument("--vars", default=None, help="comma-separated variables (default: all non-side)")
-        p.add_argument("--distortion", default="hamming", choices=["hamming", "squared"])
         g = p.add_mutually_exclusive_group()
         g.add_argument("--targets", default=None, help="per-variable distortion targets")
         g.add_argument("--slopes", default=None, help="per-variable slopes (<= 0)")
         g.add_argument("--sweep", type=int, default=25, help="points on a common-slope curve sweep")
-        p.add_argument("-o", "--output", default=None)
-        p.set_defaults(fn=lambda args, cond=cond: _rd_common(args, conditional=cond))
 
-    p = sub.add_parser("rd-closed-form", help="closed-form conditional rate-distortion values")
+    p = command("rd-closed-form", cmd_rd_closed_form, "closed-form conditional rate-distortion values")
     p.add_argument("family", choices=["binary", "gaussian"])
-    p.add_argument("params", type=float, nargs="+",
-                   help="binary: P D;  gaussian: SIGMA R D")
-    p.set_defaults(fn=cmd_rd_closed_form)
+    p.add_argument("params", type=float, nargs="+", help="binary: P D;  gaussian: SIGMA R D")
 
-    p = sub.add_parser("bounds", help="sandwich the joint rate between marginal and conditional sums")
-    netarg(p)
+    p = command("bounds", cmd_bounds,
+                "sandwich the joint rate between marginal and conditional sums", csv, distortion)
     p.add_argument("--targets", required=True, help="per-variable distortion targets (id order)")
-    p.add_argument("--distortion", default="hamming", choices=["hamming", "squared"])
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("lemma2", help="joint vs per-block conditional rates given a side set")
-    netarg(p)
-    p.add_argument("--side", required=True, help="comma-separated side variables")
+    p = command("lemma2", cmd_lemma2, "joint vs per-block conditional rates given a side set",
+                csv, side, distortion)
     p.add_argument("--targets", required=True, help="targets for non-side variables (id order)")
-    p.add_argument("--distortion", default="hamming", choices=["hamming", "squared"])
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_lemma2)
 
     return ap
 
@@ -431,12 +402,9 @@ def run(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except argparse.ArgumentTypeError as e:
+    except (argparse.ArgumentTypeError, ValueError, OSError) as e:
         print(f"semrd: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
-        print(f"semrd: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, argparse.ArgumentTypeError) else 1
 
 
 def main() -> None:

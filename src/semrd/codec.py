@@ -257,7 +257,7 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     state (no codeword exists for it), and an invalid-state error on
     out-of-range or non-integer entries (integral floats such as 1.0 are
     states), with ``joint_probability``'s message after ``sample n: ``, for
-    the first bad sample.
+    the first bad sample; ``samples`` that are no iterable are invalid too.
     """
     net, (pa, w) = fcb.net, row_layout(fcb.net)
     offsets, lengths, pool, first = fcb.table
@@ -268,7 +268,10 @@ def encode(fcb: FactorizedCodebook, samples: Iterable[Sequence[int]]) -> Bitstre
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         blocks = (samples[t:t + per_block] for t in range(0, len(samples), per_block))
     else:
-        it = iter(samples)
+        try:
+            it = iter(samples)
+        except TypeError:  # a scalar, a 0-d array or None
+            raise InvalidStateError(f"{samples!r} is not an iterable of state vectors") from None
         blocks = iter(lambda: list(islice(it, per_block)), [])
     chunks, n = [pool[:0]], 0
     for block in blocks:

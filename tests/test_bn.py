@@ -237,8 +237,10 @@ def _load_text(tmp_path, text):
      "bad.json: invalid JSON at line 1 col 2: Expecting property name enclosed in double quotes"),
     (lambda net, tmp: enumerate_joint(make_net([("A", 2)], [("A", [], [[0.3, 0.3]])])),
      SchemaError, "joint table sums to 0.6, not 1; network is inconsistent"),
+    (lambda net, tmp: net_from_dict(_one_var_doc(rows=[0.5, 0.5])), SchemaError,
+     "cpts[0].rows must be a matrix"),
 ], ids=["sample-negative", "marginal-empty", "marginal-repeated", "id-out-of-range",
-        "document-not-object", "invalid-json", "joint-sum"])
+        "document-not-object", "invalid-json", "joint-sum", "rows-not-a-matrix"])
 def test_refusals_name_their_cause(fork_net, tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message) + "$"):
         call(fork_net, tmp_path)

@@ -305,6 +305,13 @@ def test_lemma2_subcommand():
     assert fields[4] == "true"
 
 
+@pytest.mark.parametrize("targets", ["0.1", ""], ids=["one-target", "no-targets"])
+def test_lemma2_names_a_side_set_that_holds_every_variable(targets):
+    # with no non-side variable left, the target count is not what is wrong
+    assert invoke(["lemma2", "fork", "--side", "Y,X1,X2", "--targets", targets]) == (
+        1, "", "semrd: no non-side variables: the side set holds every variable\n")
+
+
 def test_unknown_subcommand_is_usage_error():
     rc, _, _ = invoke(["frobnicate"])
     assert rc == 2
@@ -457,6 +464,30 @@ def test_non_finite_numbers_fail_before_any_solve(monkeypatch, call, code):
         rc, out, err = invoke(call)
         assert (rc, out) == (code, "")
         assert err.startswith("semrd: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fork"],
+    ["entropy", "fork"],
+    ["sample", "fork", "-n", "20", "--seed", "3"],
+    ["decode", "fork"],  # the stream is appended below
+    ["codec-report", "fork"],
+    ["rd", "fork", "--vars", "X1", "--targets", "0.1"],
+    ["rd-cond", "fork", "--side", "Y", "--targets", "0.05,0.05"],
+    ["bounds", "fork", "--targets", "0.1,0.05,0.2"],
+    ["lemma2", "fork", "--side", "Y", "--targets", "0.05,0.05"],
+], ids=lambda argv: argv[0])
+def test_every_csv_subcommand_writes_to_its_output_file_what_stdout_shows(tmp_path, argv):
+    if argv[0] == "decode":
+        samples, stream = tmp_path / "draws.csv", tmp_path / "draws.bnhc"
+        samples.write_text("0,1,0\n1,1,1\n")
+        assert invoke(["encode", "fork", str(samples), "-o", str(stream)])[0] == 0
+        argv = argv + [str(stream)]
+    rc, out, _ = invoke(argv)
+    assert rc == 0
+    path = tmp_path / "out.csv"
+    assert invoke(argv + ["-o", str(path)])[:2] == (rc, "")
+    assert path.read_bytes() == out.encode()
 
 
 def test_all_subcommands_byte_stable(tmp_path):

@@ -241,6 +241,15 @@ def test_encode_refuses_a_single_vector_as_the_samples(fork_net, samples):
         encode(fcb, samples)
 
 
+@pytest.mark.parametrize("samples, shown", [(5, "5"), (None, "None"), (np.array(5), "array(5)")],
+                         ids=["int", "none", "0-d-array"])
+def test_encode_refuses_samples_that_are_not_iterable(fork_net, samples, shown):
+    fcb = build_factorized_codebooks(fork_net)
+    with pytest.raises(InvalidStateError,
+                       match=rf"^{re.escape(shown)} is not an iterable of state vectors$"):
+        encode(fcb, samples)
+
+
 def test_encode_first_bad_sample_wins_over_a_later_non_integer(fork_net):
     fcb = build_factorized_codebooks(fork_net)
     with pytest.raises(InvalidStateError,
