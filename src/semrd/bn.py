@@ -399,8 +399,8 @@ def ancestral_closure(net: BayesNet, ids: Iterable[int]) -> set[int]:
 def size_guard() -> int:
     """The cap on dense table sizes, read at each call: ``SEMRD_SIZE_GUARD``
     when it is set, else ``DEFAULT_SIZE_GUARD``.  A set value that is not an
-    integer in [1, ``MAX_SIZE_GUARD``] raises a size-guard error.  Every check
-    that refuses an allocation takes its bound from here."""
+    integer in [1, ``MAX_SIZE_GUARD``] raises a size-guard error.  Every
+    refusal of an allocation goes through ``_check_size``, which reads it."""
     value = os.environ.get("SEMRD_SIZE_GUARD")
     if value is None:
         return DEFAULT_SIZE_GUARD
@@ -411,6 +411,14 @@ def size_guard() -> int:
     if not 1 <= guard <= MAX_SIZE_GUARD:
         raise SizeGuardError(f"SEMRD_SIZE_GUARD={value!r} is not an integer in [1, {MAX_SIZE_GUARD}]")
     return guard
+
+
+def _check_size(size: int, table: str) -> None:
+    """The package's one size check, made before a table is allocated: "<table>
+    exceeds guard G" when its ``size`` entries are over ``size_guard()``."""
+    guard = size_guard()
+    if size > guard:
+        raise SizeGuardError(f"{table} exceeds guard {guard}")
 
 
 def marginal_table(net: BayesNet, ids: Sequence[int]) -> JointTable:
@@ -427,7 +435,6 @@ def marginal_table(net: BayesNet, ids: Sequence[int]) -> JointTable:
     ids = [net.id_of(i) for i in ids]
     if len(set(ids)) != len(ids) or not ids:
         raise InvalidStateError(f"ids must be a non-empty set of distinct variables, got {ids}")
-    guard = size_guard()
     needed = ancestral_closure(net, ids)
     order_s = [v for v in net.order if v in needed]
     last = {v: k for k, v in enumerate(order_s)}  # the last step that mentions v
@@ -438,9 +445,7 @@ def marginal_table(net: BayesNet, ids: Sequence[int]) -> JointTable:
     table = np.ones(())
     for pos, v in enumerate(order_s):
         step, size = active + [v], table.size * net.card(v)
-        if size > guard:
-            raise SizeGuardError(f"intermediate table over {len(step)} variables has {size} "
-                                 f"entries (> guard {guard})")
+        _check_size(size, f"intermediate table over {len(step)} variables with {size} entries")
         if len(step) > 52:
             raise SizeGuardError(f"intermediate table over {len(step)} variables has more "
                                  f"axes than einsum's 52 labels")
@@ -460,9 +465,7 @@ def enumerate_joint(net: BayesNet) -> JointTable:
     Raises a size-guard error before allocating anything when the state space
     exceeds ``size_guard()``; the returned table sums to 1 within 1e-9.
     """
-    n, guard = net.joint_states(), size_guard()
-    if n > guard:
-        raise SizeGuardError(f"joint state space {n} exceeds guard {guard}")
+    _check_size(net.joint_states(), f"joint state space {net.joint_states()}")
     jt = marginal_table(net, list(range(net.m)))
     total = float(jt.probs.sum())
     if abs(total - 1.0) > 1e-9:
@@ -479,9 +482,7 @@ def sample(net: BayesNet, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise InvalidStateError(f"sample count must be >= 0, got {n}")
-    guard = size_guard()
-    if n * net.m > guard:
-        raise SizeGuardError(f"{n} samples: {n}x{net.m} table exceeds guard {guard}")
+    _check_size(n * net.m, f"{n} samples: {n}x{net.m} table")
     rng = np.random.default_rng(seed)
     out = np.zeros((n, net.m), dtype=np.int64)
     for i in net.order:
@@ -576,20 +577,19 @@ def net_from_dict(doc: dict) -> BayesNet:
         cpts.append((c["child"], _list(c["parents"], f"cpts[{k}].parents"), table))
     net = make_net(variables, cpts)
 
-    names, declared = net.names, set()
+    names, known, declared = net.names, set(net.names), {}  # dicts keep the edges' order
     for k, e in enumerate(_list(doc["edges"], "edges")):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edges[{k}] must be a [parent, child] pair")
         for name in e:
-            if not isinstance(name, str) or name not in names:
+            if not isinstance(name, str) or name not in known:
                 raise SchemaError(f"edges[{k}] references unknown variable {name!r}")
-        declared.add(tuple(e))
-    implied = {(names[p], names[i]) for i, c in enumerate(net.cpts) for p in c.parents}
-    if declared != implied:
-        raise SchemaError(
-            f"edges disagree with cpt parent lists: declared {sorted(declared)}, "
-            f"implied {sorted(implied)}"
-        )
+        declared[tuple(e)] = None
+    implied = dict.fromkeys((names[p], names[i]) for i, c in enumerate(net.cpts) for p in c.parents)
+    for a, b, where in ((declared, implied, "the cpt parent lists"), (implied, declared, "edges")):
+        for e in a:  # the first edge of ``a`` missing from ``b``
+            if e not in b:
+                raise SchemaError(f"edges disagree with cpt parent lists: {list(e)} is not in {where}")
     rep = validate(net)
     if not rep.ok:
         raise SchemaError(rep.violations[0])

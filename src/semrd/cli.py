@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bn import BayesNet, conditional_partition, enumerate_joint, load_net, sample, size_guard
+from .bn import (BayesNet, _check_size, conditional_partition, enumerate_joint, load_net, sample,
+                 size_guard)
 from .errors import SizeGuardError
 from .info import (
     conditional_entropies,
@@ -87,7 +88,7 @@ def _load(netarg: str) -> BayesNet:
 
 
 def _resolve_vars(net: BayesNet, spec: str) -> list[int]:
-    return [net.id_of(tok if not tok.isdigit() else int(tok)) for tok in spec.split(",") if tok]
+    return [net.id_of(tok) for tok in spec.split(",") if tok]
 
 
 def _floats(spec: str, n: int, what: str) -> list[float]:
@@ -265,10 +266,8 @@ def cmd_rd(args: argparse.Namespace) -> int:
         else:
             if args.sweep < 0:
                 raise argparse.ArgumentTypeError(f"--sweep must be >= 0, got {args.sweep}")
-            guard = size_guard()
-            if args.sweep * len(vars_) > guard:  # as ``sample`` holds its n x m table
-                raise SizeGuardError(f"--sweep {args.sweep}: {args.sweep}x{len(vars_)} slope table "
-                                     f"exceeds guard {guard}")
+            _check_size(args.sweep * len(vars_),
+                        f"--sweep {args.sweep}: {args.sweep}x{len(vars_)} slope table")
             grid = [[s] * len(vars_) for s in default_slope_grid(args.sweep)]
         # one solver for the whole grid: each slope warm-starts from the last
         for pt in _fixed_slope_points(_MultiSolver(arr, dists), grid):
@@ -341,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     net = parent("net", help=f"network JSON file or bundled name ({', '.join(BUNDLED)})")
     csv = parent("-o", "--output", parents=[net], default=None, help="write CSV here instead of stdout")
     distortion = parent("--distortion", default="hamming", choices=["hamming", "squared"])
-    side = parent("--side", required=True, help="comma-separated side variables")
+    side = parent("--side", required=True, help="comma-separated side variable names")
 
     def command(name, fn, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents)
@@ -367,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help, *sides in (("rd", "of selected variables"),
                                ("rd-cond", "with a side set known at both ends", side)):
         p = command(name, cmd_rd, f"rate-distortion {help}", csv, *sides, distortion)
-        p.add_argument("--vars", default=None, help="comma-separated variables (default: all non-side)")
+        p.add_argument("--vars", default=None, help="comma-separated names (default: all non-side)")
         g = p.add_mutually_exclusive_group()
         g.add_argument("--targets", default=None, help="per-variable distortion targets")
         g.add_argument("--slopes", default=None, help="per-variable slopes (<= 0)")

@@ -40,6 +40,7 @@ import numpy as np
 from .bn import (
     BayesNet,
     JointTable,
+    _check_size,
     _check_states,
     config_index,
     enumerate_joint,
@@ -50,7 +51,6 @@ from .bn import (
 from .errors import (
     CorruptStreamError,
     InvalidStateError,
-    SizeGuardError,
     UncodableSampleError,
     WrongCodebookError,
 )
@@ -204,9 +204,7 @@ def build_factorized_codebooks(net: BayesNet) -> FactorizedCodebook:
 
 def build_joint_huffman(table: JointTable) -> PrefixCode:
     """Single Huffman code over the dense joint alphabet (oracle route)."""
-    guard = size_guard()
-    if table.probs.size > guard:
-        raise SizeGuardError(f"joint alphabet {table.probs.size} exceeds guard {guard}")
+    _check_size(table.probs.size, f"joint alphabet {table.probs.size}")
     return huffman_code(table.probs)
 
 
@@ -302,7 +300,8 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
     """Invert ``encode``; returns an (n, m) int array.
 
     Raises a wrong-codebook error if the stream was produced for a different
-    network, and a corrupt-stream error on truncation or trailing data.
+    network, a corrupt-stream error on truncation or trailing data, and a
+    size-guard error when the (n, m) output is over the guard.
     """
     net = fcb.net
     if stream.digest != net.digest():
@@ -324,14 +323,8 @@ def decode(fcb: FactorizedCodebook, stream: Bitstream) -> np.ndarray:
         raise CorruptStreamError(
             f"header claims {stream.n} samples of >= {min_bits} bits; payload has {nbits} bits"
         )
-    # a net whose every variable can code to zero bits admits any count, so
-    # the output table itself is held to the size guard
-    guard = size_guard()
-    if min_bits == 0 and stream.n * net.m > guard:
-        raise SizeGuardError(
-            f"header claims {stream.n} zero-bit samples: {stream.n}x{net.m} table "
-            f"exceeds guard {guard}"
-        )
+    # the (n, m) output, whatever the codeword lengths: zero-bit nets admit any n
+    _check_size(stream.n * net.m, f"{stream.n} samples: {stream.n}x{net.m} table")
     # zero bits past the payload, one sample's worth, let walks run on unchecked
     pad = bytes(sum(hi) // 8 + 1)
     bits = np.unpackbits(np.frombuffer(stream.payload + pad, dtype=np.uint8)).tobytes()

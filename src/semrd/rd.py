@@ -28,7 +28,8 @@ across the target.  The README's solver section describes the method and
 its measured behaviour.
 
 The tolerances and iteration caps are the module constants below, and the
-product test-channel tables of every solve are held to ``size_guard()``;
+engine holds max(m, side states) x nx x nh entries, its m lifted distortion
+tables and its side states' product test-channel tables, to ``size_guard()``;
 the solvers take no options.
 Targets must be numbers and slopes finite: a NaN target, an infinite slope
 or slopes that overflow the tilt are refused before any solve.
@@ -50,8 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import size_guard
-from .errors import InvalidStateError, SizeGuardError
+from .bn import _check_size
+from .errors import InvalidStateError
 from .info import binary_entropy
 
 #: Stop when the bound bracket is tighter than this (nats).
@@ -509,10 +510,9 @@ class _MultiSolver:
         self.dists = dists = _check_source(joint, cards, dists)
         nx = math.prod(cards)
         self.nh = nh = math.prod(d.shape[1] for d in dists)
-        guard = size_guard()
-        if ny * nx * nh > guard:  # all side states' tables, though eval holds one at a time
-            raise SizeGuardError(f"product test-channel table {nx}x{nh} for {ny} side states "
-                                 f"exceeds guard {guard}")
+        # the m lifted distortion tables; all side states' tables, though eval holds one
+        k = max(self.m, ny)
+        _check_size(k * nx * nh, f"{k}x{nx}x{nh} product test-channel table")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
         self.lifted = np.array([d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)])

@@ -408,6 +408,22 @@ def test_an_edge_naming_an_unknown_variable_is_a_schema_error():
             net_from_dict({**doc, "edges": [edge]})
 
 
+def test_a_wrong_edge_is_named_alone():
+    # a 1,000-variable chain whose last edge skips a link: the message names
+    # that edge and the side it is missing from, not both edge sets
+    doc = semrd.nets.binary_chain(1000).to_dict()
+    doc["edges"][-1] = ["X997", "X999"]
+    with pytest.raises(SchemaError) as info:
+        net_from_dict(doc)
+    message = str(info.value)
+    assert message == ("edges disagree with cpt parent lists: "
+                       "['X997', 'X999'] is not in the cpt parent lists")
+    assert len(message) < 200
+    del doc["edges"][-1]
+    with pytest.raises(SchemaError, match=r": \['X998', 'X999'\] is not in edges$"):
+        net_from_dict(doc)
+
+
 def test_make_net_rejects_duplicate_names():
     with pytest.raises(SchemaError):
         make_net([("A", 2), ("A", 2)], [("A", [], [[0.5, 0.5]])])

@@ -218,6 +218,24 @@ def test_rd_cond_matches_two_sided_reference():
     assert rate == pytest.approx(0.36519727294664994, abs=2e-4)
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["rd", "--vars", "1", "--targets", "0.1"], "slope_1,rate_bits,distortion_1,"),
+    (["rd-cond", "--side", "1", "--targets", "0.1"], "slope_0,rate_bits,distortion_0,"),
+], ids=["vars", "side"])
+def test_vars_and_side_take_variable_names_even_all_digit_ones(tmp_path, argv, header):
+    # the variable named "1" has id 0 and the one named "0" id 1: a token is
+    # always a name, never an id
+    half = [[0.5, 0.5]]
+    path = tmp_path / "digits.json"
+    semrd.save_net(semrd.make_net([("1", 2), ("0", 2)],
+                                  [("1", [], half), ("0", ["1"], [[0.9, 0.1], [0.1, 0.9]])]), path)
+    rc, out, _ = invoke([argv[0], str(path), *argv[1:]])
+    assert rc == 0
+    assert out.startswith(header)
+    rc, out, err = invoke([argv[0], str(path), argv[1], "2", *argv[3:]])
+    assert (rc, out, err) == (1, "", "semrd: no variable named '2'\n")
+
+
 def test_rd_closed_form_binary():
     rc, out, _ = invoke(["rd-closed-form", "binary", "0.1", "0.05"])
     assert rc == 0

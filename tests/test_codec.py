@@ -630,6 +630,23 @@ def test_deterministic_net_encodes_to_zero_bits(monkeypatch):
         decode(fcb, stream)
 
 
+def test_decode_holds_its_output_to_the_guard_whatever_the_bits(monkeypatch):
+    # a fair root spends one bit per sample and nine copies of it none: the
+    # payload bounds the header count, but not the (n, m) table decode returns
+    copy = [[1.0, 0.0], [0.0, 1.0]]
+    net = semrd.make_net([("R", 2)] + [(f"C{k}", 2) for k in range(9)],
+                         [("R", [], [[0.5, 0.5]])] + [(f"C{k}", ["R"], copy) for k in range(9)])
+    fcb = build_factorized_codebooks(net)
+    stream = encode(fcb, semrd.sample(net, 200, seed=3))
+    assert len(stream.payload) == 25
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "2000")
+    assert decode(fcb, stream).shape == (200, 10)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "1000")
+    for refused in (lambda: semrd.sample(net, 200, seed=3), lambda: decode(fcb, stream)):
+        with pytest.raises(SizeGuardError, match=r"^200 samples: 200x10 table exceeds guard 1000$"):
+            refused()
+
+
 def test_complexity_report_fork(fork_net):
     rep = complexity_report(fork_net)
     assert rep.n_variables == 3
@@ -665,8 +682,9 @@ def _reference_decode(fcb, stream):
     if stream.n * min_bits > len(bits):
         raise CorruptStreamError(f"header claims {stream.n} samples of >= {min_bits} bits; "
                                  f"payload has {len(bits)} bits")
-    if min_bits == 0 and stream.n * net.m > semrd.size_guard():
-        raise SizeGuardError("zero-bit samples over the guard")
+    if stream.n * net.m > semrd.size_guard():
+        raise SizeGuardError(f"{stream.n} samples: {stream.n}x{net.m} table exceeds guard "
+                             f"{semrd.size_guard()}")
     out, pos = np.zeros((stream.n, net.m), dtype=np.int64), 0
     for t in range(stream.n):
         for i in net.order:

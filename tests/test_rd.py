@@ -750,6 +750,18 @@ def test_size_guard_counts_every_side_state(monkeypatch):
         ba_joint_multi(joint, [HAM2], (-1.0,), side=True)
 
 
+def test_size_guard_counts_the_lifted_distortion_tables(monkeypatch):
+    # six fair bits: 64 x 64 test-channel entries for the one side state, but
+    # one 64 x 64 lifted distortion table per variable
+    joint = np.full((2,) * 6, 1 / 64)
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(6 * 4096))
+    assert ba_joint_multi(joint, [HAM2] * 6, (-1.0,) * 6).converged
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", "4096")
+    with pytest.raises(SizeGuardError,
+                       match=r"^6x64x64 product test-channel table exceeds guard 4096$"):
+        ba_joint_multi(joint, [HAM2] * 6, (-1.0,) * 6)
+
+
 def test_multi_fixed_slopes_point():
     pj = np.full((2, 2), 0.25)
     pt = ba_joint_multi(pj, [HAM2, HAM2], (-2.0, -1.0))
