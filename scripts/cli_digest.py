@@ -3,8 +3,9 @@
 
 Runs, in this interpreter through ``semrd.cli.run``, on each net:
 ``verify``, ``entropy``, ``sample``, ``codec-report``, the README's ``rd``,
-``rd-cond``, ``bounds`` and ``lemma2`` lines (on the net's own variables:
-its first one is the side, its next two the selected ones), and a sample ->
+``rd-cond``, ``bounds`` and ``lemma2`` lines and an ``rd`` line at the
+slopes (0, -2) (on the net's own variables: its first one is the side, its
+next two the selected ones), and a sample ->
 encode -> decode round trip in a temporary directory, whose stream bytes get
 a row of their own; then the README's two ``rd-closed-form`` lines.  Prints
 one CSV row per case: its exit code and a SHA-256 of its stdout.  Two trees
@@ -41,6 +42,7 @@ def _commands(name):
     yield f"codec-report:{name}", ["codec-report", name]
     yield f"rd-targets:{name}", ["rd", name, "--vars", a, "--targets", "0.1"]
     yield f"rd-slopes:{name}", ["rd", name, "--vars", f"{a},{b}", "--slopes=-2,-2"]
+    yield f"rd-slopes-zero:{name}", ["rd", name, "--vars", f"{a},{b}", "--slopes=0,-2"]
     yield f"rd-sweep:{name}", ["rd", name, "--vars", a, "--sweep", "25"]
     yield f"rd-cond:{name}", ["rd-cond", name, "--side", side, "--targets", per_rest]
     targets = ",".join(["0.1", "0.05", "0.2", "0.1"][:len(names)])  # the README's, one per variable

@@ -11,9 +11,12 @@ before.  Then it runs ``--draws`` seeded draws each of a target
 (``ba_target``), a conditional target (``ba_conditional_target``) and a
 two-variable joint target solve (``ba_joint_multi_target``), with targets
 drawn between each coordinate's distortion floor and its zero-rate corner.
-Last, it solves each joint draw again three times with its first target
+Then it solves each joint draw again three times with its first target
 near its floor, a fraction 1e-9, 1e-6 or 1e-3 of the way to its corner,
-and its second in the middle of its span.
+and its second in the middle of its span.  Last, it solves each joint draw
+at the slope vectors (0, s) and (s, 0) for s in -3, -1 and -0.3, each on
+one engine (``_MultiSolver``) first cold, then again after a solve at
+(2s, 2s).
 
 Prints one CSV row per kind of solve: the points solved, the iterations they
 took, the most any one took, the kernel evaluations they made, the most any
@@ -25,8 +28,12 @@ made (``_MultiSolver.eval``) returned ``converged=False``; a target is unmet
 when the target search returned ``converged=False`` although every
 evaluation converged, a fault of the search (it cannot meet a joint target
 on a linear segment of the surface), not of the kernel.  Each bad point and
-unmet target goes to stderr with the call that reproduces it.  Exits 1 when
-any point is bad, or when more targets are unmet than ``--max-unmet``.
+unmet target goes to stderr with the call that reproduces it.  A zero-slope
+point is also bad when a distortion of its warm solve differs from the cold
+one by more than ``rd.DIST_TOL``, or a zero-slope coordinate's distortion
+lies over that coordinate's zero-rate corner; its iterations are those of
+its three solves.  Exits 1 when any point is bad, or when more targets are
+unmet than ``--max-unmet``.
 
     python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 1
 """
@@ -146,6 +153,30 @@ def _near_floor_joint_targets(draws):
             yield near_floor_joint_target(seed, f)
 
 
+def _zero_slope_point(seed, slopes):
+    """Joint draw ``seed`` at ``slopes`` on one engine, solved cold and then
+    again after a solve at twice its nonzero slope on both coordinates:
+    the cold point, converged when the two solves' distortions agree within
+    ``rd.DIST_TOL`` and no zero-slope distortion lies over its coordinate's
+    zero-rate corner by more."""
+    _, joint, dists, spans = _joint_source(seed)
+    solver = rd._solver(joint, dists)
+    rate, cold, _, _ = solver.eval(slopes)
+    solver.eval((2.0 * min(slopes),) * 2)
+    _, warm, _, _ = solver.eval(slopes)
+    ok = (np.abs(warm - cold) <= rd.DIST_TOL).all() and all(
+        dist <= corner + rd.DIST_TOL for s, dist, (_, corner) in zip(slopes, cold, spans) if s == 0.0)
+    return rd.RdPoint(float(rate), tuple(cold.tolist()), slopes, solver.iters, bool(ok))
+
+
+def _zero_slope_points(draws):
+    for seed in range(draws):
+        for s in (-3.0, -1.0, -0.3):
+            for slopes in ((0.0, s), (s, 0.0)):
+                yield (f"_zero_slope_point({seed}, {slopes})",
+                       lambda seed=seed, slopes=slopes: _zero_slope_point(seed, slopes))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sources", type=int, default=600,
@@ -173,16 +204,19 @@ def main(argv=None):
                             ("target", _targets(args.draws)),
                             ("conditional_target", _conditional_targets(args.draws)),
                             ("joint_target", _joint_targets(args.draws)),
-                            ("near_floor_joint", _near_floor_joint_targets(args.draws))):
+                            ("near_floor_joint", _near_floor_joint_targets(args.draws)),
+                            ("zero_slope", _zero_slope_points(args.draws))):
             points = iters = most = evals = most_evals = bad = unmet = 0
             for call, solve in cases:
                 failed.clear()
                 out = solve()
                 evals += len(failed)
                 most_evals = max(most_evals, len(failed))
-                # a sweep point is one evaluation, whose flag it carries
+                # a sweep point is one evaluation, whose flag it carries; a
+                # zero-slope point's own verdict is its convergence
                 judged = ([(pt, not pt.converged) for pt in out.points]
-                          if isinstance(out, RdCurve) else [(out, any(failed))])
+                          if isinstance(out, RdCurve) else
+                          [(out, any(failed) or (kind == "zero_slope" and not out.converged))])
                 for pt, fail in judged:
                     points += 1
                     iters += pt.iterations

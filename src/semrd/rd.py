@@ -16,8 +16,9 @@ and refines the reconstruction marginal q (``_ba_slope_core``, ``_newton``)
 until its bound bracket closes below ``GAP_TOL_NATS``.  Each side state
 starts from its q of the engine's previous solve; a state that starts over
 opens at the closed-form optimum (``_closed_form_q``) where its tilt is
-small and square and every letter is active, else at the uniform q.  The
-slopes are the Lagrange multipliers of the distortion constraints, and
+small and square and every letter is active, else at the uniform q.  A zero
+slope reports its optimal face's least distortion (``eval``).  The slopes
+are the Lagrange multipliers of the distortion constraints, and
 every target solve searches them on the concave Lagrange dual
 (``_target_search``).  A target point is accepted (``_accept``) when its
 distortion is under the target within ``DIST_TOL`` and the
@@ -403,7 +404,6 @@ def _slope_root(solver, slopes, i, target: float):
     """
     evals = 0
     pt = (slopes[i], solver.held)  # (slope, point) pairs
-    start_at_zero = pt[0] == 0.0
     hi = lo = None
     step = None
     rate, dvec, conv = solver.held
@@ -455,13 +455,6 @@ def _slope_root(solver, slopes, i, target: float):
         else:  # under the target
             s = 0.0
         pt = probe(s)
-    if hi[0] == 0.0 and start_at_zero:
-        # the probes have moved the warm q since the held slope-0 point: the
-        # constraint may now be slack at slope 0 itself, where a solve is
-        # clean, rather than at a vanishing slope no search resolves
-        hi = probe(0.0)
-        if _accept(0.0, di(hi), target):
-            return hi
     f_lo, f_hi = di(lo) - target, di(hi) - target
     side = 0
     while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
@@ -509,13 +502,17 @@ class _MultiSolver:
         self.m = len(cards)
         self.dists = dists = _check_source(joint, cards, dists)
         nx = math.prod(cards)
-        self.nh = nh = math.prod(d.shape[1] for d in dists)
+        letters = [d.shape[1] for d in dists]
+        self.nh = nh = math.prod(letters)
         # the m lifted distortion tables; all side states' tables, though eval holds one
         k = max(self.m, ny)
         _check_size(k * nx * nh, f"{k}x{nx}x{nh} product test-channel table")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
-        ih = np.unravel_index(np.arange(nh), tuple(d.shape[1] for d in dists))
+        ih = np.unravel_index(np.arange(nh), letters)
         self.lifted = np.array([d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)])
+        # d_i(x_i, a) over i's own letters a: lifted[i]'s columns where every other letter is 0
+        self.own = [lift[:, :math.prod(letters[i:]):math.prod(letters[i + 1:])]
+                    for i, lift in enumerate(self.lifted)]
         flat = joint.reshape(ny, nx)
         py = flat.sum(axis=1)
         ys = (py > 0).nonzero()[0]
@@ -524,7 +521,6 @@ class _MultiSolver:
         # each state's support rows; all of them as a slice, which takes views, not copies
         self.rows = [r if len(r) < nx else slice(None) for r in (c.nonzero()[0] for c in conds)]
         self.p = [c[rows] for c, rows in zip(conds, self.rows)]
-        self.lifts = [self.lifted[:, rows] for rows in self.rows]  # (m, rows, nh) per state
         self.states = [(None, False)] * len(ys)  # the records of ``eval``
         self.slopes = None  # the last solve's slopes; None after all-zero slopes
         self.held = None  # the last solve's (rate, D vector, converged)
@@ -560,7 +556,11 @@ class _MultiSolver:
         converged) as ``held``, adds ``iters`` to ``self.iters``, and sets
         ``slopes`` and a new list ``states`` of one record (q, handed, a,
         A q, test channel) per state, which ``jacobian`` reads and
-        ``_slope_newton`` restores.
+        ``_slope_newton`` restores.  At s_i = 0 the tilt ignores xhat_i, so
+        every split of q over xhat_i is optimal; D_i is their least,
+        sum_xhat min_a sum_x p Q(xhat | x) d_i(x_i, a) (``own``): each xhat
+        takes i's best letter given the rest, which costs no rate and moves
+        no other D_j.
         """
         self.slopes = None
         if not any(slopes):
@@ -572,7 +572,7 @@ class _MultiSolver:
             expo = expo + slopes[i] * self.lifted[i]
         tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
         parts, states, iters, converged = [], [], 0, True
-        for p, rows, lifts, state in zip(self.p, self.rows, self.lifts, self.states):
+        for p, rows, state in zip(self.p, self.rows, self.states):
             a = tilt[rows]
             q, handed = state[:2]
             newton = handed
@@ -592,7 +592,9 @@ class _MultiSolver:
             pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
             info = channel * np.log2(np.divide(channel, qm, out=np.ones(channel.shape), where=pos))
             rate = max(p @ np.add.reduce(info, axis=1), 0.0)
-            parts.append([rate, *(p @ np.add.reduce(channel * lift, axis=1) for lift in lifts)])
+            parts.append([rate, *(p @ np.add.reduce(channel * lift, axis=1) if s
+                                  else np.add.reduce(np.minimum.reduce((own[rows].T * p) @ channel))
+                                  for s, lift, own in zip(slopes, self.lifted[:, rows], self.own))])
         total = _state_sum(self.weights, np.array(parts))
         self.states, self.slopes = states, tuple(map(float, slopes))
         self.held = (total[0], total[1:], converged)
@@ -621,9 +623,9 @@ class _MultiSolver:
         """
         if self.slopes is None:
             raise InvalidStateError("dD/ds asked after an all-zero-slope solve")
-        jac = []
-        for p, lifts, (q, _, a, alpha, channel) in zip(self.p, self.lifts, self.states):
-            lift = lifts[act]
+        jac, lifted = [], self.lifted[act]
+        for p, rows, (q, _, a, alpha, channel) in zip(self.p, self.rows, self.states):
+            lift = lifted[:, rows]
             delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
             flat = delta.reshape(len(delta), -1)
             cov = (flat * (p[:, None] * channel).reshape(-1)) @ flat.T
@@ -801,11 +803,8 @@ def _fixed_slope_points(solver: _MultiSolver, grid) -> list[RdPoint]:
 
 
 def ba_point(p, d, slope: float) -> RdPoint:
-    """One curve point at a fixed slope for a plain source.
-
-    ``slope == 0`` returns the zero-rate corner (best constant guess), the
-    limit the iteration approaches but never reaches.
-    """
+    """One curve point at a fixed slope for a plain source; slope 0 gives the
+    zero-rate corner (best constant guess) exactly."""
     return _fixed_slope_points(_solver(np.ravel(p), [d]), [(slope,)])[0]
 
 

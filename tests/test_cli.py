@@ -218,6 +218,17 @@ def test_rd_cond_matches_two_sided_reference():
     assert rate == pytest.approx(0.36519727294664994, abs=2e-4)
 
 
+def test_rd_cond_zero_slopes_report_the_least_distortion_of_their_face():
+    # scene and grass sit at slope 0 next to sky's -3; each reports its best
+    # letter given the rest of the reconstruction, not 0.5 from the warm start
+    rc, out, _ = invoke(["rd-cond", "scene", "--side", "light", "--slopes=0,-3,0"])
+    assert rc == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[:3] == ["0", "-3", "0"] and row[-1] == "true"
+    want = (0.512294584336, 0.220541165955, 0.199999999948, 0.39777058293)
+    assert [float(x) for x in row[3:7]] == pytest.approx(want, abs=1e-9)
+
+
 @pytest.mark.parametrize("argv, header", [
     (["rd", "--vars", "1", "--targets", "0.1"], "slope_1,rate_bits,distortion_1,"),
     (["rd-cond", "--side", "1", "--targets", "0.1"], "slope_0,rate_bits,distortion_0,"),

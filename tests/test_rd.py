@@ -625,6 +625,21 @@ def test_multi_zero_rate_corner_is_exact():
     assert pt.distortions == (0.5, 0.5)
 
 
+def test_a_zero_slope_reports_the_least_distortion_of_its_face():
+    # at s_1 = 0 the tilt ignores xhat_1, so every split of q over it is
+    # optimal; the engine reports each xhat's best X1 letter given xhat_2,
+    # whatever solve came before (the warm start's own point read 0.5 cold
+    # and 0.308 after (-1, -2))
+    net = load_bundled("fork")
+    ids = [net.id_of("X1"), net.id_of("X2")]
+    arr = marginal_table(net, ids).probs.reshape([net.card(v) for v in ids])
+    cold = ba_joint_multi(arr, [HAM2, HAM2], (0.0, -2.0))
+    _, warm = rd._fixed_slope_points(rd._solver(arr, [HAM2, HAM2]), [(-1.0, -2.0), (0.0, -2.0)])
+    for pt in (cold, warm):
+        assert pt.rate == pytest.approx(0.27807190511, abs=1e-9)
+        np.testing.assert_allclose(pt.distortions, (0.308, 0.2), rtol=0.0, atol=1e-9)
+
+
 def test_multi_with_side_axis_matches_closed_form():
     p1, p2 = 0.1, 0.2
     joint = fork_given_root(p1, p2).T.reshape(2, 2, 2)  # (y, x1, x2)

@@ -34,8 +34,8 @@ def _main(name):
      "entries_touched,distinct_codes,stream_bytes", 4),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 14),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
-     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 6),
-    ("cli_digest", [], "case,exit,sha256", 41),
+     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 7),
+    ("cli_digest", [], "case,exit,sha256", 44),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
     out = io.StringIO()
@@ -128,7 +128,7 @@ def test_kernel_stress_exits_1_past_max_unmet(monkeypatch, limit, code):
     assert [(kind, bad, unmet) for kind, _, _, _, _, _, bad, unmet in rows] == [
         ("point", "0", "0"), ("sweep", "0", "0"), ("target", "0", "0"),
         ("conditional_target", "0", "0"),
-        ("joint_target", "0", "1"), ("near_floor_joint", "0", "1")]
+        ("joint_target", "0", "1"), ("near_floor_joint", "0", "1"), ("zero_slope", "0", "0")]
 
 
 @pytest.mark.parametrize("seed, f", [(110, 1e-6), (124, 1e-6), (147, 1e-9)])
