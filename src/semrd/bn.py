@@ -320,8 +320,11 @@ def validate(net: BayesNet) -> ValidationReport:
             sums = c.table.sum(axis=1)
         for cfg in np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             rep.violations.append(f"{name!r}: row sum {sums[cfg]:.12g} != 1 at parent config {cfg}")
-    left = set(range(m)).difference(_kahn(net.cpts, m))
-    if left:
+    # ``order`` is Kahn's, or on a cycle the declaration order, in which some
+    # in-range parent comes at or after its child: only then is the graph walked again
+    if net.order == tuple(range(m)) and any(i <= p < m for i, c in enumerate(net.cpts)
+                                            for p in c.parents):
+        left = set(range(m)).difference(_kahn(net.cpts, m))
         # every unplaced vertex has an unplaced parent: climb until one repeats
         up = {i: p for i, c in enumerate(net.cpts) for p in c.parents if p in left}
         seen: dict[int, int] = {}

@@ -45,7 +45,6 @@ from .info import (
     joint_entropy_bruteforce,
     joint_entropy_factorized,
     marginal_entropy_sum,
-    parent_marginals,
     redundancy_gap,
 )
 from .nets import BUNDLED, bundled_path
@@ -157,11 +156,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     net = _load(args.net)
     lines = [_csv_line("section", "key", "value_bits")]
-    marginals = parent_marginals(net)
-    rows = conditional_entropies(net, marginals)
+    rows = conditional_entropies(net)
     lines += [_csv_line("node", v.name, h) for v, h in zip(net.variables, rows)]
     joint = sum(rows)
-    msum = marginal_entropy_sum(net, marginals)
+    msum = marginal_entropy_sum(net)
     lines.append(_csv_line("summary", "joint_entropy", joint))
     lines.append(_csv_line("summary", "marginal_entropy_sum", msum))
     lines.append(_csv_line("summary", "redundancy_gap", msum - joint))

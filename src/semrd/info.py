@@ -76,14 +76,13 @@ def parent_marginals(net: BayesNet) -> list[np.ndarray]:
     return out
 
 
-def conditional_entropies(net: BayesNet, marginals: list[np.ndarray] | None = None) -> list[float]:
+def conditional_entropies(net: BayesNet) -> list[float]:
     """H(X_i | Parent(X_i)) for every node in id order, from one ``_plogp`` over
-    all CPTs and one pass (``marginals``: ``parent_marginals(net)``, if run)."""
-    marginals = parent_marginals(net) if marginals is None else marginals
+    all CPTs and one ``parent_marginals`` pass."""
     ent = -_plogp(np.concatenate([c.table.ravel() for c in net.cpts]))
     ends = np.cumsum([c.table.size for c in net.cpts])[:-1]
     return [float(p_pa @ e.reshape(c.table.shape).sum(axis=1))
-            for c, p_pa, e in zip(net.cpts, marginals, np.split(ent, ends))]
+            for c, p_pa, e in zip(net.cpts, parent_marginals(net), np.split(ent, ends))]
 
 
 def joint_entropy_factorized(net: BayesNet) -> float:
@@ -101,22 +100,20 @@ def marginal_entropy(net: BayesNet, i: int) -> float:
     return entropy_bits(marginal_table(net, [net.id_of(i)]).probs)
 
 
-def marginal_entropy_sum(net: BayesNet, marginals: list[np.ndarray] | None = None) -> float:
-    """sum_i H(X_i), with p(X_i) = p(Parent(X_i)) @ CPT_i from one pass
-    (``marginals`` as for ``conditional_entropies``)."""
-    marginals = parent_marginals(net) if marginals is None else marginals
-    return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, marginals))
+def marginal_entropy_sum(net: BayesNet) -> float:
+    """sum_i H(X_i), with p(X_i) = p(Parent(X_i)) @ CPT_i from one
+    ``parent_marginals`` pass."""
+    return sum(entropy_bits(p_pa @ cpt.table) for cpt, p_pa in zip(net.cpts, parent_marginals(net)))
 
 
 def redundancy_gap(net: BayesNet) -> float:
     """sum_i H(X_i) - H(X_1..X_m): the rate saved by coding jointly.
 
     Equals the total correlation sum_i I(X_i; Parent(X_i)); nonnegative up to
-    float noise.  Both sums come from one ``parent_marginals`` pass, so no
+    float noise.  Both sums come from ``parent_marginals`` passes, so no
     joint table is built and no joint state-space guard applies.
     """
-    marginals = parent_marginals(net)
-    return marginal_entropy_sum(net, marginals) - sum(conditional_entropies(net, marginals))
+    return marginal_entropy_sum(net) - joint_entropy_factorized(net)
 
 
 def _subset_entropy(arr: np.ndarray, axes_keep: Sequence[int]) -> float:

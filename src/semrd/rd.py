@@ -28,10 +28,11 @@ minimum, so the test also holds at zero-rate corners and where D(s) jumps
 across the target.  The README's solver section describes the method and
 its measured behaviour.
 
-The tolerances and iteration caps are the module constants below, and the
-engine holds max(m, side states) x nx x nh entries, its m lifted distortion
-tables and its side states' product test-channel tables, to ``size_guard()``;
-the solvers take no options.
+The tolerances and iteration caps are the module constants below; the
+solvers take no options.  Between solves the engine holds its m lifted
+distortion tables and one reconstruction marginal per side state, and a solve
+builds one state's test channel at a time; ``size_guard()`` still counts
+max(m, side states) x nx x nh entries, the lifted tables or all the channels.
 Targets must be numbers and slopes finite: a NaN target, an infinite slope
 or slopes that overflow the tilt are refused before any solve.
 
@@ -504,7 +505,7 @@ class _MultiSolver:
         nx = math.prod(cards)
         letters = [d.shape[1] for d in dists]
         self.nh = nh = math.prod(letters)
-        # the m lifted distortion tables; all side states' tables, though eval holds one
+        # the m lifted tables, or all side states' channels, though a solve builds one at a time
         k = max(self.m, ny)
         _check_size(k * nx * nh, f"{k}x{nx}x{nh} product test-channel table")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
@@ -537,6 +538,13 @@ class _MultiSolver:
             self.margs.append(_state_sum(self.weights, marg))
         self.trivs, self.floors = _state_sum(self.weights, corner)
 
+    def _tilt(self, slopes) -> np.ndarray:
+        """2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum."""
+        expo = slopes[0] * self.lifted[0]
+        for i in range(1, self.m):
+            expo = expo + slopes[i] * self.lifted[i]
+        return np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+
     def eval(self, slopes) -> tuple[float, np.ndarray, int, bool]:
         """Solve at a fixed slope vector; returns (rate, D vector, iters, converged).
 
@@ -554,23 +562,19 @@ class _MultiSolver:
         ``_closed_form_q``, the optimum itself where every letter is active
         there, else from the uniform q.  The solve keeps (rate, D vector,
         converged) as ``held``, adds ``iters`` to ``self.iters``, and sets
-        ``slopes`` and a new list ``states`` of one record (q, handed, a,
-        A q, test channel) per state, which ``jacobian`` reads and
-        ``_slope_newton`` restores.  At s_i = 0 the tilt ignores xhat_i, so
-        every split of q over xhat_i is optimal; D_i is their least,
-        sum_xhat min_a sum_x p Q(xhat | x) d_i(x_i, a) (``own``): each xhat
-        takes i's best letter given the rest, which costs no rate and moves
-        no other D_j.
+        ``slopes`` and a new list ``states`` of one record (q, handed) per
+        state, all that a warm start reads: ``jacobian`` rebuilds the rest
+        from them, and ``_slope_newton`` restores them.  At s_i = 0 the tilt
+        ignores xhat_i, so every split of q over xhat_i is optimal; D_i is
+        their least, sum_xhat min_a sum_x p Q(xhat | x) d_i(x_i, a)
+        (``own``): each xhat takes i's best letter given the rest, which
+        costs no rate and moves no other D_j.
         """
         self.slopes = None
         if not any(slopes):
             self.held = (0.0, self.trivs.copy(), True)
             return 0.0, self.held[1], 0, True
-        # 2^(sum_i s_i d_i) over (x, xhat), each row shifted by its maximum
-        expo = slopes[0] * self.lifted[0]
-        for i in range(1, self.m):
-            expo = expo + slopes[i] * self.lifted[i]
-        tilt = np.exp2(expo - np.maximum.reduce(expo, axis=1, keepdims=True))
+        tilt = self._tilt(slopes)
         parts, states, iters, converged = [], [], 0, True
         for p, rows, state in zip(self.p, self.rows, self.states):
             a = tilt[rows]
@@ -587,7 +591,7 @@ class _MultiSolver:
             iters, converged = max(iters, its), converged and conv
             alpha = a @ q
             channel = a * q / alpha[:, None]
-            states.append((q, handed or newly, a, alpha, channel))
+            states.append((q, handed or newly))
             qm = p @ channel
             pos = (channel > 0) & (qm > 0)  # qm can underflow below tiny channel entries
             info = channel * np.log2(np.divide(channel, qm, out=np.ones(channel.shape), where=pos))
@@ -602,10 +606,10 @@ class _MultiSolver:
         return total[0], total[1:], iters, converged
 
     def jacobian(self, act) -> np.ndarray:
-        """dD/ds over the coordinates ``act`` (a mask) at the last solve, from
-        its records; exact when that solve converged.  Raises
-        ``InvalidStateError`` after an all-zero-slope solve, which keeps no
-        records of its own.
+        """dD/ds over the coordinates ``act`` (a mask) at the last solve: the
+        tilt at ``slopes`` and each state's q give its tilt rows a, A q and
+        test channel bit for bit as ``eval`` built them; exact when that solve
+        converged.  Raises ``InvalidStateError`` after an all-zero-slope solve.
 
         For each side state, with Q the test channel a q / (a q) and
         delta_i = d_i - E_Q[d_i | x], the channel at fixed q moves by
@@ -623,8 +627,11 @@ class _MultiSolver:
         """
         if self.slopes is None:
             raise InvalidStateError("dD/ds asked after an all-zero-slope solve")
-        jac, lifted = [], self.lifted[act]
-        for p, rows, (q, _, a, alpha, channel) in zip(self.p, self.rows, self.states):
+        jac, lifted, tilt = [], self.lifted[act], self._tilt(self.slopes)
+        for p, rows, (q, _) in zip(self.p, self.rows, self.states):
+            a = tilt[rows]  # as ``eval`` builds them, so bit for bit its channel
+            alpha = a @ q
+            channel = a * q / alpha[:, None]
             lift = lifted[:, rows]
             delta = lift - np.add.reduce(channel * lift, axis=2)[:, :, None]
             flat = delta.reshape(len(delta), -1)

