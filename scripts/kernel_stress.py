@@ -13,29 +13,36 @@ two-variable joint target solve (``ba_joint_multi_target``), with targets
 drawn between each coordinate's distortion floor and its zero-rate corner.
 Then it solves each joint draw again three times with its first target
 near its floor, a fraction 1e-9, 1e-6 or 1e-3 of the way to its corner,
-and its second in the middle of its span.  Last, it solves each joint draw
-at the slope vectors (0, s) and (s, 0) for s in -3, -1 and -0.3, each on
-one engine (``_MultiSolver``) first cold, then again after a solve at
-(2s, 2s).
+and its second in the middle of its span.  Then it runs ``--draws`` seeded
+draws each of two additive joint solves, whose rate is the sum of
+per-coordinate rates: two independent coordinates (``product_joint``,
+summing ``ba_target`` solves) and two coordinates independent given a
+side variable (``side_joint``, summing ``ba_conditional_target`` solves,
+Lemma 2).  Last, it solves each joint draw at the slope vectors (0, s) and
+(s, 0) for s in -3, -1 and -0.3, each on one engine (``_MultiSolver``)
+first cold, then again after a solve at (2s, 2s).
 
 Prints one CSV row per kind of solve: the points solved, the iterations they
 took, the most any one took, the kernel evaluations they made, the most any
-one solve made (a sweep is one solve of nine points; each slope search stops
-at ``rd._MAX_EVALS`` evaluations, so for one-constraint targets this column
-shows the margin), the bad points and the unmet targets.  A point
-is bad when its rate or a distortion is NaN or when a kernel evaluation it
-made (``_MultiSolver.eval``) returned ``converged=False``; a target is unmet
-when the target search returned ``converged=False`` although every
-evaluation converged, a fault of the search (it cannot meet a joint target
-on a linear segment of the surface), not of the kernel.  Each bad point and
-unmet target goes to stderr with the call that reproduces it.  A zero-slope
+one solve made (a sweep is one solve of nine points; a target search ends
+after ``rd._MAX_EVALS`` rounds of Newton steps and the master, so this
+column shows how far from that any search came), the bad points, the
+unmet targets and the off reports.  A point is bad when its rate or a
+distortion is NaN or when a kernel evaluation it made
+(``_MultiSolver.eval``, the additive rows' per-coordinate solves
+included) returned ``converged=False``; a target is unmet when a target
+search returned ``converged=False`` although every evaluation converged, a
+fault of the search, not of the kernel; an additive joint report is off
+when every search converged but the joint rate is more than ``OFF_TOL``
+bits from the sum of its terms.  Each bad point, unmet target and off
+report goes to stderr with the call that reproduces it.  A zero-slope
 point is also bad when a distortion of its warm solve differs from the cold
 one by more than ``rd.DIST_TOL``, or a zero-slope coordinate's distortion
 lies over that coordinate's zero-rate corner; its iterations are those of
-its three solves.  Exits 1 when any point is bad, or when more targets are
-unmet than ``--max-unmet``.
+its three solves.  Exits 1 when any point is bad or off, or when more
+targets are unmet than ``--max-unmet``.
 
-    python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 1
+    python scripts/kernel_stress.py --sources 600 --draws 150 --max-unmet 0
 """
 
 import argparse
@@ -52,6 +59,10 @@ SLOPES = (-1000.0, -300.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.3, -0.05)
 # how close to its floor the first target of a near-floor joint solve sits,
 # as a fraction of the way to its zero-rate corner
 NEAR_FLOOR = (1e-9, 1e-6, 1e-3)
+#: A uniform bit with an erase letter: R(D) is linear in D over most of its span.
+ERASURE = np.array([[0.0, 8.0, 1.0], [8.0, 0.0, 1.0]])
+#: How far (bits) a joint rate may sit from the sum of its per-coordinate rates.
+OFF_TOL = 1e-5
 
 
 def _source(rng, k):
@@ -69,8 +80,8 @@ def _distortion(rng, kind, k):
     return rng.uniform(0.0, 3.0, size=(k, kh)) * (rng.random((k, kh)) >= 0.3)
 
 
-def _target(rng, floor, corner):
-    return float(floor + rng.uniform(0.05, 0.95) * (corner - floor))
+def _target(rng, floor, corner, margin=0.05):
+    return float(floor + rng.uniform(margin, 1.0 - margin) * (corner - floor))
 
 
 def _sources(sources):
@@ -153,6 +164,63 @@ def _near_floor_joint_targets(draws):
             yield near_floor_joint_target(seed, f)
 
 
+def _additive_distortion(rng, k):
+    """A distortion matrix for k letters, one of four kinds at even odds:
+    Hamming; the erasure matrix scaled by U(0.5, 2) for 2 letters, U(0, 3)
+    entries on 3 reconstruction letters for 3; squared error; U(0, 3)
+    entries on 2 or 3 reconstruction letters."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return hamming_distortion(k)
+    if kind == 1:
+        return ERASURE * rng.uniform(0.5, 2.0) if k == 2 else rng.uniform(0.0, 3.0, size=(k, 3))
+    if kind == 2:
+        return squared_error_distortion(k)
+    return rng.uniform(0.0, 3.0, size=(k, int(rng.integers(2, 4))))
+
+
+def product_joint_target(seed):
+    """Product draw ``seed``: two independent coordinates of 2 or 3 letters,
+    p ~ Dirichlet(1) each, with ``_additive_distortion`` matrices and targets
+    between each coordinate's floor and corner.  The thunk returns the joint
+    solve and the per-coordinate ``ba_target`` solves, whose rates add up to
+    the joint rate."""
+    rng = np.random.default_rng(400_000 + seed)
+    ks = [int(k) for k in rng.integers(2, 4, size=2)]
+    ps = [rng.dirichlet(np.ones(k)) for k in ks]
+    dists = [_additive_distortion(rng, k) for k in ks]
+    targets = tuple(_target(rng, min_distortion(p, d), trivial_distortion(p, d), 0.02)
+                    for p, d in zip(ps, dists))
+    joint = np.outer(*ps)
+    call, solve = _joint_call(joint, dists, targets)
+    return call, lambda: (solve(), [ba_target(p, d, t) for p, d, t in zip(ps, dists, targets)])
+
+
+def side_joint_target(seed):
+    """Side draw ``seed``: a side variable Y of 2 or 3 states, p(y) ~
+    Dirichlet(1), and two coordinates independent given Y, each
+    p(x_i | y) ~ Dirichlet(0.7) on 2 or 3 letters, with
+    ``_additive_distortion`` matrices and targets between each coordinate's
+    conditional floor and corner.  The thunk returns the joint solve given
+    Y and the per-coordinate ``ba_conditional_target`` solves, whose rates
+    add up to the joint rate (Lemma 2)."""
+    rng = np.random.default_rng(500_000 + seed)
+    ny = int(rng.integers(2, 4))
+    py = rng.dirichlet(np.ones(ny))
+    ks = [int(k) for k in rng.integers(2, 4, size=2)]
+    conds = [rng.dirichlet(np.full(k, 0.7), size=ny) for k in ks]  # p(x_i | y), (ny, k)
+    dists = [_additive_distortion(rng, k) for k in ks]
+    targets = tuple(_target(rng, sum(w * min_distortion(c, d) for w, c in zip(py, cond)),
+                            sum(w * trivial_distortion(c, d) for w, c in zip(py, cond)), 0.02)
+                    for cond, d in zip(conds, dists))
+    joint = py[:, None, None] * conds[0][:, :, None] * conds[1][:, None, :]  # (y, x1, x2)
+    margs = [(py[:, None] * cond).T for cond in conds]  # joint[x_i, y]
+    return (f"ba_joint_multi_target({joint.tolist()}, {[d.tolist() for d in dists]}, {targets}, "
+            "side=True)",
+            lambda: (ba_joint_multi_target(joint, dists, targets, side=True),
+                     [ba_conditional_target(m, d, t) for m, d, t in zip(margs, dists, targets)]))
+
+
 def _zero_slope_point(seed, slopes):
     """Joint draw ``seed`` at ``slopes`` on one engine, solved cold and then
     again after a solve at twice its nonzero slope on both coordinates:
@@ -195,8 +263,8 @@ def main(argv=None):
         failed.append(not out[3])
         return out
 
-    print("kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet")
-    total_bad = total_unmet = 0
+    print("kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet,off")
+    total_bad = total_unmet = total_off = 0
     rd._MultiSolver.eval = eval_checked
     try:
         for kind, cases in (("point", _points(args.sources)),
@@ -205,11 +273,15 @@ def main(argv=None):
                             ("conditional_target", _conditional_targets(args.draws)),
                             ("joint_target", _joint_targets(args.draws)),
                             ("near_floor_joint", _near_floor_joint_targets(args.draws)),
+                            ("product_joint", map(product_joint_target, range(args.draws))),
+                            ("side_joint", map(side_joint_target, range(args.draws))),
                             ("zero_slope", _zero_slope_points(args.draws))):
-            points = iters = most = evals = most_evals = bad = unmet = 0
+            points = iters = most = evals = most_evals = bad = unmet = off = 0
             for call, solve in cases:
                 failed.clear()
-                out = solve()
+                out, terms = solve(), []
+                if isinstance(out, tuple):  # a joint solve and the terms its rate adds up from
+                    out, terms = out
                 evals += len(failed)
                 most_evals = max(most_evals, len(failed))
                 # a sweep point is one evaluation, whose flag it carries; a
@@ -224,18 +296,22 @@ def main(argv=None):
                     if np.isnan([pt.rate, *pt.distortions]).any() or fail:
                         bad += 1
                         print(f"# bad: {call} -> {pt}", file=sys.stderr)
-                    elif not pt.converged:
+                    elif not (pt.converged and all(t.converged for t in terms)):
                         unmet += 1
-                        print(f"# unmet: {call} -> {pt}", file=sys.stderr)
-            print(f"{kind},{points},{iters},{most},{evals},{most_evals},{bad},{unmet}")
+                        print(f"# unmet: {call} -> {pt}, terms {terms}", file=sys.stderr)
+                    elif terms and abs(pt.rate - sum(t.rate for t in terms)) > OFF_TOL:
+                        off += 1
+                        print(f"# off: {call} -> {pt}, terms {terms}", file=sys.stderr)
+            print(f"{kind},{points},{iters},{most},{evals},{most_evals},{bad},{unmet},{off}")
             total_bad += bad
             total_unmet += unmet
+            total_off += off
     finally:
         rd._MultiSolver.eval = real_eval
     too_many = args.max_unmet is not None and total_unmet > args.max_unmet
     if too_many:
         print(f"# {total_unmet} unmet targets, more than --max-unmet {args.max_unmet}", file=sys.stderr)
-    return 1 if total_bad or too_many else 0
+    return 1 if total_bad or too_many or total_off else 0
 
 
 if __name__ == "__main__":

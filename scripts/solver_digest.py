@@ -14,8 +14,8 @@ refactor of the target search can be checked against its parent with
 ``diff``.  A census goes to stderr: the evaluations of each case group
 (the name before the first colon) on one line, the side-state starts that
 opened at the closed-form optimum and those that fell back to the uniform q
-on the next, then the ``_MultiSolver.jacobian`` calls (each slope search
-opens on dD/ds), then the evaluations, the iterations they took, and the
+on the next, then the ``_MultiSolver.jacobian`` calls (each Newton step on
+the slopes takes one), then the evaluations, the iterations they took, and the
 evaluations that returned ``converged=False``.
 Exits 1 when any evaluation returned ``converged=False``.
 """

@@ -18,15 +18,17 @@ starts from its q of the engine's previous solve; a state that starts over
 opens at the closed-form optimum (``_closed_form_q``) where its tilt is
 small and square and every letter is active, else at the uniform q.  A zero
 slope reports its optimal face's least distortion (``eval``).  The slopes
-are the Lagrange multipliers of the distortion constraints, and
-every target solve searches them on the concave Lagrange dual
-(``_target_search``).  A target point is accepted (``_accept``) when its
-distortion is under the target within ``DIST_TOL`` and the
-complementary-slackness defect (-s) * (target - D) is under ``SLACK_TOL``:
-the defect bounds how far the dual value sits from the constrained
-minimum, so the test also holds at zero-rate corners and where D(s) jumps
-across the target.  The README's solver section describes the method and
-its measured behaviour.
+are the Lagrange multipliers of the distortion constraints, and every
+target solve searches them on the concave Lagrange dual
+(``_target_search``): Newton steps on the slope vector (``_slope_newton``),
+and where they stall a master LP over the search's solves (``_master``,
+Dantzig & Wolfe 1960) whose duals price the next solve.  A solve is
+accepted (``_accept``) when each distortion is under its target within
+``DIST_TOL`` and each complementary-slackness defect (-s) * |target - D| is
+under ``SLACK_TOL``: the defect bounds how far the dual value sits from the
+constrained minimum.  Where D(s) jumps across a target, no solve passes and
+the master's timeshare is reported.  The README's solver section describes
+the method and its measured behaviour.
 
 The tolerances and iteration caps are the module constants below; the
 solvers take no options.  Between solves the engine holds its m lifted
@@ -72,9 +74,9 @@ _NEWTON_FLOOR = 1e-12
 _NEWTON_MERGE = 1e-14
 #: Step halvings before a Newton line search gives up.
 _SEARCH_HALVINGS = 64
+#: Rounds of a target search: a Newton phase, then the master.
 _MAX_EVALS = 48
-#: Coordinate sweeps of a one-constraint target search (twice as many with
-#: several), and probes of each Newton phase on the slope vector.
+#: Probes of a Newton phase on the slope vector.
 _MAX_SWEEPS = 12
 
 
@@ -372,121 +374,7 @@ def _search(p, a, alpha, c, q, s, d):
 
 
 def _accept(s: float, dist: float, target: float) -> bool:
-    return dist <= target + DIST_TOL and (-s) * (target - dist) <= SLACK_TOL
-
-
-def _slope_root(solver, slopes, i, target: float):
-    """Move slope i so its own distortion meets the target, the others fixed.
-
-    Each probe sets ``slopes[i]`` and solves ``solver.eval(slopes)``; D_i is
-    nondecreasing in the slope.  The search opens at ``solver.held``, the
-    engine's last solve, at the current ``slopes``.  A held slope below 0
-    whose solve converged opens with the Newton step (target - D_i) / J_ii,
-    J_ii = dD_i/ds_i from ``solver.jacobian`` at that solve (unused where it
-    is 0, as at a zero-rate corner), clamped so the first probe lies in
-    [2s, s/2]; each later step has the same length, stopping at 0.  Without
-    it the search doubles away from 0 while over the target (from slope 0
-    the first step is -1) and, while under, solves 0 itself.  An Illinois
-    secant closes the bracket, within ``_MAX_EVALS`` probes in all; a
-    search that reaches that cap before its bracket forms, on either side
-    of the target, returns its last probe.  A bracket left open ends across
-    a jump of D_i, and the result timeshares its ends, which convexity makes
-    exact.  With one constraint every probe gives the dual bound
-    R - s (D_i - target) <= R(target), and a bracket across a jump over
-    ``DIST_TOL`` stops once the timeshare is within ``SLACK_TOL`` of the
-    best bound; with several, a one-coordinate mix is no joint timeshare, so
-    the bracket closes to a width of 1e-13.
-
-    Returns (slope, point): ``point`` = (rate, D vector, converged) is
-    either ``solver.held`` itself, the solve at ``slope``, or a timeshared
-    mix, which counts as converged when both its ends did and, unless the
-    certificate stopped the search, the bracket closed.  ``slopes[i]`` holds
-    the last probe, so the caller stores ``slope`` there.
-    """
-    evals = 0
-    pt = (slopes[i], solver.held)  # (slope, point) pairs
-    hi = lo = None
-    step = None
-    rate, dvec, conv = solver.held
-    if pt[0] < 0.0 and conv:
-        try:
-            jac = float(solver.jacobian(np.arange(len(slopes)) == i)[0, 0])
-        except np.linalg.LinAlgError:
-            jac = 0.0  # no derivative
-        if 0.0 < jac < math.inf:  # 0 at a zero-rate corner
-            # in Python floats: a J_ii near 0 sends the step to +-inf, not to a warning
-            step = min(max((target - float(dvec[i])) / jac, pt[0]), -0.5 * pt[0])
-    # the dual bound max_k R_k - s_k (D_k - T) <= R(T) over the probes (with one constraint)
-    bound = rate - pt[0] * (dvec[i] - target)
-
-    def probe(s):
-        nonlocal evals, bound
-        slopes[i] = s
-        solver.eval(slopes)
-        evals += 1
-        rate, dvec, _ = solver.held
-        bound = max(bound, rate - s * (dvec[i] - target))
-        return s, solver.held
-
-    def di(pt):
-        return pt[1][1][i]
-
-    def mix(ok):
-        """The timeshare of lo and hi that meets the target."""
-        (r0, d0, c0), (r1, d1, c1) = lo[1], hi[1]
-        lam = (target - d0[i]) / (d1[i] - d0[i])
-        return lo[0], ((1 - lam) * r0 + lam * r1, (1 - lam) * d0 + lam * d1, bool(ok and c0 and c1))
-
-    while True:
-        s, dist = pt[0], di(pt)
-        if _accept(s, dist, target):
-            return pt
-        if dist > target:
-            hi = pt
-        else:
-            lo = pt
-        if hi is not None and lo is not None:
-            break
-        if evals >= _MAX_EVALS or (dist > target and -s > 1e18):
-            return pt  # out of probes, or cannot reach down to the target
-        if step is not None:  # a Newton step over the target is negative, so never past 0
-            s = min(s + step, 0.0)
-        elif dist > target:
-            s = 2.0 * s if s < 0.0 else -1.0
-        else:  # under the target
-            s = 0.0
-        pt = probe(s)
-    f_lo, f_hi = di(lo) - target, di(hi) - target
-    side = 0
-    while evals < _MAX_EVALS and hi[0] - lo[0] > 1e-13 * max(1.0, -lo[0]):
-        if len(slopes) == 1 and di(hi) - di(lo) > DIST_TOL:
-            # the timeshare is achievable and ``bound`` lies under R(target)
-            pt = mix(True)
-            if pt[1][0] - bound <= SLACK_TOL:
-                return pt
-        # f_hi > 0 >= f_lo: hi is over the target, lo at or under it
-        mid = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
-        if not lo[0] < mid < hi[0]:  # also a NaN
-            mid = 0.5 * (lo[0] + hi[0])
-        pt = probe(mid)
-        dist = di(pt)
-        if _accept(mid, dist, target):
-            return pt
-        if dist > target:
-            hi = pt
-            f_hi = dist - target
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo = pt
-            f_lo = dist - target
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-    # every bracket end was refused, so D_i jumps across the target by over
-    # ``DIST_TOL``: the ends lie on a linear segment, where the timeshare is exact
-    return mix(hi[0] - lo[0] <= 1e-13 * max(1.0, -lo[0]))
+    return dist <= target + DIST_TOL and (-s) * abs(target - dist) <= SLACK_TOL
 
 
 class _MultiSolver:
@@ -510,7 +398,11 @@ class _MultiSolver:
         _check_size(k * nx * nh, f"{k}x{nx}x{nh} product test-channel table")
         ix = np.unravel_index(np.arange(nx), tuple(cards))
         ih = np.unravel_index(np.arange(nh), letters)
-        self.lifted = np.array([d[ix[i][:, None], ih[i][None, :]] for i, d in enumerate(dists)])
+        # in place, as a list of m tables would double the peak; mode "clip"
+        # (every index is in range) skips the buffered copy of mode "raise"
+        self.lifted = np.empty((self.m, nx, nh))
+        for i, d in enumerate(dists):
+            np.take(d[ix[i]], ih[i], axis=1, out=self.lifted[i], mode="clip")
         # d_i(x_i, a) over i's own letters a: lifted[i]'s columns where every other letter is 0
         self.own = [lift[:, :math.prod(letters[i:]):math.prod(letters[i + 1:])]
                     for i, lift in enumerate(self.lifted)]
@@ -525,6 +417,7 @@ class _MultiSolver:
         self.states = [(None, False)] * len(ys)  # the records of ``eval``
         self.slopes = None  # the last solve's slopes; None after all-zero slopes
         self.held = None  # the last solve's (rate, D vector, converged)
+        self.log = []  # every solve's (rate, D vector, slopes, converged)
         self.iters = 0  # the iterations of every solve so far
         # per-coordinate zero-rate corner and feasibility floor, aggregated
         # over y, and the p(y)-weighted marginal of each coordinate
@@ -561,18 +454,20 @@ class _MultiSolver:
         q, and ``_kkt_matrix`` would divide by that row): from
         ``_closed_form_q``, the optimum itself where every letter is active
         there, else from the uniform q.  The solve keeps (rate, D vector,
-        converged) as ``held``, adds ``iters`` to ``self.iters``, and sets
-        ``slopes`` and a new list ``states`` of one record (q, handed) per
-        state, all that a warm start reads: ``jacobian`` rebuilds the rest
-        from them, and ``_slope_newton`` restores them.  At s_i = 0 the tilt
-        ignores xhat_i, so every split of q over xhat_i is optimal; D_i is
-        their least, sum_xhat min_a sum_x p Q(xhat | x) d_i(x_i, a)
-        (``own``): each xhat takes i's best letter given the rest, which
-        costs no rate and moves no other D_j.
+        converged) as ``held``, appends it with its slopes to ``log``, adds
+        ``iters`` to ``self.iters``, and sets ``slopes`` and a new list
+        ``states`` of one record (q, handed) per state, all that a warm start
+        reads: ``jacobian`` rebuilds the rest from them, and ``_slope_newton``
+        restores them.  At s_i = 0 the tilt ignores xhat_i, so every split of
+        q over xhat_i is optimal; D_i is their least,
+        sum_xhat min_a sum_x p Q(xhat | x) d_i(x_i, a) (``own``): each xhat
+        takes i's best letter given the rest, which costs no rate and moves
+        no other D_j.
         """
         self.slopes = None
         if not any(slopes):
             self.held = (0.0, self.trivs.copy(), True)
+            self.log.append((0.0, self.held[1], tuple(map(float, slopes)), True))
             return 0.0, self.held[1], 0, True
         tilt = self._tilt(slopes)
         parts, states, iters, converged = [], [], 0, True
@@ -602,6 +497,7 @@ class _MultiSolver:
         total = _state_sum(self.weights, np.array(parts))
         self.states, self.slopes = states, tuple(map(float, slopes))
         self.held = (total[0], total[1:], converged)
+        self.log.append((total[0], total[1:], self.slopes, converged))
         self.iters += iters
         return total[0], total[1:], iters, converged
 
@@ -655,7 +551,7 @@ def _state_sum(w, x):
 
 
 def _slope_newton(solver: _MultiSolver, targets, slopes):
-    """Newton on the slope vector of a target search with several constraints.
+    """Newton on the slope vector of a target search.
 
     The Lagrange dual R(s) - s (D(s) - T) is concave in s <= 0, with
     gradient T - D and Hessian -dD/ds (Blahut 1972).  From the engine's last
@@ -663,22 +559,23 @@ def _slope_newton(solver: _MultiSolver, targets, slopes):
     s <- s + J^-1 (T - D) on the coordinates below 0, J = dD/ds from
     ``_MultiSolver.jacobian``; a slope that the step would push past 0 stops
     halfway to 0, and one it would more than double stops at twice its
-    value.  The phase stops once every constraint passes ``_accept`` and
-    every coordinate below 0 meets its target within 1e-9, which puts the
-    rate on its dual bound.  It also stops, handing its point to the
-    sweeps, on an unconverged solve, a slope at 0 over its target, a
-    step that is not finite or not ascent, a probe that lowers the dual
-    bound (undone: the engine's records, slopes and held solve go back to
-    the solve before it), or ``_MAX_SWEEPS`` probes.  Returns the slopes of
-    ``solver.held``, the point it hands over.
+    value.  The phase stops once every constraint passes ``_accept``, and
+    with several constraints once every coordinate below 0 also meets its
+    target within 1e-9, which puts the rate on its dual bound.  It also
+    stops, handing its point to the master (``_master``), on an unconverged
+    solve, a slope at 0 over its target, a step that is not finite or not
+    ascent, a probe that lowers the dual bound (undone: the engine's
+    records, slopes and held solve go back to the solve before it), or
+    ``_MAX_SWEEPS`` probes.  Returns the slopes of ``solver.held``, the
+    point it hands over.
     """
     probes = 0
     while True:
         rate, dvec, conv = solver.held
         act = slopes < 0.0
         gap = targets - dvec
-        if ((np.abs(gap[act]) <= 1e-9).all()
-                and all(_accept(s, d, t) for s, d, t in zip(slopes, dvec, targets))):
+        if (all(_accept(s, d, t) for s, d, t in zip(slopes, dvec, targets))
+                and (solver.m == 1 or (np.abs(gap[act]) <= 1e-9).all())):
             break
         if not conv or (gap[~act] < 0.0).any() or probes >= _MAX_SWEEPS:
             break
@@ -701,26 +598,67 @@ def _slope_newton(solver: _MultiSolver, targets, slopes):
     return slopes
 
 
+def _master(rates, dists, targets):
+    """The master LP of a target search (Dantzig & Wolfe 1960): minimise
+    sum_k lam_k R_k subject to sum_k lam_k D_k <= T, sum_k lam_k = 1 and
+    lam >= 0, over the columns (R_k, D_k), ``dists`` holding one row per
+    constraint.  Column 0 must meet every target, as the floor column does.
+
+    A revised simplex from the basis of the slack columns and column 0,
+    under Bland's rule: the first column of negative reduced cost enters,
+    and of the tied basis columns the first leaves.  Returns (lam, y), the
+    columns' weights and the duals: one per row, each <= 0, the slopes that
+    price the next column, then that of sum lam = 1.  None where a basis
+    solve fails or the pivots run on.
+    """
+    r, n = dists.shape
+    a = np.zeros((r + 1, n + r))
+    a[:r, :n], a[r, :n], a[:r, n:] = dists, 1.0, np.eye(r)
+    c = np.concatenate([rates, np.zeros(r)])
+    b = np.append(targets, 1.0)
+    basis = [*range(n, n + r), 0]
+    for _ in range(10 * (n + r)):
+        try:
+            x = np.linalg.solve(a[:, basis], b)
+            y = np.linalg.solve(a[:, basis].T, c[basis])
+            red = c - y @ a
+            red[basis] = 0.0  # a basic column's reduced cost is 0 but for rounding
+            enter = np.flatnonzero(red < -1e-12 * (1.0 + np.abs(y) @ np.abs(a)))
+            if not enter.size:
+                lam = np.zeros(n + r)
+                lam[basis] = x
+                return lam[:n], y
+            d = np.linalg.solve(a[:, basis], a[:, enter[0]])
+        except np.linalg.LinAlgError:
+            return None
+        pos = np.flatnonzero(d > 1e-12)
+        if not pos.size:
+            return None
+        ratio = np.maximum(x[pos], 0.0) / d[pos]
+        basis[min(pos[ratio <= ratio.min()], key=basis.__getitem__)] = enter[0]
+    return None
+
+
 def _target_search(solver: _MultiSolver, targets) -> RdPoint:
     """Rate at per-variable distortion targets: the one target search.
 
-    A coordinate whose target lies at or above its zero-rate corner starts
-    at slope 0 and every other one at ``_uniform_q_slope`` of its
-    p(y)-weighted marginal.  Coordinate sweeps (coordinate ascent on the
-    concave Lagrange dual) move one slope at a time by ``_slope_root``.
-    The search stops, before a sweep, on a point whose solves converged and
-    that passes ``_accept`` on every constraint, or after ``_MAX_SWEEPS``
-    sweeps, twice as many with several constraints.  With several,
-    ``_slope_newton`` runs before the first sweep and, unless the search
-    stops there, before the second; where it meets every target within
-    1e-9 its point lies on the dual bound.  Each slope search and Newton
-    phase opens at the point the search holds; a held timeshared mix, which
-    is no solve of the engine, is first solved again at its slopes, so each
-    opens at the engine's last solve.  The point held at the end is
-    reported, with the iterations of every solve the search made: an exact
-    solve, or a timeshared mix across a jump of D(s).  It counts as
-    converged when its solves closed their brackets and every constraint
-    passes ``_accept``.
+    A coordinate whose target lies at or above its zero-rate corner stays at
+    slope 0; every other one opens at ``_uniform_q_slope`` of its
+    p(y)-weighted marginal and has a row in the master.  From that opening
+    solve the search runs rounds of ``_slope_newton`` on the concave
+    Lagrange dual.  A round that ends on a converged solve passing
+    ``_accept`` on every constraint ends the search with that solve.
+    Otherwise ``_master`` timeshares every solve of the engine so far, each
+    an achievable point (the mutual information and distortions of the test
+    channel it built), with a floor column, rate H(X | Y) at the floors,
+    and the zero-rate corner.  Each converged solve at s gives the dual
+    bound R - s (D - T) <= R(T), so once the LP's timeshare checks feasible
+    and its value is within ``SLACK_TOL`` of the best bound, the search
+    reports that timeshare, with the LP's duals as its slopes.  Else the
+    next round opens with a solve at those duals, which prices the next
+    column.  After ``_MAX_EVALS`` rounds the engine's last solve is
+    reported as unconverged.  A report carries the iterations of every
+    solve the search made.
     """
     try:
         targets = np.asarray(targets, float)
@@ -735,33 +673,38 @@ def _target_search(solver: _MultiSolver, targets) -> RdPoint:
             raise InvalidStateError(
                 f"target {targets[i]} for variable {i} below floor {solver.floors[i]:.12g}"
             )
-    corner = targets >= solver.trivs - 1e-15  # at or above the zero-rate corner
-    if corner.all():
+    rows = targets < solver.trivs - 1e-15  # under the zero-rate corner
+    if not rows.any():
         return RdPoint(0.0, tuple(solver.trivs.tolist()), (0.0,) * solver.m, 0, True)
-    slopes = np.array([0.0 if corner[i] else _uniform_q_slope(solver.margs[i], solver.dists[i], targets[i])
-                       for i in range(solver.m)])
+    slopes = np.array([_uniform_q_slope(solver.margs[i], solver.dists[i], targets[i]) if rows[i]
+                       else 0.0 for i in range(solver.m)])
     start = solver.iters
     solver.eval(slopes)
-    point = solver.held
-    newton = solver.m > 1
-    for sweep in range((1 + newton) * _MAX_SWEEPS):
-        if point[2] and all(_accept(slopes[i], point[1][i], targets[i]) for i in range(solver.m)):
+    for _ in range(_MAX_EVALS):
+        slopes = _slope_newton(solver, targets, slopes)
+        rate, dvec, conv = solver.held
+        if conv and all(_accept(s, d, t) for s, d, t in zip(slopes, dvec, targets)):
+            return RdPoint(float(rate), tuple(dvec.tolist()), tuple(slopes.tolist()),
+                           solver.iters - start, True)
+        log = solver.log
+        entropy = _state_sum(solver.weights, np.array([-(p @ np.log2(p)) for p in solver.p]))
+        rates = np.array([entropy, 0.0, *(r for r, _, _, _ in log)])  # H(X | Y) at the floors
+        dists = np.array([solver.floors, solver.trivs, *(d for _, d, _, _ in log)])
+        out = _master(rates, dists[:, rows].T, targets[rows])
+        if out is None:
             break
-        if newton and sweep < 2:
-            if point is not solver.held:
-                solver.eval(slopes)
-            slopes = _slope_newton(solver, targets, slopes)
-            point = solver.held
-        for i in range(solver.m):
-            if _accept(slopes[i], point[1][i], targets[i]):
-                continue
-            if point is not solver.held:
-                solver.eval(slopes)
-            slopes[i], point = _slope_root(solver, slopes, i, float(targets[i]))
-    rate, dvec, conv = point
-    ok = all(_accept(slopes[i], dvec[i], targets[i]) for i in range(solver.m))
+        lam, y = out
+        slopes[rows] = np.minimum(y[:-1], 0.0)
+        share = lam @ dists
+        bound = max((r - np.dot(s, d - targets) for r, d, s, c in log if c), default=-math.inf)
+        if (lam.min() >= 0.0 and abs(lam.sum() - 1.0) <= 1e-9
+                and (share <= targets + DIST_TOL).all() and lam @ rates - bound <= SLACK_TOL):
+            return RdPoint(float(lam @ rates), tuple(share.tolist()), tuple(slopes.tolist()),
+                           solver.iters - start, True)
+        solver.eval(slopes)
+    rate, dvec, _ = solver.held
     return RdPoint(float(rate), tuple(dvec.tolist()), tuple(slopes.tolist()),
-                   solver.iters - start, bool(ok and conv))
+                   solver.iters - start, False)
 
 
 def _solver(joint, dists, side: bool = False) -> _MultiSolver:

@@ -814,6 +814,26 @@ def test_engine_memory_stays_within_the_tables_it_counts(monkeypatch):
     assert peak <= budget, (peak, budget)
 
 
+def test_the_engine_build_holds_its_lifted_tables_and_little_more():
+    # seven bits given 4 side states: more variables than side states, so the
+    # m lifted tables (U) are what the build allocates; a list of the m
+    # tables copied into one array peaked at 2 U, and ``take`` into each
+    # table in its buffered mode at U plus a table
+    m, ny = 7, 4
+    nx = nh = 2 ** m
+    joint = np.random.default_rng(0).random((ny,) + (2,) * m)
+    u, t = m * nx * nh, nx * nh
+    tracemalloc.start()
+    try:
+        solver = rd._MultiSolver(joint / joint.sum(), [HAM2] * m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (u + t // 2), (peak, 8 * u)
+    bits = np.arange(nx)[:, None] >> np.arange(m - 1, -1, -1) & 1  # variable i's letter in x
+    np.testing.assert_array_equal(solver.lifted, [HAM2[b[:, None], b[None, :]] for b in bits.T])
+
+
 def test_multi_fixed_slopes_point():
     pj = np.full((2, 2), 0.25)
     pt = ba_joint_multi(pj, [HAM2, HAM2], (-2.0, -1.0))
@@ -1222,41 +1242,6 @@ def test_an_undone_slope_newton_probe_restores_the_records(monkeypatch, solve):
                 np.testing.assert_array_equal(x, y)
 
 
-class _Scripted:
-    """A stand-in engine for ``_slope_root``: distortion ``dist(slope)`` and
-    rate 0.1 at every slope vector, opening at a held solve, unconverged
-    unless dD/ds ``jac`` is given.  A search that probes 10 times past
-    ``_MAX_EVALS`` fails the test instead of running on."""
-
-    def __init__(self, dist, held_dist, jac=None):
-        self.dist, self.probed, self.jac = dist, [], jac
-        self.held = (0.1, np.array([held_dist]), jac is not None)
-
-    def eval(self, slopes):
-        self.probed.append(float(slopes[0]))
-        assert len(self.probed) <= 10 * rd._MAX_EVALS, "the slope search ran past its cap"
-        self.held = (0.1, np.array([self.dist(slopes[0])]), True)
-        return *self.held[:2], 1, True
-
-    def jacobian(self, act):
-        return np.array([[self.jac]])
-
-
-class _Singular(_Scripted):
-    """A stand-in engine whose dD/ds solve fails."""
-
-    def jacobian(self, act):
-        raise np.linalg.LinAlgError("singular KKT system")
-
-
-def test_a_slope_search_without_a_derivative_doubles():
-    # held converged at slope -1 over the target: a jacobian of 1 would open
-    # with the Newton step to -1.4; with none the search doubles to -2, -4
-    solver = _Singular(lambda s: 0.9 if s > -3.0 else 0.4, 0.9, jac=1.0)
-    rd._slope_root(solver, np.array([-1.0]), 0, 0.5)
-    assert solver.probed[:2] == [-2.0, -4.0]
-
-
 def test_a_newton_search_along_an_ascent_direction_gives_up():
     # at q = (1/2, 1/2) on an identity tilt with p = (0.8, 0.2), moving mass
     # to the second letter raises F = -sum p ln(Aq): -dF along d is -1.2, and
@@ -1276,41 +1261,6 @@ def test_curve_flags_a_point_above_its_chord(monkeypatch):
     curve = rd_curve([0.5, 0.5], HAM2, targets=[0.0, 0.5, 1.0])
     assert [pt.rate for pt in curve.points] == [1.0, 0.9, 0.0]
     assert curve.monotone and not curve.convex
-
-
-def test_a_bracket_end_that_a_later_probe_followed_is_not_exact():
-    # a probe whose distortion is NaN is neither over the target nor
-    # accepted, so it stands as ``lo`` while the bisection moves ``hi`` to it;
-    # the search ends on a timeshare from ``lo``, which is no solve of the
-    # engine, so the caller solves it again
-    solver = _Scripted(lambda s: math.nan if s <= -2.0 else 0.9, 0.8)
-    slope, (_, dvec, _) = point = rd._slope_root(solver, np.array([-1.0]), 0, 0.5)
-    assert slope == solver.probed[0] == -2.0 and math.isnan(dvec[0])
-    assert solver.probed[-1] != slope  # the bisection probed on after lo
-    assert point is not solver.held
-
-
-def test_a_slope_search_stops_at_its_evaluation_cap():
-    # a distortion that stays over the target at every slope: the search
-    # doubles its slope away from 0 and stops after ``_MAX_EVALS`` probes on
-    # its last one, which ``_accept`` refuses, so the target goes unmet
-    solver = _Scripted(lambda s: 0.9, 0.9)
-    slope, (_, dvec, _) = rd._slope_root(solver, np.array([-1.0]), 0, 0.5)
-    assert len(solver.probed) == rd._MAX_EVALS
-    assert slope == solver.probed[-1] == -2.0 ** rd._MAX_EVALS
-    assert not rd._accept(slope, dvec[0], 0.5)
-
-
-def test_a_slope_search_under_its_target_stops_at_its_evaluation_cap():
-    # held at slope -1 under the target, with a dD/ds so large that the
-    # opening Newton step is about 1e-16: the walk toward 0 moves by an ulp
-    # or so per probe, and stops after ``_MAX_EVALS`` probes on a point
-    # that ``_accept`` refuses
-    solver = _Scripted(lambda s: 0.6 if s > -0.5 else 0.4, 0.4, jac=1e15)
-    slope, (_, dvec, _) = rd._slope_root(solver, np.array([-1.0]), 0, 0.5)
-    assert len(solver.probed) == rd._MAX_EVALS
-    assert -1.0 < slope < -0.99 and dvec[0] == 0.4
-    assert not rd._accept(slope, dvec[0], 0.5)
 
 
 @pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
@@ -1378,50 +1328,70 @@ def test_kernel_stress_joints_meet_their_targets_on_the_dual_bound(joint, dists,
     assert pt.rate == pytest.approx(rate, abs=1e-5)
 
 
-def _sweeps_only(monkeypatch):
-    """Skip the Newton phase of joint target searches."""
+@pytest.mark.parametrize("targets, rate", [
+    ((0.3, 0.2), 1.4912876), ((0.5, 0.5), 0.9941917), ((0.9, 0.1), 0.9941917)])
+def test_erasure_product_reports_the_sum_of_the_scalar_rates(targets, rate):
+    # each coordinate's target lies on the linear segment R(D) = c (1 - D),
+    # where D(s) jumps at the one slope -c: no single solve meets a joint
+    # target, and the master timeshares solves from both sides of the jump
+    # (coordinate sweeps reported 1.5907, 0.96224 and 0.96224, unconverged)
+    pt = ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], targets)
+    assert pt.converged
+    assert pt.rate == pytest.approx(rate, abs=1e-6)
+
+
+def test_a_coordinate_whose_floor_is_its_corner_has_no_row_in_the_master():
+    # a product source (kernel_stress product draw 1222): a scaled erasure
+    # coordinate on its linear segment, and one whose floor equals its
+    # zero-rate corner, targeted there.  Every solve puts the second
+    # coordinate at that one distortion, so its row would repeat the
+    # convexity row and leave the master's bases near singular: with it the
+    # search reported 0.8640 bits, unconverged
+    ps = [np.array([0.31711050042420735, 0.6828894995757926]),
+          np.array([0.031048398553965725, 0.9689516014460342])]
+    dists = [ERASURE * 1.0860587375011856,
+             np.array([[0.7178952855880654, 0.6850831126058567],
+                       [2.5446518395734694, 1.9899492311010705]])]
+    targets = (0.5577167061820152, min_distortion(ps[1], dists[1]))
+    assert targets[1] == pytest.approx(trivial_distortion(ps[1], dists[1]), abs=1e-15)
+    pt = ba_joint_multi_target(np.outer(*ps), dists, targets)
+    assert pt.converged
+    scalar = sum(ba_target(p, d, t).rate for p, d, t in zip(ps, dists, targets))
+    assert pt.rate == pytest.approx(scalar, abs=1e-5)
+
+
+def test_the_master_timeshares_the_hull_points_around_its_target():
+    # (D, R) columns (0, 1) (the floor), (1, 0) (the corner), (0.4, 0.3) and
+    # (0.7, 0.1): at D = 0.5 the lower hull is the chord of the inner two,
+    # weighted 2/3 and 1/3, whose slope -2/3 is the dual of the row
+    lam, y = rd._master(np.array([1.0, 0.0, 0.3, 0.1]), np.array([[0.0, 1.0, 0.4, 0.7]]),
+                        np.array([0.5]))
+    np.testing.assert_allclose(lam, [0.0, 0.0, 2 / 3, 1 / 3], atol=1e-12)
+    np.testing.assert_allclose(y, [-2 / 3, 0.3 + 0.4 * 2 / 3], atol=1e-12)
+
+
+def test_accept_bounds_the_slack_on_both_sides_of_the_target():
+    # a point over its target within DIST_TOL sits up to (-s)(D - T) bits
+    # under R(T), so that slack is held to SLACK_TOL as the one under it is
+    assert rd._accept(-1.0, 0.5 + 1e-6, 0.5)
+    assert not rd._accept(-10.0, 0.5 + 1e-6, 0.5)
+    assert not rd._accept(-10.0, 0.5 - 1e-6, 0.5)
+    assert rd._accept(0.0, 0.4, 0.5)
+
+
+def _master_only(monkeypatch):
+    """Skip the Newton phases of target searches."""
     monkeypatch.setattr(rd, "_slope_newton", lambda solver, targets, slopes: slopes)
 
 
 def test_a_slope_at_zero_over_its_target_hands_over_at_once(monkeypatch):
     # X1's target is its conditional zero-rate corner, so its slope opens at
     # 0, where the joint solve puts D_1 over the target: the phase hands the
-    # opening point to the sweeps, which return what they return alone
+    # opening point to the master, which returns what it returns alone
     net = doubly_symmetric_fork(0.05, 0.1)
     calls = _counting_evals(monkeypatch)
     got = lemma2_check(net, ["Y"], (0.05, 0.05))
     n = len(calls)
-    _sweeps_only(monkeypatch)
+    _master_only(monkeypatch)
     assert got == lemma2_check(net, ["Y"], (0.05, 0.05))
     assert len(calls) == 2 * n
-
-
-@pytest.mark.parametrize("targets", [(0.3, 0.2), (0.5, 0.5), (0.9, 0.1)])
-def test_erasure_product_newton_phase_hands_over_what_the_sweeps_return(monkeypatch, targets):
-    # on the linear face no Newton step raises the dual bound; the phase
-    # undoes its probe, warm starts included, and the sweeps run as alone
-    joint = np.full((2, 2), 0.25)
-    got = ba_joint_multi_target(joint, [ERASURE, ERASURE], targets)
-    _sweeps_only(monkeypatch)
-    ref = ba_joint_multi_target(joint, [ERASURE, ERASURE], targets)
-    assert (got.rate, got.distortions, got.slopes, got.converged) == (
-        ref.rate, ref.distortions, ref.slopes, ref.converged)
-
-
-def test_every_slope_search_opens_at_the_engines_last_solve(monkeypatch):
-    # a slope search that ends on a timeshare leaves the engine at its last
-    # probe, not at the mix's slopes; the sweep solves the mix's slopes again
-    # before the next search, which reads dD/ds and its opening point there
-    real_root = rd._slope_root
-    opened, mixes = [], []
-
-    def root_spy(solver, slopes, *args):
-        opened.append(solver.slopes == tuple(map(float, slopes)))
-        out = real_root(solver, slopes, *args)
-        mixes.append(out[1] is not solver.held)
-        return out
-
-    monkeypatch.setattr(rd, "_slope_root", root_spy)
-    ba_joint_multi_target(np.full((2, 2), 0.25), [ERASURE, ERASURE], (0.3, 0.2))
-    assert any(mixes[:-1])  # some search ended on a mix and another followed
-    assert opened and all(opened)

@@ -1,6 +1,7 @@
 """The scripts in ``scripts/`` run end to end on tiny arguments."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import re
@@ -34,7 +35,7 @@ def _main(name):
      "entries_touched,distinct_codes,stream_bytes", 4),
     ("solver_digest", ["--size", "1"], "case,evals,sha256", 14),
     ("kernel_stress", ["--sources", "3", "--draws", "1"],
-     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet", 7),
+     "kind,points,iterations,max_iterations,evaluations,max_evaluations,bad,unmet,off", 9),
     ("cli_digest", [], "case,exit,sha256", 44),
 ])
 def test_script_prints_its_csv(name, argv, header, rows):
@@ -75,7 +76,7 @@ def test_solver_digest_census_counts_every_evaluation():
                               "bounds-scene"]
     assert sum(map(int, by_group.values())) == int(census[1])
     assert int(census[3]) <= evals
-    # every slope search opens on dD/ds, so the census counts those too
+    # every Newton step on the slopes takes dD/ds, so the census counts those too
     jacobians = re.fullmatch(r"# (\d+) jacobians", jacobians)
     assert jacobians is not None and 0 < int(jacobians[1]) < evals
     # the test 7 and test 8 sources open states at the closed form, the
@@ -111,24 +112,56 @@ def test_kernel_stress_exits_1_on_an_unconverged_evaluation(monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert _main("kernel_stress")(["--sources", "1", "--draws", "0"]) == 1
-    kind, points, _, most, evals, most_evals, bad, _ = out.getvalue().splitlines()[1].split(",")
+    kind, points, _, most, evals, most_evals, bad, *_ = out.getvalue().splitlines()[1].split(",")
     assert (kind, points, most, evals, most_evals) == ("point", "9", "2", "9", "1") and int(bad) > 0
 
 
-@pytest.mark.parametrize("limit, code", [([], 0), (["--max-unmet", "2"], 0), (["--max-unmet", "1"], 1)],
+@pytest.mark.parametrize("limit, code", [([], 0), (["--max-unmet", "5"], 0), (["--max-unmet", "4"], 1)],
                          ids=["no-limit", "at-limit", "over-limit"])
 def test_kernel_stress_exits_1_past_max_unmet(monkeypatch, limit, code):
-    # one slope evaluation per search leaves the one joint target and one of
-    # its three near-floor solves unmet, with every kernel evaluation converged
+    # one round of Newton and the master per search leaves the one joint
+    # target, its three near-floor solves and the one side draw unmet, with
+    # every kernel evaluation converged and no report off its oracle
     monkeypatch.setattr(rd, "_MAX_EVALS", 1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert _main("kernel_stress")(["--sources", "0", "--draws", "1", *limit]) == code
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-    assert [(kind, bad, unmet) for kind, _, _, _, _, _, bad, unmet in rows] == [
-        ("point", "0", "0"), ("sweep", "0", "0"), ("target", "0", "0"),
-        ("conditional_target", "0", "0"),
-        ("joint_target", "0", "1"), ("near_floor_joint", "0", "1"), ("zero_slope", "0", "0")]
+    assert [(kind, bad, unmet, off) for kind, _, _, _, _, _, bad, unmet, off in rows] == [
+        ("point", "0", "0", "0"), ("sweep", "0", "0", "0"), ("target", "0", "0", "0"),
+        ("conditional_target", "0", "0", "0"), ("joint_target", "0", "1", "0"),
+        ("near_floor_joint", "0", "3", "0"), ("product_joint", "0", "0", "0"),
+        ("side_joint", "0", "1", "0"), ("zero_slope", "0", "0", "0")]
+
+
+def test_kernel_stress_exits_1_on_a_joint_rate_off_its_oracle(monkeypatch):
+    # a product draw whose joint solve is made to report 1e-4 bits over the
+    # sum of its per-coordinate rates counts as off, and off makes exit 1
+    module = _module("kernel_stress")
+
+    def over(*args, **kwargs):
+        pt = rd.ba_joint_multi_target(*args, **kwargs)
+        return dataclasses.replace(pt, rate=pt.rate + 1e-4)
+
+    monkeypatch.setattr(module, "ba_joint_multi_target", over)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert module.main(["--sources", "0", "--draws", "1"]) == 1
+    rows = {line.split(",")[0]: line.split(",")[6:] for line in out.getvalue().splitlines()[1:]}
+    assert rows["product_joint"] == ["0", "0", "1"] and rows["side_joint"] == ["0", "0", "1"]
+
+
+@pytest.mark.parametrize("kind, seed", [("product", 81), ("product", 243), ("side", 289)],
+                         ids=["product-erasure", "product-squared-error", "side"])
+def test_additive_draws_report_the_sum_of_their_terms(kind, seed):
+    # three kernel_stress draws whose joint rate is the sum of per-coordinate
+    # rates; coordinate sweeps left the erasure product 0.50 bits over that
+    # sum and the side draw 0.82 bits under it, both unconverged, and the
+    # squared-error product 2.7e-5 bits under it, converged
+    _, solve = getattr(_module("kernel_stress"), f"{kind}_joint_target")(seed)
+    pt, terms = solve()
+    assert pt.converged and all(t.converged for t in terms)
+    assert pt.rate == pytest.approx(sum(t.rate for t in terms), abs=1e-5)
 
 
 @pytest.mark.parametrize("seed, f", [(110, 1e-6), (124, 1e-6), (147, 1e-9)])
